@@ -45,10 +45,12 @@ fn cosim(cfg: SstConfig, build: &dyn Fn(&mut Asm), max_cycles: u64) -> (SstCore,
     let mut core = SstCore::new(cfg, 0, &p);
     let mut interp = Interp::new(&p);
     let mut checked: u64 = 0;
+    let mut commits = Vec::new();
 
     while !core.halted() && core.cycle() < max_cycles {
         core.tick(&mut mem.bus(0));
-        for c in core.drain_commits() {
+        core.drain_commits_into(&mut commits);
+        for c in commits.drain(..) {
             let ev = interp.step().expect("interp ok");
             checked += 1;
             assert_eq!(c.seq, checked, "commit stream must be dense");
@@ -495,13 +497,13 @@ fn committed_count_matches_functional_count() {
         let mut mem = MemSystem::new(&MemConfig::default(), 1);
         p.load_into(mem.mem_mut());
         let mut core = SstCore::new(cfg, 0, &p);
-        let mut total = 0u64;
+        let mut commits = Vec::new();
         while !core.halted() && core.cycle() < 50_000_000 {
             core.tick(&mut mem.bus(0));
-            total += core.drain_commits().len() as u64;
+            core.drain_commits_into(&mut commits);
         }
-        total += core.drain_commits().len() as u64;
-        assert_eq!(total, functional);
+        core.drain_commits_into(&mut commits);
+        assert_eq!(commits.len() as u64, functional);
     }
     // Silence unused-inst warning pattern.
     let _ = Inst::Halt;

@@ -11,9 +11,11 @@ fn run_with(cfg: SstConfig, p: &Program, max: u64) -> (SstCore, MemSystem) {
     let mut mem = MemSystem::new(&MemConfig::default(), 1);
     p.load_into(mem.mem_mut());
     let mut core = SstCore::new(cfg, 0, p);
+    let mut commits = Vec::new();
     while !core.halted() && core.cycle() < max {
         core.tick(&mut mem.bus(0));
-        core.drain_commits();
+        core.drain_commits_into(&mut commits);
+        commits.clear();
     }
     assert!(core.halted(), "did not halt");
     (core, mem)

@@ -1,5 +1,4 @@
-//! The `sst-run` command line, shared by the thin per-experiment
-//! binaries.
+//! The `sst-run` command line.
 //!
 //! ```text
 //! sst-run all                 # every experiment, all cores
@@ -53,8 +52,6 @@ environment:
   SST_MANIFEST=<name>    manifest filename under results/ (default
                          manifest.json; give concurrent schedulers on
                          one out dir distinct names)
-  SST_TRACE=<path>       legacy shim: behave as `sst-run trace ...
-                         --out <path>` (value 1 means trace.json)
 
 exit status: 0 when every job succeeded, 1 otherwise.";
 
@@ -105,19 +102,6 @@ pub fn cli_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
     if args.peek().map(String::as_str) == Some("trace") {
         args.next();
         return crate::trace::trace_main(args);
-    }
-    // Thin shim for the retired in-core SST_TRACE ring — the one place
-    // the variable is still read. `SST_TRACE=<path> sst-run e3` behaves
-    // like `sst-run trace e3 --out <path>` (value "1" or empty keeps the
-    // default trace.json). Simulation code no longer reads it, so
-    // harness-parallel jobs cannot race on a construction-time env read.
-    if let Ok(v) = std::env::var("SST_TRACE") {
-        let mut fwd: Vec<String> = args.collect();
-        if !v.is_empty() && v != "1" {
-            fwd.push("--out".to_string());
-            fwd.push(v);
-        }
-        return crate::trace::trace_main(fwd.into_iter());
     }
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -220,22 +204,6 @@ pub fn cli_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
     };
 
     run_and_report(&experiments, &cfg)
-}
-
-/// Runs one experiment by id, serially and uncached-by-default-settings
-/// aside (cache stays on), printing its tables. This is what the legacy
-/// per-experiment binaries call: `jobs = 1` keeps them byte-for-byte
-/// comparable with a parallel `sst-run` of the same experiment.
-pub fn experiment_main(id: &str) -> i32 {
-    let mut cfg = RunConfig::from_os();
-    cfg.jobs = 1;
-    match registry::find(id) {
-        Some(e) => run_and_report(&[e], &cfg),
-        None => {
-            eprintln!("unknown experiment {id:?}");
-            2
-        }
-    }
 }
 
 fn run_and_report(experiments: &[registry::Experiment], cfg: &RunConfig) -> i32 {

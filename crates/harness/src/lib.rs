@@ -20,7 +20,7 @@
 //! records — a panicking or wedged job never takes down the rest of the
 //! run.
 //!
-//! Environment knobs (shared with the thin experiment binaries):
+//! Environment knobs:
 //!
 //! * `SST_SCALE=smoke|full` — workload scale (default `full`).
 //! * `SST_SEED=<u64>` — data-generation seed (default 12345).

@@ -18,10 +18,6 @@
 //! Tracing is observation-only: the traced `RunResult` is byte-identical
 //! to an untraced run (enforced by `crates/sim/tests/trace_equiv.rs`),
 //! so the numbers printed here agree exactly with `sst-run <exp>`.
-//!
-//! The legacy `SST_TRACE` env var is honoured as a thin CLI shim only —
-//! `SST_TRACE=t.json sst-run e3` behaves like `sst-run trace e3 --out
-//! t.json` (see [`crate::cli`]). No simulation code reads it anymore.
 
 use sst_obs::ChromeTrace;
 use sst_sim::System;

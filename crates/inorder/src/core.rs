@@ -435,7 +435,8 @@ mod tests {
     fn cosim(build: impl Fn(&mut Asm), max_cycles: u64) -> (InOrderCore, MemSystem) {
         let (mut core, mem, p) = run(&build, max_cycles);
         let mut interp = Interp::new(&p);
-        let commits = core.drain_commits();
+        let mut commits = Vec::new();
+        core.drain_commits_into(&mut commits);
         assert!(!commits.is_empty());
         for (i, c) in commits.iter().enumerate() {
             let ev = interp.step().expect("interp ok");

@@ -17,9 +17,11 @@ fn cosim(cfg: OooConfig, build: &dyn Fn(&mut Asm), max_cycles: u64) -> OooCore {
     let mut core = OooCore::new(cfg, 0, &p);
     let mut interp = Interp::new(&p);
     let mut checked = 0u64;
+    let mut commits = Vec::new();
     while !core.halted() && core.cycle() < max_cycles {
         core.tick(&mut mem.bus(0));
-        for c in core.drain_commits() {
+        core.drain_commits_into(&mut commits);
+        for c in commits.drain(..) {
             let ev = interp.step().expect("interp ok");
             checked += 1;
             assert_eq!(c.seq, checked, "dense commit stream");

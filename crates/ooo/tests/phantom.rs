@@ -12,9 +12,11 @@ fn run(p: &Program) -> (OooCore, MemSystem) {
     let mut mem = MemSystem::new(&MemConfig::default(), 1);
     p.load_into(mem.mem_mut());
     let mut core = OooCore::new(OooConfig::ooo_64(), 0, p);
+    let mut commits = Vec::new();
     while !core.halted() && core.cycle() < 100_000_000 {
         core.tick(&mut mem.bus(0));
-        core.drain_commits();
+        core.drain_commits_into(&mut commits);
+        commits.clear();
     }
     assert!(core.halted());
     (core, mem)

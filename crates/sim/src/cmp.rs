@@ -2,31 +2,22 @@
 //! multiprogrammed workload mix (disjoint address slots, as in the paper's
 //! throughput methodology — no data sharing, so no coherence traffic).
 //!
-//! # Serial and parallel drivers
-//!
-//! [`CmpSystem::run`] has two byte-identical execution strategies,
-//! selected with [`CmpSystem::with_threads`]:
-//!
-//! * **Serial** (`threads <= 1`, the default): one thread ticks every
-//!   core each cycle in ascending core-id order against the shared
-//!   memory system — the reference interleaving.
-//! * **Parallel** (`threads > 1`): cores are split into contiguous
-//!   chunks, one worker thread per chunk. Each worker is a miniature
-//!   serial driver over its chunk (same tick order, same chunk-local
-//!   lockstep fast-forward), and every core reaches the shared L2/DRAM
-//!   through a gated [`sst_mem::ParallelMem`] bus that blocks until the
-//!   core's deterministic turn. Shared state therefore observes the
-//!   exact serial interleaving, and the final [`CmpResult`] — per-core
-//!   cycles and instructions, makespan, every memory counter — is
-//!   byte-identical to a `threads = 1` run. The equivalence suite in
-//!   `crates/sim/tests/parallel_cmp.rs` enforces this across models,
-//!   mixes, and thread counts.
+//! [`CmpSystem::run`] is a façade over [`crate::engine`]: every core runs
+//! to its `halt` within one span that ends at the cycle budget. The
+//! engine's serial and chunk-parallel executors
+//! ([`CmpSystem::with_threads`]) produce byte-identical [`CmpResult`]s —
+//! per-core cycles and instructions, makespan, every memory counter; the
+//! tick order, lockstep skip and horizon rules that guarantee it are
+//! stated there, and `crates/sim/tests/parallel_cmp.rs` enforces it across
+//! models, mixes, and thread counts.
 
-use sst_mem::{Cycle, MemConfig, MemPort, MemStats, MemSystem, ParallelMem};
+use sst_isa::Program;
+use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
 use sst_prng::splitmix64;
 use sst_uarch::Core;
 use sst_workloads::{Scale, Workload};
 
+use crate::engine::{self, Policy, UntilHalt};
 use crate::CoreModel;
 
 /// Derives core `id`'s workload seed from the run seed.
@@ -92,31 +83,19 @@ impl CmpSystem {
         n_cores: usize,
         mem_cfg: &MemConfig,
     ) -> CmpSystem {
-        assert!(n_cores > 0);
         let names = vec![workload_name; n_cores];
         CmpSystem::mix(model, &names, scale, seed, mem_cfg)
     }
 
     /// Builds a CMP from an explicit per-core workload list.
     pub fn mix(model: CoreModel, mix: &[&str], scale: Scale, seed: u64, mem_cfg: &MemConfig) -> CmpSystem {
-        assert!(!mix.is_empty());
-        let mut mem = MemSystem::new(mem_cfg, mix.len());
-        let mut cores: Vec<Box<dyn Core>> = Vec::new();
+        let mut sys = CmpSystem::empty(&model, mix.len(), mem_cfg);
         for (id, name) in mix.iter().enumerate() {
             let w = Workload::by_name_slot(name, scale, core_seed(seed, id), id)
                 .expect("known workload");
-            // Each slot's image goes to its own port: slots are disjoint
-            // 64 GiB ranges, so the per-port split is exact.
-            w.program.load_into(mem.port_mem_mut(id));
-            cores.push(model.build(id, &w.program));
+            sys.attach(&model, &w.program);
         }
-        CmpSystem {
-            cores,
-            mem,
-            model_label: model.label(),
-            fast_forward: true,
-            threads: 1,
-        }
+        sys
     }
 
     /// Builds a CMP whose core `i` runs `programs[i]` directly, with no
@@ -126,23 +105,34 @@ impl CmpSystem {
     /// slot's image is loaded into port `i`'s private memory.
     pub fn from_programs(
         model: CoreModel,
-        programs: &[&sst_isa::Program],
+        programs: &[&Program],
         mem_cfg: &MemConfig,
     ) -> CmpSystem {
-        assert!(!programs.is_empty());
-        let mut mem = MemSystem::new(mem_cfg, programs.len());
-        let mut cores: Vec<Box<dyn Core>> = Vec::new();
-        for (id, p) in programs.iter().enumerate() {
-            p.load_into(mem.port_mem_mut(id));
-            cores.push(model.build(id, p));
+        let mut sys = CmpSystem::empty(&model, programs.len(), mem_cfg);
+        for p in programs {
+            sys.attach(&model, p);
         }
+        sys
+    }
+
+    fn empty(model: &CoreModel, n_cores: usize, mem_cfg: &MemConfig) -> CmpSystem {
+        assert!(n_cores > 0);
         CmpSystem {
-            cores,
-            mem,
+            cores: Vec::new(),
+            mem: MemSystem::new(mem_cfg, n_cores),
             model_label: model.label(),
             fast_forward: true,
             threads: 1,
         }
+    }
+
+    /// Adds the next core, running `program`. Each slot's image goes to
+    /// its own port: slots are disjoint 64 GiB ranges, so the per-port
+    /// split is exact.
+    fn attach(&mut self, model: &CoreModel, program: &Program) {
+        let id = self.cores.len();
+        program.load_into(self.mem.port_mem_mut(id));
+        self.cores.push(model.build(id, program));
     }
 
     /// Disables idle-cycle fast-forwarding (see
@@ -157,7 +147,7 @@ impl CmpSystem {
     /// core list). Results are byte-identical for every thread count —
     /// shared-memory arbitration is replayed in the exact serial order —
     /// so this is purely a wall-clock knob. `threads <= 1` runs the
-    /// serial driver.
+    /// serial executor.
     pub fn with_threads(mut self, threads: usize) -> CmpSystem {
         self.threads = threads.max(1);
         self
@@ -170,184 +160,46 @@ impl CmpSystem {
     ///
     /// Panics if any core fails to halt within `max_cycles`.
     pub fn run(self, max_cycles: Cycle) -> CmpResult {
-        if self.threads > 1 && self.cores.len() > 1 {
-            return self.run_parallel(max_cycles);
-        }
-        self.run_serial(max_cycles)
+        let mut until_halt: Vec<UntilHalt> = self.cores.iter().map(|_| UntilHalt).collect();
+        // The engine asks for a second span only if the first reached the
+        // budget with a core still running.
+        self.drive(&mut until_halt, |now, _| {
+            assert!(now < max_cycles, "CMP did not finish in {max_cycles} cycles");
+            Some(max_cycles)
+        })
     }
 
-    fn run_serial(mut self, max_cycles: Cycle) -> CmpResult {
-        let n = self.cores.len();
-        let mut per_core: Vec<Option<(Cycle, u64)>> = vec![None; n];
-        let mut commits = Vec::new();
-        let mut done = 0;
-        let mut now: Cycle = 0;
-        while done < n {
-            assert!(now < max_cycles, "CMP did not finish in {max_cycles} cycles");
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                if per_core[i].is_some() {
-                    continue;
-                }
-                core.tick(&mut self.mem.bus(i));
-                core.drain_commits_into(&mut commits); // throughput runs skip cosim
-                commits.clear();
-                if core.halted() {
-                    per_core[i] = Some((core.cycle(), core.retired()));
-                    done += 1;
-                }
-            }
-            now += 1;
-            if self.fast_forward && done < n {
-                // All active cores share one clock, so the chip may only
-                // jump to the earliest wake across them — and the jump is
-                // applied to every active core in lockstep. Clamping to
-                // `max_cycles` keeps the wedge assert firing on schedule.
-                let target = self
-                    .cores
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| per_core[*i].is_none())
-                    .map(|(_, c)| c.next_event_cycle())
-                    .min()
-                    .unwrap_or(now)
-                    .min(max_cycles);
-                if target > now {
-                    for (i, core) in self.cores.iter_mut().enumerate() {
-                        if per_core[i].is_none() {
-                            core.skip_to(target);
-                        }
-                    }
-                    now = target;
-                }
-            }
-        }
+    /// Runs the chip through the engine — serial, or chunk-parallel when
+    /// `threads` and the core count allow — and assembles the result:
+    /// `per_core` is each core's final `(cycle, retired)` (a retired core
+    /// is never moved again, so for a halted one that is its halt point),
+    /// `cycles` the chip clock at the stop.
+    pub(crate) fn drive<P: Policy + Default + Send>(
+        mut self,
+        policies: &mut [P],
+        boundary: impl FnMut(Cycle, &mut [P]) -> Option<Cycle>,
+    ) -> CmpResult {
+        let cycles = if self.threads > 1 && self.cores.len() > 1 {
+            let (cycles, mem) = engine::run_parallel(
+                &mut self.cores,
+                self.mem,
+                policies,
+                self.threads,
+                self.fast_forward,
+                boundary,
+            );
+            self.mem = mem;
+            cycles
+        } else {
+            engine::run_serial(&mut self.cores, &mut self.mem, policies, self.fast_forward, 0, boundary)
+        };
         CmpResult {
             model: self.model_label,
-            per_core: per_core.into_iter().map(|x| x.expect("all halted")).collect(),
-            cycles: now,
+            per_core: self.cores.iter().map(|c| (c.cycle(), c.retired())).collect(),
+            cycles,
             mem: self.mem.stats(),
         }
     }
-
-    /// The multi-threaded driver: contiguous core chunks on
-    /// `std::thread::scope` workers, shared memory behind the horizon
-    /// gate. See the module docs for why this reproduces the serial run
-    /// exactly.
-    fn run_parallel(mut self, max_cycles: Cycle) -> CmpResult {
-        let n = self.cores.len();
-        let chunk = n.div_ceil(self.threads.min(n));
-        let (mut ports, pmem) = self.mem.into_parallel();
-        let fast_forward = self.fast_forward;
-
-        let mut per_core: Vec<(Cycle, u64)> = Vec::with_capacity(n);
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (ci, (cores, ports)) in self
-                .cores
-                .chunks_mut(chunk)
-                .zip(ports.chunks_mut(chunk))
-                .enumerate()
-            {
-                let pmem = &pmem;
-                handles.push(s.spawn(move || {
-                    let _poison = PoisonOnPanic(pmem);
-                    run_chunk(cores, ports, ci * chunk, pmem, max_cycles, fast_forward)
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(chunk_results) => per_core.extend(chunk_results),
-                    Err(e) => std::panic::resume_unwind(e),
-                }
-            }
-        });
-
-        // The serial driver's final clock is the cycle after the last
-        // halt tick, which is exactly the slowest core's own cycle count.
-        let cycles = per_core.iter().map(|&(c, _)| c).max().expect("nonempty");
-        let mem = pmem.into_system(ports);
-        CmpResult {
-            model: self.model_label,
-            per_core,
-            cycles,
-            mem: mem.stats(),
-        }
-    }
-}
-
-/// Poisons the shared horizon table if the worker unwinds, so peers
-/// spin-waiting on this worker's progress panic instead of hanging.
-/// Shared with the service driver in `crate::service`.
-pub(crate) struct PoisonOnPanic<'a>(pub(crate) &'a ParallelMem);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
-        }
-    }
-}
-
-/// A miniature serial driver over one contiguous chunk of cores
-/// (`base..base + cores.len()`): same per-cycle tick order and the same
-/// lockstep fast-forward as the serial driver, but chunk-local. Skipped
-/// cycles provably touch no memory (the `next_event_cycle` contract), so
-/// chunk-local skipping cannot reorder shared-memory traffic.
-fn run_chunk(
-    cores: &mut [Box<dyn Core>],
-    ports: &mut [MemPort],
-    base: usize,
-    pmem: &ParallelMem,
-    max_cycles: Cycle,
-    fast_forward: bool,
-) -> Vec<(Cycle, u64)> {
-    let n = cores.len();
-    let mut per_core: Vec<Option<(Cycle, u64)>> = vec![None; n];
-    let mut commits = Vec::new();
-    let mut done = 0;
-    let mut now: Cycle = 0;
-    while done < n {
-        assert!(now < max_cycles, "CMP did not finish in {max_cycles} cycles");
-        if pmem.is_poisoned() {
-            panic!("parallel CMP: a peer worker panicked");
-        }
-        for (i, core) in cores.iter_mut().enumerate() {
-            if per_core[i].is_some() {
-                continue;
-            }
-            let id = base + i;
-            core.tick(&mut pmem.bus(&mut ports[i], id));
-            pmem.note_progress(id, now + 1);
-            core.drain_commits_into(&mut commits); // throughput runs skip cosim
-            commits.clear();
-            if core.halted() {
-                per_core[i] = Some((core.cycle(), core.retired()));
-                done += 1;
-                pmem.note_halted(id);
-            }
-        }
-        now += 1;
-        if fast_forward && done < n {
-            let target = cores
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| per_core[*i].is_none())
-                .map(|(_, c)| c.next_event_cycle())
-                .min()
-                .unwrap_or(now)
-                .min(max_cycles);
-            if target > now {
-                for (i, core) in cores.iter_mut().enumerate() {
-                    if per_core[i].is_none() {
-                        core.skip_to(target);
-                        pmem.note_progress(base + i, target);
-                    }
-                }
-                now = target;
-            }
-        }
-    }
-    per_core.into_iter().map(|x| x.expect("all halted")).collect()
 }
 
 #[cfg(test)]
@@ -421,6 +273,28 @@ mod tests {
         assert_ne!(core_seed(5, 0), core_seed(5, 1));
         // And the mapping is deterministic.
         assert_eq!(core_seed(5, 1), core_seed(5, 1));
+    }
+
+    #[test]
+    fn budget_overrun_panics_alike_serial_and_parallel() {
+        for threads in [1, 2] {
+            let sys = CmpSystem::homogeneous(
+                CoreModel::InOrder,
+                "gzip",
+                Scale::Smoke,
+                5,
+                2,
+                &MemConfig::default(),
+            )
+            .with_threads(threads);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run(100)))
+                .expect_err("a 100-cycle budget is too small");
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("CMP did not finish in 100 cycles"),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

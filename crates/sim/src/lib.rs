@@ -5,13 +5,16 @@
 //! * [`CoreModel`] — one enum naming every machine in the study (in-order,
 //!   scout, EA, SST variants, OoO variants) with a uniform constructor, so
 //!   experiments sweep models by value.
-//! * [`System`] — a single core + memory hierarchy with a run loop,
+//! * [`System`] — a single core + memory hierarchy with
 //!   warm-up/measure accounting, and optional lock-step **co-simulation**
 //!   against the functional interpreter ([`RetireChecker`]).
 //! * [`CmpSystem`] — an `n`-core chip multiprocessor running a
 //!   multiprogrammed mix over a shared L2, for the throughput experiments.
 //! * [`area`] — the structure-count area/power proxy (experiment E9).
 //! * [`report`] — markdown/CSV table emission for the experiment binaries.
+//!
+//! `System`, `CmpSystem` (batch and service runs) and [`run_sampled`] are
+//! façades over one private cycle loop, `engine.rs`.
 //!
 //! ```
 //! use sst_sim::{CoreModel, System};
@@ -28,6 +31,7 @@
 pub mod area;
 mod checker;
 mod cmp;
+mod engine;
 mod models;
 pub mod report;
 pub mod sampling;

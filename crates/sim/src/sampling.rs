@@ -34,9 +34,10 @@
 
 use sst_isa::{Inst, Interp, MemEffect, INST_BYTES};
 use sst_mem::{AccessKind, Cycle, MemConfig, MemSystem};
-use sst_uarch::Core;
+use sst_uarch::{Commit, Core};
 use sst_workloads::Workload;
 
+use crate::engine::{Policy, Stepper, Verdict};
 use crate::{CoreModel, CosimError};
 
 /// Sampling-schedule parameters.
@@ -101,6 +102,20 @@ impl SampledResult {
     /// Fraction of the program executed under the detailed model.
     pub fn detail_fraction(&self) -> f64 {
         self.detailed_insts as f64 / self.insts.max(1) as f64
+    }
+}
+
+/// The engine policy of one detailed interval: count commits up to the
+/// interval length.
+struct Measure {
+    committed: u64,
+    interval: u64,
+}
+
+impl Policy for Measure {
+    fn step(&mut self, core: &dyn Core, commits: &[Commit], _now: Cycle) -> Verdict {
+        self.committed += commits.len() as u64;
+        Verdict::until(core, self.committed, self.interval)
     }
 }
 
@@ -171,7 +186,9 @@ pub fn run_sampled(
     if cfg.interval == 0 {
         return Err(bad_cfg("sampling interval must be nonzero".into()));
     }
-    if cfg.interval + cfg.warm >= cfg.period {
+    // A sum that overflows exceeds every period.
+    let detailed = cfg.interval.checked_add(cfg.warm);
+    if detailed.map_or(true, |d| d >= cfg.period) {
         return Err(bad_cfg(format!(
             "sampling period {} must exceed interval {} + warming {}",
             cfg.period, cfg.interval, cfg.warm
@@ -184,10 +201,10 @@ pub fn run_sampled(
     workload.program.load_into(mem.mem_mut());
 
     let skip = cfg.period - cfg.interval - cfg.warm;
+    let mut stepper = Stepper::default();
     let mut cpis: Vec<f64> = Vec::new();
     let mut detailed_insts = 0u64;
     let mut detailed_cycles: Cycle = 0;
-    let mut commits = Vec::new();
 
     'units: while !interp.is_halted() {
         // Functional skip: no model updates, full interpreter speed.
@@ -203,36 +220,36 @@ pub fn run_sampled(
             break 'units;
         }
         // Detailed interval: teleport the core to the reference point and
-        // measure `interval` instructions under the full timing model.
+        // measure `interval` instructions under the full timing model —
+        // one engine span to the watchdog deadline.
         core.warm_boot(interp.state().regs(), interp.state().pc);
         mem.replace_port_mem(0, interp.mem().clone());
         mem.reset_timing();
         let cycles0 = core.cycle();
-        let deadline = cycles0 + cfg.max_interval_cycles;
-        let mut committed = 0u64;
-        while committed < cfg.interval && !core.halted() {
-            if core.cycle() >= deadline {
-                return Err(CosimError {
-                    at: interp.retired() + committed,
-                    what: format!(
-                        "detailed interval exceeded {} cycles at sample {}",
-                        cfg.max_interval_cycles,
-                        cpis.len()
-                    ),
-                });
-            }
-            core.tick(&mut mem.bus(0));
-            core.drain_commits_into(&mut commits);
-            committed += commits.drain(..).count() as u64;
-            if !core.halted() {
-                let target = core.next_event_cycle().min(deadline);
-                if target > core.cycle() {
-                    core.skip_to(target);
-                }
-            }
+        let deadline = cycles0.saturating_add(cfg.max_interval_cycles);
+        let mut measure = Measure {
+            committed: 0,
+            interval: cfg.interval,
+        };
+        let (_, overran) = stepper.run_span(
+            std::slice::from_mut(&mut core),
+            &mut mem,
+            std::slice::from_mut(&mut measure),
+            cycles0,
+            deadline,
+            true,
+        );
+        let committed = measure.committed;
+        if overran {
+            return Err(CosimError {
+                at: interp.retired() + committed,
+                what: format!(
+                    "detailed interval exceeded {} cycles at sample {}",
+                    cfg.max_interval_cycles,
+                    cpis.len()
+                ),
+            });
         }
-        core.drain_commits_into(&mut commits);
-        committed += commits.drain(..).count() as u64;
         let dcycles = core.cycle() - cycles0;
         if committed > 0 {
             cpis.push(dcycles as f64 / committed as f64);
@@ -305,6 +322,24 @@ mod tests {
         };
         let e = run_sampled(CoreModel::InOrder, &w, &cfg).unwrap_err();
         assert!(e.what.contains("nonzero"), "{e}");
+        // interval + warm overflows u64: infeasible for every period.
+        let cfg = SamplingConfig {
+            interval: u64::MAX,
+            warm: 1,
+            ..SamplingConfig::default()
+        };
+        let e = run_sampled(CoreModel::InOrder, &w, &cfg).unwrap_err();
+        assert!(e.what.contains("must exceed"), "{e}");
+        // An unbounded watchdog is not an error: from the second interval
+        // on, `start cycle + max_interval_cycles` must saturate, not wrap.
+        let cfg = SamplingConfig {
+            period: 20_000,
+            interval: 2_000,
+            warm: 2_000,
+            max_interval_cycles: u64::MAX,
+        };
+        let r = run_sampled(CoreModel::InOrder, &w, &cfg).unwrap();
+        assert!(r.intervals >= 2, "intervals {}", r.intervals);
     }
 
     #[test]

@@ -1,35 +1,32 @@
-//! The service driver: a CMP cycle loop where cores execute externally
+//! The service façade: a CMP run where cores execute externally
 //! dispatched *requests* instead of running a fixed program to halt.
 //!
 //! A [`WorkSource`] (e.g. `sst-traffic`'s open-loop generator) feeds
 //! per-core [`Lane`]s at **quantum boundaries**: every `quantum()` cycles
-//! the driver stops the chip clock, hands the source every lane (arrived
-//! requests in, completed requests out), and resumes. In between, all
-//! dispatch state is strictly core-local — a core that finishes its
-//! request pops the next one from *its own* lane queue, and a core with
-//! nothing queued is clock-gated ([`sst_uarch::Core::gate_to`]) until the
-//! boundary. That split is what keeps the parallel driver byte-identical
-//! to the serial one: global decisions happen only at barriers, on one
-//! thread, and mid-quantum behaviour never crosses cores except through
-//! the horizon-gated shared memory (exactly as in [`crate::CmpSystem`]'s
-//! fixed-work drivers).
+//! the engine stops the chip clock, the source is handed every lane
+//! (arrived requests in, completed requests out), and the next span runs
+//! to the next boundary. In between, all dispatch state is strictly
+//! core-local — a core that finishes its request pops the next one from
+//! *its own* lane queue, and a core with nothing queued is clock-gated
+//! ([`sst_uarch::Core::gate_to`]) until the boundary. Global decisions
+//! happen only at boundaries, on one thread; that, with the span rules of
+//! [`crate::engine`] (which every run of this crate shares), keeps the
+//! parallel executor byte-identical to the serial one.
 //!
 //! A request is "serve `insts` more retired instructions of the core's
 //! resident kernel" — the kernel is an endless server loop, so the slice
 //! boundaries are the transaction boundaries the source chose. Completion
 //! is detected on the tick whose commits crossed the target; idle-cycle
 //! fast-forwarding still applies between events (skips never cross a
-//! commit, so completion cycles are unaffected — the `next_event_cycle`
-//! contract).
+//! commit, so completion cycles are unaffected).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::Mutex;
 
-use sst_mem::{Cycle, ParallelMem};
-use sst_uarch::Core;
+use sst_mem::Cycle;
+use sst_uarch::{Commit, Core};
 
-use crate::cmp::{CmpResult, CmpSystem, PoisonOnPanic};
+use crate::cmp::{CmpResult, CmpSystem};
+use crate::engine::{Policy, Verdict};
 
 /// One dispatched unit of work: serve `insts` retired instructions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,46 +59,37 @@ impl Lane {
     pub fn busy(&self) -> bool {
         self.in_flight.is_some()
     }
+}
 
-    /// Starts the next queued request if the core is idle.
-    fn start_next(&mut self, core: &mut dyn Core) {
-        if self.in_flight.is_none() {
-            if let Some(req) = self.queue.pop_front() {
+impl Policy for Lane {
+    /// Completes the in-flight request if the core's retired count has
+    /// reached its target (logging chip cycle `now`), then starts the
+    /// next queued one; with nothing queued the core idles to the
+    /// boundary.
+    fn step(&mut self, core: &dyn Core, _commits: &[Commit], now: Cycle) -> Verdict {
+        if let Some((id, target)) = self.in_flight {
+            if core.halted() {
+                panic!(
+                    "service core {}: kernel halted with request {id} in flight (server \
+                     kernels must loop forever)",
+                    core.core_id()
+                );
+            }
+            if core.retired() < target {
+                return Verdict::Run;
+            }
+            self.done.push((id, now));
+            self.in_flight = None;
+        }
+        match self.queue.pop_front() {
+            Some(req) => {
                 // The target counts from the core's current retired count:
                 // every request is exactly `insts` more instructions from
                 // wherever the resident kernel stands now.
                 self.in_flight = Some((req.id, core.retired() + req.insts));
+                Verdict::Run
             }
-        }
-    }
-
-    /// Post-tick completion check at chip cycle `cyc`. On completion the
-    /// next queued request starts immediately; with nothing queued the
-    /// core is clock-gated to the quantum boundary `end`. Returns `true`
-    /// iff the lane just went idle (the parallel driver then publishes
-    /// the gated horizon).
-    fn finish_check(&mut self, core: &mut dyn Core, cyc: Cycle, end: Cycle) -> bool {
-        let Some((id, target)) = self.in_flight else {
-            return false;
-        };
-        if core.halted() {
-            panic!(
-                "service core {}: kernel halted with request {id} in flight (server \
-                 kernels must loop forever)",
-                core.core_id()
-            );
-        }
-        if core.retired() < target {
-            return false;
-        }
-        self.done.push((id, cyc));
-        self.in_flight = None;
-        self.start_next(core);
-        if self.in_flight.is_none() {
-            core.gate_to(end);
-            true
-        } else {
-            false
+            None => Verdict::Idle,
         }
     }
 }
@@ -137,278 +125,16 @@ impl CmpSystem {
     /// Panics if the run exceeds `max_cycles` (runaway source), or if a
     /// kernel halts mid-request.
     pub fn run_service(self, source: &mut dyn WorkSource, max_cycles: Cycle) -> CmpResult {
-        if self.threads > 1 && self.cores.len() > 1 {
-            return self.run_service_parallel(source, max_cycles);
-        }
-        self.run_service_serial(source, max_cycles)
-    }
-
-    fn run_service_serial(mut self, source: &mut dyn WorkSource, max_cycles: Cycle) -> CmpResult {
-        let n = self.cores.len();
         let q = source.quantum().max(1);
-        let mut lanes: Vec<Lane> = (0..n).map(|_| Lane::default()).collect();
-        let mut commits = Vec::new();
-        let mut now: Cycle = 0;
-        while source.boundary(now, &mut lanes) {
+        let mut lanes: Vec<Lane> = self.cores.iter().map(|_| Lane::default()).collect();
+        self.drive(&mut lanes, |now, lanes| {
+            if !source.boundary(now, lanes) {
+                return None;
+            }
             let end = now + q;
             assert!(end <= max_cycles, "service run exceeded {max_cycles} cycles");
-            for (core, lane) in self.cores.iter_mut().zip(lanes.iter_mut()) {
-                lane.start_next(core.as_mut());
-                if !lane.busy() {
-                    core.gate_to(end);
-                }
-            }
-            let mut cyc = now;
-            while cyc < end {
-                let mut busy = 0usize;
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    if !lane.busy() {
-                        continue;
-                    }
-                    busy += 1;
-                    let core = &mut self.cores[i];
-                    core.tick(&mut self.mem.bus(i));
-                    core.drain_commits_into(&mut commits); // service runs skip cosim
-                    commits.clear();
-                    lane.finish_check(core.as_mut(), cyc, end);
-                }
-                cyc += 1;
-                if busy == 0 {
-                    break; // every core is gated to `end` already
-                }
-                if self.fast_forward && cyc < end {
-                    let target = self
-                        .cores
-                        .iter()
-                        .zip(&lanes)
-                        .filter(|(_, l)| l.busy())
-                        .map(|(c, _)| c.next_event_cycle())
-                        .min()
-                        .unwrap_or(end)
-                        .min(end);
-                    if target > cyc {
-                        for (core, lane) in self.cores.iter_mut().zip(&lanes) {
-                            if lane.busy() {
-                                core.skip_to(target);
-                            }
-                        }
-                        cyc = target;
-                    }
-                }
-            }
-            now = end;
-        }
-        CmpResult {
-            model: self.model_label,
-            per_core: self.cores.iter().map(|c| (c.cycle(), c.retired())).collect(),
-            cycles: now,
-            mem: self.mem.stats(),
-        }
-    }
-
-    /// The multi-threaded service driver: the fixed-work parallel driver's
-    /// chunked workers and horizon-gated memory, plus a two-phase quantum
-    /// barrier. Per quantum: the coordinator (this thread) runs
-    /// `source.boundary` alone while the workers are parked, publishes the
-    /// quantum end, and releases them (phase A); each worker then drives
-    /// its chunk to the boundary exactly like the serial loop — gated
-    /// cores publish their horizon at `end` up front, so cross-chunk
-    /// memory ordering never waits on an idle core — and parks again
-    /// (phase B).
-    fn run_service_parallel(mut self, source: &mut dyn WorkSource, max_cycles: Cycle) -> CmpResult {
-        let n = self.cores.len();
-        let chunk = n.div_ceil(self.threads.min(n));
-        let n_workers = n.div_ceil(chunk);
-        let (mut ports, pmem) = self.mem.into_parallel();
-        let fast_forward = self.fast_forward;
-        let q = source.quantum().max(1);
-
-        let lanes: Vec<Mutex<Lane>> = (0..n).map(|_| Mutex::new(Lane::default())).collect();
-        let barrier = QuantumBarrier::new(n_workers + 1);
-        let stop = AtomicBool::new(false);
-        let quantum_end = AtomicU64::new(0);
-
-        let mut per_core: Vec<(Cycle, u64)> = Vec::with_capacity(n);
-        let mut cycles: Cycle = 0;
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (ci, (cores, ports)) in self
-                .cores
-                .chunks_mut(chunk)
-                .zip(ports.chunks_mut(chunk))
-                .enumerate()
-            {
-                let (pmem, barrier) = (&pmem, &barrier);
-                let (stop, quantum_end, lanes) = (&stop, &quantum_end, &lanes);
-                handles.push(s.spawn(move || {
-                    let _poison = PoisonOnPanic(pmem);
-                    let base = ci * chunk;
-                    let k = cores.len();
-                    let mut commits = Vec::new();
-                    let mut now: Cycle = 0;
-                    loop {
-                        barrier.wait(pmem); // A: the coordinator published its command
-                        if stop.load(SeqCst) {
-                            break;
-                        }
-                        let end = quantum_end.load(SeqCst);
-                        // The boundary phase is over, so the locks are
-                        // uncontended; hold them for the whole quantum.
-                        let mut guards: Vec<_> = lanes[base..base + k]
-                            .iter()
-                            .map(|m| m.lock().unwrap())
-                            .collect();
-                        for i in 0..k {
-                            guards[i].start_next(cores[i].as_mut());
-                            if !guards[i].busy() {
-                                cores[i].gate_to(end);
-                                pmem.note_progress(base + i, end);
-                            }
-                        }
-                        let mut cyc = now;
-                        while cyc < end {
-                            if pmem.is_poisoned() {
-                                panic!("parallel service: a peer worker panicked");
-                            }
-                            let mut busy = 0usize;
-                            for i in 0..k {
-                                if !guards[i].busy() {
-                                    continue;
-                                }
-                                busy += 1;
-                                let id = base + i;
-                                cores[i].tick(&mut pmem.bus(&mut ports[i], id));
-                                pmem.note_progress(id, cyc + 1);
-                                cores[i].drain_commits_into(&mut commits);
-                                commits.clear();
-                                if guards[i].finish_check(cores[i].as_mut(), cyc, end) {
-                                    pmem.note_progress(id, end);
-                                }
-                            }
-                            cyc += 1;
-                            if busy == 0 {
-                                break;
-                            }
-                            if fast_forward && cyc < end {
-                                let target = cores
-                                    .iter()
-                                    .zip(guards.iter())
-                                    .filter(|(_, l)| l.busy())
-                                    .map(|(c, _)| c.next_event_cycle())
-                                    .min()
-                                    .unwrap_or(end)
-                                    .min(end);
-                                if target > cyc {
-                                    for i in 0..k {
-                                        if guards[i].busy() {
-                                            cores[i].skip_to(target);
-                                            pmem.note_progress(base + i, target);
-                                        }
-                                    }
-                                    cyc = target;
-                                }
-                            }
-                        }
-                        drop(guards);
-                        now = end;
-                        barrier.wait(pmem); // B: this chunk's quantum is done
-                    }
-                    cores
-                        .iter()
-                        .map(|c| (c.cycle(), c.retired()))
-                        .collect::<Vec<_>>()
-                }));
-            }
-
-            // Coordinator: the only thread that ever calls the source.
-            {
-                let _poison = PoisonOnPanic(&pmem);
-                let mut now: Cycle = 0;
-                loop {
-                    // Workers are parked at phase A, so the lane locks are
-                    // free; move the lanes out, consult the source, move
-                    // them back.
-                    let mut snapshot: Vec<Lane> = lanes
-                        .iter()
-                        .map(|m| std::mem::take(&mut *m.lock().unwrap()))
-                        .collect();
-                    let go = source.boundary(now, &mut snapshot);
-                    for (m, l) in lanes.iter().zip(snapshot) {
-                        *m.lock().unwrap() = l;
-                    }
-                    if !go {
-                        stop.store(true, SeqCst);
-                        barrier.wait(&pmem); // release workers into their exit
-                        break;
-                    }
-                    let end = now + q;
-                    assert!(end <= max_cycles, "service run exceeded {max_cycles} cycles");
-                    quantum_end.store(end, SeqCst);
-                    barrier.wait(&pmem); // A
-                    barrier.wait(&pmem); // B
-                    now = end;
-                }
-                cycles = now;
-            }
-
-            for h in handles {
-                match h.join() {
-                    Ok(chunk_results) => per_core.extend(chunk_results),
-                    Err(e) => std::panic::resume_unwind(e),
-                }
-            }
-        });
-
-        let mem = pmem.into_system(ports);
-        CmpResult {
-            model: self.model_label,
-            per_core,
-            cycles,
-            mem: mem.stats(),
-        }
-    }
-}
-
-/// A spinning phase barrier that aborts (panics) when the shared horizon
-/// table is poisoned, so a panicking worker can never strand its peers —
-/// `std::sync::Barrier` would deadlock there. Generation-counted: safe
-/// for arbitrarily many reuse phases.
-struct QuantumBarrier {
-    n: usize,
-    arrived: AtomicUsize,
-    generation: AtomicU64,
-}
-
-impl QuantumBarrier {
-    fn new(n: usize) -> QuantumBarrier {
-        QuantumBarrier {
-            n,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    fn wait(&self, pmem: &ParallelMem) {
-        let gen = self.generation.load(SeqCst);
-        if self.arrived.fetch_add(1, SeqCst) + 1 == self.n {
-            // Reset before the generation bump: nobody re-enters until
-            // they observe the new generation.
-            self.arrived.store(0, SeqCst);
-            self.generation.store(gen + 1, SeqCst);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(SeqCst) == gen {
-                if pmem.is_poisoned() {
-                    panic!("parallel service: a peer worker panicked");
-                }
-                spins = spins.wrapping_add(1);
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
+            Some(end)
+        })
     }
 }
 

@@ -1,12 +1,13 @@
 //! Single-core simulation with warm-up accounting and optional
-//! co-simulation.
+//! co-simulation: [`crate::engine`]'s serial executor over one core.
 
 use sst_isa::{InstClass, SnapError, SnapReader, SnapWriter, SNAPSHOT_VERSION};
 use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
 use sst_obs::{HostTimes, TraceBuf};
-use sst_uarch::Core;
+use sst_uarch::{Commit, Core};
 use sst_workloads::Workload;
 
+use crate::engine::{self, Policy, Verdict};
 use crate::snapshot::{Snapshot, SNAPSHOT_MAGIC};
 use crate::{CoreModel, CosimError, RetireChecker};
 
@@ -105,16 +106,44 @@ pub struct System {
     core: Box<dyn Core>,
     mem: MemSystem,
     workload_name: &'static str,
-    skip_insts: u64,
     model_label: String,
-    checker: Option<RetireChecker>,
     fast_forward: bool,
-    // Run accumulators. These live on the struct (not in the run loop) so
-    // a snapshot taken mid-run carries them and a resumed run reports the
-    // same totals as an uninterrupted one.
+    retirement: Retirement,
+}
+
+/// What `System` does with its core's commits — the engine policy of a
+/// single-core run. The accumulators live here (not in a run loop) so a
+/// snapshot taken mid-run carries them and a resumed run reports the same
+/// totals as an uninterrupted one.
+struct Retirement {
+    checker: Option<RetireChecker>,
+    skip_insts: u64,
     committed: u64,
     warmup_cycles: Cycle,
     inst_mix: [u64; 10],
+    /// Cumulative instruction target of the current `run_insts` call.
+    target_insts: u64,
+    /// The first co-simulation divergence; the core is retired on it.
+    diverged: Option<CosimError>,
+}
+
+impl Policy for Retirement {
+    fn step(&mut self, core: &dyn Core, commits: &[Commit], _now: Cycle) -> Verdict {
+        for c in commits {
+            if let Some(ck) = self.checker.as_mut() {
+                if let Err(e) = ck.check(c) {
+                    self.diverged = Some(e);
+                    return Verdict::Retire;
+                }
+            }
+            self.inst_mix[c.inst.class().index()] += 1;
+            self.committed += 1;
+            if self.committed == self.skip_insts {
+                self.warmup_cycles = core.cycle();
+            }
+        }
+        Verdict::until(core, self.committed, self.target_insts)
+    }
 }
 
 impl System {
@@ -132,20 +161,24 @@ impl System {
             core: model.build(0, &workload.program),
             mem,
             workload_name: workload.name,
-            skip_insts: workload.skip_insts,
             model_label: model.label(),
-            checker: Some(RetireChecker::new(&workload.program)),
             fast_forward: true,
-            committed: 0,
-            warmup_cycles: 0,
-            inst_mix: [0; 10],
+            retirement: Retirement {
+                checker: Some(RetireChecker::new(&workload.program)),
+                skip_insts: workload.skip_insts,
+                committed: 0,
+                warmup_cycles: 0,
+                inst_mix: [0; 10],
+                target_insts: 0,
+                diverged: None,
+            },
         }
     }
 
     /// Disables per-commit co-simulation (saves ~2x wall clock on large
     /// sweeps; the test suite keeps it on).
     pub fn without_cosim(mut self) -> System {
-        self.checker = None;
+        self.retirement.checker = None;
         self
     }
 
@@ -252,21 +285,6 @@ impl System {
         Ok(self.result())
     }
 
-    fn drain(&mut self, commits: &mut Vec<sst_uarch::Commit>) -> Result<(), CosimError> {
-        self.core.drain_commits_into(commits);
-        for c in commits.drain(..) {
-            if let Some(ck) = self.checker.as_mut() {
-                ck.check(&c)?;
-            }
-            self.inst_mix[c.inst.class().index()] += 1;
-            self.committed += 1;
-            if self.committed == self.skip_insts {
-                self.warmup_cycles = self.core.cycle();
-            }
-        }
-        Ok(())
-    }
-
     /// Runs until at least `target_insts` total instructions have
     /// committed, or the core halts, whichever comes first. The target is
     /// cumulative over the whole run (a resumed system keeps counting
@@ -279,39 +297,37 @@ impl System {
     ///
     /// As [`System::run_checked`].
     pub fn run_insts(&mut self, target_insts: u64, max_cycles: Cycle) -> Result<(), CosimError> {
-        let mut commits = Vec::new();
-        while !self.core.halted() {
-            if self.committed >= target_insts {
-                return Ok(());
-            }
-            if self.core.cycle() >= max_cycles {
-                return Err(CosimError {
-                    at: self.committed,
-                    what: format!(
-                        "{} on {} did not halt within {max_cycles} cycles",
-                        self.model_label, self.workload_name
-                    ),
-                });
-            }
-            self.core.tick(&mut self.mem.bus(0));
-            self.drain(&mut commits)?;
-            if self.fast_forward && !self.core.halted() {
-                // Bulk-skip provably idle cycles. Clamping to `max_cycles`
-                // keeps the timeout check above firing at the same cycle
-                // (and with the same commit count) as an unskipped run.
-                let target = self.core.next_event_cycle().min(max_cycles);
-                if target > self.core.cycle() {
-                    self.core.skip_to(target);
-                }
-            }
+        self.retirement.target_insts = target_insts;
+        // One span to the cycle budget; clamping the skip to it makes the
+        // timeout fire at the same cycle (and with the same commit count)
+        // as an unskipped run.
+        let now = self.core.cycle();
+        engine::run_serial(
+            std::slice::from_mut(&mut self.core),
+            &mut self.mem,
+            std::slice::from_mut(&mut self.retirement),
+            self.fast_forward,
+            now,
+            |now, _| (now < max_cycles).then_some(max_cycles),
+        );
+        if let Some(e) = self.retirement.diverged.take() {
+            return Err(e);
         }
-        // Drain any commits recorded in the final tick.
-        self.drain(&mut commits)
+        if self.core.halted() || self.retirement.committed >= target_insts {
+            return Ok(());
+        }
+        Err(CosimError {
+            at: self.retirement.committed,
+            what: format!(
+                "{} on {} did not halt within {max_cycles} cycles",
+                self.model_label, self.workload_name
+            ),
+        })
     }
 
     /// Total instructions committed so far.
     pub fn committed(&self) -> u64 {
-        self.committed
+        self.retirement.committed
     }
 
     /// `true` once the core has retired its `halt`.
@@ -326,9 +342,9 @@ impl System {
             model: self.model_label.clone(),
             workload: self.workload_name.to_string(),
             cycles: self.core.cycle(),
-            insts: self.committed,
-            warmup_cycles: self.warmup_cycles,
-            warmup_insts: self.skip_insts.min(self.committed),
+            insts: self.retirement.committed,
+            warmup_cycles: self.retirement.warmup_cycles,
+            warmup_insts: self.retirement.skip_insts.min(self.retirement.committed),
             mem: self.mem.stats(),
             counters: self
                 .core
@@ -336,7 +352,7 @@ impl System {
                 .into_iter()
                 .map(|(n, v)| (n.to_string(), v))
                 .collect(),
-            inst_mix: self.inst_mix,
+            inst_mix: self.retirement.inst_mix,
             phases: self
                 .core
                 .phases()
@@ -361,13 +377,13 @@ impl System {
         w.put_u32(SNAPSHOT_VERSION);
         w.put_str(&self.model_label);
         w.put_str(self.workload_name);
-        w.put_u64(self.skip_insts);
-        w.put_u64(self.committed);
-        w.put_u64(self.warmup_cycles);
-        for &n in &self.inst_mix {
+        w.put_u64(self.retirement.skip_insts);
+        w.put_u64(self.retirement.committed);
+        w.put_u64(self.retirement.warmup_cycles);
+        for &n in &self.retirement.inst_mix {
             w.put_u64(n);
         }
-        match &self.checker {
+        match &self.retirement.checker {
             Some(ck) => {
                 w.put_bool(true);
                 ck.save_state(&mut w);
@@ -430,24 +446,25 @@ impl System {
             )));
         }
         let skip_insts = r.take_u64()?;
-        if skip_insts != sys.skip_insts {
+        let acc = &mut sys.retirement;
+        if skip_insts != acc.skip_insts {
             return Err(SnapError::Mismatch(format!(
                 "snapshot warm-up window {skip_insts}, workload has {}",
-                sys.skip_insts
+                acc.skip_insts
             )));
         }
-        sys.committed = r.take_u64()?;
-        sys.warmup_cycles = r.take_u64()?;
-        for n in sys.inst_mix.iter_mut() {
+        acc.committed = r.take_u64()?;
+        acc.warmup_cycles = r.take_u64()?;
+        for n in acc.inst_mix.iter_mut() {
             *n = r.take_u64()?;
         }
         if r.take_bool()? {
-            sys.checker
+            acc.checker
                 .as_mut()
                 .expect("with_mem always builds a checker")
                 .restore_state(&mut r)?;
         } else {
-            sys.checker = None;
+            acc.checker = None;
         }
         sys.core.restore_state(&mut r)?;
         sys.mem.restore_state(&mut r)?;

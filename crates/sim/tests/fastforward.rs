@@ -79,3 +79,29 @@ fn timeout_fires_identically() {
     assert_eq!(fast.at, slow.at);
     assert_eq!(fast.what, slow.what);
 }
+
+/// A `System` is a 1-core CMP: both façades drive the same engine, so one
+/// program on one core reports the same cycles, instructions and memory
+/// statistics through either.
+#[test]
+fn a_system_is_a_one_core_cmp() {
+    let w = Workload::by_name("erp", Scale::Smoke, 3).unwrap();
+    for model in [
+        CoreModel::InOrder,
+        CoreModel::Scout,
+        CoreModel::ExecuteAhead,
+        CoreModel::Sst,
+        CoreModel::Ooo128,
+    ] {
+        let label = model.label();
+        let chip = CmpSystem::from_programs(model.clone(), &[&w.program], &MemConfig::default())
+            .run(MAX_CYCLES);
+        let single = System::new(model, &w)
+            .without_cosim()
+            .run_checked(MAX_CYCLES)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(chip.per_core, [(single.cycles, single.insts)], "{label}");
+        assert_eq!(chip.cycles, single.cycles, "{label}");
+        assert_eq!(chip.mem, single.mem, "{label}");
+    }
+}

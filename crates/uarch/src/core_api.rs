@@ -122,16 +122,6 @@ pub trait Core: Send {
     /// not allocate when there is nothing to drain.
     fn drain_commits_into(&mut self, out: &mut Vec<Commit>);
 
-    /// Removes and returns the commits recorded since the last drain, in
-    /// program order. Convenience wrapper over
-    /// [`Core::drain_commits_into`] for tests and one-shot callers; the
-    /// simulation drivers use the buffer-reusing form instead.
-    fn drain_commits(&mut self) -> Vec<Commit> {
-        let mut out = Vec::new();
-        self.drain_commits_into(&mut out);
-        out
-    }
-
     /// The earliest future cycle at which ticking this core could do
     /// anything other than pure stall bookkeeping.
     ///

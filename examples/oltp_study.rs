@@ -38,5 +38,5 @@ fn main() {
     println!("in-order and scout machines, edge out execute-ahead, and be");
     println!("competitive with (or better than) the larger out-of-order");
     println!("cores — the paper's headline shape. Run the full-scale");
-    println!("version with `cargo run --release -p sst-bench --bin e4_vs_ooo`.");
+    println!("version with `cargo run --release -p sst-harness --bin sst-run -- e4`.");
 }

@@ -69,10 +69,12 @@ fn main() {
 
     let mut core = SstCore::new(SstConfig::sst(), 0, &program);
     let mut checker = RetireChecker::new(&program);
+    let mut commits = Vec::new();
 
     while !core.halted() {
         core.tick(&mut mem.bus(0));
-        for c in core.drain_commits() {
+        core.drain_commits_into(&mut commits);
+        for c in commits.drain(..) {
             checker.check(&c).expect("co-simulation clean");
         }
     }
