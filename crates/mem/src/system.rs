@@ -215,11 +215,20 @@ impl MemPort {
     /// cadences differ by design. `remove` keeps the credit at-most-once
     /// per prefetched fill; re-prefetching after eviction re-arms it.
     fn note_useful_prefetch(&mut self, block: u64) {
-        // The set is empty whenever no prefetch is outstanding (always, for
-        // workloads the stride table never locks onto) — skip the hash.
-        if !self.prefetched.is_empty() && self.prefetched.remove(&block) {
+        if self.untag_prefetch(block) {
             self.useful_prefetches += 1;
         }
+    }
+
+    /// Drops `block`'s prefetch tag — on its first demand touch, or when
+    /// the line leaves the L1D (a later demand to it is no longer a useful
+    /// prefetch, and the set stays bounded by the cache's capacity).
+    /// Returns whether it had one.
+    fn untag_prefetch(&mut self, block: u64) -> bool {
+        // The set is empty whenever no prefetch is outstanding (always, with
+        // no prefetcher configured, or for workloads the stride table never
+        // locks onto) — skip the hash.
+        !self.prefetched.is_empty() && self.prefetched.remove(&block)
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -531,10 +540,7 @@ impl<'a> MemBus<'a> {
             let evicted = l1.fill(addr, write);
             if let Some(ev) = evicted {
                 if !is_fetch {
-                    // A prefetched line leaving the L1D loses its tag: a
-                    // later demand to it is no longer a useful prefetch,
-                    // and the set stays bounded by the cache's capacity.
-                    port.prefetched.remove(&ev.addr);
+                    port.untag_prefetch(ev.addr);
                 }
                 if ev.dirty {
                     let s = if is_fetch { &mut port.l1i_stats } else { &mut port.l1d_stats };
@@ -607,7 +613,7 @@ impl<'a> MemBus<'a> {
         let (ready_at, level) = sh.l2_walk(self.cfg, slot, false, block);
         let evicted = port.l1d.fill(block, false);
         if let Some(ev) = evicted {
-            port.prefetched.remove(&ev.addr);
+            port.untag_prefetch(ev.addr);
             if ev.dirty {
                 port.l1d_stats.writebacks += 1;
                 sh.l1_writeback(slot, ev.addr);
@@ -816,7 +822,7 @@ impl MemSystem {
         }
         if let Some(ev) = l1.fill(block, write) {
             if !is_fetch {
-                port.prefetched.remove(&ev.addr);
+                port.untag_prefetch(ev.addr);
             }
             if ev.dirty {
                 self.shared.l2.fill(ev.addr, true);

@@ -7,7 +7,7 @@
 //! engine's serial and chunk-parallel executors
 //! ([`CmpSystem::with_threads`]) produce byte-identical [`CmpResult`]s —
 //! per-core cycles and instructions, makespan, every memory counter; the
-//! tick order, lockstep skip and horizon rules that guarantee it are
+//! tick order, per-core sleep and horizon rules that guarantee it are
 //! stated there, and `crates/sim/tests/parallel_cmp.rs` enforces it across
 //! models, mixes, and thread counts.
 
@@ -294,6 +294,43 @@ mod tests {
                 Some("CMP did not finish in 100 cycles"),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// `tests/fastforward.rs` and `tests/parallel_cmp.rs` sweep chips of one
+    /// model; here every slot is a different machine on a different kind of
+    /// program, so no two cores sleep on the same schedule. The chip is the
+    /// same run with skipping on or off at every thread count.
+    #[test]
+    fn a_chip_of_unlike_cores_is_the_same_run_however_driven() {
+        let slots = [
+            (CoreModel::InOrder, "chase"),
+            (CoreModel::Sst, "gzip"),
+            (CoreModel::Ooo128, "oltp"),
+            (CoreModel::Scout, "erp"),
+        ];
+        let build = || {
+            let mut sys = CmpSystem::empty(&CoreModel::Sst, slots.len(), &MemConfig::default());
+            for (id, (model, name)) in slots.iter().enumerate() {
+                let w = Workload::by_name_slot(name, Scale::Smoke, core_seed(7, id), id).unwrap();
+                sys.attach(model, &w.program);
+            }
+            sys
+        };
+        let reference = build().run(400_000_000);
+        assert!(reference.per_core.iter().all(|&(cycles, insts)| cycles > 0 && insts > 0));
+        for fast_forward in [true, false] {
+            for threads in [1, 2, 8] {
+                let mut sys = build().with_threads(threads);
+                if !fast_forward {
+                    sys = sys.without_fast_forward();
+                }
+                assert_eq!(
+                    reference,
+                    sys.run(400_000_000),
+                    "threads={threads} fast_forward={fast_forward}"
+                );
+            }
         }
     }
 

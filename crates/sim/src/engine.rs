@@ -15,26 +15,37 @@
 //! # The span rules
 //!
 //! All cores of a chip share one clock, `now`; one iteration of the span
-//! loop is one cycle.
+//! loop is one cycle on which at least one core is due.
 //!
-//! 1. **Tick order.** Every running core is ticked in ascending core id,
-//!    its commits drained and handed to its policy. This is the reference
-//!    interleaving of shared-memory traffic: ascending cycle, within a
-//!    cycle ascending core id, each core's whole tick atomic.
+//! 1. **Tick order.** Every core that is due is ticked in ascending core
+//!    id, its commits drained and handed to its policy. This is the
+//!    reference interleaving of shared-memory traffic: ascending cycle,
+//!    within a cycle ascending core id, each core's whole tick atomic.
 //! 2. **Leaving the clock.** On [`Verdict::Retire`] a core is never
 //!    ticked, skipped or gated again. On [`Verdict::Idle`] it is
 //!    clock-gated ([`Core::gate_to`]) to the span's end and ticked again
-//!    only in a later span. [`Verdict::Pause`] keeps it on the clock but
-//!    asks for no more ticks.
-//! 3. **Lockstep skip.** With fast-forwarding on, the clock then jumps to
-//!    the earliest [`Core::next_event_cycle`] over the cores still on the
-//!    clock, clamped to the span's end, and each of them is moved there
-//!    with [`Core::skip_to`]. Skipped cycles touch no memory and commit
-//!    nothing (the `next_event_cycle` contract), so a run is identical
-//!    cycle for cycle with skipping on or off, a deadline fires on the
-//!    same cycle with the same commit count, and skipping per chunk of a
-//!    parallel run cannot reorder shared-memory traffic.
-//! 4. **Stop.** The span ends at `end`, or once no core is running.
+//!    only in a later span. On [`Verdict::Pause`] it still goes to sleep
+//!    as under rule 3 (that is where a paused run stands) and gets no more
+//!    ticks.
+//! 3. **Per-core sleep.** With fast-forwarding on, a core that runs on
+//!    (or pauses) after its tick is asked for its own
+//!    [`Core::next_event_cycle`] and moved there at once with
+//!    [`Core::skip_to`], clamped to the span's end; it is not due again
+//!    before that *wake* cycle. The chip clock then jumps to the earliest
+//!    wake among the running cores, so a core parked on DRAM costs
+//!    nothing while its neighbours run (one core is the same rule: its
+//!    wake is the chip's). This is exact by the `Core` contract: the
+//!    window a core vouches for touches no memory and commits nothing; a
+//!    miss's ready cycle is fixed when it is issued, so nothing another
+//!    core does can move the wake; and `MemPort`s are private and address
+//!    slots disjoint, so a sleeper's state is out of its neighbours'
+//!    reach. Hence a run is identical cycle for cycle with skipping on or
+//!    off, a deadline fires on the same cycle with the same commit count,
+//!    and sleeping per chunk of a parallel run cannot reorder
+//!    shared-memory traffic.
+//! 4. **Stop.** The span ends at `end`, or once no core is running. Wakes
+//!    are clamped to `end`, so every core still running at `end` stands
+//!    exactly there and is due on the next span's first cycle.
 //!
 //! # Horizon publication (parallel runs)
 //!
@@ -42,11 +53,11 @@
 //! chunk of cores, yet shared L2/DRAM state must see the interleaving of
 //! rule 1. [`ParallelMem`] enforces it from per-core *horizons* (the cycle
 //! a core executes next), so the fabric is told whenever a core's clock
-//! moves: `now + 1` after a tick, the target after a skip, the span's end
-//! when it is gated (cross-chunk ordering never waits on an idle core),
-//! "never again" when it retires. Anything that involves more than one
-//! core is decided in the boundary closure, on the coordinating thread,
-//! while every worker is parked. Together these make results
+//! moves: `now + 1` after a tick, its wake cycle when it goes to sleep
+//! (cross-chunk ordering never waits on a sleeper), the span's end when it
+//! is gated, "never again" when it retires. Anything that involves more
+//! than one core is decided in the boundary closure, on the coordinating
+//! thread, while every worker is parked. Together these make results
 //! byte-identical for every thread count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -60,8 +71,9 @@ use sst_uarch::{Commit, Core};
 pub(crate) enum Verdict {
     /// Keep ticking.
     Run,
-    /// The core has what this run wanted from it but stays on the clock:
-    /// no more ticks, the span stops after this cycle's skip.
+    /// The core has what this run wanted from it: no more ticks after this
+    /// cycle's skip, which it still gets. The span stops there if no core
+    /// is left running.
     Pause,
     /// The core is finished for good (halted, or failed).
     Retire,
@@ -72,9 +84,9 @@ pub(crate) enum Verdict {
 
 impl Verdict {
     /// The answer of a run that wants `target` commits from its core and
-    /// has seen `committed`. On reaching the target the core stays on the
-    /// clock, so a run paused here stands after that cycle's skip, between
-    /// full iterations of the span loop.
+    /// has seen `committed`. On reaching the target the core pauses, so
+    /// the run stands after that cycle's skip, between full iterations of
+    /// the span loop.
     pub(crate) fn until(core: &dyn Core, committed: u64, target: u64) -> Verdict {
         if core.halted() {
             Verdict::Retire
@@ -145,8 +157,13 @@ impl Fabric for Gated<'_> {
 #[derive(Default)]
 pub(crate) struct Stepper {
     commits: Vec<Commit>,
-    state: Vec<Verdict>,
+    /// Per core, the cycle it is due next (rule 3); [`OFF`] once it is to
+    /// get no more ticks in this span.
+    wake: Vec<Cycle>,
 }
+
+/// The wake cycle of a core that is not running.
+const OFF: Cycle = Cycle::MAX;
 
 impl Stepper {
     /// Runs `cores` from chip cycle `now` to at most `end` under the span
@@ -164,12 +181,14 @@ impl Stepper {
         fast_forward: bool,
     ) -> (Cycle, bool) {
         assert_eq!(cores.len(), policies.len());
-        let Stepper { commits, state } = self;
+        let Stepper { commits, wake } = self;
         commits.clear();
-        state.clear();
-        let leave_clock = |v: Verdict, i: usize, core: &mut dyn Core, fabric: &F| match v {
+        wake.clear();
+        let mut idle = false;
+        let mut leave_clock = |v: Verdict, i: usize, core: &mut dyn Core, fabric: &F| match v {
             Verdict::Retire => fabric.progress(i, Cycle::MAX),
             Verdict::Idle => {
+                idle = true;
                 core.gate_to(end);
                 fabric.progress(i, end);
             }
@@ -179,13 +198,17 @@ impl Stepper {
         for (i, (core, policy)) in cores.iter_mut().zip(policies.iter_mut()).enumerate() {
             let v = policy.step(&**core, commits, now);
             leave_clock(v, i, &mut **core, fabric);
-            state.push(v);
+            wake.push(if v == Verdict::Run { now } else { OFF });
         }
-        let mut running = state.iter().filter(|&&v| v == Verdict::Run).count();
+        let mut running = wake.iter().filter(|&&w| w != OFF).count();
 
         while running > 0 && now < end {
+            // Where the chip clock goes from here: the earliest cycle any
+            // core on the clock stands at after this one.
+            let mut next = Cycle::MAX;
             for (i, core) in cores.iter_mut().enumerate() {
-                if state[i] != Verdict::Run {
+                if wake[i] > now {
+                    next = next.min(wake[i]);
                     continue;
                 }
                 core.tick(&mut fabric.bus(i));
@@ -193,34 +216,29 @@ impl Stepper {
                 core.drain_commits_into(commits);
                 let v = policies[i].step(&**core, commits, now);
                 commits.clear();
-                if v != Verdict::Run {
-                    state[i] = v;
-                    running -= 1;
-                    leave_clock(v, i, &mut **core, fabric);
-                }
-            }
-            now += 1;
-            if fast_forward && now < end {
-                let on_clock = |v: Verdict| matches!(v, Verdict::Run | Verdict::Pause);
-                let wake = cores
-                    .iter()
-                    .zip(state.iter())
-                    .filter(|(_, &v)| on_clock(v))
-                    .map(|(c, _)| c.next_event_cycle())
-                    .min();
-                if let Some(target) = wake.map(|t| t.min(end)).filter(|&t| t > now) {
-                    for (i, core) in cores.iter_mut().enumerate() {
-                        if on_clock(state[i]) {
+                leave_clock(v, i, &mut **core, fabric);
+                let mut at = now + 1;
+                if matches!(v, Verdict::Run | Verdict::Pause) {
+                    if fast_forward && at < end {
+                        let target = core.next_event_cycle().min(end);
+                        if target > at {
                             core.skip_to(target);
                             fabric.progress(i, target);
+                            at = target;
                         }
                     }
-                    now = target;
+                    next = next.min(at);
+                }
+                if v == Verdict::Run {
+                    wake[i] = at;
+                } else {
+                    wake[i] = OFF;
+                    running -= 1;
                 }
             }
+            now = if next == Cycle::MAX { now + 1 } else { next };
         }
 
-        let idle = state.contains(&Verdict::Idle);
         (if idle { end } else { now }, running > 0 || idle)
     }
 }
@@ -406,13 +424,33 @@ mod tests {
 
     use sst_isa::Inst;
     use sst_mem::MemConfig;
+    use sst_workloads::Scale;
 
-    /// What a [`Scripted`] core was asked to do.
+    use crate::{CmpSystem, CoreModel};
+
+    /// One thing a [`Scripted`] core was asked to do.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Call {
+        /// `tick` at this cycle.
+        Tick(Cycle),
+        /// `skip_to` this target.
+        Skip(Cycle),
+        /// `gate_to` this target.
+        Gate(Cycle),
+    }
+    use Call::{Gate, Skip, Tick};
+
+    /// The calls a [`Scripted`] core received, in order.
     #[derive(Debug, Default)]
-    struct Calls {
-        ticked_at: Vec<Cycle>,
-        skips: Vec<Cycle>,
-        gates: Vec<Cycle>,
+    struct Calls(Vec<Call>);
+
+    impl Calls {
+        fn ticked_at(&self) -> Vec<Cycle> {
+            self.0.iter().filter_map(|c| if let Tick(at) = *c { Some(at) } else { None }).collect()
+        }
+        fn skips(&self) -> Vec<Cycle> {
+            self.0.iter().filter_map(|c| if let Skip(to) = *c { Some(to) } else { None }).collect()
+        }
     }
 
     /// A core that does one instruction of work every `period` cycles,
@@ -447,7 +485,7 @@ mod tests {
     impl Core for Scripted {
         fn tick(&mut self, _mem: &mut MemBus) {
             assert!(!self.halted(), "ticked after halt");
-            self.calls.lock().unwrap().ticked_at.push(self.cycle);
+            self.calls.lock().unwrap().0.push(Tick(self.cycle));
             if self.cycle >= self.next_work {
                 self.retired += 1;
                 self.next_work = self.cycle + self.period;
@@ -479,11 +517,11 @@ mod tests {
         }
         fn skip_to(&mut self, target: Cycle) {
             assert!(target > self.cycle && target <= self.next_work, "unvouched skip to {target}");
-            self.calls.lock().unwrap().skips.push(target);
+            self.calls.lock().unwrap().0.push(Skip(target));
             self.cycle = target;
         }
         fn gate_to(&mut self, target: Cycle) {
-            self.calls.lock().unwrap().gates.push(target);
+            self.calls.lock().unwrap().0.push(Gate(target));
             self.cycle = self.cycle.max(target);
         }
         fn core_id(&self) -> usize {
@@ -517,8 +555,19 @@ mod tests {
         Quota { commits: 0, quota }
     }
 
+    /// Never stops a core that has not halted.
+    fn forever() -> Quota {
+        quota(u64::MAX)
+    }
+
     fn mem(cores: usize) -> MemSystem {
         MemSystem::new(&MemConfig::default(), cores)
+    }
+
+    /// Every multiple of `period` in `[0, end)`: the work cycles of a
+    /// [`Scripted`] core that is never held up.
+    fn multiples(period: Cycle, end: Cycle) -> Vec<Cycle> {
+        (0..end).step_by(period as usize).collect()
     }
 
     #[test]
@@ -535,9 +584,8 @@ mod tests {
             // The short core halted on its tick at cycle 3 and stayed there.
             assert_eq!((cores[0].cycle(), cores[0].retired()), (4, 2));
             let calls = short_calls.lock().unwrap();
-            assert_eq!(calls.ticked_at.last(), Some(&3), "ff={ff}");
-            assert!(calls.skips.iter().all(|&t| t <= 4), "ff={ff}: {calls:?}");
-            assert!(calls.gates.is_empty());
+            assert_eq!(calls.0.last(), Some(&Tick(3)), "ff={ff}: {calls:?}");
+            assert!(!calls.0.iter().any(|c| matches!(c, Gate(_))));
         }
     }
 
@@ -551,8 +599,7 @@ mod tests {
         assert_eq!(cores[0].cycle(), 100);
         // Third commit on the tick at cycle 8, then one gate, no more ticks.
         let calls = calls.lock().unwrap();
-        assert_eq!(calls.ticked_at, [0, 4, 8]);
-        assert_eq!(calls.gates, [100]);
+        assert_eq!(calls.0, [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8), Gate(100)]);
         assert_eq!(policies[0].commits, 3);
     }
 
@@ -561,7 +608,7 @@ mod tests {
         let run = |ff: bool| {
             let (core, calls) = Scripted::boxed(7, u64::MAX);
             let mut cores = [core];
-            let mut policies = [quota(u64::MAX)];
+            let mut policies = [forever()];
             let stop = Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 50, ff);
             let calls = std::mem::take(&mut *calls.lock().unwrap());
             (stop, cores[0].cycle(), policies[0].commits, calls)
@@ -572,19 +619,230 @@ mod tests {
         assert_eq!((fast_stop, fast_cycle, fast_commits), (slow_stop, slow_cycle, slow_commits));
         assert_eq!((fast_cycle, fast_commits), (50, 8)); // work at 0, 7, .., 49
         // Skipping ticked only the work cycles.
-        assert_eq!(fast.ticked_at, [0, 7, 14, 21, 28, 35, 42, 49]);
-        assert_eq!(fast.skips, [7, 14, 21, 28, 35, 42, 49]);
-        assert_eq!(slow.ticked_at.len(), 50);
-        assert!(slow.skips.is_empty());
+        assert_eq!(fast.ticked_at(), multiples(7, 50));
+        assert_eq!(fast.skips(), [7, 14, 21, 28, 35, 42, 49]);
+        assert_eq!(slow.ticked_at().len(), 50);
+        assert!(slow.skips().is_empty());
     }
 
     #[test]
     fn a_skip_never_passes_end() {
         let (core, calls) = Scripted::boxed(1000, u64::MAX);
         let mut cores = [core];
-        let mut policies = [quota(u64::MAX)];
+        let mut policies = [forever()];
         let (now, live) = Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 10, true);
         assert_eq!((now, live, cores[0].cycle()), (10, true, 10));
-        assert_eq!(calls.lock().unwrap().skips, [10]);
+        assert_eq!(calls.lock().unwrap().0, [Tick(0), Skip(10)]);
+    }
+
+    /// Rule 3 with one core is what the lockstep skip did with one core:
+    /// this is the exact `tick` / `skip_to` sequence of the parent commit,
+    /// through a halt and through `Verdict::Pause`'s standing point (after
+    /// the pausing tick's own skip).
+    #[test]
+    fn one_core_makes_the_call_sequence_it_always_made() {
+        let (core, calls) = Scripted::boxed(4, 3);
+        let mut cores = [core];
+        let stop = Stepper::default().run_span(&mut cores, &mut mem(1), &mut [UntilHalt], 0, 1000, true);
+        assert_eq!(stop, (9, false));
+        assert_eq!(calls.lock().unwrap().0, [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8)]);
+
+        struct Until(u64);
+        impl Policy for Until {
+            fn step(&mut self, core: &dyn Core, _commits: &[Commit], _now: Cycle) -> Verdict {
+                Verdict::until(core, core.retired(), self.0)
+            }
+        }
+        let (core, calls) = Scripted::boxed(4, u64::MAX);
+        let mut cores = [core];
+        let mut stepper = Stepper::default();
+        let stop = stepper.run_span(&mut cores, &mut mem(1), &mut [Until(2)], 0, 1000, true);
+        assert_eq!((stop, cores[0].cycle()), ((8, false), 8));
+        // Resumed from the standing point, as `System::run_insts` does.
+        let stop = stepper.run_span(&mut cores, &mut mem(1), &mut [Until(3)], 8, 1000, true);
+        assert_eq!((stop, cores[0].cycle()), ((12, false), 12));
+        assert_eq!(calls.lock().unwrap().0, [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8), Skip(12)]);
+    }
+
+    #[test]
+    fn each_core_is_ticked_only_at_its_own_events() {
+        let (a, a_calls) = Scripted::boxed(3, u64::MAX);
+        let (b, b_calls) = Scripted::boxed(5, u64::MAX);
+        let mut cores = [a, b];
+        let mut policies = [forever(), forever()];
+        let stop = Stepper::default().run_span(&mut cores, &mut mem(2), &mut policies, 0, 32, true);
+        assert_eq!(stop, (32, true));
+        assert_eq!((cores[0].cycle(), cores[1].cycle()), (32, 32));
+        let (a, b) = (a_calls.lock().unwrap(), b_calls.lock().unwrap());
+        // Neither is woken by the other's work, and each skip goes straight
+        // to the core's own wake cycle, the last one clamped to `end`.
+        assert_eq!(a.ticked_at(), multiples(3, 32));
+        assert_eq!(b.ticked_at(), multiples(5, 32));
+        assert_eq!(a.skips(), [3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 32]);
+        assert_eq!(b.skips(), [5, 10, 15, 20, 25, 30, 32]);
+        assert_eq!((policies[0].commits, policies[1].commits), (11, 7));
+    }
+
+    #[test]
+    fn a_sleeper_stands_at_end_and_is_due_first_in_the_next_span() {
+        let (sleeper, sleeper_calls) = Scripted::boxed(10, u64::MAX);
+        let (busy, busy_calls) = Scripted::boxed(1, u64::MAX);
+        let mut cores = [sleeper, busy];
+        let mut policies = [forever(), forever()];
+        let mut fabric = mem(2);
+        let mut stepper = Stepper::default();
+        let stop = stepper.run_span(&mut cores, &mut fabric, &mut policies, 0, 15, true);
+        assert_eq!((stop, cores[0].cycle(), cores[1].cycle()), ((15, true), 15, 15));
+        assert_eq!(sleeper_calls.lock().unwrap().0, [Tick(0), Skip(10), Tick(10), Skip(15)]);
+        let stop = stepper.run_span(&mut cores, &mut fabric, &mut policies, 15, 40, true);
+        assert_eq!((stop, cores[0].cycle(), cores[1].cycle()), ((40, true), 40, 40));
+        // Cycle 15 is a stall tick (the wake at 20 was cut short by the
+        // boundary), then the core sleeps on its own schedule again.
+        assert_eq!(
+            sleeper_calls.lock().unwrap().0[4..],
+            [Tick(15), Skip(20), Tick(20), Skip(30), Tick(30), Skip(40)]
+        );
+        // The neighbour that never stalls is ticked every cycle throughout.
+        let busy = busy_calls.lock().unwrap();
+        assert_eq!(busy.ticked_at(), multiples(1, 40));
+        assert!(busy.skips().is_empty());
+    }
+
+    #[test]
+    fn without_fast_forward_every_core_on_the_clock_is_ticked_every_cycle() {
+        let (a, a_calls) = Scripted::boxed(3, u64::MAX);
+        let (b, b_calls) = Scripted::boxed(5, 4);
+        let mut cores = [a, b];
+        let mut policies = [forever(), forever()];
+        let stop = Stepper::default().run_span(&mut cores, &mut mem(2), &mut policies, 0, 32, false);
+        assert_eq!(stop, (32, true));
+        let (a, b) = (a_calls.lock().unwrap(), b_calls.lock().unwrap());
+        assert_eq!(a.0, multiples(1, 32).into_iter().map(Tick).collect::<Vec<_>>());
+        // `b` halts on its fourth instruction, at cycle 15, and leaves.
+        assert_eq!(b.0, multiples(1, 16).into_iter().map(Tick).collect::<Vec<_>>());
+        assert_eq!((policies[0].commits, policies[1].commits), (11, 4));
+    }
+
+    /// A fabric that writes down every horizon it is told.
+    struct Recording {
+        mem: MemSystem,
+        log: Mutex<Vec<(usize, Cycle)>>,
+    }
+
+    impl Fabric for Recording {
+        fn bus(&mut self, i: usize) -> MemBus<'_> {
+            self.mem.bus(i)
+        }
+        fn progress(&self, i: usize, next_cycle: Cycle) {
+            self.log.lock().unwrap().push((i, next_cycle));
+        }
+    }
+
+    #[test]
+    fn the_fabric_hears_every_tick_and_every_wake() {
+        let (a, _) = Scripted::boxed(3, 2);
+        let (b, _) = Scripted::boxed(2, u64::MAX);
+        let mut cores = [a, b];
+        let mut policies = [quota(u64::MAX), quota(3)];
+        let mut fabric = Recording { mem: mem(2), log: Mutex::default() };
+        let stop = Stepper::default().run_span(&mut cores, &mut fabric, &mut policies, 0, 9, true);
+        assert_eq!(stop, (9, true));
+        assert_eq!(
+            *fabric.log.lock().unwrap(),
+            [
+                // Cycle 0: both work; `now + 1` after the tick, then the wake.
+                (0, 1), (0, 3), (1, 1), (1, 2),
+                // Cycle 2: only core 1 is due.
+                (1, 3), (1, 4),
+                // Cycle 3: core 0 halts and is never heard of again.
+                (0, 4), (0, Cycle::MAX),
+                // Cycle 4: core 1's third commit; it is gated to the end.
+                (1, 5), (1, 9),
+            ]
+        );
+    }
+
+    /// Counts the ticks of the core it wraps; otherwise transparent to the
+    /// engine (every call `run_span` makes is forwarded).
+    struct TickCounted {
+        inner: Box<dyn Core>,
+        ticks: Arc<AtomicU64>,
+    }
+
+    impl Core for TickCounted {
+        fn tick(&mut self, mem: &mut MemBus) {
+            self.ticks.fetch_add(1, SeqCst);
+            self.inner.tick(mem);
+        }
+        fn cycle(&self) -> Cycle {
+            self.inner.cycle()
+        }
+        fn retired(&self) -> u64 {
+            self.inner.retired()
+        }
+        fn halted(&self) -> bool {
+            self.inner.halted()
+        }
+        fn drain_commits_into(&mut self, out: &mut Vec<Commit>) {
+            self.inner.drain_commits_into(out);
+        }
+        fn next_event_cycle(&self) -> Cycle {
+            self.inner.next_event_cycle()
+        }
+        fn skip_to(&mut self, target: Cycle) {
+            self.inner.skip_to(target);
+        }
+        fn gate_to(&mut self, target: Cycle) {
+            self.inner.gate_to(target);
+        }
+        fn core_id(&self) -> usize {
+            self.inner.core_id()
+        }
+        fn model_name(&self) -> &'static str {
+            self.inner.model_name()
+        }
+    }
+
+    /// The work-counter gate on per-core sleep (ROADMAP item 1: noise-free,
+    /// so it can be hard-gated where wall time cannot): on the benchmark's
+    /// `cmp16` chip a core is ticked only on its own event cycles. Over the
+    /// first 60 000 cycles (no core has halted yet) per-core sleep executes
+    /// 116 324 of the 960 000 core-cycles, a ratio of 0.121; the lockstep
+    /// skip it replaced executed 767 296 (0.799), so a change that
+    /// re-introduces lockstep ticking fails here without a stopwatch.
+    #[test]
+    fn a_sixteen_core_chip_ticks_a_core_only_when_it_is_due() {
+        const CORES: u64 = 16;
+        const SPAN: Cycle = 60_000;
+        let ticks_executed = |fast_forward: bool| {
+            let mut sys = CmpSystem::homogeneous(
+                CoreModel::Sst,
+                "erp",
+                Scale::Smoke,
+                12345,
+                CORES as usize,
+                &MemConfig::default(),
+            );
+            let ticks = Arc::new(AtomicU64::new(0));
+            sys.cores = std::mem::take(&mut sys.cores)
+                .into_iter()
+                .map(|inner| Box::new(TickCounted { inner, ticks: Arc::clone(&ticks) }) as Box<dyn Core>)
+                .collect();
+            let mut policies: Vec<UntilHalt> = (0..CORES).map(|_| UntilHalt).collect();
+            let stop = Stepper::default().run_span(&mut sys.cores, &mut sys.mem, &mut policies, 0, SPAN, fast_forward);
+            assert_eq!(stop, (SPAN, true));
+            assert!(sys.cores.iter().all(|c| !c.halted() && c.cycle() == SPAN));
+            let retired: u64 = sys.cores.iter().map(|c| c.retired()).sum();
+            (ticks.load(SeqCst), retired, sys.mem.stats())
+        };
+        let (slow_ticks, slow_retired, slow_mem) = ticks_executed(false);
+        let (fast_ticks, fast_retired, fast_mem) = ticks_executed(true);
+        assert_eq!(slow_ticks, CORES * SPAN);
+        assert!(
+            fast_ticks * 10 <= CORES * SPAN * 6,
+            "{fast_ticks} ticks for {} core-cycles: asleep cores are being ticked",
+            CORES * SPAN
+        );
+        assert_eq!((fast_retired, fast_mem), (slow_retired, slow_mem));
     }
 }

@@ -185,10 +185,10 @@ mod tests {
             .collect()
     }
 
-    fn run_script(threads: usize, fast_forward: bool) -> (CmpResult, Vec<(u64, Cycle)>) {
+    fn run_script(model: CoreModel, threads: usize, fast_forward: bool) -> (CmpResult, Vec<(u64, Cycle)>) {
         let ks = kernels(3, 7);
         let programs: Vec<&sst_isa::Program> = ks.iter().map(|k| &k.workload.program).collect();
-        let mut sys = CmpSystem::from_programs(CoreModel::InOrder, &programs, &MemConfig::default())
+        let mut sys = CmpSystem::from_programs(model, &programs, &MemConfig::default())
             .with_threads(threads);
         if !fast_forward {
             sys = sys.without_fast_forward();
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn serves_all_requests_and_stops() {
-        let (r, completions) = run_script(1, true);
+        let (r, completions) = run_script(CoreModel::InOrder, 1, true);
         assert_eq!(completions.len(), 24);
         assert!(r.cycles > 0 && r.cycles % 256 == 0);
         // Every core ends on the final chip clock.
@@ -221,11 +221,26 @@ mod tests {
 
     #[test]
     fn parallel_and_fast_forward_are_transparent() {
-        let base = run_script(1, true);
+        let base = run_script(CoreModel::InOrder, 1, true);
         for (threads, ff) in [(1, false), (2, true), (3, true), (2, false)] {
-            let other = run_script(threads, ff);
+            let other = run_script(CoreModel::InOrder, threads, ff);
             assert_eq!(base.0, other.0, "threads={threads} ff={ff}");
             assert_eq!(base.1, other.1, "threads={threads} ff={ff}");
+        }
+    }
+
+    /// The same on speculative cores, which sleep on DRAM mid-request and
+    /// so leave and rejoin the tick loop on schedules of their own between
+    /// the quantum boundaries that gate them.
+    #[test]
+    fn sleeping_sst_cores_serve_identically_however_driven() {
+        let base = run_script(CoreModel::Sst, 1, true);
+        assert_eq!(base.1.len(), 24);
+        for ff in [true, false] {
+            for threads in [1, 2, 8] {
+                let other = run_script(CoreModel::Sst, threads, ff);
+                assert_eq!(base, other, "threads={threads} ff={ff}");
+            }
         }
     }
 }

@@ -44,7 +44,7 @@ fn every_model_matches_on_erp() {
 }
 
 #[test]
-fn cmp_lockstep_skip_matches() {
+fn cmp_per_core_sleep_matches() {
     for model in [CoreModel::InOrder, CoreModel::Sst] {
         let build = || {
             CmpSystem::mix(

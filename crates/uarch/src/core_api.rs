@@ -98,8 +98,8 @@ impl Commit {
 /// The simulation driver owns the memory system and advances each core
 /// one cycle at a time, handing it a per-core [`MemBus`] (its private
 /// port plus shared-residue access); cores keep their own cycle counters
-/// (all cores in a system share the same clock, so drivers tick them in
-/// lockstep). Cores are `Send` so CMP drivers can tick them from worker
+/// (all cores in a system share the same clock; the driver ticks each on
+/// the cycles it is due and skips it over the rest). Cores are `Send` so CMP drivers can tick them from worker
 /// threads; the bus's gating keeps parallel results byte-identical to
 /// serial ones.
 pub trait Core: Send {
