@@ -25,15 +25,18 @@ impl Btb {
         }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) & self.mask) as usize
     }
 
+    #[inline]
     fn tag(&self, pc: u64) -> u64 {
         pc >> 2 >> self.entries.len().trailing_zeros()
     }
 
     /// Looks up the predicted target for the branch at `pc`.
+    #[inline]
     pub fn lookup(&self, pc: u64) -> Option<u64> {
         let i = self.index(pc);
         match self.entries[i] {
@@ -43,6 +46,7 @@ impl Btb {
     }
 
     /// Records the resolved target for the branch at `pc`.
+    #[inline]
     pub fn update(&mut self, pc: u64, target: u64) {
         let i = self.index(pc);
         self.entries[i] = Some((self.tag(pc), target));

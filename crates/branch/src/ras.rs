@@ -38,6 +38,7 @@ impl ReturnAddressStack {
     }
 
     /// Pushes a return address (on a call).
+    #[inline]
     pub fn push(&mut self, ret_addr: u64) {
         self.top = (self.top + 1) % self.stack.len();
         self.stack[self.top] = ret_addr;
@@ -45,6 +46,7 @@ impl ReturnAddressStack {
     }
 
     /// Pops the predicted return target (on a return); `None` if empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;

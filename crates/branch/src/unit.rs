@@ -64,6 +64,7 @@ impl BranchUnit {
     /// popped; for [`BranchKind::IndirectCall`] the return address is
     /// pushed — callers therefore invoke `predict` exactly once per fetched
     /// control instruction, in fetch order.
+    #[inline]
     pub fn predict(&mut self, pc: u64, kind: BranchKind) -> Prediction {
         match kind {
             BranchKind::Conditional => {
@@ -107,6 +108,7 @@ impl BranchUnit {
     /// resolved here the RAS is *not* re-pushed (that happened at predict
     /// time); cores that squash wrong paths may call
     /// [`BranchUnit::repair_ras`].
+    #[inline]
     pub fn update(&mut self, pc: u64, kind: BranchKind, taken: bool, target: u64) {
         match kind {
             BranchKind::Conditional => {

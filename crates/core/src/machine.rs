@@ -283,7 +283,7 @@ impl SstCore {
             eprintln!(
                 "  dq seq={} pc={:#x} {:?} cap={:?} prod={:?} data_ready={:?} ready_now={}",
                 e.seq, e.pc, e.inst, e.captured, e.producers, e.data_ready_at,
-                self.entry_ready(e, self.cycle)
+                self.entry_ready_when(e).is_some_and(|w| w <= self.cycle)
             );
         }
         for e in self.stb.iter().take(8) {
@@ -387,28 +387,8 @@ impl SstCore {
         self.taint.as_deref()
     }
 
-    /// Is the deferred entry executable now (all inputs arrived)?
-    fn entry_ready(&self, e: &DqEntry, now: Cycle) -> bool {
-        if let Some(t) = e.data_ready_at {
-            if t > now {
-                return false;
-            }
-        }
-        for i in 0..2 {
-            if e.captured[i].is_some() {
-                continue;
-            }
-            if let Some(p) = e.producers[i] {
-                match self.replay_vals.get(&p) {
-                    Some(&(_, ready)) if ready <= now => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
-    }
-
-    /// Source values of a deferred entry (must be `entry_ready`).
+    /// Source values of a deferred entry (its `entry_ready_when` must have
+    /// passed).
     fn entry_sources(&self, e: &DqEntry) -> (u64, u64) {
         let get = |i: usize| -> u64 {
             if let Some(v) = e.captured[i] {
@@ -651,8 +631,7 @@ impl SstCore {
                 NotReady { seq: Seq, when: Option<Cycle> },
             }
             // One readiness computation per examined entry: ready is
-            // exactly "knowable and already past" (`entry_ready` and
-            // `entry_ready_when` consult the same producer table).
+            // exactly "knowable and already past".
             let step = match self.dq.get(idx).filter(|e| e.seq <= bound) {
                 None => Step::PassDone,
                 Some(e) => match self.entry_ready_when(e) {
@@ -729,7 +708,6 @@ impl SstCore {
                     Some(when) if when <= now + stall_window => {
                         // Inputs land imminently: the strand stalls here
                         // (bypass), occupying a slot.
-                        let _ = seq;
                         used += 1;
                         break;
                     }
@@ -775,8 +753,8 @@ impl SstCore {
                     // time, or at an earlier replay attempt) and has now
                     // returned: consume it via fill forwarding — no new
                     // cache access, so pathological conflict evictions
-                    // cannot livelock the replay (entry_ready gated on the
-                    // arrival cycle).
+                    // cannot livelock the replay (`entry_ready_when` is gated on
+                    // the arrival cycle).
                     now + 2
                 } else {
                     // First access for this load (its address was unknown
@@ -1219,11 +1197,8 @@ impl SstCore {
                         self.frontend.pop();
                         self.seq += 1;
                         self.stats.ahead_issued += 1;
+                        // defer() marks the destination NT.
                         self.defer(&f, now, None, DeferCause::StoreOrder);
-                        if let Some(rd) = inst.dest() {
-                            // defer() already marked it NT.
-                            let _ = rd;
-                        }
                         continue;
                     }
 

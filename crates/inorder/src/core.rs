@@ -133,9 +133,8 @@ impl InOrderCore {
                     reg_write = Some((rd, value));
                 }
             }
-            Inst::Store { width, src, .. } => {
+            Inst::Store { width, .. } => {
                 let (base_val, data) = self.source_vals(inst);
-                let _ = src;
                 let addr = mem_addr(inst, base_val);
                 let bytes = width.bytes();
                 mem.access_pc(now, AccessKind::Store, addr, pc);
@@ -541,9 +540,7 @@ mod tests {
             |a| {
                 // Build a chain: node[i] -> node[i+1], 1 MiB apart.
                 let stride = 1 << 20;
-                let first = a.data_u64(&[0]); // patched below via code
-                let _ = first;
-                // Instead of patching, write the chain with code first.
+                // The chain is written by code first.
                 let base = a.reserve(stride * (hops + 1));
                 a.la(Reg::x(1), base);
                 a.li(Reg::x(2), hops as i64);

@@ -600,26 +600,42 @@ impl Asm {
             text.push(word);
         }
 
-        // Split the accumulated data bytes into segments around sparse gaps.
-        let mut data_segments = Vec::new();
+        // Split the accumulated data bytes into segments around sparse gaps:
+        // first where each segment starts (byte position, address) ...
+        let mut starts = Vec::new();
         let mut seg_start_addr = self.data_base;
         let mut byte_pos = 0usize;
         for &(gap_at, gap_len) in &self.pending_gaps {
             if gap_at > byte_pos {
-                data_segments.push(Segment {
-                    base: seg_start_addr,
-                    bytes: self.data[byte_pos..gap_at].to_vec(),
-                });
+                starts.push((byte_pos, seg_start_addr));
             }
             seg_start_addr += (gap_at - byte_pos) as u64 + gap_len;
             byte_pos = gap_at;
         }
         if self.data.len() > byte_pos {
-            data_segments.push(Segment {
-                base: seg_start_addr,
-                bytes: self.data[byte_pos..].to_vec(),
-            });
+            starts.push((byte_pos, seg_start_addr));
         }
+        // ... then the bytes, cut off the end of the buffer back to front.
+        // The first segment (the whole of a 32 MiB image, for the large
+        // workloads) keeps the buffer it grew in, so the image is never
+        // held twice: building one is the peak memory of a process that
+        // runs it without co-simulation, and whether a second copy fits a
+        // hole the build has just freed is an accident of the heap.
+        let mut data = self.data;
+        let mut data_segments: Vec<Segment> = starts
+            .iter()
+            .rev()
+            .map(|&(at, base)| {
+                let mut bytes = if at == 0 {
+                    std::mem::take(&mut data)
+                } else {
+                    data.split_off(at)
+                };
+                bytes.shrink_to_fit();
+                Segment { base, bytes }
+            })
+            .collect();
+        data_segments.reverse();
 
         Ok(Program {
             text_base: self.text_base,
@@ -732,6 +748,32 @@ mod tests {
         assert_eq!(m.read_u64(before), 11);
         assert_eq!(m.read_u64(gap), 0);
         assert_eq!(m.read_u64(after), 22);
+    }
+
+    #[test]
+    fn segments_are_the_runs_between_gaps_in_address_order() {
+        let mut a = Asm::new();
+        let base = a.data_cursor_addr();
+        a.reserve(64); // a leading gap: no empty segment before it
+        let first = a.data_bytes(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        a.reserve(128);
+        a.reserve(256); // two gaps back to back
+        let second = a.data_bytes(&[9, 10]);
+        a.reserve(32); // a trailing gap
+        a.halt();
+        let p = a.finish().unwrap();
+        let got: Vec<(u64, &[u8])> = p.data.iter().map(|s| (s.base, &s.bytes[..])).collect();
+        assert_eq!((first, second), (base + 64, base + 64 + 8 + 128 + 256));
+        assert_eq!(
+            got,
+            vec![
+                (first, &[1u8, 2, 3, 4, 5, 6, 7, 8][..]),
+                (second, &[9u8, 10][..])
+            ]
+        );
+        // A segment holds its bytes and no more: the first one is the
+        // buffer the data grew in, cut down to size.
+        assert!(p.data.iter().all(|s| s.bytes.capacity() == s.bytes.len()));
     }
 
     #[test]

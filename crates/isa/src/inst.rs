@@ -42,6 +42,7 @@ impl AluOp {
     /// This single definition is shared by the functional interpreter and by
     /// every timing core's execute stage, so functional and timing models
     /// cannot disagree about arithmetic.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -83,6 +84,7 @@ impl AluOp {
 
     /// `true` for multiply/divide/remainder, which occupy the long-latency
     /// integer unit in every core model.
+    #[inline]
     pub fn is_long_latency(self) -> bool {
         matches!(
             self,
@@ -144,6 +146,7 @@ impl FpuOp {
     /// Binary operands are interpreted as `f64` bit patterns; comparison and
     /// conversion results are produced in the integer domain where
     /// appropriate. NaN comparisons are false, matching IEEE semantics.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> u64 {
         let fa = f64::from_bits(a);
         let fb = f64::from_bits(b);
@@ -175,11 +178,13 @@ impl FpuOp {
     }
 
     /// `true` for the unary operations that read only `rs1`.
+    #[inline]
     pub fn is_unary(self) -> bool {
         matches!(self, FpuOp::Fsqrt | FpuOp::CvtIntToF | FpuOp::CvtFToInt)
     }
 
     /// `true` for divide/sqrt, which occupy the long-latency FP unit.
+    #[inline]
     pub fn is_long_latency(self) -> bool {
         matches!(self, FpuOp::Fdiv | FpuOp::Fsqrt)
     }
@@ -217,6 +222,7 @@ pub enum BranchCond {
 
 impl BranchCond {
     /// Evaluates the condition on two operand values.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BranchCond::Eq => a == b,
@@ -253,6 +259,7 @@ pub enum MemWidth {
 
 impl MemWidth {
     /// Width in bytes.
+    #[inline]
     pub const fn bytes(self) -> u64 {
         match self {
             MemWidth::B1 => 1,
@@ -401,6 +408,7 @@ pub enum InstClass {
 impl InstClass {
     /// Position of this class in [`InstClass::ALL`] (declaration order, so
     /// the discriminant is the index — no scan).
+    #[inline]
     pub fn index(self) -> usize {
         self as usize
     }
@@ -449,6 +457,7 @@ impl Inst {
     ///
     /// Writes to `x0` are reported as `None`: they are architecturally
     /// invisible and the pipelines must not create dependences on them.
+    #[inline]
     pub fn dest(self) -> Option<Reg> {
         let rd = match self {
             Inst::Alu { rd, .. }
@@ -474,6 +483,7 @@ impl Inst {
     /// Reads of `x0` are reported as `None` (its value is constant, so no
     /// dependence exists). For a store, the *data* register is the second
     /// source and the *address base* the first.
+    #[inline]
     pub fn sources(self) -> [Option<Reg>; 2] {
         fn src(r: Reg) -> Option<Reg> {
             if r.is_zero() {
@@ -503,6 +513,7 @@ impl Inst {
 
     /// The register whose value feeds the memory *address* computation, if
     /// this instruction accesses memory.
+    #[inline]
     pub fn addr_base(self) -> Option<Reg> {
         match self {
             Inst::Load { base, .. } | Inst::Store { base, .. } | Inst::Prefetch { base, .. } => {
@@ -513,16 +524,19 @@ impl Inst {
     }
 
     /// `true` for loads (architectural memory reads).
+    #[inline]
     pub fn is_load(self) -> bool {
         matches!(self, Inst::Load { .. })
     }
 
     /// `true` for stores.
+    #[inline]
     pub fn is_store(self) -> bool {
         matches!(self, Inst::Store { .. })
     }
 
     /// `true` for any memory-accessing instruction, including prefetch.
+    #[inline]
     pub fn is_mem(self) -> bool {
         matches!(
             self,
@@ -531,11 +545,13 @@ impl Inst {
     }
 
     /// `true` for conditional branches.
+    #[inline]
     pub fn is_branch(self) -> bool {
         matches!(self, Inst::Branch { .. })
     }
 
     /// `true` for any instruction that can redirect the PC.
+    #[inline]
     pub fn is_control(self) -> bool {
         matches!(
             self,
@@ -545,11 +561,13 @@ impl Inst {
 
     /// `true` if the control-flow target is not computable from the
     /// instruction word alone (i.e., `jalr`).
+    #[inline]
     pub fn is_indirect(self) -> bool {
         matches!(self, Inst::Jalr { .. })
     }
 
     /// The coarse class of this instruction.
+    #[inline]
     pub fn class(self) -> InstClass {
         match self {
             Inst::Alu { op, .. } | Inst::AluImm { op, .. } => {
@@ -578,6 +596,7 @@ impl Inst {
 
     /// For direct control transfers, the target PC given this instruction's
     /// own PC. Returns `None` for non-control and indirect instructions.
+    #[inline]
     pub fn direct_target(self, pc: u64) -> Option<u64> {
         match self {
             Inst::Branch { offset, .. } | Inst::Jal { offset, .. } => {

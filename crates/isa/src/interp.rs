@@ -170,14 +170,13 @@ pub struct RunOutcome {
 /// checks its retirement stream against an `Interp` running the same
 /// program (see `sst-sim`'s `RetireChecker`).
 pub struct Interp {
-    program: Program,
     state: ArchState,
     mem: SparseMem,
     halted: bool,
     retired: u64,
     /// Text predecoded once at construction: `decoded[i]` is the
     /// instruction at `text_base + 4*i`, or `None` for an undecodable
-    /// word. Pure memoization of the immutable `program.text` — the
+    /// word. Pure memoization of the immutable program text — the
     /// per-step decode was the functional fast-forward bottleneck.
     decoded: Vec<Option<Inst>>,
     text_base: u64,
@@ -189,15 +188,24 @@ impl Interp {
     pub fn new(program: &Program) -> Interp {
         let mut mem = SparseMem::new();
         program.load_into(&mut mem);
-        let decoded = program.text.iter().map(|&w| crate::decode(w).ok()).collect();
+        Interp::over_image(mem, program.text_base, program.len_insts(), program.entry)
+    }
+
+    /// Creates an interpreter over an image that is already loaded: `mem`
+    /// holds what [`Program::load_into`] writes for a program of `insts`
+    /// instructions at `text_base`, entered at `entry`. For a caller that
+    /// has the loaded image but no longer the [`Program`].
+    pub fn over_image(mem: SparseMem, text_base: u64, insts: usize, entry: u64) -> Interp {
+        let decoded = (0..insts as u64)
+            .map(|i| crate::decode(mem.read_u32(text_base + i * INST_BYTES)).ok())
+            .collect();
         Interp {
-            state: ArchState::new(program.entry),
+            state: ArchState::new(entry),
             mem,
             halted: false,
             retired: 0,
             decoded,
-            text_base: program.text_base,
-            program: program.clone(),
+            text_base,
         }
     }
 
@@ -214,11 +222,6 @@ impl Interp {
     /// Mutable access to memory (for tests that poke inputs).
     pub fn mem_mut(&mut self) -> &mut SparseMem {
         &mut self.mem
-    }
-
-    /// The program being interpreted.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// `true` once a `halt` has retired; further steps are no-ops.

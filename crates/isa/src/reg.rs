@@ -53,6 +53,7 @@ impl Reg {
     }
 
     /// The unified index in `0..64`, suitable for indexing register files.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -63,6 +64,7 @@ impl Reg {
     }
 
     /// `true` for `x0`, whose value is always zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }

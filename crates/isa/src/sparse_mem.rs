@@ -15,16 +15,19 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 struct PageHasher(u64);
 
 impl Hasher for PageHasher {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u64(b as u64);
         }
     }
 
+    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
@@ -59,6 +62,7 @@ impl SparseMem {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
             Some(p) => p[(addr & PAGE_MASK) as usize],
@@ -67,6 +71,7 @@ impl SparseMem {
     }
 
     /// Writes one byte, materializing the page if needed.
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, val: u8) {
         let page = self
             .pages
@@ -80,6 +85,7 @@ impl SparseMem {
     /// # Panics
     ///
     /// Panics if `n > 8`.
+    #[inline]
     pub fn read_le(&self, addr: u64, n: u64) -> u64 {
         assert!(n <= 8, "at most 8 bytes per access");
         let off = (addr & PAGE_MASK) as usize;
@@ -107,6 +113,7 @@ impl SparseMem {
     /// # Panics
     ///
     /// Panics if `n > 8`.
+    #[inline]
     pub fn write_le(&mut self, addr: u64, n: u64, val: u64) {
         assert!(n <= 8, "at most 8 bytes per access");
         let off = (addr & PAGE_MASK) as usize;

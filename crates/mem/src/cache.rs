@@ -49,29 +49,35 @@ impl TagArray {
     }
 
     /// Line size in bytes.
+    #[inline]
     pub fn line_bytes(&self) -> u64 {
         1 << self.line_shift
     }
 
     /// The block-aligned address containing `addr`.
+    #[inline]
     pub fn block_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift << self.line_shift
     }
 
+    #[inline]
     fn set_index(&self, addr: u64) -> usize {
         ((addr >> self.line_shift) as usize) & (self.sets - 1)
     }
 
+    #[inline]
     fn tag_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift >> self.sets.trailing_zeros()
     }
 
+    #[inline]
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
         set * self.assoc..(set + 1) * self.assoc
     }
 
     /// Looks up `addr`; on hit, refreshes recency and (for writes) sets the
     /// dirty bit. Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
         let set = self.set_index(addr);
         let tag = self.tag_of(addr);
@@ -89,6 +95,7 @@ impl TagArray {
     }
 
     /// Checks for presence without perturbing recency or dirty state.
+    #[inline]
     pub fn probe(&self, addr: u64) -> bool {
         let set = self.set_index(addr);
         let tag = self.tag_of(addr);
@@ -102,6 +109,7 @@ impl TagArray {
     /// if a valid line was displaced.
     ///
     /// Inserting a line that is already present just refreshes it.
+    #[inline]
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<Eviction> {
         if self.access(addr, write) {
             return None;

@@ -23,6 +23,7 @@
 //! serial run.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use sst_isa::{SnapError, SnapReader, SnapWriter, SparseMem};
 use sst_obs::{Event, HostTimes, Stage, TraceBuf};
@@ -34,6 +35,42 @@ use crate::parallel::SharedHandle;
 use crate::prefetch::StridePrefetcher;
 use crate::stats::{CacheStats, MemStats};
 use crate::{Cycle, MemConfig};
+
+/// Hasher for block-address keys: one multiply, then the halves swapped. A
+/// block address has zeros in its low bits and a multiply leaves them
+/// there, while the table takes its bucket index from the low bits.
+///
+/// Fixed rather than the default randomly keyed SipHash for two reasons.
+/// Every L1 hit probes the residency set while a prefetch is outstanding.
+/// And a table's rehashes depend on where removals leave tombstones, i.e.
+/// on the hash values: under a per-process key the same simulation makes
+/// a different sequence of allocations in every process, and through the
+/// heap's layout reaches a different peak memory.
+#[derive(Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+}
+
+type BlockSet = HashSet<u64, BuildHasherDefault<BlockHasher>>;
 
 /// What an access is, for routing and statistics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +140,7 @@ pub struct AccessOutcome {
 
 impl AccessOutcome {
     /// Latency relative to the issue cycle.
+    #[inline]
     pub fn latency(&self, issued_at: Cycle) -> Cycle {
         self.ready_at.saturating_sub(issued_at)
     }
@@ -127,7 +165,7 @@ pub struct MemPort {
     /// long-evicted prefetch is never credited as useful. Workload
     /// address slots are disjoint across cores, so per-port tracking is
     /// exact.
-    prefetched: HashSet<u64>,
+    prefetched: BlockSet,
     l1i_stats: CacheStats,
     l1d_stats: CacheStats,
     prefetches: u64,
@@ -150,7 +188,7 @@ impl MemPort {
             l1i_mshr: MshrFile::new(4),
             l1d_mshr: MshrFile::new(cfg.l1d_mshrs),
             prefetcher: cfg.prefetch.map(StridePrefetcher::new),
-            prefetched: HashSet::new(),
+            prefetched: BlockSet::default(),
             l1i_stats: CacheStats::default(),
             l1d_stats: CacheStats::default(),
             prefetches: 0,
@@ -405,11 +443,13 @@ impl<'a> MemBus<'a> {
     }
 
     /// The configuration in use.
+    #[inline]
     pub fn config(&self) -> &MemConfig {
         self.cfg
     }
 
     /// Cache line size in bytes (uniform across levels).
+    #[inline]
     pub fn line_bytes(&self) -> u64 {
         self.cfg.l1d.line_bytes
     }
@@ -417,16 +457,19 @@ impl<'a> MemBus<'a> {
     // ---- functional data path ----------------------------------------------
 
     /// The core's functional backing memory.
+    #[inline]
     pub fn mem(&self) -> &SparseMem {
         &self.port.mem
     }
 
     /// Functionally reads `bytes` little-endian bytes at `addr`.
+    #[inline]
     pub fn read(&self, addr: u64, bytes: u64) -> u64 {
         self.port.mem.read_le(addr, bytes)
     }
 
     /// Functionally writes the low `bytes` bytes of `val` at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, bytes: u64, val: u64) {
         self.port.mem.write_le(addr, bytes, val);
     }
@@ -440,6 +483,7 @@ impl<'a> MemBus<'a> {
     /// accessing instruction's PC; the value is irrelevant for fetches and
     /// prefetches). Accesses are attributed to the line containing `addr`;
     /// the rare line-straddling access is charged to its first line.
+    #[inline]
     pub fn access(&mut self, now: Cycle, kind: AccessKind, addr: u64) -> AccessOutcome {
         self.access_pc(now, kind, addr, 0)
     }
@@ -567,6 +611,7 @@ impl<'a> MemBus<'a> {
     }
 
     /// The block-aligned address of `addr`'s cache line.
+    #[inline]
     pub fn block_of(&self, addr: u64) -> u64 {
         self.port.l1d.block_of(addr)
     }
@@ -672,6 +717,7 @@ impl MemSystem {
 
     /// A serial (ungated) bus for `core`: the view a core gets of its
     /// private port plus direct access to the shared residue.
+    #[inline]
     pub fn bus(&mut self, core: usize) -> MemBus<'_> {
         MemBus {
             cfg: &self.cfg,
@@ -891,6 +937,22 @@ mod tests {
 
     fn sys() -> MemSystem {
         MemSystem::new(&MemConfig::default(), 1)
+    }
+
+    #[test]
+    fn block_addresses_spread_over_the_low_hash_bits() {
+        // The table indexes with the low bits and tags with the top seven:
+        // a run of line-aligned addresses must not collapse in either.
+        let hash = |block: u64| {
+            let mut h = BlockHasher::default();
+            h.write_u64(block);
+            h.finish()
+        };
+        let blocks = (0..512u64).map(|i| 0x100_0000 + i * 64);
+        let low: HashSet<u64> = blocks.clone().map(|b| hash(b) & 511).collect();
+        let top: HashSet<u64> = blocks.map(|b| hash(b) >> 57).collect();
+        assert!(low.len() > 256, "{} of 512 buckets used", low.len());
+        assert_eq!(top.len(), 128);
     }
 
     #[test]

@@ -327,6 +327,7 @@ impl TraceBuf {
     /// Records a DQ/STB occupancy sample, but only when it differs from
     /// the previous one — per-tick callers get change-compressed counter
     /// tracks instead of one event per cycle.
+    #[inline]
     pub fn sample_occupancy(&mut self, at: Cycle, dq: u32, stb: u32) {
         if self.last_occ == Some((dq, stb)) {
             return;

@@ -113,6 +113,7 @@ impl HostTimes {
 
     /// Starts a scoped timer *iff* profiling is enabled. The returned
     /// token is `None` when disabled, making the probe one branch.
+    #[inline]
     pub fn start(prof: &Option<Box<HostTimes>>) -> Option<Instant> {
         if prof.is_some() {
             Some(Instant::now())
@@ -123,6 +124,7 @@ impl HostTimes {
 
     /// Stops a scoped timer started with [`HostTimes::start`], crediting
     /// the elapsed wall time to `stage`.
+    #[inline]
     pub fn stop(prof: &mut Option<Box<HostTimes>>, stage: Stage, t0: Option<Instant>) {
         if let (Some(p), Some(t)) = (prof.as_deref_mut(), t0) {
             p.add(stage, t.elapsed().as_nanos() as u64);

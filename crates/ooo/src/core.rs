@@ -188,6 +188,17 @@ struct RobEntry {
     actual_next: u64,
 }
 
+/// One waiting instruction the issue scan can select: what the scan
+/// compares each cycle, so that it reads the (much larger) window entry
+/// only for an instruction it is about to issue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct IqEntry {
+    seq: Seq,
+    /// When the last source arrives: the maximum of the sources'
+    /// `phys_ready`, all of them known.
+    ready_at: Cycle,
+}
+
 /// The out-of-order baseline core.
 pub struct OooCore {
     cfg: OooConfig,
@@ -201,10 +212,25 @@ pub struct OooCore {
     phys_ready: Vec<Cycle>,
     free: Vec<usize>,
     rob: VecDeque<RobEntry>,
-    /// Window-occupancy counts, maintained incrementally at rename /
-    /// issue / commit / squash. `rename` consults all three once per
-    /// slot; re-deriving them by scanning the window each time dominated
-    /// the tick cost on the 128-entry configs.
+    /// The select list of the issue queue: the window's `Waiting` entries
+    /// whose producers have all issued, oldest first. Derived from `rob` +
+    /// `phys_ready` (rebuilt on restore, never serialized): rename appends
+    /// an instruction whose sources are all timed, an issuing producer
+    /// inserts the dependents it was the last to hold back (`wakers`), and
+    /// issue / squash remove. The scan and `issue_wake` read one word per
+    /// listed instruction; one that still waits for a producer to issue
+    /// cannot be selected and is not looked at.
+    iq: Vec<IqEntry>,
+    /// Per physical register: the instructions that were renamed while its
+    /// producer had not issued, to be looked at again when it does. A
+    /// squash leaves the sequence numbers of the entries it removed
+    /// behind; they are harmless because a wake-up recomputes from the
+    /// window entry that carries the number *now* (or finds none), and the
+    /// list is cleared when its register is next allocated.
+    wakers: Vec<Vec<Seq>>,
+    /// Issue-, load- and store-queue occupancy, maintained incrementally
+    /// at rename / issue / commit / squash (`rename` consults all three
+    /// once per slot).
     n_waiting: usize,
     n_loads: usize,
     n_stores: usize,
@@ -221,11 +247,11 @@ pub struct OooCore {
     phantom: Option<([u64; 64], [bool; 64])>,
     /// Instructions consumed by the current phantom walk (bounded).
     phantom_count: usize,
-    /// Cycles strictly before this one are vouched issue no-ops: after an
-    /// issue scan, `issue_wake` bounds when the earliest waiting entry's
-    /// sources can arrive, and nothing else advances readiness — rename
-    /// (which adds entries) resets this to 0. Lets `tick` skip the
-    /// O(window) scan while the window drains a long miss.
+    /// Cycles strictly before this one are vouched issue no-ops: a scan
+    /// that issued nothing records the earliest `ready_at` it saw, and
+    /// nothing else advances readiness — rename (which adds entries)
+    /// resets this to 0. Lets `tick` skip the scan altogether while the
+    /// window drains a long miss.
     issue_quiet_until: Cycle,
     /// Speculation-taint tracker (experiment E13); `None` unless
     /// [`OooConfig::taint`] is set, so the disabled path costs one
@@ -239,6 +265,9 @@ pub struct OooCore {
     /// Host-side stage timers, present only while profiling is enabled.
     prof: Option<Box<HostTimes>>,
     commits: Vec<Commit>,
+    /// Window entries the issue scan has read (work-counter tests).
+    #[cfg(test)]
+    issue_rob_reads: u64,
     /// Statistics.
     pub stats: OooStats,
 }
@@ -260,6 +289,8 @@ impl OooCore {
             phys_ready: vec![0; phys_count],
             free,
             rob: VecDeque::new(),
+            iq: Vec::new(),
+            wakers: vec![Vec::new(); phys_count],
             n_waiting: 0,
             n_loads: 0,
             n_stores: 0,
@@ -274,6 +305,8 @@ impl OooCore {
             trace: None,
             prof: None,
             commits: Vec::new(),
+            #[cfg(test)]
+            issue_rob_reads: 0,
             stats: OooStats::default(),
         }
     }
@@ -288,14 +321,19 @@ impl OooCore {
         self.future[r.index()]
     }
 
-    /// Re-derives the incremental occupancy counts from the window.
-    /// Debug builds assert this every tick; release builds never call it.
+    /// Checks the derived state against the window: the select list is the
+    /// `Waiting` entries whose sources are all timed, in program order, each
+    /// with the readiness its sources give it now, and the occupancy counts
+    /// match. Debug builds assert this every tick; release builds never
+    /// call it.
     fn counts_consistent(&self) -> bool {
-        let waiting = self
-            .rob
-            .iter()
-            .filter(|e| e.state == EntryState::Waiting)
-            .count();
+        let waiting = || self.rob.iter().filter(|e| e.state == EntryState::Waiting);
+        let selectable = waiting()
+            .map(|e| IqEntry {
+                seq: e.seq,
+                ready_at: sources_ready(&self.phys_ready, e.srcs),
+            })
+            .filter(|w| w.ready_at != Cycle::MAX);
         let loads = self
             .rob
             .iter()
@@ -306,7 +344,24 @@ impl OooCore {
             .iter()
             .filter(|e| matches!(e.mem, Some((_, _, true, _))))
             .count();
-        self.n_waiting == waiting && self.n_loads == loads && self.n_stores == stores
+        self.iq.iter().copied().eq(selectable)
+            && self.n_waiting == waiting().count()
+            && self.n_loads == loads
+            && self.n_stores == stores
+    }
+
+    /// Rebuilds the issue queue's derived state from the window, after a
+    /// restore or a warm boot.
+    fn rebuild_issue_queue(&mut self) {
+        self.iq.clear();
+        self.wakers.iter_mut().for_each(Vec::clear);
+        self.n_waiting = 0;
+        for e in &self.rob {
+            if e.state == EntryState::Waiting {
+                self.n_waiting += 1;
+                enqueue(&mut self.iq, &mut self.wakers, &self.phys_ready, e.seq, e.srcs);
+            }
+        }
     }
 
     // ------------------------------------------------------------- rename
@@ -492,6 +547,7 @@ impl OooCore {
                     self.future[rd.index()] =
                         value.expect("dest implies a value");
                     self.phys_ready[p] = Cycle::MAX; // until executed
+                    self.wakers[p].clear(); // what a squash left behind
                     (Some(p), Some(old), old_future)
                 }
                 None => (None, None, 0),
@@ -503,6 +559,7 @@ impl OooCore {
             }
 
             self.n_waiting += 1;
+            enqueue(&mut self.iq, &mut self.wakers, &self.phys_ready, seq, srcs);
             match mem_info {
                 Some((_, _, true, _)) => self.n_stores += 1,
                 Some(_) => self.n_loads += 1,
@@ -537,7 +594,6 @@ impl OooCore {
                 self.fetch_blocked_on = Some(seq);
                 break;
             }
-            let _ = now;
         }
     }
 
@@ -595,89 +651,103 @@ impl OooCore {
         // cycle, so they pin the memo to "scan again".
         let mut wake = Cycle::MAX;
         let mut blocked_now = false;
-        for idx in 0..self.rob.len() {
+
+        // Oldest first over the select list, compacting it in place: `at`
+        // reads, `kept` writes the entries that stay. The list leaves
+        // `self` for the scan so the window helpers can borrow the core.
+        let mut iq = std::mem::take(&mut self.iq);
+        let head_seq = self.rob.front().map_or(0, |e| e.seq);
+        let mut kept = 0;
+        let mut at = 0;
+        while at < iq.len() {
             if issued >= self.cfg.issue_width {
                 blocked_now = true;
                 break;
             }
-            let e = &self.rob[idx];
-            if e.state != EntryState::Waiting {
-                continue;
-            }
+            let waiting = iq[at];
+            at += 1;
             // Source readiness.
-            let ready = e
-                .srcs
-                .iter()
-                .flatten()
-                .map(|&p| self.phys_ready[p])
-                .max()
-                .unwrap_or(0);
-            if ready > now {
-                wake = wake.min(ready);
+            if waiting.ready_at > now {
+                wake = wake.min(waiting.ready_at);
+                iq[kept] = waiting;
+                kept += 1;
                 continue;
             }
 
+            let idx = (waiting.seq - head_seq) as usize;
+            let e = &self.rob[idx];
+            debug_assert!(e.seq == waiting.seq && e.state == EntryState::Waiting);
+            #[cfg(test)]
+            {
+                self.issue_rob_reads += 1;
+            }
             let inst = e.inst;
-            let is_mem = inst.is_mem();
-            if is_mem && mem_ops >= self.cfg.dcache_ports {
+            let mut held_back = inst.is_mem() && mem_ops >= self.cfg.dcache_ports;
+            let mut done_at = now + 1;
+            if !held_back {
+                match e.mem {
+                    Some((addr, bytes, false, _)) => {
+                        // Load (or prefetch): forwarding / memory.
+                        match self.lookup_forward(idx, addr, bytes) {
+                            ForwardState::Forward(from) => {
+                                self.stats.forwards += 1;
+                                self.rob[idx].forwarded_from = Some(from);
+                                done_at = now + 2;
+                            }
+                            ForwardState::WaitData => held_back = true,
+                            ForwardState::Memory => {
+                                mem_ops += 1;
+                                let kind = if matches!(inst, Inst::Prefetch { .. }) {
+                                    AccessKind::Prefetch
+                                } else {
+                                    AccessKind::Load
+                                };
+                                let out = mem.access_pc(now, kind, addr, self.rob[idx].pc);
+                                done_at = out.ready_at.max(now + 1);
+                            }
+                        }
+                    }
+                    Some((addr, bytes, true, _)) => {
+                        // Store: address+data resolved. Check younger executed
+                        // loads for a memory-order violation.
+                        if let Some(v) = self.find_violation(idx, addr, bytes) {
+                            self.stats.violations += 1;
+                            squash_at = Some(v);
+                            self.rob[idx].mem_executed = true;
+                            self.rob[idx].state = EntryState::Issued(now + 1);
+                            self.n_waiting -= 1;
+                            break;
+                        }
+                    }
+                    None => done_at = now + self.cfg.latency.of(inst),
+                }
+            }
+            if held_back {
+                // Port taken or store data not drained: retry next cycle.
                 blocked_now = true;
+                iq[kept] = waiting;
+                kept += 1;
                 continue;
             }
-
-            let done_at = match e.mem {
-                Some((addr, bytes, false, _)) => {
-                    // Load (or prefetch): forwarding / memory.
-                    match self.lookup_forward(idx, addr, bytes) {
-                        ForwardState::Forward(from) => {
-                            self.stats.forwards += 1;
-                            self.rob[idx].forwarded_from = Some(from);
-                            now + 2
-                        }
-                        ForwardState::WaitData => {
-                            blocked_now = true;
-                            continue; // retry next cycle
-                        }
-                        ForwardState::Memory => {
-                            mem_ops += 1;
-                            let kind = if matches!(inst, Inst::Prefetch { .. }) {
-                                AccessKind::Prefetch
-                            } else {
-                                AccessKind::Load
-                            };
-                            let out = mem.access_pc(now, kind, addr, self.rob[idx].pc);
-                            out.ready_at.max(now + 1)
-                        }
-                    }
-                }
-                Some((addr, bytes, true, _)) => {
-                    // Store: address+data resolved. Check younger executed
-                    // loads for a memory-order violation.
-                    if let Some(v) = self.find_violation(idx, addr, bytes) {
-                        self.stats.violations += 1;
-                        squash_at = Some(v);
-                        self.rob[idx].mem_executed = true;
-                        self.rob[idx].state = EntryState::Issued(now + 1);
-                        self.n_waiting -= 1;
-                        break;
-                    }
-                    now + 1
-                }
-                None => now + self.cfg.latency.of(inst),
-            };
 
             self.n_waiting -= 1;
             let e = &mut self.rob[idx];
             e.state = EntryState::Issued(done_at);
             e.mem_executed = true;
-            if let Some(p) = e.dest_phys {
-                self.phys_ready[p] = done_at;
-            }
             if e.mispredicted {
                 redirect = Some((done_at, e.actual_next));
+            }
+            if let Some(p) = e.dest_phys {
+                self.phys_ready[p] = done_at;
+                self.wake_dependents(p, head_seq, &mut iq, at);
             }
             issued += 1;
             self.stats.issued += 1;
         }
+        let unread = iq.len() - at;
+        iq.copy_within(at.., kept);
+        iq.truncate(kept + unread);
+        self.iq = iq;
 
         if let Some((done_at, target)) = redirect {
             // The wrong-path episode ends here: sweep whatever the phantom
@@ -703,6 +773,32 @@ impl OooCore {
         } else {
             0
         };
+    }
+
+    /// The producer of physical register `p` has just issued: the
+    /// instructions renamed while it was pending whose other source is
+    /// timed too become selectable. They are younger than the producer, so
+    /// their place is in the unread rest of the list, `iq[at..]` (sorted by
+    /// sequence number). Each is judged by the window entry that holds its
+    /// number now, which is what makes a number left behind by a squash
+    /// harmless: it names nothing, or an instruction that is not waiting,
+    /// or one the list has already (then the refresh changes nothing).
+    fn wake_dependents(&mut self, p: usize, head_seq: Seq, iq: &mut Vec<IqEntry>, at: usize) {
+        let mut list = std::mem::take(&mut self.wakers[p]);
+        for seq in list.drain(..) {
+            let Some(e) = self.rob.get(seq.wrapping_sub(head_seq) as usize) else {
+                continue;
+            };
+            let ready_at = sources_ready(&self.phys_ready, e.srcs);
+            if e.state != EntryState::Waiting || ready_at == Cycle::MAX {
+                continue;
+            }
+            match iq[at..].binary_search_by_key(&seq, |w| w.seq) {
+                Ok(i) => iq[at + i].ready_at = ready_at,
+                Err(i) => iq.insert(at + i, IqEntry { seq, ready_at }),
+            }
+        }
+        self.wakers[p] = list; // keep the allocation
     }
 
     /// Forwarding decision for the load at window position `idx`.
@@ -768,6 +864,7 @@ impl OooCore {
 
     /// Squashes every entry with `seq >= from` and refetches from `pc`.
     fn squash_from(&mut self, now: Cycle, from: Seq, pc: u64, mem: &mut MemBus) {
+        self.iq.truncate(self.iq.partition_point(|w| w.seq < from));
         while let Some(e) = self.rob.back() {
             if e.seq < from {
                 break;
@@ -864,28 +961,16 @@ impl OooCore {
 
     /// When the issue stage could next act: `now` if any waiting entry has
     /// timing-ready sources (ports or width may still hold it back — not
-    /// skippable), else the earliest known source-ready time. Entries
-    /// whose producer has not issued yet sit at `Cycle::MAX` readiness and
-    /// are woken transitively through their producer's own wake.
+    /// skippable), else the earliest known source-ready time — the select
+    /// list's minimum. Entries whose producer has not issued yet are not
+    /// on the list and are woken transitively through their producer's own
+    /// wake.
     fn issue_wake(&self, now: Cycle) -> Cycle {
-        let mut wake = Cycle::MAX;
-        for e in &self.rob {
-            if e.state != EntryState::Waiting {
-                continue;
-            }
-            let ready = e
-                .srcs
-                .iter()
-                .flatten()
-                .map(|&p| self.phys_ready[p])
-                .max()
-                .unwrap_or(0);
-            if ready <= now {
-                return now;
-            }
-            wake = wake.min(ready);
-        }
-        wake
+        self.iq
+            .iter()
+            .map(|w| w.ready_at)
+            .min()
+            .map_or(Cycle::MAX, |t| t.max(now))
     }
 
     // ------------------------------------------------------------- commit
@@ -939,6 +1024,38 @@ impl OooCore {
                 self.halted = true;
                 break;
             }
+        }
+    }
+}
+
+/// When the last of `srcs` arrives (0 with no register source).
+fn sources_ready(phys_ready: &[Cycle], srcs: [Option<usize>; 2]) -> Cycle {
+    srcs.iter()
+        .flatten()
+        .map(|&p| phys_ready[p])
+        .max()
+        .unwrap_or(0)
+}
+
+/// Files a waiting instruction that has just been renamed (it is the
+/// youngest): on the select list when its sources are all timed, else on
+/// the wake list of every source whose producer has not issued yet (twice
+/// when both sources are that register: a second wake-up is harmless).
+fn enqueue(
+    iq: &mut Vec<IqEntry>,
+    wakers: &mut [Vec<Seq>],
+    phys_ready: &[Cycle],
+    seq: Seq,
+    srcs: [Option<usize>; 2],
+) {
+    let ready_at = sources_ready(phys_ready, srcs);
+    if ready_at != Cycle::MAX {
+        iq.push(IqEntry { seq, ready_at });
+        return;
+    }
+    for &p in srcs.iter().flatten() {
+        if phys_ready[p] == Cycle::MAX {
+            wakers[p].push(seq);
         }
     }
 }
@@ -1314,9 +1431,18 @@ impl Core for OooCore {
                 self.cfg.rob_entries
             )));
         }
-        let mut rob = VecDeque::with_capacity(n_rob);
+        let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(n_rob);
         for _ in 0..n_rob {
-            rob.push_back(RobEntry::load(r, phys_count)?);
+            let e = RobEntry::load(r, phys_count)?;
+            // The issue queue finds a window entry by its distance from
+            // the head's sequence number.
+            if rob.back().is_some_and(|prev| prev.seq.checked_add(1) != Some(e.seq)) {
+                return Err(SnapError::Corrupt(format!(
+                    "window sequence number {} does not follow its predecessor",
+                    e.seq
+                )));
+            }
+            rob.push_back(e);
         }
         let phantom = if r.take_bool()? {
             let mut shadow = [0u64; 64];
@@ -1352,13 +1478,10 @@ impl Core for OooCore {
             *slot = r.take_u64()?;
         }
         stats.rob_high_water = r.take_u64()? as usize;
-        // The occupancy counts are derived state: recompute them from the
-        // restored window so they are consistent by construction (the
-        // debug-build `counts_consistent` assertion would catch drift).
-        self.n_waiting = rob
-            .iter()
-            .filter(|e| e.state == EntryState::Waiting)
-            .count();
+        // The occupancy counts, the select list and the wake lists are
+        // derived state: recompute them from the restored window so they
+        // are consistent by construction (the debug-build
+        // `counts_consistent` assertion would catch drift).
         self.n_loads = rob
             .iter()
             .filter(|e| matches!(e.mem, Some((_, _, false, _))))
@@ -1380,6 +1503,7 @@ impl Core for OooCore {
         self.rob = rob;
         self.phantom = phantom;
         self.stats = stats;
+        self.rebuild_issue_queue();
         Ok(())
     }
 
@@ -1390,7 +1514,7 @@ impl Core for OooCore {
         self.rat = std::array::from_fn(|i| i);
         self.future = *regs;
         self.phys_ready.fill(0);
-        self.n_waiting = 0;
+        self.rebuild_issue_queue();
         self.n_loads = 0;
         self.n_stores = 0;
         self.fetch_blocked_on = None;
@@ -1405,3 +1529,6 @@ impl Core for OooCore {
         self.frontend.resolve(pc, inst, taken, next_pc);
     }
 }
+
+#[cfg(test)]
+mod tests;

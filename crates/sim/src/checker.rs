@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sst_isa::{Interp, MemEffect, Program, SnapError, SnapReader, SnapWriter};
+use sst_isa::{Interp, MemEffect, Program, SnapError, SnapReader, SnapWriter, SparseMem};
 use sst_uarch::Commit;
 
 /// A divergence between a core's commit stream and the reference
@@ -39,6 +39,15 @@ impl RetireChecker {
     pub fn new(program: &Program) -> RetireChecker {
         RetireChecker {
             interp: Interp::new(program),
+            checked: 0,
+        }
+    }
+
+    /// Creates a checker over an already loaded image — the arguments of
+    /// [`Interp::over_image`].
+    pub fn over_image(mem: SparseMem, text_base: u64, insts: usize, entry: u64) -> RetireChecker {
+        RetireChecker {
+            interp: Interp::over_image(mem, text_base, insts, entry),
             checked: 0,
         }
     }

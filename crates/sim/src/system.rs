@@ -1,7 +1,7 @@
 //! Single-core simulation with warm-up accounting and optional
 //! co-simulation: [`crate::engine`]'s serial executor over one core.
 
-use sst_isa::{InstClass, SnapError, SnapReader, SnapWriter, SNAPSHOT_VERSION};
+use sst_isa::{InstClass, SnapError, SnapReader, SnapWriter, SparseMem, SNAPSHOT_VERSION};
 use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
 use sst_obs::{HostTimes, TraceBuf};
 use sst_uarch::{Commit, Core};
@@ -116,7 +116,7 @@ pub struct System {
 /// snapshot taken mid-run carries them and a resumed run reports the same
 /// totals as an uninterrupted one.
 struct Retirement {
-    checker: Option<RetireChecker>,
+    cosim: Cosim,
     skip_insts: u64,
     committed: u64,
     warmup_cycles: Cycle,
@@ -127,10 +127,46 @@ struct Retirement {
     diverged: Option<CosimError>,
 }
 
+/// Per-commit co-simulation against the reference interpreter.
+enum Cosim {
+    Off,
+    /// Wanted, and built by the first run or snapshot, so that a system
+    /// that turns co-simulation off right after construction never builds
+    /// the reference. Until then nothing has run and the system's own
+    /// memory still holds exactly the program image: the reference starts
+    /// from a copy of it, decoding `insts` instructions at `text_base`.
+    Pending {
+        text_base: u64,
+        insts: usize,
+        entry: u64,
+    },
+    On(Box<RetireChecker>),
+}
+
+impl Cosim {
+    /// The checker a `Pending` co-simulation starts with; `image` is the
+    /// never-run system's memory.
+    fn start(&self, image: &SparseMem) -> Option<Box<RetireChecker>> {
+        match *self {
+            Cosim::Pending {
+                text_base,
+                insts,
+                entry,
+            } => Some(Box::new(RetireChecker::over_image(
+                image.clone(),
+                text_base,
+                insts,
+                entry,
+            ))),
+            _ => None,
+        }
+    }
+}
+
 impl Policy for Retirement {
     fn step(&mut self, core: &dyn Core, commits: &[Commit], _now: Cycle) -> Verdict {
         for c in commits {
-            if let Some(ck) = self.checker.as_mut() {
+            if let Cosim::On(ck) = &mut self.cosim {
                 if let Err(e) = ck.check(c) {
                     self.diverged = Some(e);
                     return Verdict::Retire;
@@ -164,7 +200,11 @@ impl System {
             model_label: model.label(),
             fast_forward: true,
             retirement: Retirement {
-                checker: Some(RetireChecker::new(&workload.program)),
+                cosim: Cosim::Pending {
+                    text_base: workload.program.text_base,
+                    insts: workload.program.len_insts(),
+                    entry: workload.program.entry,
+                },
                 skip_insts: workload.skip_insts,
                 committed: 0,
                 warmup_cycles: 0,
@@ -178,7 +218,7 @@ impl System {
     /// Disables per-commit co-simulation (saves ~2x wall clock on large
     /// sweeps; the test suite keeps it on).
     pub fn without_cosim(mut self) -> System {
-        self.retirement.checker = None;
+        self.retirement.cosim = Cosim::Off;
         self
     }
 
@@ -298,6 +338,9 @@ impl System {
     /// As [`System::run_checked`].
     pub fn run_insts(&mut self, target_insts: u64, max_cycles: Cycle) -> Result<(), CosimError> {
         self.retirement.target_insts = target_insts;
+        if let Some(ck) = self.retirement.cosim.start(self.mem.mem()) {
+            self.retirement.cosim = Cosim::On(ck);
+        }
         // One span to the cycle budget; clamping the skip to it makes the
         // timeout fire at the same cycle (and with the same commit count)
         // as an unskipped run.
@@ -383,7 +426,12 @@ impl System {
         for &n in &self.retirement.inst_mix {
             w.put_u64(n);
         }
-        match &self.retirement.checker {
+        let not_run_yet = self.retirement.cosim.start(self.mem.mem());
+        let checker = match &self.retirement.cosim {
+            Cosim::On(ck) => Some(ck),
+            _ => not_run_yet.as_ref(),
+        };
+        match checker {
             Some(ck) => {
                 w.put_bool(true);
                 ck.save_state(&mut w);
@@ -458,14 +506,13 @@ impl System {
         for n in acc.inst_mix.iter_mut() {
             *n = r.take_u64()?;
         }
-        if r.take_bool()? {
-            acc.checker
-                .as_mut()
-                .expect("with_mem always builds a checker")
-                .restore_state(&mut r)?;
+        acc.cosim = if r.take_bool()? {
+            let mut ck = Box::new(RetireChecker::new(&workload.program));
+            ck.restore_state(&mut r)?;
+            Cosim::On(ck)
         } else {
-            acc.checker = None;
-        }
+            Cosim::Off
+        };
         sys.core.restore_state(&mut r)?;
         sys.mem.restore_state(&mut r)?;
         r.finish()?;

@@ -96,12 +96,17 @@ fn a_system_is_a_one_core_cmp() {
         let label = model.label();
         let chip = CmpSystem::from_programs(model.clone(), &[&w.program], &MemConfig::default())
             .run(MAX_CYCLES);
-        let single = System::new(model, &w)
+        let single = System::new(model.clone(), &w)
             .without_cosim()
             .run_checked(MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(chip.per_core, [(single.cycles, single.insts)], "{label}");
         assert_eq!(chip.cycles, single.cycles, "{label}");
         assert_eq!(chip.mem, single.mem, "{label}");
+        // The reference interpreter only watches: with it, the same result.
+        let checked = System::new(model, &w)
+            .run_checked(MAX_CYCLES)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(checked, single, "{label}");
     }
 }

@@ -131,6 +131,37 @@ fn resume_matches_without_fast_forward() {
     }
 }
 
+/// The co-simulation checker is built by the first run or snapshot, not
+/// by `System::new`. A system that has never run still snapshots with it:
+/// resuming from that snapshot is the run from the start, checker included
+/// (the final bytes hold the reference interpreter's state).
+#[test]
+fn a_system_that_never_ran_snapshots_with_its_checker() {
+    let w = Workload::by_name("gzip", Scale::Smoke, 3).unwrap();
+    for m in models() {
+        let label = m.label();
+        let snap = System::new(m.clone(), &w).snapshot().unwrap();
+        let unchecked = System::new(m.clone(), &w).without_cosim().snapshot().unwrap();
+        assert!(
+            snap.as_bytes().len() > unchecked.as_bytes().len() + w.program.image_bytes() as usize,
+            "{label}: the reference's memory image is in the snapshot"
+        );
+
+        let mut resumed = System::resume(m.clone(), &w, &snap).unwrap();
+        assert_eq!(resumed.snapshot().unwrap().as_bytes(), snap.as_bytes(), "{label}");
+        resumed.run_insts(u64::MAX, MAX_CYCLES).unwrap();
+
+        let mut straight = System::new(m, &w);
+        straight.run_insts(u64::MAX, MAX_CYCLES).unwrap();
+        assert_eq!(resumed.result(), straight.result(), "{label}");
+        assert_eq!(
+            resumed.snapshot().unwrap().as_bytes(),
+            straight.snapshot().unwrap().as_bytes(),
+            "{label}"
+        );
+    }
+}
+
 #[test]
 fn resume_rejects_model_and_workload_mismatch() {
     let w = Workload::by_name("gzip", Scale::Smoke, 3).unwrap();

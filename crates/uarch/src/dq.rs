@@ -126,16 +126,19 @@ impl DeferredQueue {
     }
 
     /// Current occupancy.
+    #[inline]
     pub fn len(&self) -> usize {
         self.order.len()
     }
 
     /// `true` when empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
 
     /// `true` when no more instructions can be deferred.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.order.len() >= self.capacity
     }
@@ -153,6 +156,7 @@ impl DeferredQueue {
     ///
     /// Panics if the queue is full (callers stall the ahead thread instead
     /// of overflowing) or if `entry.seq` breaks program order.
+    #[inline]
     pub fn push(&mut self, entry: DqEntry) {
         assert!(!self.is_full(), "DQ overflow: caller must stall when full");
         if let Some(last) = self.order.last() {
@@ -199,12 +203,14 @@ impl DeferredQueue {
 
     /// Number of live entries older than `seq` — equivalently, the
     /// position a cursor at `seq` starts from. O(log n).
+    #[inline]
     pub fn position(&self, seq: Seq) -> usize {
         self.order
             .partition_point(|&i| self.slots[i as usize].entry.seq < seq)
     }
 
     /// The entry at program-order position `pos` (0 = oldest).
+    #[inline]
     pub fn get(&self, pos: usize) -> Option<&DqEntry> {
         self.order
             .get(pos)
@@ -212,6 +218,7 @@ impl DeferredQueue {
     }
 
     /// Sequence number of the oldest entry.
+    #[inline]
     pub fn first_seq(&self) -> Option<Seq> {
         self.get(0).map(|e| e.seq)
     }
@@ -257,6 +264,7 @@ impl DeferredQueue {
 
     /// Drops a slot's blocked mark (entry leaving the queue), keeping the
     /// blocked count exact.
+    #[inline]
     fn unblock_slot(&mut self, idx: u32) {
         let slot = &mut self.slots[idx as usize];
         if slot.blocked {
@@ -270,6 +278,7 @@ impl DeferredQueue {
     /// # Panics
     ///
     /// Panics if no such entry exists.
+    #[inline]
     pub fn mark_blocked(&mut self, seq: Seq) {
         let pos = self.position(seq);
         let idx = self.order[pos] as usize;
@@ -294,6 +303,7 @@ impl DeferredQueue {
 
     /// `true` while any live entry is marked blocked (input-ready but
     /// stuck behind an unresolved store). O(1).
+    #[inline]
     pub fn any_blocked(&self) -> bool {
         self.blocked_count > 0
     }
@@ -322,6 +332,7 @@ impl DeferredQueue {
     /// # Panics
     ///
     /// Panics if no such entry exists.
+    #[inline]
     pub fn remove_seq(&mut self, seq: Seq) -> DqEntry {
         let pos = self.position(seq);
         let idx = self
@@ -446,6 +457,7 @@ impl DeferredQueue {
     /// # Panics
     ///
     /// Panics if no such entry exists.
+    #[inline]
     pub fn set_data_ready(&mut self, seq: Seq, ready: Cycle) {
         let pos = self.position(seq);
         let idx = self

@@ -8,6 +8,7 @@
 use sst_isa::{Inst, MemWidth, INST_BYTES};
 
 /// Sign/zero-extends a raw little-endian loaded value.
+#[inline]
 pub fn extend_load(width: MemWidth, signed: bool, raw: u64) -> u64 {
     let bytes = width.bytes();
     if signed && bytes < 8 {
@@ -45,6 +46,7 @@ pub struct ExecOut {
 /// # Panics
 ///
 /// Panics if called with a load.
+#[inline]
 pub fn execute(inst: Inst, s1: u64, s2: u64, pc: u64) -> ExecOut {
     let fall = pc.wrapping_add(INST_BYTES);
     match inst {
@@ -109,6 +111,7 @@ pub fn execute(inst: Inst, s1: u64, s2: u64, pc: u64) -> ExecOut {
 /// # Panics
 ///
 /// Panics for non-memory instructions.
+#[inline]
 pub fn mem_addr(inst: Inst, base_val: u64) -> u64 {
     match inst {
         Inst::Load { offset, .. } | Inst::Store { offset, .. } | Inst::Prefetch { offset, .. } => {

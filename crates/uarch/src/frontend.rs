@@ -69,6 +69,7 @@ pub struct FetchedInst {
 }
 
 /// Classifies a control instruction for the branch unit.
+#[inline]
 pub(crate) fn branch_kind(inst: Inst) -> Option<BranchKind> {
     match inst {
         Inst::Branch { .. } => Some(BranchKind::Conditional),
@@ -197,6 +198,7 @@ impl Frontend {
     }
 
     /// Next instruction without consuming it.
+    #[inline]
     pub fn peek(&self) -> Option<&FetchedInst> {
         self.queue.front()
     }
@@ -225,6 +227,7 @@ impl Frontend {
     }
 
     /// Consumes the next instruction.
+    #[inline]
     pub fn pop(&mut self) -> Option<FetchedInst> {
         self.queue.pop_front()
     }
@@ -347,6 +350,7 @@ impl Frontend {
     /// unresolved indirect, wrong-path bytes, a fetched `halt`, or a full
     /// queue); the end of the current I-cache stall otherwise; `now` when
     /// fetch can proceed immediately.
+    #[inline]
     pub fn next_fetch_cycle(&self, now: Cycle) -> Cycle {
         if self.waiting_indirect
             || self.bad_path
@@ -385,6 +389,7 @@ impl Frontend {
     }
 
     /// Trains the branch unit with a resolved control instruction.
+    #[inline]
     pub fn resolve(&mut self, pc: u64, inst: Inst, taken: bool, target: u64) {
         if let Some(kind) = branch_kind(inst) {
             self.unit.update(pc, kind, taken, target);

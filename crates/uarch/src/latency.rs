@@ -43,6 +43,7 @@ impl Default for ExecLatency {
 
 impl ExecLatency {
     /// Latency of a (non-memory) instruction.
+    #[inline]
     pub fn of(&self, inst: Inst) -> Cycle {
         match inst {
             Inst::Alu { op, .. } | Inst::AluImm { op, .. } => match op {

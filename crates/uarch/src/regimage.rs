@@ -41,26 +41,31 @@ impl RegImage {
     }
 
     /// Reads the slot for `r`.
+    #[inline]
     pub fn slot(&self, r: Reg) -> &RegSlot {
         &self.slots[r.index()]
     }
 
     /// Reads `r`'s value (only meaningful when not NT).
+    #[inline]
     pub fn value(&self, r: Reg) -> u64 {
         self.slots[r.index()].value
     }
 
     /// `true` if `r` is marked not-there.
+    #[inline]
     pub fn is_nt(&self, r: Reg) -> bool {
         self.slots[r.index()].nt
     }
 
     /// Cycle at which `r` becomes readable.
+    #[inline]
     pub fn ready_at(&self, r: Reg) -> Cycle {
         self.slots[r.index()].ready_at
     }
 
     /// Writes a produced value: clears NT, tags the writer, sets readiness.
+    #[inline]
     pub fn write(&mut self, r: Reg, value: u64, writer: Seq, ready_at: Cycle) {
         if r.is_zero() {
             return;
@@ -74,6 +79,7 @@ impl RegImage {
     }
 
     /// Marks `r` not-there, owned by deferred instruction `writer`.
+    #[inline]
     pub fn mark_nt(&mut self, r: Reg, writer: Seq) {
         if r.is_zero() {
             return;
@@ -87,6 +93,7 @@ impl RegImage {
     /// The value lands only if the register is still NT **and** still owned
     /// by that writer (no younger instruction overwrote it). Returns whether
     /// the merge landed.
+    #[inline]
     pub fn merge(&mut self, r: Reg, value: u64, writer: Seq, ready_at: Cycle) -> bool {
         if r.is_zero() {
             return false;
@@ -119,6 +126,7 @@ impl RegImage {
 
     /// Latest `ready_at` among the given source registers (`x0` is always
     /// ready).
+    #[inline]
     pub fn ready_after(&self, sources: [Option<Reg>; 2]) -> Cycle {
         sources
             .iter()
@@ -129,6 +137,7 @@ impl RegImage {
     }
 
     /// `true` if any of the given sources is NT.
+    #[inline]
     pub fn any_nt(&self, sources: [Option<Reg>; 2]) -> bool {
         sources.iter().flatten().any(|r| self.is_nt(*r))
     }

@@ -37,6 +37,7 @@ pub struct StoreEntry {
 
 impl StoreEntry {
     /// `true` once both address and data are known.
+    #[inline]
     pub fn is_resolved(&self) -> bool {
         self.addr.is_some() && self.value.is_some()
     }
@@ -117,16 +118,19 @@ impl StoreBuffer {
     }
 
     /// Current occupancy.
+    #[inline]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` when empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// `true` when no more stores can be buffered.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
@@ -136,6 +140,7 @@ impl StoreBuffer {
     /// # Panics
     ///
     /// Panics on overflow (callers stall instead) or out-of-order push.
+    #[inline]
     pub fn push(&mut self, entry: StoreEntry) {
         assert!(
             !self.is_full(),
@@ -160,6 +165,7 @@ impl StoreBuffer {
     /// # Panics
     ///
     /// Panics if no entry with `seq` exists.
+    #[inline]
     pub fn resolve(&mut self, seq: Seq, addr: u64, value: u64) {
         let idx = self
             .entries
@@ -180,6 +186,7 @@ impl StoreBuffer {
     /// Forwarding lookup for a load at `seq` reading `bytes` at `addr`.
     ///
     /// Searches older stores youngest-first; see [`ForwardResult`].
+    #[inline]
     pub fn forward(&mut self, seq: Seq, addr: u64, bytes: u64) -> ForwardResult {
         for e in self.entries.iter().rev() {
             if e.seq >= seq {
@@ -220,6 +227,7 @@ impl StoreBuffer {
 
     /// `true` if any store older than `seq` has an unresolved address.
     /// O(1): the oldest unresolved address is the front of the side index.
+    #[inline]
     pub fn unknown_addr_before(&self, seq: Seq) -> bool {
         self.unresolved_addrs.front().is_some_and(|&s| s < seq)
     }
