@@ -1,7 +1,6 @@
 //! The SST pipeline model: ahead strand, deferred strand, epochs.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
@@ -20,8 +19,12 @@ struct Epoch {
     /// Last sequence number belonging to this epoch; `None` while the epoch
     /// is still open (the ahead strand is appending to it).
     end_seq: Option<Seq>,
-    /// Commit records of this epoch's completed instructions (unsorted;
-    /// sorted by seq at commit time).
+    /// One commit record per instruction of this epoch, in program order:
+    /// `log[i]` belongs to sequence number `ckpt.start_seq + i`. A deferred
+    /// instruction holds its place with a record that says `at:
+    /// Cycle::MAX` until its replay writes the real one; the epoch commits
+    /// only after its last DQ entry has left, so none is ever committed.
+    /// Empty in scout mode, whose epochs end in rollback.
     log: Vec<Commit>,
     /// For scout mode: the cycle the originating miss returns (rollback
     /// point).
@@ -59,33 +62,6 @@ enum ReplayOutcome {
     /// Memory port exhausted; stop replaying this cycle.
     PortFull,
 }
-
-/// A multiplicative hasher for sequence-number keys. The produced-value
-/// table is probed several times per examined DQ entry, every replay
-/// cycle; SipHash is measurable there, and sequence numbers need no
-/// DoS resistance (they are internal, dense, and monotonic).
-#[derive(Default)]
-struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Fibonacci hashing: one multiply spreads dense keys across the
-        // high bits, which is where hashbrown takes its control bytes.
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type SeqMap<V> = HashMap<Seq, V, BuildHasherDefault<SeqHasher>>;
 
 /// Serializes every [`SstStats`] counter in declaration order.
 fn put_stats(w: &mut SnapWriter, s: &SstStats) {
@@ -164,20 +140,16 @@ pub struct SstCore {
     epochs: VecDeque<Epoch>,
     dq: DeferredQueue,
     stb: StoreBuffer,
-    /// Values produced by replayed deferred instructions, keyed by producer
-    /// sequence: (value, ready cycle).
-    replay_vals: SeqMap<(u64, Cycle)>,
     seq: Seq,
     cycle: Cycle,
     halted: bool,
     commits: Vec<Commit>,
-    /// Next cycle at which a replay scan could find work.
+    /// Next cycle at which a replay pass could find work.
     replay_check_at: Cycle,
-    /// Active replay pass: sequence number of the next DQ entry to
-    /// examine, tagged with the DQ generation the pass started under.
-    /// `None` when no pass is in progress; a generation mismatch (the DQ
-    /// was squashed mid-pass) restarts the pass from the oldest entry.
-    replay_cursor: Option<(Seq, u64)>,
+    /// Something that can let the oldest epoch commit has happened since
+    /// `try_commit` last ran: the DQ's oldest entry left, an epoch closed,
+    /// a rollback. Raised and consumed within one tick.
+    commit_due: bool,
     /// Reusable commit-drain buffer (avoids a Vec per committed epoch).
     drain_buf: Vec<DrainedStore>,
     /// Forward-progress guard: after a rollback, the next deferrable miss
@@ -204,6 +176,23 @@ pub struct SstCore {
     taint: Option<Box<TaintState>>,
     /// Statistics.
     pub stats: SstStats,
+    /// Host-side work of the deferred strand (unit tests only).
+    #[cfg(test)]
+    work: WorkCounters,
+}
+
+/// How much the deferred strand looked at to do what [`SstStats`] says it
+/// did.
+#[cfg(test)]
+#[derive(Default)]
+struct WorkCounters {
+    /// Timed-list elements a replay pass compared against the clock.
+    listed: u64,
+    /// DQ entries a replay pass read.
+    entries_read: u64,
+    /// `try_commit` bodies run, and the events that asked for them.
+    commit_runs: u64,
+    commit_events: u64,
 }
 
 impl SstCore {
@@ -221,19 +210,20 @@ impl SstCore {
             id,
             spec: RegImage::new(),
             epochs: VecDeque::new(),
-            replay_vals: SeqMap::default(),
             seq: 0,
             cycle: 0,
             halted: false,
             commits: Vec::new(),
             replay_check_at: Cycle::MAX,
-            replay_cursor: None,
+            commit_due: false,
             drain_buf: Vec::new(),
             no_defer: false,
             last_progress: 0,
             phase_cycles: PhaseTable::new(),
             prof: None,
             stats: SstStats::default(),
+            #[cfg(test)]
+            work: WorkCounters::default(),
         }
     }
 
@@ -245,6 +235,11 @@ impl SstCore {
     /// The frontend (prediction statistics).
     pub fn frontend(&mut self) -> &mut Frontend {
         &mut self.frontend
+    }
+
+    /// Read-only view of the deferred queue (tests).
+    pub fn deferred_queue(&self) -> &DeferredQueue {
+        &self.dq
     }
 
     /// Deferred-queue high-water mark.
@@ -266,7 +261,7 @@ impl SstCore {
     #[doc(hidden)]
     pub fn dump_debug(&self) {
         eprintln!(
-            "cycle={} seq={} epochs={:?} dq_len={} stb_len={} check_at={:?} cursor={:?} vals={}",
+            "cycle={} seq={} epochs={:?} dq_len={} stb_len={} check_at={:?} cursor={:?}",
             self.cycle,
             self.seq,
             self.epochs
@@ -276,14 +271,12 @@ impl SstCore {
             self.dq.len(),
             self.stb.len(),
             self.replay_check_at,
-            self.replay_cursor,
-            self.replay_vals.len()
+            self.dq.cursor()
         );
         for e in self.dq.iter().take(8) {
             eprintln!(
-                "  dq seq={} pc={:#x} {:?} cap={:?} prod={:?} data_ready={:?} ready_now={}",
-                e.seq, e.pc, e.inst, e.captured, e.producers, e.data_ready_at,
-                self.entry_ready_when(e).is_some_and(|w| w <= self.cycle)
+                "  dq seq={} pc={:#x} {:?} cap={:?} prod={:?} data_ready={:?}",
+                e.seq, e.pc, e.inst, e.captured, e.producers, e.data_ready_at
             );
         }
         for e in self.stb.iter().take(8) {
@@ -296,6 +289,22 @@ impl SstCore {
         } else {
             eprintln!("  (run with tracing enabled — SstConfig::trace or sst-run trace — for the event tail)");
         }
+    }
+
+    /// The deferred strand's derived state against what it is derived
+    /// from (`tick` asserts this every cycle in debug builds): the DQ's
+    /// wake lists, timed list and cursor ([`DeferredQueue::consistent`]),
+    /// each retained epoch's log reaching exactly to its youngest
+    /// instruction (every push asserts its place, `restore_state` checks
+    /// each record's), and no commit left pending between ticks.
+    #[doc(hidden)]
+    pub fn deferred_state_consistent(&self) -> bool {
+        let logged = |ep: &Epoch| {
+            ep.ckpt.start_seq + ep.log.len() as Seq == ep.end_seq.unwrap_or(self.seq) + 1
+        };
+        self.dq.consistent()
+            && !self.commit_due
+            && (!self.cfg.retain_results || self.epochs.iter().all(logged))
     }
 
     // ---------------------------------------------------------------- helpers
@@ -322,7 +331,7 @@ impl SstCore {
             Phase::Normal
         } else if !self.cfg.retain_results {
             Phase::Scout
-        } else if self.replay_cursor.is_some()
+        } else if self.dq.cursor().is_some()
             || now >= self.replay_check_at
             || self.ea_replay_suspended()
         {
@@ -387,30 +396,22 @@ impl SstCore {
         self.taint.as_deref()
     }
 
-    /// Source values of a deferred entry (its `entry_ready_when` must have
-    /// passed).
-    fn entry_sources(&self, e: &DqEntry) -> (u64, u64) {
-        let get = |i: usize| -> u64 {
-            if let Some(v) = e.captured[i] {
-                v
-            } else if let Some(p) = e.producers[i] {
-                self.replay_vals[&p].0
-            } else {
-                0
-            }
-        };
-        (get(0), get(1))
-    }
-
     /// Records a finished instruction into the right commit stream.
     fn log_commit(&mut self, c: Commit) {
-        if let Some(ep) = self.epochs.back_mut() {
-            ep.log.push(c);
-        } else {
-            // An architectural commit: the post-rollback progress guard is
-            // satisfied.
-            self.no_defer = false;
-            self.commits.push(c);
+        match self.epochs.back_mut() {
+            // A scout episode ends in rollback: nothing it logs is ever
+            // read.
+            Some(ep) if self.cfg.retain_results => {
+                debug_assert_eq!(c.seq, ep.ckpt.start_seq + ep.log.len() as Seq);
+                ep.log.push(c);
+            }
+            Some(_) => {}
+            None => {
+                // An architectural commit: the post-rollback progress
+                // guard is satisfied.
+                self.no_defer = false;
+                self.commits.push(c);
+            }
         }
         self.last_progress = self.cycle;
     }
@@ -426,17 +427,20 @@ impl SstCore {
     }
 
     /// Like [`SstCore::log_commit`] but into the epoch owning `c.seq`
-    /// (replayed instructions may belong to any live epoch).
+    /// (replayed instructions may belong to any live epoch), over the
+    /// record that held the deferred instruction's place.
     fn log_commit_deferred(&mut self, c: Commit) {
         let idx = self.epoch_of(c.seq);
-        self.epochs[idx].log.push(c);
+        let ep = &mut self.epochs[idx];
+        ep.log[(c.seq - ep.ckpt.start_seq) as usize] = c;
         self.last_progress = self.cycle;
     }
 
-    /// Delivers a replayed result: the produced-value table, the live
-    /// speculative image, and every younger checkpoint image.
-    fn merge_result(&mut self, rd: Option<Reg>, value: u64, writer: Seq, ready: Cycle) {
-        self.replay_vals.insert(writer, (value, ready));
+    /// Delivers the result of the replayed entry at timed-list position
+    /// `at`: to the entries waiting for it, the live speculative image, and
+    /// every younger checkpoint image.
+    fn merge_result(&mut self, at: usize, rd: Option<Reg>, value: u64, writer: Seq, ready: Cycle) {
+        self.dq.deliver(at, value, ready);
         if let Some(rd) = rd {
             self.spec.merge(rd, value, writer, ready);
             // The writer-tag rule makes this precise: only images whose NT
@@ -450,9 +454,27 @@ impl SstCore {
 
     // ------------------------------------------------------------- commit
 
+    /// Something that can let the oldest epoch commit has happened.
+    #[inline]
+    fn note_commit_event(&mut self) {
+        self.commit_due = true;
+        #[cfg(test)]
+        {
+            self.work.commit_events += 1;
+        }
+    }
+
+    /// Commits every epoch, oldest first, that has no entry left in the DQ.
+    /// `tick` calls this where `commit_due` says one may have become
+    /// committable — not every cycle.
     fn try_commit(&mut self, now: Cycle, mem: &mut MemBus) {
+        self.commit_due = false;
         if !self.cfg.retain_results {
             return; // scout epochs end in rollback, never commit
+        }
+        #[cfg(test)]
+        {
+            self.work.commit_runs += 1;
         }
         while let Some(oldest) = self.epochs.front() {
             let bound = oldest.end_seq.unwrap_or(self.seq);
@@ -461,12 +483,9 @@ impl SstCore {
                 break;
             }
             let mut ep = self.epochs.pop_front().expect("checked front");
-            ep.log.sort_by_key(|c| c.seq);
             debug_assert!(
-                ep.log
-                    .windows(2)
-                    .all(|w| w[1].seq == w[0].seq + 1),
-                "epoch log must be a dense program-order range"
+                ep.log.iter().all(|c| c.at != Cycle::MAX),
+                "every deferred instruction of a committing epoch has replayed"
             );
             let merged = ep.log.len() as u32;
             self.commits.append(&mut ep.log);
@@ -491,7 +510,6 @@ impl SstCore {
                     self.taint.as_ref().map_or(true, |t| t.pending_lines() == 0),
                     "commit to normal leaves no pending speculative taint"
                 );
-                self.replay_vals.clear();
                 self.replay_check_at = Cycle::MAX;
             }
         }
@@ -529,7 +547,6 @@ impl SstCore {
         self.seq = ck.start_seq - 1;
         self.dq.squash_from(ck.start_seq);
         self.stb.squash_from(ck.start_seq);
-        self.replay_vals.retain(|&sq, _| sq < ck.start_seq);
         self.epochs.truncate(idx);
         // The surviving youngest epoch is open again (its closing point
         // was the squashed checkpoint).
@@ -541,7 +558,7 @@ impl SstCore {
         } else {
             now + 1
         };
-        self.replay_cursor = None;
+        self.note_commit_event();
         self.frontend.redirect(now + 1, ck.pc);
         if let (Some(t), Some(counts)) = (self.taint.as_mut(), squash_counts) {
             t.sweep(ck.start_seq, now, scout, mem, counts);
@@ -557,30 +574,16 @@ impl SstCore {
 
     // ------------------------------------------------------------- replay
 
-    /// The earliest cycle the entry could become executable, if that time
-    /// is knowable (producers already replayed / fill in flight).
-    fn entry_ready_when(&self, e: &DqEntry) -> Option<Cycle> {
-        let mut when = e.data_ready_at.unwrap_or(0);
-        for i in 0..2 {
-            if e.captured[i].is_some() {
-                continue;
-            }
-            if let Some(p) = e.producers[i] {
-                match self.replay_vals.get(&p) {
-                    Some(&(_, ready)) => when = when.max(ready),
-                    None => return None, // producer itself still deferred
-                }
-            }
-        }
-        Some(when)
-    }
-
-    /// Runs the deferred strand for this cycle: an in-order walk of the
-    /// oldest epoch's DQ segment, matching ROCK's sequential replay.
-    /// Examined entries consume issue slots whether they execute or
-    /// re-defer; an entry whose inputs land within a bypass window stalls
-    /// the strand briefly (back-to-back dependent replay, as real
-    /// pipelines bypass). Returns the issue slots consumed.
+    /// Runs the deferred strand for this cycle: an in-order pass over the
+    /// DQ's timed list — the entries whose inputs are all known — matching
+    /// ROCK's sequential replay. An entry still waiting for a producer is
+    /// not on the list and costs nothing, like the ready-bit scan it
+    /// stands for. An executed entry consumes an issue slot whether it
+    /// completes or re-defers; one whose inputs land within a
+    /// bypass-distance window stalls the strand in place (back-to-back
+    /// dependent replay, as real pipelines bypass) and consumes one too;
+    /// anything further off is passed over for free, as in ROCK, and the
+    /// next pass meets it again. Returns the issue slots consumed.
     fn replay(
         &mut self,
         now: Cycle,
@@ -588,152 +591,88 @@ impl SstCore {
         slots: usize,
         mem_ops: &mut usize,
     ) -> usize {
-        // An entry whose inputs land within a bypass-distance window is
-        // worth a short in-place stall (back-to-back dependent replay);
-        // anything longer re-defers, as in ROCK.
         let stall_window: Cycle = self.cfg.bypass_stall_window;
-        // The deferred strand walks the entire DQ: entries of any live
-        // epoch may replay as soon as their inputs arrive (commit order is
-        // still enforced per epoch by try_commit).
-        let bound = Seq::MAX;
-
-        // Start a pass if none is active. The cursor carries the DQ
-        // generation it was taken under: a mid-pass squash (rollback)
-        // reshuffles the queue, so a surviving cursor from an older
-        // generation is stale and the pass restarts at the oldest entry.
-        let cur_gen = self.dq.generation();
-        let mut cursor = match self.replay_cursor {
-            Some((c, g)) if g == cur_gen => c,
-            _ => 0,
-        };
-
-        // The DQ is seq-sorted, so the pass position is an index walked
-        // forward, located once per call by binary search — not a linear
-        // re-scan per examined entry (that made a full pass O(n^2) and
-        // dominated whole-simulation wall clock on deferred-heavy runs).
-        let mut idx = self.dq.position(cursor);
-
-        // Executing an entry occupies an issue slot; skipping a not-ready
-        // entry is free (a ready-bit scan), so a pass only pays for the
-        // work it actually does plus short bypass stalls.
+        // Resume the pass in progress, or start one at the oldest listed
+        // entry. Entries of any live epoch may replay as soon as their
+        // inputs arrive (commit order is still enforced per epoch by
+        // try_commit).
+        let mut at = self.dq.cursor().unwrap_or(0);
         let mut used = 0;
         // Trace-only tallies for the pass-completion marker.
         let mut pass_exec: u32 = 0;
         let mut pass_stuck: u32 = 0;
         while used < slots {
-            // Next entry at or after the cursor within the epoch segment.
-            // Examined by reference; the entry is only copied out (for the
-            // `&mut self` replay below) once it is known to be executable —
-            // a pass over a full DQ of waiting entries copies nothing.
-            enum Step {
-                PassDone,
-                Exec,
-                NotReady { seq: Seq, when: Option<Cycle> },
-            }
-            // One readiness computation per examined entry: ready is
-            // exactly "knowable and already past".
-            let step = match self.dq.get(idx).filter(|e| e.seq <= bound) {
-                None => Step::PassDone,
-                Some(e) => match self.entry_ready_when(e) {
-                    Some(when) if when <= now => Step::Exec,
-                    when => Step::NotReady { seq: e.seq, when },
-                },
+            let Some(when) = self.dq.when_at(at) else {
+                // Pass complete: sleep until the earliest knowable
+                // enabling event of any remaining entry.
+                self.emit(Event::ReplayPass {
+                    at: now,
+                    executed: pass_exec,
+                    redeferred: pass_stuck,
+                });
+                self.dq.set_cursor(None);
+                self.replay_check_at = self.dq.pass_end_wake(now);
+                return used;
             };
-
-            match step {
-                Step::PassDone => {
-                    // Pass complete: sleep until the earliest knowable
-                    // enabling event of any remaining entry. Entries
-                    // re-deferred early in a long pass may have become
-                    // executable meanwhile, so the wake must consult each
-                    // entry's own readiness time (not just future-dated
-                    // arrivals). Entries blocked behind an unresolved
-                    // older store are excluded: they are input-ready with
-                    // no wake time of their own, and the only event that
-                    // can unstick them — that store resolving — happens
-                    // inside a replay pass this wake already schedules
-                    // (the store's own readiness, or its data arrival, is
-                    // accounted by an unblocked entry or the data heap).
-                    // Before this exclusion they pinned `replay_check_at`
-                    // to `now + 1`, forcing an O(n) empty pass every cycle
-                    // for the entire miss latency.
-                    self.emit(Event::ReplayPass {
-                        at: now,
-                        executed: pass_exec,
-                        redeferred: pass_stuck,
-                    });
-                    self.replay_cursor = None;
-                    let wake_data = self.dq.next_data_ready().unwrap_or(Cycle::MAX);
-                    let wake_entries = self
-                        .dq
-                        .iter_blocked()
-                        .filter(|&(e, blocked)| !blocked && e.seq <= bound)
-                        .filter_map(|(e, _)| self.entry_ready_when(e))
-                        .map(|w| w.max(now + 1))
-                        .min()
-                        .unwrap_or(Cycle::MAX);
-                    self.replay_check_at = wake_data.min(wake_entries);
+            #[cfg(test)]
+            {
+                self.work.listed += 1;
+            }
+            if when > now + stall_window {
+                at += 1;
+                continue;
+            }
+            used += 1;
+            if when > now {
+                break; // inputs land imminently: stall here (bypass)
+            }
+            #[cfg(test)]
+            {
+                self.work.entries_read += 1;
+            }
+            let e = *self.dq.entry_at(at);
+            self.stats.replay_issued += 1;
+            match self.replay_one(&e, at, now, mem, mem_ops) {
+                ReplayOutcome::Done => {
+                    if self.dq.first_seq() == Some(e.seq) {
+                        self.note_commit_event();
+                    }
+                    // `at` then names the entry after the removed one.
+                    self.dq.remove_at(at);
+                    self.stats.replayed += 1;
+                    self.last_progress = now;
+                    pass_exec += 1;
+                }
+                ReplayOutcome::Stuck => {
+                    // Re-deferred (missed again) or ordering: move past it.
+                    pass_stuck += 1;
+                    at += 1;
+                }
+                ReplayOutcome::Fail => {
+                    let ep_idx = self.epoch_of(e.seq);
+                    self.rollback_to(ep_idx, now, false, mem);
                     return used;
                 }
-                Step::Exec => {
-                    let e = *self.dq.get(idx).expect("examined above");
-                    used += 1;
-                    self.stats.replay_issued += 1;
-                    match self.replay_one(&e, now, mem, mem_ops) {
-                        ReplayOutcome::Done => {
-                            self.dq.remove_seq(e.seq);
-                            self.stats.replayed += 1;
-                            self.last_progress = now;
-                            pass_exec += 1;
-                            cursor = e.seq + 1;
-                            // `idx` now points at the entry after the
-                            // removed one; leave it in place.
-                        }
-                        ReplayOutcome::Stuck => {
-                            // Re-deferred (missed again) or ordering:
-                            // shuffle past it.
-                            pass_stuck += 1;
-                            cursor = e.seq + 1;
-                            idx += 1;
-                        }
-                        ReplayOutcome::Fail => {
-                            let ep_idx = self.epoch_of(e.seq);
-                            self.rollback_to(ep_idx, now, false, mem);
-                            return used;
-                        }
-                        ReplayOutcome::PortFull => break,
-                    }
-                }
-                Step::NotReady { seq, when } => match when {
-                    Some(when) if when <= now + stall_window => {
-                        // Inputs land imminently: the strand stalls here
-                        // (bypass), occupying a slot.
-                        used += 1;
-                        break;
-                    }
-                    _ => {
-                        // Inputs are far off: re-defer (the entry stays in
-                        // place; the next pass re-examines it).
-                        cursor = seq + 1;
-                        idx += 1;
-                    }
-                },
+                ReplayOutcome::PortFull => break,
             }
         }
 
-        self.replay_cursor = Some((cursor, cur_gen));
+        self.dq.set_cursor(Some(at));
         self.replay_check_at = now + 1; // pass still in progress
         used
     }
 
+    /// Executes `e`, the entry at timed-list position `at`, whose operands
+    /// have all been captured or delivered.
     fn replay_one(
         &mut self,
         e: &DqEntry,
+        at: usize,
         now: Cycle,
         mem: &mut MemBus,
         mem_ops: &mut usize,
     ) -> ReplayOutcome {
-        let (s1, s2) = self.entry_sources(e);
+        let [s1, s2] = e.captured.map(|v| v.unwrap_or(0));
         match e.inst {
             Inst::Load {
                 width, signed, rd, ..
@@ -745,7 +684,7 @@ impl SstCore {
                     // input-ready but can make no progress until some
                     // store resolves, so mark it blocked: the pass-done
                     // wake skips it instead of re-polling every cycle.
-                    self.dq.mark_blocked(e.seq);
+                    self.dq.mark_blocked(at);
                     return ReplayOutcome::Stuck;
                 };
                 let ready = if e.data_ready_at.is_some() {
@@ -753,8 +692,8 @@ impl SstCore {
                     // time, or at an earlier replay attempt) and has now
                     // returned: consume it via fill forwarding — no new
                     // cache access, so pathological conflict evictions
-                    // cannot livelock the replay (`entry_ready_when` is gated on
-                    // the arrival cycle).
+                    // cannot livelock the replay (the entry's `when` is gated
+                    // on the arrival cycle).
                     now + 2
                 } else {
                     // First access for this load (its address was unknown
@@ -770,8 +709,7 @@ impl SstCore {
                     {
                         // Missed off-chip: stay deferred until this fill
                         // returns.
-                        self.dq.set_data_ready(e.seq, out.ready_at);
-                        self.replay_check_at = self.replay_check_at.min(out.ready_at);
+                        self.dq.set_data_ready(at, out.ready_at);
                         self.stats.redeferred += 1;
                         self.emit(Event::Redefer { at: now });
                         return ReplayOutcome::Stuck;
@@ -780,6 +718,7 @@ impl SstCore {
                 };
                 let value = extend_load(width, signed, raw);
                 self.merge_result(
+                    at,
                     if rd.is_zero() { None } else { Some(rd) },
                     value,
                     e.seq,
@@ -853,15 +792,10 @@ impl SstCore {
                 }
                 let ready = now + self.cfg.latency.of(inst);
                 let mut reg_write = None;
+                // Without a destination (or with x0) nothing waits for it.
                 if let (Some(v), Some(rd)) = (out.value, inst.dest()) {
-                    self.merge_result(Some(rd), v, e.seq, ready);
+                    self.merge_result(at, Some(rd), v, e.seq, ready);
                     reg_write = Some((rd, v));
-                } else if let Some(v) = out.value {
-                    // Destination is x0: still record the produced value so
-                    // that dependents (there are none for x0) stay sound.
-                    self.replay_vals.insert(e.seq, (v, ready));
-                } else {
-                    self.replay_vals.insert(e.seq, (0, ready));
                 }
                 self.log_commit_deferred(Commit {
                     seq: e.seq,
@@ -966,6 +900,7 @@ impl SstCore {
                 if let Some(pc) = self.frontend.resume_pc() {
                     let end = self.seq;
                     self.epochs.front_mut().expect("nonempty").end_seq = Some(end);
+                    self.note_commit_event();
                     let ck = Checkpoint::take(&self.spec, pc, self.seq + 1, now);
                     self.epochs.push_back(Epoch {
                         ckpt: ck,
@@ -1087,6 +1022,19 @@ impl SstCore {
         }
         if let Some(rd) = inst.dest() {
             self.spec.mark_nt(rd, seq);
+        }
+        if self.cfg.retain_results {
+            // Holds the instruction's place in its epoch's log until replay.
+            let ep = self.epochs.back_mut().expect("deferral implies an epoch");
+            debug_assert_eq!(seq, ep.ckpt.start_seq + ep.log.len() as Seq);
+            ep.log.push(Commit {
+                seq,
+                pc: f.pc,
+                inst,
+                reg_write: None,
+                store: None,
+                at: Cycle::MAX,
+            });
         }
         self.stats.deferred += 1;
         match cause {
@@ -1288,6 +1236,7 @@ impl SstCore {
                                             .back_mut()
                                             .expect("in speculation")
                                             .end_seq = Some(my_seq - 1);
+                                        self.note_commit_event();
                                         let ck = Checkpoint::take(
                                             &self.spec,
                                             f.pc,
@@ -1465,19 +1414,22 @@ impl Core for SstCore {
         HostTimes::stop(&mut self.prof, Stage::Fetch, t0);
 
         let t0 = HostTimes::start(&self.prof);
-        self.try_commit(now, mem);
-
         let mut mem_ops = 0usize;
         let (ahead_slots, _suspended) = self.manage_speculation(now, mem, &mut mem_ops);
-        self.try_commit(now, mem);
+        if self.commit_due {
+            self.try_commit(now, mem);
+        }
         HostTimes::stop(&mut self.prof, Stage::Replay, t0);
 
         let t0 = HostTimes::start(&self.prof);
         if ahead_slots > 0 && !self.halted {
             self.ahead(now, mem, ahead_slots, &mut mem_ops);
         }
-        self.try_commit(now, mem);
+        if self.commit_due {
+            self.try_commit(now, mem);
+        }
         HostTimes::stop(&mut self.prof, Stage::Issue, t0);
+        debug_assert!(self.deferred_state_consistent(), "cycle {now}");
 
         if let Some(tb) = self.tracebuf.as_mut() {
             tb.sample_occupancy(now, self.dq.len() as u32, self.stb.len() as u32);
@@ -1704,14 +1656,6 @@ impl Core for SstCore {
         w.put_bool(self.no_defer);
         w.put_u64(self.last_progress);
         w.put_u64(self.replay_check_at);
-        match self.replay_cursor {
-            Some((seq, generation)) => {
-                w.put_bool(true);
-                w.put_u64(seq);
-                w.put_u64(generation);
-            }
-            None => w.put_bool(false),
-        }
         self.frontend.save_state(w);
         self.spec.save_state(w);
         w.put_usize(self.epochs.len());
@@ -1726,20 +1670,6 @@ impl Core for SstCore {
         }
         self.dq.save_state(w);
         self.stb.save_state(w);
-        // The produced-value table is a hash map; serialize sorted by
-        // producer sequence so identical states snapshot byte-identically.
-        let mut vals: Vec<(Seq, u64, Cycle)> = self
-            .replay_vals
-            .iter()
-            .map(|(&seq, &(value, ready))| (seq, value, ready))
-            .collect();
-        vals.sort_unstable_by_key(|&(seq, _, _)| seq);
-        w.put_usize(vals.len());
-        for (seq, value, ready) in vals {
-            w.put_u64(seq);
-            w.put_u64(value);
-            w.put_u64(ready);
-        }
         w.put_usize(self.commits.len());
         for c in &self.commits {
             c.save_state(w);
@@ -1759,11 +1689,6 @@ impl Core for SstCore {
         let no_defer = r.take_bool()?;
         let last_progress = r.take_u64()?;
         let replay_check_at = r.take_u64()?;
-        let replay_cursor = if r.take_bool()? {
-            Some((r.take_u64()?, r.take_u64()?))
-        } else {
-            None
-        };
         self.frontend.restore_state(r)?;
         self.spec.restore_state(r)?;
         let n_epochs = r.take_usize()?;
@@ -1780,8 +1705,16 @@ impl Core for SstCore {
             let cause_ready = r.take_u64()?;
             let n_log = r.take_usize()?;
             let mut log = Vec::new();
-            for _ in 0..n_log {
-                log.push(Commit::load(r)?);
+            for i in 0..n_log {
+                let c = Commit::load(r)?;
+                // Replay indexes the log by sequence number.
+                if c.seq != ckpt.start_seq + i as Seq {
+                    return Err(SnapError::Corrupt(format!(
+                        "epoch log out of program order at seq {}",
+                        c.seq
+                    )));
+                }
+                log.push(c);
             }
             self.epochs.push_back(Epoch {
                 ckpt,
@@ -1792,14 +1725,6 @@ impl Core for SstCore {
         }
         self.dq.restore_state(r)?;
         self.stb.restore_state(r)?;
-        let n_vals = r.take_usize()?;
-        self.replay_vals.clear();
-        for _ in 0..n_vals {
-            let seq = r.take_u64()?;
-            let value = r.take_u64()?;
-            let ready = r.take_u64()?;
-            self.replay_vals.insert(seq, (value, ready));
-        }
         let n_commits = r.take_usize()?;
         self.commits.clear();
         for _ in 0..n_commits {
@@ -1816,9 +1741,14 @@ impl Core for SstCore {
         self.no_defer = no_defer;
         self.last_progress = last_progress;
         self.replay_check_at = replay_check_at;
-        self.replay_cursor = replay_cursor;
+        self.commit_due = false;
         self.phase_cycles = phases;
         self.drain_buf.clear();
+        if !self.deferred_state_consistent() {
+            return Err(SnapError::Corrupt(
+                "epoch logs do not cover their epochs' instructions".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -1829,9 +1759,7 @@ impl Core for SstCore {
         self.epochs.clear();
         self.dq.clear();
         self.stb.squash_from(0);
-        self.replay_vals.clear();
         self.replay_check_at = Cycle::MAX;
-        self.replay_cursor = None;
         self.no_defer = false;
         self.halted = false;
         let mut image = RegImage::new();
@@ -1852,3 +1780,6 @@ impl Core for SstCore {
         self.frontend.resolve(pc, inst, taken, next_pc);
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -21,7 +21,7 @@ use std::fmt;
 /// Current snapshot format version. Bumped on any layout change; old
 /// snapshots are rejected with [`SnapError::BadVersion`], never
 /// misparsed.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A structured snapshot decode/restore failure.
 ///

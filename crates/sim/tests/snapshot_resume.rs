@@ -8,7 +8,11 @@
 //! corrupted, or mismatched snapshots come back as structured errors,
 //! never panics.
 
+use sst_core::{SstConfig, SstCore};
+use sst_isa::{SnapReader, SnapWriter, SNAPSHOT_VERSION};
+use sst_mem::{MemConfig, MemSystem};
 use sst_sim::{CoreModel, RunResult, Snapshot, System};
+use sst_uarch::{Core, DqEntry};
 use sst_workloads::{Scale, Workload};
 
 const MAX_CYCLES: u64 = 200_000_000;
@@ -129,6 +133,110 @@ fn resume_matches_without_fast_forward() {
     for m in models() {
         check_equivalence(m, &w, false);
     }
+}
+
+/// A replay pass is the deferred strand's only state that spans cycles,
+/// and most of what it runs on — wake lists, the timed list — is rebuilt on
+/// restore, not saved. Pause an SST and an EA core in the middle of a pass,
+/// at a cycle where the cursor is parked past the head of the list, an
+/// entry holds one delivered operand while it waits for the other, and a
+/// load is blocked behind an unresolved store: the restored core rebuilds a
+/// consistent deferred strand and the run ends as if it had never paused.
+#[test]
+fn resume_mid_replay_pass_rebuilds_the_deferred_strand() {
+    let w = Workload::by_name("oltp", Scale::Smoke, 3).unwrap();
+    let half_delivered = |e: &DqEntry| {
+        let delivered = |i: usize| e.producers[i].is_some() && !e.waits_on(i);
+        (delivered(0) && e.waits_on(1)) || (delivered(1) && e.waits_on(0))
+    };
+    for (model, cfg) in [
+        (CoreModel::Sst, SstConfig::sst()),
+        (CoreModel::ExecuteAhead, SstConfig::execute_ahead()),
+    ] {
+        let label = model.label();
+        let mut straight = build(&model, &w, false);
+        straight.run_insts(u64::MAX, MAX_CYCLES).unwrap();
+        let want = straight.result();
+
+        // The same core outside a `System`, to see the moment.
+        let boot = || {
+            let mut mem = MemSystem::new(&MemConfig::default(), 1);
+            w.program.load_into(mem.mem_mut());
+            (SstCore::new(cfg.clone(), 0, &w.program), mem)
+        };
+        let (mut core, mut mem) = boot();
+        loop {
+            assert!(!core.halted(), "{label}: no such moment");
+            core.tick(&mut mem.bus(0));
+            let dq = core.deferred_queue();
+            if core.cycle() > want.cycles / 2
+                && dq.cursor().is_some_and(|at| at > 0)
+                && dq.any_blocked()
+                && dq.iter().any(half_delivered)
+            {
+                break;
+            }
+        }
+        let pause = core.cycle();
+        let mut bytes = SnapWriter::new();
+        core.save_state(&mut bytes).unwrap();
+        let (mut twin, _) = boot();
+        twin.restore_state(&mut SnapReader::new(bytes.as_bytes()))
+            .unwrap();
+        assert!(twin.deferred_state_consistent(), "{label}");
+        assert_eq!(
+            twin.deferred_queue().cursor(),
+            core.deferred_queue().cursor()
+        );
+
+        // The same pause through `System`: the cycle budget stops the run
+        // there, state intact.
+        let mut first_half = build(&model, &w, false);
+        first_half.run_insts(u64::MAX, pause).unwrap_err();
+        assert!(!first_half.halted(), "{label}");
+        let snap = first_half.snapshot().unwrap();
+        let mut resumed = System::resume(model.clone(), &w, &snap)
+            .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"))
+            .without_fast_forward();
+        assert_eq!(
+            resumed.snapshot().unwrap().as_bytes(),
+            snap.as_bytes(),
+            "{label}"
+        );
+        resumed.run_insts(u64::MAX, MAX_CYCLES).unwrap();
+        assert_eq!(resumed.result(), want, "{label}: resumed result differs");
+        // The final bytes hold the whole memory image.
+        assert_eq!(
+            resumed.snapshot().unwrap().as_bytes(),
+            straight.snapshot().unwrap().as_bytes(),
+            "{label}: final machine state differs after resume"
+        );
+        // The bare core and the `System` were the same run.
+        while !core.halted() {
+            core.tick(&mut mem.bus(0));
+        }
+        assert_eq!(core.cycle(), want.cycles, "{label}");
+    }
+}
+
+/// A snapshot written before the deferred strand's layout changed
+/// (version 1) is refused by its version, not misparsed.
+#[test]
+fn snapshots_of_an_older_version_are_refused() {
+    let w = Workload::by_name("gzip", Scale::Smoke, 3).unwrap();
+    let mut sys = System::new(CoreModel::Sst, &w);
+    sys.run_insts(500, MAX_CYCLES).unwrap();
+    let mut bytes = sys.snapshot().unwrap().as_bytes().to_vec();
+    assert_eq!(
+        bytes[4..8],
+        SNAPSHOT_VERSION.to_le_bytes(),
+        "the version follows the magic"
+    );
+    bytes[4..8].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
+    let e = System::resume(CoreModel::Sst, &w, &Snapshot::from_bytes(bytes))
+        .map(|_| ())
+        .unwrap_err();
+    assert!(e.to_string().contains("version"), "{e}");
 }
 
 /// The co-simulation checker is built by the first run or snapshot, not

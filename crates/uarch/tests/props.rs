@@ -165,8 +165,9 @@ fn merge_rule_invariants() {
     }
 }
 
-/// DQ: any interleaving of pushes and ordered-retains keeps entries in
-/// strictly increasing seq order and never exceeds capacity.
+/// DQ: any interleaving of pushes and removals keeps entries in strictly
+/// increasing seq order, the derived replay state in step with them, and
+/// never exceeds capacity.
 #[test]
 fn dq_order_invariant() {
     let mut r = Prng::seed_from_u64(0x0a7c_0004);
@@ -188,10 +189,14 @@ fn dq_order_invariant() {
                 next_seq += 1;
             } else if !q.is_empty() {
                 // Remove every third entry.
-                let _ = q.retain_ordered(|e| e.seq % 3 == 0);
+                let done: Vec<u64> = q.iter().map(|e| e.seq).filter(|s| s % 3 == 0).collect();
+                for seq in done {
+                    assert_eq!(q.remove_seq(seq).seq, seq);
+                }
             }
             let seqs: Vec<u64> = q.iter().map(|e| e.seq).collect();
             assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+            assert!(q.consistent());
             assert!(q.len() <= q.capacity());
         }
     }

@@ -4,13 +4,10 @@
 //! The rollback path may retry (a checkpoint restore that races a replay
 //! pass re-issues its squash), so `squash_from` has to be a projection:
 //! applying it again with the same boundary is a no-op on every
-//! observable. "Observable" here means the slab contents and the free
-//! list — NOT the DQ `generation` counter, which deliberately bumps on
-//! every call so that replay cursors snapshotted before *any* squash are
-//! invalidated, retried or not. The tests therefore compare entry-level
-//! projections plus a refill-to-capacity probe (which would diverge if a
-//! double squash leaked or double-freed slab slots), and assert the
-//! generation is strictly monotonic rather than equal.
+//! observable. "Observable" here means the slab contents, the timed list
+//! derived from them and the free list. The tests therefore compare
+//! entry-level projections plus a refill-to-capacity probe (which would
+//! diverge if a double squash leaked or double-freed slab slots).
 //!
 //! Driven by the workspace's deterministic PRNG (fixed seeds,
 //! reproducible failures); build with `--features ext` for more cases.
@@ -26,13 +23,23 @@ fn cases(base: usize) -> usize {
     }
 }
 
-/// Every externally visible projection of a DQ except the generation.
-fn dq_observables(q: &DeferredQueue) -> (usize, Vec<(u64, u64, bool)>, Option<u64>, bool) {
-    let entries: Vec<(u64, u64, bool)> = q
-        .iter_blocked()
-        .map(|(e, blocked)| (e.seq, e.pc, blocked))
+/// Every externally visible projection of a DQ: the entries, the timed
+/// list as `(seq, when)`, the wake with and without the blocked entries.
+#[allow(clippy::type_complexity)]
+fn dq_observables(q: &DeferredQueue) -> (Vec<(u64, u64)>, Vec<(u64, u64)>, Option<u64>, bool, u64) {
+    assert!(q.consistent());
+    let entries: Vec<(u64, u64)> = q.iter().map(|e| (e.seq, e.pc)).collect();
+    assert_eq!(entries.len(), q.len());
+    let timed = (0..)
+        .map_while(|at| q.when_at(at).map(|when| (q.entry_at(at).seq, when)))
         .collect();
-    (q.len(), entries, q.first_seq(), q.any_blocked())
+    (
+        entries,
+        timed,
+        q.first_seq(),
+        q.any_blocked(),
+        q.pass_end_wake(0),
+    )
 }
 
 /// Every externally visible projection of an STB.
@@ -81,8 +88,10 @@ fn paired_dqs(r: &mut Prng, capacity: usize) -> (DeferredQueue, DeferredQueue, u
     }
     // Churn the free list: drop a random residue class, then refill a bit.
     let m = r.gen_range(2..5u64);
-    a.retain_ordered(|e| e.seq % m == 0);
-    b.retain_ordered(|e| e.seq % m == 0);
+    for &s in live.iter().filter(|&&s| s % m == 0) {
+        a.remove_seq(s);
+        b.remove_seq(s);
+    }
     live.retain(|s| s % m != 0);
     for _ in 0..r.gen_range(0..8usize) {
         seq += r.gen_range(1..4u64);
@@ -94,10 +103,12 @@ fn paired_dqs(r: &mut Prng, capacity: usize) -> (DeferredQueue, DeferredQueue, u
         b.push(e);
         live.push(seq);
     }
-    for &s in &live {
+    // No entry waits for a producer, so timed-list positions are
+    // program-order positions.
+    for (at, &s) in live.iter().enumerate() {
         if s % 3 == 0 {
-            a.mark_blocked(s);
-            b.mark_blocked(s);
+            a.mark_blocked(at);
+            b.mark_blocked(at);
         }
     }
     (a, b, seq)
@@ -112,21 +123,9 @@ fn dq_squash_twice_is_squash_once() {
         // (squash everything) and max_seq + 1 (squash nothing).
         let from = r.gen_range(0..max_seq + 2);
         once.squash_from(from);
-        let g1 = {
-            twice.squash_from(from);
-            let g = twice.generation();
-            twice.squash_from(from);
-            g
-        };
-        assert_eq!(
-            dq_observables(&once),
-            dq_observables(&twice),
-            "from={from}"
-        );
-        assert!(
-            twice.generation() > g1,
-            "generation must bump on every squash call (cursor staleness)"
-        );
+        twice.squash_from(from);
+        twice.squash_from(from);
+        assert_eq!(dq_observables(&once), dq_observables(&twice), "from={from}");
         // Survivors are exactly the live entries older than the boundary,
         // still strictly ordered.
         let seqs: Vec<u64> = twice.iter().map(|e| e.seq).collect();
