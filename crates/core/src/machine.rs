@@ -6,7 +6,7 @@ use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{DeferCause, Event, HostTimes, Phase, PhaseTable, Stage, TraceBuf};
 use sst_uarch::{
-    execute, extend_load, mem_addr, Checkpoint, Commit, Core, DeferredQueue, DqEntry,
+    drain_commits, execute, extend_load, mem_addr, Checkpoint, Commit, Core, DeferredQueue, DqEntry,
     DrainedStore, FetchedInst, ForwardResult, Frontend, LeakageSummary, RegImage, Seq,
     SquashCounts, StoreBuffer, StoreEntry, TaintState,
 };
@@ -532,7 +532,9 @@ impl SstCore {
         // squash destroys the evidence.
         let squash_counts = self.taint.is_some().then(|| SquashCounts {
             nt: self.spec.nt_owned_since(ck.start_seq) as u64,
-            dq: self.dq.iter().filter(|e| e.seq >= ck.start_seq).count() as u64,
+            // What the squash below drops: the younger entries and every
+            // held slot.
+            dq: (self.dq.len() - self.dq.iter().take_while(|e| e.seq < ck.start_seq).count()) as u64,
             stb: self.stb.iter().filter(|e| e.seq >= ck.start_seq).count() as u64,
         });
         // Results of still-older epochs may not have merged into this
@@ -970,26 +972,22 @@ impl SstCore {
 
     // ------------------------------------------------------------- ahead strand
 
-    /// Builds the defer record for `inst` and pushes it (plus any store
-    /// buffer entry), attributing the deferral to `cause` in the
-    /// taxonomy counters. Caller has verified capacity.
+    /// Defers `inst`: marks its destination NT, pushes the store-buffer
+    /// entry a deferred store needs for forwarding, and takes its DQ slot,
+    /// attributing the deferral to `cause` in the taxonomy counters. With
+    /// results retained the slot holds the record replay executes from.
+    /// Scout's policy is "discard" — every episode ends in a rollback,
+    /// nobody reads a record — so it only holds the slot: same occupancy,
+    /// same `stall_dq_full` cycles. Caller has verified capacity.
     fn defer(&mut self, f: &FetchedInst, now: Cycle, data_ready_at: Option<Cycle>, cause: DeferCause) {
         let inst = f.inst;
         let seq = self.seq;
         let sources = inst.sources();
-        let mut captured = [None, None];
-        let mut producers = [None, None];
-        for (i, s) in sources.iter().enumerate() {
-            if let Some(r) = s {
-                if self.spec.is_nt(*r) {
-                    producers[i] = Some(self.spec.slot(*r).writer);
-                } else {
-                    captured[i] = Some(self.spec.value(*r));
-                }
-            } else {
-                captured[i] = Some(0);
-            }
-        }
+        let captured = sources.map(|s| match s {
+            Some(r) if self.spec.is_nt(r) => None,
+            Some(r) => Some(self.spec.value(r)),
+            None => Some(0),
+        });
 
         if let Inst::Store { width, .. } = inst {
             let addr = captured[0].map(|b| mem_addr(inst, b));
@@ -1001,29 +999,26 @@ impl SstCore {
             });
         }
 
-        let (predicted_taken, pred_next_pc) = if inst.is_control() {
-            (Some(f.pred_taken), Some(f.pred_next_pc))
-        } else {
-            (None, None)
-        };
-
-        self.dq.push(DqEntry {
-            seq,
-            pc: f.pc,
-            inst,
-            captured,
-            producers,
-            predicted_taken,
-            pred_next_pc,
-            data_ready_at,
-        });
-        if let Some(d) = data_ready_at {
-            self.replay_check_at = self.replay_check_at.min(d);
-        }
-        if let Some(rd) = inst.dest() {
-            self.spec.mark_nt(rd, seq);
-        }
         if self.cfg.retain_results {
+            let producers = sources.map(|s| {
+                s.filter(|&r| self.spec.is_nt(r))
+                    .map(|r| self.spec.slot(r).writer)
+            });
+            let (predicted_taken, pred_next_pc) = if inst.is_control() {
+                (Some(f.pred_taken), Some(f.pred_next_pc))
+            } else {
+                (None, None)
+            };
+            self.dq.push(DqEntry {
+                seq,
+                pc: f.pc,
+                inst,
+                captured,
+                producers,
+                predicted_taken,
+                pred_next_pc,
+                data_ready_at,
+            });
             // Holds the instruction's place in its epoch's log until replay.
             let ep = self.epochs.back_mut().expect("deferral implies an epoch");
             debug_assert_eq!(seq, ep.ckpt.start_seq + ep.log.len() as Seq);
@@ -1035,6 +1030,14 @@ impl SstCore {
                 store: None,
                 at: Cycle::MAX,
             });
+        } else {
+            self.dq.hold();
+        }
+        if let Some(d) = data_ready_at {
+            self.replay_check_at = self.replay_check_at.min(d);
+        }
+        if let Some(rd) = inst.dest() {
+            self.spec.mark_nt(rd, seq);
         }
         self.stats.deferred += 1;
         match cause {
@@ -1436,6 +1439,7 @@ impl Core for SstCore {
         }
     }
 
+    #[inline]
     fn cycle(&self) -> Cycle {
         self.cycle
     }
@@ -1444,12 +1448,14 @@ impl Core for SstCore {
         self.seq
     }
 
+    #[inline]
     fn halted(&self) -> bool {
         self.halted
     }
 
+    #[inline]
     fn drain_commits_into(&mut self, out: &mut Vec<Commit>) {
-        out.append(&mut self.commits);
+        drain_commits(&mut self.commits, out);
     }
 
     fn next_event_cycle(&self) -> Cycle {

@@ -161,3 +161,36 @@ fn degenerate_sizes_cosim_clean() {
         }
     }
 }
+
+/// Scout's policy is "discard": a deferral takes a DQ slot and builds no
+/// entry. With a 1-entry and a 4-entry queue nearly every episode fills
+/// it, so the ahead strand lives on the held-slot count — and the commit
+/// stream still matches the reference.
+#[test]
+fn scout_holds_slots_and_queues_nothing() {
+    for name in ["chase", "mcf", "mlp8", "g_store"] {
+        let w = Workload::by_name(name, Scale::Smoke, 12345).unwrap();
+        for dq_entries in [1, 4] {
+            let cfg = SstConfig {
+                dq_entries,
+                ..SstConfig::scout()
+            };
+            let (mut core, mut mem, mut interp) = boot(cfg, &w.program);
+            let mut full_cycles = 0u64;
+            while !core.halted {
+                assert!(core.cycle < 5_000_000, "{name}: did not halt");
+                checked_tick(&mut core, &mut mem, &mut interp);
+                assert_eq!(core.dq.iter().count(), 0, "{name}: scout queued an entry");
+                assert!(core.in_speculation() || core.dq.is_empty(), "{name}: slots outlived the episode");
+                full_cycles += core.dq.is_full() as u64;
+            }
+            assert!(interp.is_halted());
+            let stats = &core.stats;
+            assert!(stats.deferred > 0 && stats.scout_rollbacks > 0, "{name}");
+            assert_eq!(core.dq.total_deferred, stats.deferred, "{name}");
+            assert_eq!(core.dq_high_water(), dq_entries, "{name}");
+            assert!(full_cycles > 0 && stats.stall_dq_full > 0, "{name}: the queue never filled");
+            assert_eq!((stats.replayed, stats.epochs_committed), (0, 0), "{name}");
+        }
+    }
+}

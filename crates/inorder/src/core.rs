@@ -4,7 +4,7 @@ use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
 use sst_uarch::{
-    execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst, Frontend,
+    drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst, Frontend,
     FrontendConfig, RegImage, Seq,
 };
 
@@ -232,6 +232,7 @@ impl Core for InOrderCore {
         HostTimes::stop(&mut self.prof, Stage::Issue, t0);
     }
 
+    #[inline]
     fn cycle(&self) -> Cycle {
         self.cycle
     }
@@ -240,12 +241,14 @@ impl Core for InOrderCore {
         self.seq
     }
 
+    #[inline]
     fn halted(&self) -> bool {
         self.halted
     }
 
+    #[inline]
     fn drain_commits_into(&mut self, out: &mut Vec<Commit>) {
-        out.append(&mut self.commits);
+        drain_commits(&mut self.commits, out);
     }
 
     fn next_event_cycle(&self) -> Cycle {

@@ -18,10 +18,11 @@
 
 use std::fmt;
 
-/// Current snapshot format version. Bumped on any layout change; old
-/// snapshots are rejected with [`SnapError::BadVersion`], never
-/// misparsed.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current snapshot format version. Bumped on any layout change (3: the
+/// deferred queue's held-slot count); a snapshot of another version is
+/// rejected up front — `System::resume` reports [`SnapError::Mismatch`] —
+/// never misparsed.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A structured snapshot decode/restore failure.
 ///

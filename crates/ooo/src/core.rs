@@ -6,7 +6,7 @@ use sst_isa::{decode, encode, Inst, Program, Reg, SnapError, SnapReader, SnapWri
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
 use sst_uarch::{
-    execute, extend_load, mem_addr, Commit, Core, ExecLatency, Frontend, FrontendConfig,
+    drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, Frontend, FrontendConfig,
     LeakageSummary, Seq, SquashCounts, TaintState,
 };
 
@@ -1189,6 +1189,7 @@ impl Core for OooCore {
         HostTimes::stop(&mut self.prof, Stage::Decode, t0);
     }
 
+    #[inline]
     fn cycle(&self) -> Cycle {
         self.cycle
     }
@@ -1197,12 +1198,14 @@ impl Core for OooCore {
         self.seq
     }
 
+    #[inline]
     fn halted(&self) -> bool {
         self.halted
     }
 
+    #[inline]
     fn drain_commits_into(&mut self, out: &mut Vec<Commit>) {
-        out.append(&mut self.commits);
+        drain_commits(&mut self.commits, out);
     }
 
     fn next_event_cycle(&self) -> Cycle {

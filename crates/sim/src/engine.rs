@@ -15,12 +15,32 @@
 //! # The span rules
 //!
 //! All cores of a chip share one clock, `now`; one iteration of the span
-//! loop is one cycle on which at least one core is due.
+//! loop is one cycle on which at least one core is due, and what the
+//! engine does with a due core is one *look*:
 //!
-//! 1. **Tick order.** Every core that is due is ticked in ascending core
-//!    id, its commits drained and handed to its policy. This is the
-//!    reference interleaving of shared-memory traffic: ascending cycle,
-//!    within a cycle ascending core id, each core's whole tick atomic.
+//! ```text
+//! Core::run_until(bus, horizon, want)   tick, drain, [sleep, tick, drain ...]
+//! Policy::step(core, commits, ticked)   -> Verdict
+//! Core::gate_to(end)                    on Idle
+//! Core::sleep_until(end)                on Run and Pause
+//! ```
+//!
+//! The per-tick sequence itself — `tick`, `drain_commits_into`, `halted`,
+//! `next_event_cycle`, `skip_to` — exists once, in those two provided
+//! methods of [`Core`]; the engine calls none of the five.
+//!
+//! 1. **Tick order, and how far a look goes.** Due cores are looked at in
+//!    ascending core id. On a chip a look is one tick (horizon `now + 1`),
+//!    its commits drained and handed to its policy: the reference
+//!    interleaving of shared-memory traffic is ascending cycle, within a
+//!    cycle ascending core id, each core's whole tick atomic. One core on
+//!    the serial fabric (a `System`, a sampled detailed interval) has
+//!    nobody to interleave with: its look runs to the span's end and stops
+//!    early only right after the tick that halts the core or brings the
+//!    drained commits to the count its policy named ([`Verdict::Run`]; at
+//!    most [`LOOK_CAP`]). The policy thus sees the core as it would have
+//!    after that tick in a per-tick run: a warm-up mark, a pause point or
+//!    a snapshot lands on the same cycle.
 //! 2. **Leaving the clock.** On [`Verdict::Retire`] a core is never
 //!    ticked, skipped or gated again. On [`Verdict::Idle`] it is
 //!    clock-gated ([`Core::gate_to`]) to the span's end and ticked again
@@ -28,13 +48,13 @@
 //!    as under rule 3 (that is where a paused run stands) and gets no more
 //!    ticks.
 //! 3. **Per-core sleep.** With fast-forwarding on, a core that runs on
-//!    (or pauses) after its tick is asked for its own
-//!    [`Core::next_event_cycle`] and moved there at once with
-//!    [`Core::skip_to`], clamped to the span's end; it is not due again
-//!    before that *wake* cycle. The chip clock then jumps to the earliest
-//!    wake among the running cores, so a core parked on DRAM costs
-//!    nothing while its neighbours run (one core is the same rule: its
-//!    wake is the chip's). This is exact by the `Core` contract: the
+//!    (or pauses) is moved to its own [`Core::next_event_cycle`] at once,
+//!    clamped to the span's end ([`Core::sleep_until`], the one place this
+//!    rule lives: `run_until` sleeps between its ticks through it too), and
+//!    is not due again before that *wake* cycle. The chip clock then jumps
+//!    to the earliest wake among the running cores, so a core parked on
+//!    DRAM costs nothing while its neighbours run. This is exact by the
+//!    `Core` contract: the
 //!    window a core vouches for touches no memory and commits nothing; a
 //!    miss's ready cycle is fixed when it is issued, so nothing another
 //!    core does can move the wake; and `MemPort`s are private and address
@@ -69,8 +89,9 @@ use sst_uarch::{Commit, Core};
 /// A policy's answer about its core (see the module docs, rule 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// Keep ticking.
-    Run,
+    /// Keep ticking; show the core again once this many more commits have
+    /// drained (rule 1; 0: after its next tick), or when it halts.
+    Run(u64),
     /// The core has what this run wanted from it: no more ticks after this
     /// cycle's skip, which it still gets. The span stops there if no core
     /// is left running.
@@ -86,23 +107,23 @@ impl Verdict {
     /// The answer of a run that wants `target` commits from its core and
     /// has seen `committed`. On reaching the target the core pauses, so
     /// the run stands after that cycle's skip, between full iterations of
-    /// the span loop.
+    /// the span loop; until then nothing needs looking at.
     pub(crate) fn until(core: &dyn Core, committed: u64, target: u64) -> Verdict {
         if core.halted() {
             Verdict::Retire
         } else if committed >= target {
             Verdict::Pause
         } else {
-            Verdict::Run
+            Verdict::Run(target - committed)
         }
     }
 }
 
 /// What one core's commits mean to the run.
 pub(crate) trait Policy {
-    /// Called once at the start of a span (no commits) and after each of
-    /// the core's ticks with the commits that tick drained; `now` is the
-    /// cycle that was ticked.
+    /// Called once at the start of a span (no commits) and after each look
+    /// at the core (rule 1) with the commits drained since the last call;
+    /// `now` is the cycle of the core's latest tick.
     fn step(&mut self, core: &dyn Core, commits: &[Commit], now: Cycle) -> Verdict;
 }
 
@@ -119,7 +140,11 @@ impl Policy for UntilHalt {
 /// How the cores of one chunk reach memory and publish progress. Core
 /// indices are chunk-local.
 pub(crate) trait Fabric {
-    /// Core `i`'s bus for one tick.
+    /// Whether a lone core may run a whole span in one look (rule 1). Not
+    /// behind the horizon gate, where peers order their shared accesses by
+    /// the horizon a core publishes after every tick.
+    const SOLO_SPANS: bool;
+    /// Core `i`'s bus for one look.
     fn bus(&mut self, i: usize) -> MemBus<'_>;
     /// Core `i` has completed every cycle below `next_cycle`
     /// (`Cycle::MAX`: it will never touch memory again).
@@ -127,6 +152,7 @@ pub(crate) trait Fabric {
 }
 
 impl Fabric for MemSystem {
+    const SOLO_SPANS: bool = true;
     fn bus(&mut self, i: usize) -> MemBus<'_> {
         MemSystem::bus(self, i)
     }
@@ -141,6 +167,7 @@ struct Gated<'a> {
 }
 
 impl Fabric for Gated<'_> {
+    const SOLO_SPANS: bool = false;
     fn bus(&mut self, i: usize) -> MemBus<'_> {
         // Stop promptly even if this chunk never waits on the failed peer.
         assert!(!self.pmem.is_poisoned(), "parallel run: a peer worker panicked");
@@ -160,10 +187,23 @@ pub(crate) struct Stepper {
     /// Per core, the cycle it is due next (rule 3); [`OFF`] once it is to
     /// get no more ticks in this span.
     wake: Vec<Cycle>,
+    /// Per running core, the commit count its next look stops at (rule 1).
+    want: Vec<usize>,
 }
 
 /// The wake cycle of a core that is not running.
 const OFF: Cycle = Cycle::MAX;
+
+/// The most commits a look hands over, give or take its last tick's. Small
+/// on purpose: at 1 000 records the ~100 KB buffers left holes in the heap
+/// that moved `peak_rss_mb` (DESIGN.md §7, "Steady host memory").
+pub(crate) const LOOK_CAP: u64 = 256;
+
+#[cfg(test)]
+thread_local! {
+    /// Looks made on this thread (rule 1), for the tests that count them.
+    pub(crate) static LOOKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 impl Stepper {
     /// Runs `cores` from chip cycle `now` to at most `end` under the span
@@ -181,9 +221,11 @@ impl Stepper {
         fast_forward: bool,
     ) -> (Cycle, bool) {
         assert_eq!(cores.len(), policies.len());
-        let Stepper { commits, wake } = self;
+        let Stepper { commits, wake, want } = self;
         commits.clear();
         wake.clear();
+        want.clear();
+        let solo = F::SOLO_SPANS && cores.len() == 1;
         let mut idle = false;
         let mut leave_clock = |v: Verdict, i: usize, core: &mut dyn Core, fabric: &F| match v {
             Verdict::Retire => fabric.progress(i, Cycle::MAX),
@@ -192,13 +234,20 @@ impl Stepper {
                 core.gate_to(end);
                 fabric.progress(i, end);
             }
-            Verdict::Run | Verdict::Pause => {}
+            Verdict::Run(_) | Verdict::Pause => {}
+        };
+        // A running core's entry in `wake` and `want`.
+        let on_clock = |v: Verdict, at: Cycle| match v {
+            Verdict::Run(n) => (at, n.min(LOOK_CAP) as usize),
+            _ => (OFF, 0),
         };
 
         for (i, (core, policy)) in cores.iter_mut().zip(policies.iter_mut()).enumerate() {
             let v = policy.step(&**core, commits, now);
             leave_clock(v, i, &mut **core, fabric);
-            wake.push(if v == Verdict::Run { now } else { OFF });
+            let (at, n) = on_clock(v, now);
+            wake.push(at);
+            want.push(n);
         }
         let mut running = wake.iter().filter(|&&w| w != OFF).count();
 
@@ -211,30 +260,26 @@ impl Stepper {
                     next = next.min(wake[i]);
                     continue;
                 }
-                core.tick(&mut fabric.bus(i));
+                // One look (rule 1). Only a solo core moves the clock
+                // inside it: on a chip the tick is the one at `now`.
+                let horizon = if solo { end } else { now + 1 };
+                now = core.run_until(&mut fabric.bus(i), horizon, want[i], fast_forward, commits);
+                #[cfg(test)]
+                LOOKS.with(|n| n.set(n.get() + 1));
                 fabric.progress(i, now + 1);
-                core.drain_commits_into(commits);
                 let v = policies[i].step(&**core, commits, now);
                 commits.clear();
                 leave_clock(v, i, &mut **core, fabric);
                 let mut at = now + 1;
-                if matches!(v, Verdict::Run | Verdict::Pause) {
-                    if fast_forward && at < end {
-                        let target = core.next_event_cycle().min(end);
-                        if target > at {
-                            core.skip_to(target);
-                            fabric.progress(i, target);
-                            at = target;
-                        }
+                if matches!(v, Verdict::Run(_) | Verdict::Pause) {
+                    at = core.sleep_until(end, fast_forward);
+                    if at > now + 1 {
+                        fabric.progress(i, at);
                     }
                     next = next.min(at);
                 }
-                if v == Verdict::Run {
-                    wake[i] = at;
-                } else {
-                    wake[i] = OFF;
-                    running -= 1;
-                }
+                (wake[i], want[i]) = on_clock(v, at);
+                running -= usize::from(!matches!(v, Verdict::Run(_)));
             }
             now = if next == Cycle::MAX { now + 1 } else { next };
         }
@@ -546,7 +591,7 @@ mod tests {
             } else if self.commits >= self.quota {
                 Verdict::Idle
             } else {
-                Verdict::Run
+                Verdict::Run(self.quota - self.commits)
             }
         }
     }
@@ -664,6 +709,82 @@ mod tests {
         assert_eq!(calls.lock().unwrap().0, [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8), Skip(12)]);
     }
 
+    /// Wants to see its core every `every` commits; writes down what it is
+    /// shown: the core's clock, the commits handed over, the tick's cycle.
+    struct Every {
+        every: u64,
+        commits: u64,
+        seen: Vec<(Cycle, usize, Cycle)>,
+    }
+
+    impl Policy for Every {
+        fn step(&mut self, core: &dyn Core, commits: &[Commit], now: Cycle) -> Verdict {
+            self.commits += commits.len() as u64;
+            self.seen.push((core.cycle(), commits.len(), now));
+            Verdict::until(core, self.commits % self.every, self.every)
+        }
+    }
+
+    fn every(every: u64) -> Every {
+        Every { every, commits: 0, seen: Vec::new() }
+    }
+
+    /// Rule 1, second half: alone on the serial fabric a core is shown to
+    /// its policy right after the tick that drains the commit it asked for —
+    /// before that tick's sleep, so it reads the clock a per-tick run would
+    /// have read — and at the span's end; beside a neighbour, or without
+    /// the fabric's leave, after every tick. The core is driven the same
+    /// either way.
+    #[test]
+    fn a_solo_look_stops_right_after_the_tick_the_policy_asked_for() {
+        let (core, solo_calls) = Scripted::boxed(4, u64::MAX);
+        let mut policies = [every(3)];
+        let stop = Stepper::default().run_span(&mut [core], &mut mem(1), &mut policies, 0, 30, true);
+        assert_eq!(stop, (30, true));
+        // Commits at 0, 4, .., 28: the third on the tick at 8, the sixth on
+        // the tick at 20; the last two are handed over at the end.
+        assert_eq!(policies[0].seen, [(0, 0, 0), (9, 3, 8), (21, 3, 20), (30, 2, 28)]);
+
+        let (core, chip_calls) = Scripted::boxed(4, u64::MAX);
+        let (neighbour, _) = Scripted::boxed(1, u64::MAX);
+        let mut policies = [every(3), every(3)];
+        let stop = Stepper::default().run_span(&mut [core, neighbour], &mut mem(2), &mut policies, 0, 30, true);
+        assert_eq!(stop, (30, true));
+        let ticks: Vec<_> = multiples(4, 30).into_iter().map(|at| (at + 1, 1, at)).collect();
+        assert_eq!(policies[0].seen[1..], ticks);
+
+        struct Shared(MemSystem);
+        impl Fabric for Shared {
+            const SOLO_SPANS: bool = false;
+            fn bus(&mut self, i: usize) -> MemBus<'_> {
+                self.0.bus(i)
+            }
+        }
+        let (core, gated_calls) = Scripted::boxed(4, u64::MAX);
+        let mut policies = [every(3)];
+        let stop = Stepper::default().run_span(&mut [core], &mut Shared(mem(1)), &mut policies, 0, 30, true);
+        assert_eq!(stop, (30, true));
+        assert_eq!(policies[0].seen[1..], ticks);
+
+        let solo = solo_calls.lock().unwrap();
+        assert_eq!(solo.0, chip_calls.lock().unwrap().0);
+        assert_eq!(solo.0, gated_calls.lock().unwrap().0);
+        assert_eq!(solo.ticked_at(), multiples(4, 30));
+    }
+
+    /// The buffer between looks is bounded whatever the policy says.
+    #[test]
+    fn a_look_hands_over_at_most_a_full_buffer() {
+        let (core, _) = Scripted::boxed(1, u64::MAX);
+        let mut policies = [every(u64::MAX)];
+        let end = 3 * LOOK_CAP + 10;
+        let stop = Stepper::default().run_span(&mut [core], &mut mem(1), &mut policies, 0, end, true);
+        assert_eq!(stop, (end, true));
+        let cap = LOOK_CAP as usize;
+        let handed: Vec<usize> = policies[0].seen.iter().map(|s| s.1).collect();
+        assert_eq!(handed, [0, cap, cap, cap, 10]);
+    }
+
     #[test]
     fn each_core_is_ticked_only_at_its_own_events() {
         let (a, a_calls) = Scripted::boxed(3, u64::MAX);
@@ -730,6 +851,7 @@ mod tests {
     }
 
     impl Fabric for Recording {
+        const SOLO_SPANS: bool = true;
         fn bus(&mut self, i: usize) -> MemBus<'_> {
             self.mem.bus(i)
         }

@@ -129,6 +129,12 @@ impl Policy for Measure {
 /// observer into the dispatch loop, and instruction-fetch touches are
 /// deduplicated per cache line (sequential fetch re-touches the same
 /// line `line_bytes / INST_BYTES` times; one probe warms it).
+// Not inlined: this loop is most of a sampled run's wall time, and inside
+// `run_sampled` it sits next to the engine's `run_span` instantiation, so
+// an unrelated edit to the engine re-shapes its code (measured at 6-7% of
+// `sampled_oltp`). On its own its code generation depends on this function
+// alone.
+#[inline(never)]
 fn warm_run(
     interp: &mut Interp,
     core: &mut dyn Core,

@@ -65,7 +65,9 @@ impl Policy for Lane {
     /// Completes the in-flight request if the core's retired count has
     /// reached its target (logging chip cycle `now`), then starts the
     /// next queued one; with nothing queued the core idles to the
-    /// boundary.
+    /// boundary. The target is a [`Core::retired`] count, which on the
+    /// speculative models is not a count of drained commits, so a lane
+    /// asks to see its core after every tick ([`Verdict::Run`]`(0)`).
     fn step(&mut self, core: &dyn Core, _commits: &[Commit], now: Cycle) -> Verdict {
         if let Some((id, target)) = self.in_flight {
             if core.halted() {
@@ -76,7 +78,7 @@ impl Policy for Lane {
                 );
             }
             if core.retired() < target {
-                return Verdict::Run;
+                return Verdict::Run(0);
             }
             self.done.push((id, now));
             self.in_flight = None;
@@ -87,7 +89,7 @@ impl Policy for Lane {
                 // every request is exactly `insts` more instructions from
                 // wherever the resident kernel stands now.
                 self.in_flight = Some((req.id, core.retired() + req.insts));
-                Verdict::Run
+                Verdict::Run(0)
             }
             None => Verdict::Idle,
         }

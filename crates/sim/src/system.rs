@@ -178,7 +178,14 @@ impl Policy for Retirement {
                 self.warmup_cycles = core.cycle();
             }
         }
-        Verdict::until(core, self.committed, self.target_insts)
+        // The warm-up mark is taken from the core's clock right after the
+        // tick that commits it: ask to be shown that tick.
+        match Verdict::until(core, self.committed, self.target_insts) {
+            Verdict::Run(n) if self.committed < self.skip_insts => {
+                Verdict::Run(n.min(self.skip_insts - self.committed))
+            }
+            v => v,
+        }
     }
 }
 
@@ -589,6 +596,29 @@ mod tests {
             .run_checked(100)
             .unwrap_err();
         assert!(e.what.contains("did not halt"));
+    }
+
+    /// The work-counter gate on solo spans: a core alone on its clock is
+    /// looked at when its commit buffer fills, at the warm-up mark and at
+    /// the halt — not after every tick (in-order/gzip alone ticks 27 000
+    /// times at this scale).
+    #[test]
+    fn a_solo_run_is_looked_at_once_per_full_buffer() {
+        use crate::engine::{LOOKS, LOOK_CAP};
+        for name in ["gzip", "chase", "oltp"] {
+            let w = Workload::by_name(name, Scale::Smoke, 3).unwrap();
+            for m in CoreModel::lineup() {
+                let label = m.label();
+                let before = LOOKS.with(|n| n.get());
+                let r = System::new(m, &w).without_cosim().run_checked(100_000_000).unwrap();
+                let looks = LOOKS.with(|n| n.get()) - before;
+                assert!(
+                    looks <= r.insts / LOOK_CAP + 3,
+                    "{label} on {name}: {looks} looks for {} commits",
+                    r.insts
+                );
+            }
+        }
     }
 
     #[test]

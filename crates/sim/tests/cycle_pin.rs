@@ -6,7 +6,11 @@
 //! suites compare two runs of the *same* build; this one compares the build
 //! against `cycle_pin.txt`, written by an earlier commit: five models x nine
 //! workloads at smoke scale, seed 12345 — `cycles`, `insts`, every
-//! `Core::counters` entry and every phase row, one line per pair.
+//! `Core::counters` entry and every phase row, one line per pair. A second
+//! table, `cycle_pin_warmup.txt`, holds what the run's retirement policy
+//! rather than the core counts — `warmup_cycles`, `warmup_insts` and the
+//! instruction mix — so a change to how often the engine looks at a core's
+//! commits cannot move the warm-up mark unnoticed.
 //!
 //! A change that is *meant* to move simulated numbers regenerates the table
 //! in the same commit and says so:
@@ -26,6 +30,7 @@ const WORKLOADS: [&str; 9] = [
     "oltp", "erp", "web", "mcf", "gcc", "gups", "chase", "mlp8", "gzip",
 ];
 const TABLE: &str = include_str!("cycle_pin.txt");
+const WARMUP_TABLE: &str = include_str!("cycle_pin_warmup.txt");
 
 fn models() -> [CoreModel; 5] {
     [
@@ -51,8 +56,22 @@ fn line(r: &RunResult) -> String {
     s
 }
 
-fn measure() -> String {
+fn warmup_line(r: &RunResult) -> String {
+    let mix: Vec<String> = r.inst_mix.iter().map(u64::to_string).collect();
+    format!(
+        "{} {} warmup_cycles={} warmup_insts={} inst_mix={}",
+        r.model,
+        r.workload,
+        r.warmup_cycles,
+        r.warmup_insts,
+        mix.join(",")
+    )
+}
+
+/// Both tables, from one run per pair.
+fn measure() -> (String, String) {
     let mut out = String::new();
+    let mut warmup = String::new();
     for name in WORKLOADS {
         let w = Workload::by_name(name, Scale::Smoke, SEED).unwrap();
         for model in models() {
@@ -63,23 +82,29 @@ fn measure() -> String {
                 .unwrap_or_else(|e| panic!("{label} on {name}: {e}"));
             out.push_str(&line(&r));
             out.push('\n');
+            warmup.push_str(&warmup_line(&r));
+            warmup.push('\n');
         }
     }
-    out
+    (out, warmup)
 }
 
 #[test]
 fn simulated_numbers_match_the_committed_table() {
-    let now = measure();
-    assert_eq!(now.lines().count(), TABLE.lines().count(), "row count");
-    for (got, want) in now.lines().zip(TABLE.lines()) {
-        assert_eq!(got, want, "a simulated number moved (see the module doc)");
+    let (now, warmup) = measure();
+    for (now, table) in [(now, TABLE), (warmup, WARMUP_TABLE)] {
+        assert_eq!(now.lines().count(), table.lines().count(), "row count");
+        for (got, want) in now.lines().zip(table.lines()) {
+            assert_eq!(got, want, "a simulated number moved (see the module doc)");
+        }
     }
 }
 
 #[test]
 #[ignore = "rewrites the committed table"]
 fn regenerate() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/cycle_pin.txt");
-    std::fs::write(path, measure()).unwrap();
+    let (table, warmup) = measure();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/");
+    std::fs::write(format!("{dir}cycle_pin.txt"), table).unwrap();
+    std::fs::write(format!("{dir}cycle_pin_warmup.txt"), warmup).unwrap();
 }

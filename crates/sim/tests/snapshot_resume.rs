@@ -9,7 +9,7 @@
 //! never panics.
 
 use sst_core::{SstConfig, SstCore};
-use sst_isa::{SnapReader, SnapWriter, SNAPSHOT_VERSION};
+use sst_isa::{SnapError, SnapReader, SnapWriter, SNAPSHOT_VERSION};
 use sst_mem::{MemConfig, MemSystem};
 use sst_sim::{CoreModel, RunResult, Snapshot, System};
 use sst_uarch::{Core, DqEntry};
@@ -219,8 +219,94 @@ fn resume_mid_replay_pass_rebuilds_the_deferred_strand() {
     }
 }
 
-/// A snapshot written before the deferred strand's layout changed
-/// (version 1) is refused by its version, not misparsed.
+/// Scout queues nothing: a deferral of its holds a DQ slot, and the held
+/// slots are a count. Pause a scout inside an episode — once with the queue
+/// within 8 of its capacity, once while it is full and `stall_dq_full` is
+/// accruing — and the count must come back with the snapshot: without it
+/// the restored ahead strand would find the queue empty and run on where
+/// the uninterrupted one stalls.
+#[test]
+fn resume_mid_scout_episode_keeps_held_slots() {
+    for (name, cfg, from) in [
+        ("chase", SstConfig::scout(), 100_000),
+        // The store gadget's episodes are short, and only the first ones
+        // defer much: a queue it can fill, from the start.
+        ("g_store", SstConfig { dq_entries: 8, ..SstConfig::scout() }, 0),
+    ] {
+        let w = Workload::by_name(name, Scale::Smoke, 3).unwrap();
+        let model = CoreModel::CustomSst(cfg.clone());
+        let mut straight = build(&model, &w, true);
+        straight.run_insts(u64::MAX, MAX_CYCLES).unwrap();
+        let want = straight.result();
+
+        let boot = || {
+            let mut mem = MemSystem::new(&MemConfig::default(), 1);
+            w.program.load_into(mem.mem_mut());
+            (SstCore::new(cfg.clone(), 0, &w.program), mem)
+        };
+        // Told whether the tick just made charged a `stall_dq_full` cycle.
+        type Moment = fn(&SstCore, bool) -> bool;
+        let moments: [(&str, Moment); 2] = [
+            ("nearly full", |core, _| {
+                let dq = core.deferred_queue();
+                !dq.is_full() && dq.len() + 8 >= dq.capacity() && !dq.is_empty()
+            }),
+            ("stalling", |core, stalled| core.deferred_queue().is_full() && stalled),
+        ];
+        for (what, is_moment) in moments {
+            let label = format!("scout on {name}, {what}");
+            let (mut core, mut mem) = boot();
+            loop {
+                assert!(!core.halted(), "{label}: no such moment");
+                let stalls = core.stats.stall_dq_full;
+                core.tick(&mut mem.bus(0));
+                if core.cycle() > from && is_moment(&core, core.stats.stall_dq_full > stalls) {
+                    break;
+                }
+            }
+            let (pause, held) = (core.cycle(), core.deferred_queue().len());
+            assert_eq!(core.deferred_queue().iter().count(), 0, "{label}");
+
+            let mut first_part = build(&model, &w, true);
+            first_part.run_insts(u64::MAX, pause).unwrap_err();
+            assert!(!first_part.halted(), "{label}");
+            let snap = first_part.snapshot().unwrap();
+            let mut resumed = System::resume(model.clone(), &w, &snap)
+                .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+            assert!(
+                resumed.snapshot().unwrap().as_bytes() == snap.as_bytes(),
+                "{label}: restore + re-serialize differs"
+            );
+            resumed.run_insts(u64::MAX, MAX_CYCLES).unwrap();
+            assert_eq!(resumed.result(), want, "{label}: resumed result differs");
+            // The final bytes hold the whole memory image.
+            assert!(
+                resumed.snapshot().unwrap().as_bytes() == straight.snapshot().unwrap().as_bytes(),
+                "{label}: final machine state differs after resume"
+            );
+
+            // The count sits behind the DQ's tag, its deferral total and
+            // its high-water mark. One past the capacity is refused.
+            let mut bytes = snap.as_bytes().to_vec();
+            let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let at = bytes
+                .windows(4)
+                .position(|tag| tag == b"DQUE")
+                .expect("the core's image holds its DQ")
+                + 4
+                + 16;
+            assert_eq!(word(&bytes, at), held as u64, "{label}: the held-slot count");
+            bytes[at..at + 8].copy_from_slice(&(cfg.dq_entries as u64 + 1).to_le_bytes());
+            let e = System::resume(model.clone(), &w, &Snapshot::from_bytes(bytes))
+                .map(|_| ())
+                .unwrap_err();
+            assert!(matches!(e, SnapError::Corrupt(_)), "{label}: {e}");
+        }
+    }
+}
+
+/// A snapshot written before the DQ learned to hold slots (version 2) is
+/// refused by its version, not misparsed.
 #[test]
 fn snapshots_of_an_older_version_are_refused() {
     let w = Workload::by_name("gzip", Scale::Smoke, 3).unwrap();
@@ -232,10 +318,11 @@ fn snapshots_of_an_older_version_are_refused() {
         SNAPSHOT_VERSION.to_le_bytes(),
         "the version follows the magic"
     );
-    bytes[4..8].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
     let e = System::resume(CoreModel::Sst, &w, &Snapshot::from_bytes(bytes))
         .map(|_| ())
         .unwrap_err();
+    assert!(matches!(e, SnapError::Mismatch(_)), "{e:?}");
     assert!(e.to_string().contains("version"), "{e}");
 }
 

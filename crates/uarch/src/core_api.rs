@@ -93,6 +93,22 @@ impl Commit {
     }
 }
 
+/// Every model's [`Core::drain_commits_into`]: nothing when nothing is
+/// pending (the buffers keep their capacities); a swap of the two when `out`
+/// is empty (a driver that looks after every tick hands in an empty one
+/// each time, so no record is copied); an append otherwise.
+#[inline]
+pub fn drain_commits(pending: &mut Vec<Commit>, out: &mut Vec<Commit>) {
+    if pending.is_empty() {
+        return;
+    }
+    if out.is_empty() {
+        std::mem::swap(pending, out);
+    } else {
+        out.append(pending);
+    }
+}
+
 /// A cycle-level core model.
 ///
 /// The simulation driver owns the memory system and advances each core
@@ -102,6 +118,12 @@ impl Commit {
 /// the cycles it is due and skips it over the rest). Cores are `Send` so CMP drivers can tick them from worker
 /// threads; the bus's gating keeps parallel results byte-identical to
 /// serial ones.
+///
+/// A model implements the per-cycle methods. The two *provided* methods,
+/// [`Core::run_until`] and [`Core::sleep_until`], hold the per-tick
+/// sequence once for all models and no model overrides them: a provided
+/// method is compiled per implementing type, so the calls inside it are
+/// direct calls on the model, not trips through the vtable.
 pub trait Core: Send {
     /// Advances the core by one clock cycle, issuing its memory traffic
     /// through `mem`.
@@ -110,7 +132,13 @@ pub trait Core: Send {
     /// Cycles elapsed so far.
     fn cycle(&self) -> Cycle;
 
-    /// Instructions architecturally committed so far.
+    /// Instructions architecturally committed so far — on the in-order and
+    /// out-of-order cores. `SstCore` reports its ahead strand's sequence
+    /// number, speculative work included: inside an episode it runs ahead
+    /// of what [`Core::drain_commits_into`] has handed over and falls back
+    /// on a rollback. A driver that needs the architectural count counts
+    /// drained commits (the service driver's request accounting reads this
+    /// number as it is; tightening that would move E14).
     fn retired(&self) -> u64;
 
     /// `true` once the program's `halt` has committed.
@@ -119,7 +147,8 @@ pub trait Core: Send {
     /// Moves the commits recorded since the last drain into `out`
     /// (appending, in program order). The hot-loop drivers own one
     /// reusable buffer and call this every cycle, so implementations must
-    /// not allocate when there is nothing to drain.
+    /// not allocate when there is nothing to drain ([`drain_commits`] is
+    /// the stock implementation).
     fn drain_commits_into(&mut self, out: &mut Vec<Commit>);
 
     /// The earliest future cycle at which ticking this core could do
@@ -152,6 +181,47 @@ pub trait Core: Send {
             "{}: skip_to({target}) called but next_event_cycle() was not overridden",
             self.model_name()
         );
+    }
+
+    /// Runs the core from [`Core::cycle`] towards `horizon` (ahead of it;
+    /// the core has not halted): tick, drain the tick's commits into `out`
+    /// (appending), and stop *right after the tick* that halts the core or
+    /// brings `out` to `want` records — before any sleep, so the caller
+    /// sees the core as a per-tick driver would after that tick. Otherwise
+    /// [`Core::sleep_until`] `horizon` and go on; reaching it also stops.
+    /// Returns the cycle of the last tick. `horizon = cycle() + 1` is one
+    /// tick; `want = 0` stops after every tick. The caller then decides
+    /// whether the core sleeps on, is gated, or is left alone; the run is
+    /// cycle for cycle the one a per-tick loop over the same methods makes.
+    fn run_until(
+        &mut self,
+        mem: &mut MemBus,
+        horizon: Cycle,
+        want: usize,
+        fast_forward: bool,
+        out: &mut Vec<Commit>,
+    ) -> Cycle {
+        loop {
+            let at = self.cycle();
+            self.tick(mem);
+            self.drain_commits_into(out);
+            if self.halted() || out.len() >= want || self.sleep_until(horizon, fast_forward) >= horizon {
+                return at;
+            }
+        }
+    }
+
+    /// Between ticks: with `fast_forward`, [`Core::skip_to`]
+    /// `min(next_event_cycle(), end)` if that lies ahead. Returns the cycle
+    /// the core stands at, the next one it must be ticked on.
+    fn sleep_until(&mut self, end: Cycle, fast_forward: bool) -> Cycle {
+        if fast_forward && self.cycle() < end {
+            let target = self.next_event_cycle().min(end);
+            if target > self.cycle() {
+                self.skip_to(target);
+            }
+        }
+        self.cycle()
     }
 
     /// Clock-gates the core: advances its clock to `target` without

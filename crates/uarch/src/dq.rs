@@ -39,6 +39,15 @@
 //!   is inserted before it during a pass — a woken entry is younger than its
 //!   producer, a new entry is the youngest of all — and a squash ends the
 //!   pass.
+//!
+//! # Held slots
+//!
+//! A deferral nobody will replay — scout keeps no results, its episodes all
+//! end in a rollback — takes a slot without an entry
+//! ([`DeferredQueue::hold`]): a count that capacity, high-water mark and
+//! deferral total include as they would an entry, that no list shows, and
+//! that the next squash zeroes. A full queue stalls as before; the record
+//! nobody reads is not built.
 
 use sst_isa::{decode, encode, Inst, SnapError, SnapReader, SnapWriter};
 use sst_mem::Cycle;
@@ -128,7 +137,10 @@ pub struct DeferredQueue {
     /// Oldest and youngest live slot.
     head: u32,
     tail: u32,
+    /// Listed entries (the held slots are not among them).
     len: usize,
+    /// Slots taken by [`DeferredQueue::hold`] since the last squash.
+    held: usize,
     /// Wake lists: row `p` (`words` words) has bit `w` set when slot `w`
     /// registered a source with the entry in slot `p`.
     waiters: Vec<u64>,
@@ -162,6 +174,7 @@ impl DeferredQueue {
             head: NIL,
             tail: NIL,
             len: 0,
+            held: 0,
             waiters: vec![0; capacity * words],
             words,
             timed: Vec::with_capacity(capacity),
@@ -178,22 +191,37 @@ impl DeferredQueue {
         self.capacity
     }
 
-    /// Current occupancy.
+    /// Current occupancy: entries plus held slots.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.held
     }
 
     /// `true` when empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// `true` when no more instructions can be deferred.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len >= self.capacity
+        self.len() >= self.capacity
+    }
+
+    /// Takes a slot for a deferral that will never replay (module docs):
+    /// counted like a [`DeferredQueue::push`], given back by the next
+    /// [`DeferredQueue::squash_from`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue is full.
+    #[inline]
+    pub fn hold(&mut self) {
+        assert!(!self.is_full(), "DQ overflow: caller must stall when full");
+        self.held += 1;
+        self.total_deferred += 1;
+        self.high_water = self.high_water.max(self.len());
     }
 
     /// Appends an entry in program order. A source without a value whose
@@ -254,7 +282,7 @@ impl DeferredQueue {
             self.timed.push(Timed::of(&self.slots[idx as usize], idx));
         }
         self.total_deferred += 1;
-        self.high_water = self.high_water.max(self.len);
+        self.high_water = self.high_water.max(self.len());
     }
 
     /// The slot holding sequence number `seq`, searched from the youngest
@@ -341,9 +369,10 @@ impl DeferredQueue {
         self.slots[idx as usize].entry
     }
 
-    /// Drops every entry with `seq >= from` (epoch squash) and ends the
-    /// replay pass.
+    /// Drops every entry with `seq >= from` (epoch squash) and every held
+    /// slot, and ends the replay pass.
     pub fn squash_from(&mut self, from: Seq) {
+        self.held = 0;
         while self.seq_of(self.tail).is_some_and(|s| s >= from) {
             self.release(self.tail);
         }
@@ -486,7 +515,8 @@ impl DeferredQueue {
     /// `when` the later of its fill and its delivered operands' ready
     /// cycles; an entry waiting for a producer has no fill in flight (so
     /// [`DeferredQueue::pass_end_wake`] misses no arrival); the cursor is on
-    /// the list. The core asserts this every tick in debug builds, and
+    /// the list; entries and held slots together fit the capacity. The core
+    /// asserts this every tick in debug builds, and
     /// `restore_state` refuses a snapshot that fails it.
     pub fn consistent(&self) -> bool {
         let waits_for = |s: &Slot, p: Option<Seq>| {
@@ -527,6 +557,7 @@ impl DeferredQueue {
             (n, waiting, last, at) = (n + 1, waiting + mine, Some(seq), s.next);
         }
         n == self.len
+            && self.len() <= self.capacity
             && registered == waiting
             && listed.next().is_none()
             && self.blocked_count == self.timed.iter().filter(|t| t.blocked).count()
@@ -534,12 +565,13 @@ impl DeferredQueue {
     }
 
     /// Serializes live entries (program order, each with its delivered
-    /// operands' ready cycle and blocked mark), the pass cursor, and the
-    /// occupancy statistics.
+    /// operands' ready cycle and blocked mark), the held-slot count, the
+    /// pass cursor, and the occupancy statistics.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.tag("DQUE");
         w.put_u64(self.total_deferred);
         w.put_usize(self.high_water);
+        w.put_usize(self.held);
         w.put_opt_u64(self.cursor.map(|at| at as u64));
         w.put_usize(self.len);
         let mut listed = self.timed.iter().peekable();
@@ -586,11 +618,12 @@ impl DeferredQueue {
         r.tag("DQUE")?;
         let total_deferred = r.take_u64()?;
         let high_water = r.take_usize()?;
+        let held = r.take_usize()?;
         let cursor = r.take_opt_u64()?;
         let n = r.take_usize()?;
-        if n > self.capacity || high_water > self.capacity {
+        if n.saturating_add(held) > self.capacity || high_water > self.capacity {
             return Err(SnapError::Corrupt(format!(
-                "DQ occupancy {n} / high-water {high_water} exceeds capacity {}",
+                "DQ occupancy {n} + {held} held / high-water {high_water} exceeds capacity {}",
                 self.capacity
             )));
         }
@@ -652,6 +685,7 @@ impl DeferredQueue {
             }
         }
         self.cursor = cursor.map(|at| at as usize);
+        self.held = held;
         self.total_deferred = total_deferred;
         self.high_water = high_water;
         if !self.consistent() {
@@ -907,6 +941,68 @@ mod tests {
         q.squash_from(4);
         q.squash_from(0);
         assert!(q.is_empty());
+    }
+
+    /// Held slots are occupancy and nothing else: they fill the queue and
+    /// move the high-water mark and the total together with real entries,
+    /// are on no list, outlive everything that happens to real entries, and
+    /// every one of them goes at the next squash — wherever it cuts.
+    #[test]
+    fn held_slots_count_with_entries_and_go_at_the_next_squash() {
+        let mut q = DeferredQueue::new(4);
+        q.push(loading(1, 40));
+        q.hold();
+        q.push(consumer(3, 1));
+        q.hold();
+        assert_eq!((q.len(), q.high_water, q.total_deferred), (4, 4, 4));
+        assert!(q.is_full() && !q.is_empty());
+        assert_eq!(seqs(&q), vec![1, 3], "a held slot is never listed");
+        assert_eq!(timed(&q), vec![(1, 40)]);
+        assert!(q.consistent());
+
+        q.deliver(0, 7, 42);
+        assert_eq!(timed(&q), vec![(1, 40), (3, 42)]);
+        q.remove_at(0);
+        assert_eq!(q.remove_seq(3).captured, [Some(7), Some(0)]);
+        assert_eq!((q.len(), q.iter().count()), (2, 0));
+        assert!(!q.is_empty() && q.consistent());
+
+        q.push(entry(5));
+        q.squash_from(6); // younger than every entry: only the held slots go
+        assert_eq!((q.len(), seqs(&q)), (1, vec![5]));
+        q.hold();
+        q.clear();
+        assert!(q.is_empty() && q.consistent());
+        assert_eq!((q.high_water, q.total_deferred), (4, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "DQ overflow")]
+    fn holding_a_slot_of_a_full_queue_asserts() {
+        let mut q = DeferredQueue::new(2);
+        q.push(entry(1));
+        q.hold();
+        q.hold();
+    }
+
+    #[test]
+    fn held_slots_round_trip_and_a_count_past_the_capacity_is_refused() {
+        let mut q = DeferredQueue::new(8);
+        q.push(entry(1));
+        for _ in 0..5 {
+            q.hold();
+        }
+        let mut w = SnapWriter::new();
+        q.save_state(&mut w);
+        let mut back = DeferredQueue::new(8);
+        back.restore_state(&mut SnapReader::new(w.as_bytes())).unwrap();
+        assert_eq!((back.len(), back.high_water, seqs(&back)), (6, 6, vec![1]));
+        let mut again = SnapWriter::new();
+        back.save_state(&mut again);
+        assert_eq!(w.as_bytes(), again.as_bytes());
+        // One entry and five held slots do not fit a queue of five.
+        let r = DeferredQueue::new(5).restore_state(&mut SnapReader::new(w.as_bytes()));
+        assert!(matches!(r, Err(SnapError::Corrupt(_))), "{r:?}");
     }
 
     #[test]

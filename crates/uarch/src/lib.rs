@@ -32,7 +32,7 @@ mod regimage;
 mod stb;
 mod taint;
 
-pub use core_api::{Commit, Core};
+pub use core_api::{drain_commits, Commit, Core};
 pub use dq::{DeferredQueue, DqEntry};
 pub use exec::{execute, extend_load, mem_addr, ExecOut};
 pub use frontend::{FetchedInst, Frontend, FrontendConfig};

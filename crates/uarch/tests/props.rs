@@ -202,6 +202,60 @@ fn dq_order_invariant() {
     }
 }
 
+/// The two `uarch.dq.*` rungs of `benchmark/` as they are written there — a
+/// struct-literal `DqEntry` whose second source names the previous number,
+/// `new` / `push` / `remove_seq` / `squash_from` — so that a change to the
+/// queue that would stop the benchmark compiling, or make it count
+/// something else, fails here first. A queue that never holds a slot
+/// behaves as it did before slots could be held.
+#[test]
+fn the_benchmark_rungs_drive_the_queue_as_before() {
+    const CAP: u64 = 128;
+    let entry = |seq: u64| DqEntry {
+        seq,
+        pc: 0x4000 + seq * 4,
+        inst: sst_isa::Inst::AluImm {
+            op: sst_isa::AluOp::Add,
+            rd: Reg::x(5),
+            rs1: Reg::x(6),
+            imm: 1,
+        },
+        captured: [Some(seq), None],
+        producers: [None, Some(seq.saturating_sub(1))],
+        predicted_taken: None,
+        pred_next_pc: None,
+        data_ready_at: (seq % 4 == 0).then_some(seq + 300),
+    };
+    let mut dq = DeferredQueue::new(CAP as usize);
+    let mut seq = 1;
+    for _ in 0..3 {
+        let first = seq;
+        for _ in 0..CAP {
+            dq.push(entry(seq));
+            seq += 1;
+        }
+        // (Not `consistent()`: the rung's first entry names a producer that
+        // was never queued, which the queue tolerates and the core never does.)
+        assert!(dq.is_full());
+        for done in first..seq {
+            assert_eq!(dq.remove_seq(done).seq, done);
+        }
+        assert!(dq.is_empty());
+    }
+    for _ in 0..3 {
+        let first = seq;
+        for _ in 0..CAP {
+            dq.push(entry(seq));
+            seq += 1;
+        }
+        dq.squash_from(first + CAP / 4);
+        assert_eq!((dq.len() as u64, dq.first_seq()), (CAP / 4, Some(first)));
+        dq.squash_from(first);
+        assert!(dq.is_empty());
+    }
+    assert_eq!((dq.high_water as u64, dq.total_deferred), (CAP, 6 * CAP));
+}
+
 /// Store buffer drain/squash partition: entries either drain (seq <=
 /// boundary) or survive, never both, and drains come out in order.
 #[test]
