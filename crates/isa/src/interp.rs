@@ -145,6 +145,20 @@ pub struct StepEvent {
     pub halted: bool,
 }
 
+impl StepEvent {
+    /// What a step reports once `halt` has latched at `pc`.
+    fn latched_halt(pc: u64) -> StepEvent {
+        StepEvent {
+            pc,
+            inst: Inst::Halt,
+            next_pc: pc,
+            reg_write: None,
+            mem: MemEffect::None,
+            halted: true,
+        }
+    }
+}
+
 /// Why [`Interp::run`] stopped.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StopReason {
@@ -162,6 +176,35 @@ pub struct RunOutcome {
     /// Instructions retired (including the `halt`, if any).
     pub steps: u64,
 }
+
+/// Observer of the effects [`Interp::run_with_hooks`] computes anyway.
+///
+/// Each method is called from the point of the dispatch that already
+/// knows the effect, in program order; every method defaults to doing
+/// nothing, so an observer implements only what it needs and the unit
+/// type `()` observes nothing. Hooks see exactly what a [`Interp::step`]
+/// loop reports: `fetch` once per step (including a replayed latched
+/// halt), before that step's `load`/`store`/`control`; nothing for the
+/// step that traps.
+pub trait Hooks {
+    /// The instruction at `pc` executes.
+    #[inline(always)]
+    fn fetch(&mut self, _pc: u64) {}
+    /// It loads from `addr`.
+    #[inline(always)]
+    fn load(&mut self, _addr: u64) {}
+    /// It stores to `addr`.
+    #[inline(always)]
+    fn store(&mut self, _addr: u64) {}
+    /// It is a branch, `jal` or `jalr` and continues at `next_pc`; `taken`
+    /// is whether that leaves the fall-through path (as a [`StepEvent`]
+    /// shows it: a branch to the next instruction is not taken), always
+    /// `true` for the two jumps.
+    #[inline(always)]
+    fn control(&mut self, _pc: u64, _inst: Inst, _taken: bool, _next_pc: u64) {}
+}
+
+impl Hooks for () {}
 
 /// Functional reference interpreter.
 ///
@@ -246,17 +289,10 @@ impl Interp {
     pub fn step(&mut self) -> Result<StepEvent, Trap> {
         let pc = self.state.pc;
         if self.halted {
-            return Ok(StepEvent {
-                pc,
-                inst: Inst::Halt,
-                next_pc: pc,
-                reg_write: None,
-                mem: MemEffect::None,
-                halted: true,
-            });
+            return Ok(StepEvent::latched_halt(pc));
         }
         let inst = self.inst_fast(pc)?;
-        let (next_pc, reg_write, mem, halted) = self.dispatch(pc, inst);
+        let (next_pc, reg_write, mem, halted) = self.dispatch(pc, inst, &mut ());
         Ok(StepEvent {
             pc,
             inst,
@@ -284,11 +320,18 @@ impl Interp {
     }
 
     /// Executes one decoded instruction against the architectural state,
-    /// returning `(next_pc, reg_write, mem_effect, halted)`. Shared by
-    /// the evented [`Interp::step`] and the event-free [`Interp::run`]
-    /// hot loop so the two paths cannot diverge.
+    /// reporting its effects to `hooks` and returning `(next_pc,
+    /// reg_write, mem_effect, halted)`. The one dispatch behind
+    /// [`Interp::step`] and every run loop, so no two paths can diverge;
+    /// with `()` hooks the calls compile away.
     #[inline(always)]
-    fn dispatch(&mut self, pc: u64, inst: Inst) -> (u64, Option<(Reg, u64)>, MemEffect, bool) {
+    fn dispatch<H: Hooks>(
+        &mut self,
+        pc: u64,
+        inst: Inst,
+        hooks: &mut H,
+    ) -> (u64, Option<(Reg, u64)>, MemEffect, bool) {
+        hooks.fetch(pc);
         let mut next_pc = pc.wrapping_add(INST_BYTES);
         let mut reg_write = None;
         let mut mem_effect = MemEffect::None;
@@ -324,6 +367,7 @@ impl Interp {
                 };
                 reg_write = Some((rd, value));
                 mem_effect = MemEffect::Load { addr, bytes, value };
+                hooks.load(addr);
             }
             Inst::Store {
                 width,
@@ -336,6 +380,7 @@ impl Interp {
                 let value = self.state.read(src);
                 self.mem.write_le(addr, bytes, value);
                 mem_effect = MemEffect::Store { addr, bytes, value };
+                hooks.store(addr);
             }
             Inst::Branch {
                 cond,
@@ -346,15 +391,18 @@ impl Interp {
                 if cond.eval(self.state.read(rs1), self.state.read(rs2)) {
                     next_pc = pc.wrapping_add_signed(offset * 4);
                 }
+                hooks.control(pc, inst, next_pc != pc.wrapping_add(INST_BYTES), next_pc);
             }
             Inst::Jal { rd, offset } => {
                 reg_write = Some((rd, pc.wrapping_add(INST_BYTES)));
                 next_pc = pc.wrapping_add_signed(offset * 4);
+                hooks.control(pc, inst, true, next_pc);
             }
             Inst::Jalr { rd, base, offset } => {
                 let target = self.state.read(base).wrapping_add_signed(offset) & !3u64;
                 reg_write = Some((rd, pc.wrapping_add(INST_BYTES)));
                 next_pc = target;
+                hooks.control(pc, inst, true, next_pc);
             }
             Inst::Fpu { op, rd, rs1, rs2 } => {
                 let v = op.eval(self.state.read(rs1), self.state.read(rs2));
@@ -382,44 +430,14 @@ impl Interp {
 
     /// Runs until `halt` or until `max_steps` instructions retire.
     ///
-    /// This is the functional fast-forward hot loop: it executes through
-    /// [`Interp::dispatch`] directly, skipping per-step [`StepEvent`]
-    /// assembly (use [`Interp::step`] when the events matter).
+    /// This is the functional fast-forward hot loop: no effect is reported
+    /// and none is assembled (use [`Interp::step`] when the events matter).
     ///
     /// # Errors
     ///
     /// Propagates the first [`Trap`].
     pub fn run(&mut self, max_steps: u64) -> Result<RunOutcome, Trap> {
-        if max_steps == 0 {
-            return Ok(RunOutcome {
-                stop: StopReason::StepLimit,
-                steps: 0,
-            });
-        }
-        if self.halted {
-            // A latched halt replays as a single halt step, as `step` does.
-            return Ok(RunOutcome {
-                stop: StopReason::Halt,
-                steps: 1,
-            });
-        }
-        let mut steps = 0;
-        while steps < max_steps {
-            let pc = self.state.pc;
-            let inst = self.inst_fast(pc)?;
-            let (_, _, _, halted) = self.dispatch(pc, inst);
-            steps += 1;
-            if halted {
-                return Ok(RunOutcome {
-                    stop: StopReason::Halt,
-                    steps,
-                });
-            }
-        }
-        Ok(RunOutcome {
-            stop: StopReason::StepLimit,
-            steps,
-        })
+        self.run_loop(max_steps, &mut (), |_| {})
     }
 
     /// Runs until `halt` or until `max_steps` instructions retire,
@@ -428,10 +446,10 @@ impl Interp {
     /// Semantically equivalent to calling [`Interp::step`] in a loop —
     /// including replaying a single halt event when the halt is already
     /// latched — but monomorphized over the callback, so the dispatch
-    /// loop and the observer inline into one hot loop. This is the
-    /// functional-warming path of sampled simulation: hundreds of
-    /// thousands of instructions per call, each feeding cache tags and
-    /// the branch predictor.
+    /// loop and the observer inline into one hot loop. For observers that
+    /// need whole events (values, register writes); one that needs only
+    /// addresses and control flow is cheaper as [`Hooks`] on
+    /// [`Interp::run_with_hooks`], which assembles no event.
     ///
     /// # Errors
     ///
@@ -440,6 +458,35 @@ impl Interp {
     pub fn run_traced<F: FnMut(&StepEvent)>(
         &mut self,
         max_steps: u64,
+        on_step: F,
+    ) -> Result<RunOutcome, Trap> {
+        self.run_loop(max_steps, &mut (), on_step)
+    }
+
+    /// Runs until `halt` or until `max_steps` instructions retire,
+    /// reporting each step's effects to `hooks` as it executes (see
+    /// [`Hooks`] for the order). The hooks are inlined into the dispatch
+    /// loop. The functional-warming path of sampled simulation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`Trap`]; steps before it have already been
+    /// reported, the trapping one has not.
+    pub fn run_with_hooks<H: Hooks>(
+        &mut self,
+        max_steps: u64,
+        hooks: &mut H,
+    ) -> Result<RunOutcome, Trap> {
+        self.run_loop(max_steps, hooks, |_| {})
+    }
+
+    /// The one run loop behind [`Interp::run`], [`Interp::run_traced`]
+    /// and [`Interp::run_with_hooks`]; an unused event or no-op hooks
+    /// compile away.
+    fn run_loop<H: Hooks, F: FnMut(&StepEvent)>(
+        &mut self,
+        max_steps: u64,
+        hooks: &mut H,
         mut on_step: F,
     ) -> Result<RunOutcome, Trap> {
         if max_steps == 0 {
@@ -449,15 +496,10 @@ impl Interp {
             });
         }
         if self.halted {
+            // A latched halt replays as a single halt step, as `step` does.
             let pc = self.state.pc;
-            on_step(&StepEvent {
-                pc,
-                inst: Inst::Halt,
-                next_pc: pc,
-                reg_write: None,
-                mem: MemEffect::None,
-                halted: true,
-            });
+            hooks.fetch(pc);
+            on_step(&StepEvent::latched_halt(pc));
             return Ok(RunOutcome {
                 stop: StopReason::Halt,
                 steps: 1,
@@ -467,7 +509,7 @@ impl Interp {
         while steps < max_steps {
             let pc = self.state.pc;
             let inst = self.inst_fast(pc)?;
-            let (next_pc, reg_write, mem, halted) = self.dispatch(pc, inst);
+            let (next_pc, reg_write, mem, halted) = self.dispatch(pc, inst, hooks);
             steps += 1;
             on_step(&StepEvent {
                 pc,
@@ -697,6 +739,180 @@ mod tests {
         let ev = i.step().unwrap();
         assert_eq!(ev.reg_write, None);
         assert_eq!(i.state().read(Reg::ZERO), 0);
+    }
+
+    /// One reported effect, in the order the hooks saw them.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Fetch(u64),
+        Load(u64),
+        Store(u64),
+        Control(u64, Inst, bool, u64),
+    }
+
+    #[derive(Default)]
+    struct Recorder(Vec<Seen>);
+
+    impl Hooks for Recorder {
+        fn fetch(&mut self, pc: u64) {
+            self.0.push(Seen::Fetch(pc));
+        }
+        fn load(&mut self, addr: u64) {
+            self.0.push(Seen::Load(addr));
+        }
+        fn store(&mut self, addr: u64) {
+            self.0.push(Seen::Store(addr));
+        }
+        fn control(&mut self, pc: u64, inst: Inst, taken: bool, next_pc: u64) {
+            self.0.push(Seen::Control(pc, inst, taken, next_pc));
+        }
+    }
+
+    /// What the hooks must report for one step, from its event.
+    fn expected(ev: &StepEvent, out: &mut Vec<Seen>) {
+        out.push(Seen::Fetch(ev.pc));
+        match ev.mem {
+            MemEffect::Load { addr, .. } => out.push(Seen::Load(addr)),
+            MemEffect::Store { addr, .. } => out.push(Seen::Store(addr)),
+            MemEffect::None => {}
+        }
+        match ev.inst {
+            Inst::Branch { .. } => {
+                let taken = ev.next_pc != ev.pc.wrapping_add(INST_BYTES);
+                out.push(Seen::Control(ev.pc, ev.inst, taken, ev.next_pc));
+            }
+            Inst::Jal { .. } | Inst::Jalr { .. } => {
+                out.push(Seen::Control(ev.pc, ev.inst, true, ev.next_pc));
+            }
+            _ => {}
+        }
+    }
+
+    /// Steps `i` until it halts or traps, collecting what the hooks must
+    /// report; returns the trap, if any.
+    fn step_loop(i: &mut Interp, out: &mut Vec<Seen>) -> Option<Trap> {
+        loop {
+            match i.step() {
+                Ok(ev) => {
+                    expected(&ev, out);
+                    if ev.halted {
+                        return None;
+                    }
+                }
+                Err(t) => return Some(t),
+            }
+        }
+    }
+
+    /// Every `Inst` class: ALU, ALU-immediate, `lui`, load, store, FPU,
+    /// prefetch, a branch taken, not taken and to the next instruction,
+    /// `jal`, `jalr`, `halt`.
+    fn every_class(tail: impl FnOnce(&mut Asm)) -> Program {
+        let mut a = Asm::new();
+        let buf = a.data_u64(&[7, 0]);
+        a.la(Reg::x(3), buf);
+        a.inst(Inst::Lui {
+            rd: Reg::x(2),
+            imm: 5,
+        });
+        a.ld(Reg::x(4), Reg::x(3), 0);
+        a.sd(Reg::x(4), Reg::x(3), 8);
+        a.add(Reg::x(5), Reg::x(4), Reg::x(2));
+        a.fadd(Reg::f(1), Reg::f(0), Reg::f(0));
+        a.prefetch(Reg::x(3), 64);
+        a.li(Reg::x(6), 3);
+        let top = a.here();
+        a.addi(Reg::x(6), Reg::x(6), -1);
+        a.bne(Reg::x(6), Reg::ZERO, top);
+        // Condition true, target the fall-through: reported not taken.
+        let next = a.label();
+        a.beq(Reg::ZERO, Reg::ZERO, next);
+        a.bind(next);
+        let func = a.label();
+        a.call(func);
+        tail(&mut a);
+        a.bind(func);
+        a.lbu(Reg::x(7), Reg::x(3), 8);
+        a.ret();
+        a.finish().unwrap()
+    }
+
+    fn same_state(a: &Interp, b: &Interp) {
+        assert_eq!(a.state(), b.state());
+        assert_eq!((a.retired(), a.is_halted()), (b.retired(), b.is_halted()));
+    }
+
+    #[test]
+    fn hooks_report_what_a_step_loop_reports() {
+        let p = every_class(|a| a.halt());
+        let mut stepped = Interp::new(&p);
+        let mut want = Vec::new();
+        assert_eq!(step_loop(&mut stepped, &mut want), None);
+
+        // One call, and the same stream cut into three-step calls.
+        for chunk in [u64::MAX, 3] {
+            let mut i = Interp::new(&p);
+            let mut seen = Recorder::default();
+            let mut steps = 0;
+            loop {
+                let out = i.run_with_hooks(chunk, &mut seen).unwrap();
+                steps += out.steps;
+                if out.stop == StopReason::Halt {
+                    break;
+                }
+            }
+            assert_eq!(seen.0, want, "chunk {chunk}");
+            assert_eq!(steps, stepped.retired());
+            same_state(&i, &stepped);
+
+            // A latched halt replays once, as `step` and `run` do.
+            let mut replay = Recorder::default();
+            let out = i.run_with_hooks(10, &mut replay).unwrap();
+            assert_eq!((out.stop, out.steps), (StopReason::Halt, 1));
+            let mut again = Vec::new();
+            expected(&stepped.step().unwrap(), &mut again);
+            assert_eq!(replay.0, again);
+            assert_eq!(i.run(10).unwrap().steps, 1);
+            same_state(&i, &stepped);
+        }
+        let loads = want.iter().filter(|s| matches!(s, Seen::Load(_))).count();
+        let stores = want.iter().filter(|s| matches!(s, Seen::Store(_))).count();
+        let not_taken = want
+            .iter()
+            .filter(|s| matches!(s, Seen::Control(_, Inst::Branch { .. }, false, _)))
+            .count();
+        assert_eq!((loads, stores, not_taken), (2, 1, 2));
+    }
+
+    #[test]
+    fn hooks_stop_at_the_trapping_pc() {
+        let p = every_class(|a| {
+            a.li(Reg::x(1), 0);
+            a.jalr(Reg::ZERO, Reg::x(1), 0);
+        });
+        let mut stepped = Interp::new(&p);
+        let mut want = Vec::new();
+        let trap = step_loop(&mut stepped, &mut want);
+        assert_eq!(trap, Some(Trap::BadPc(0)));
+
+        let mut i = Interp::new(&p);
+        let mut seen = Recorder::default();
+        assert_eq!(
+            i.run_with_hooks(u64::MAX, &mut seen).unwrap_err(),
+            Trap::BadPc(0)
+        );
+        assert_eq!(seen.0, want);
+        // The last report is the `jalr` to 0; nothing for the fetch at 0.
+        assert!(
+            matches!(
+                seen.0.last(),
+                Some(Seen::Control(_, Inst::Jalr { .. }, true, 0))
+            ),
+            "{:?}",
+            seen.0.last()
+        );
+        same_state(&i, &stepped);
+        assert_eq!(i.state().pc, 0);
     }
 
     #[test]
