@@ -1,22 +1,52 @@
 use std::fmt;
 
-use crate::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, SparseMem, INST_BYTES, NUM_REGS};
+use crate::{
+    AluOp, BranchCond, FpuOp, Inst, MemWidth, Program, Reg, SnapError, SnapReader, SnapWriter,
+    SparseMem, INST_BYTES, NUM_REGS,
+};
+
+/// Where the interpreter's lowered code writes `x0`: one slot past the
+/// architectural registers, written and never read.
+const SINK: u8 = NUM_REGS as u8;
 
 /// Architectural register + PC state.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct ArchState {
-    regs: [u64; NUM_REGS],
+    /// The registers, then the `SINK` slot (not part of the state).
+    regs: [u64; NUM_REGS + 1],
     /// Current program counter.
     pub pc: u64,
 }
+
+impl PartialEq for ArchState {
+    fn eq(&self, other: &ArchState) -> bool {
+        self.regs() == other.regs() && self.pc == other.pc
+    }
+}
+
+impl Eq for ArchState {}
 
 impl ArchState {
     /// Creates a zeroed state with the given entry PC.
     pub fn new(entry: u64) -> ArchState {
         ArchState {
-            regs: [0; NUM_REGS],
+            regs: [0; NUM_REGS + 1],
             pc: entry,
         }
+    }
+
+    /// Reads raw register index `r` (never the sink).
+    #[inline(always)]
+    fn get(&self, r: u8) -> u64 {
+        self.regs[r as usize]
+    }
+
+    /// Writes raw register index `rd` — the sink for `x0` — and reports
+    /// the write as a [`StepEvent`] shows it: not at all for `x0`.
+    #[inline(always)]
+    fn put(&mut self, rd: u8, v: u64) -> Option<(Reg, u64)> {
+        self.regs[rd as usize] = v;
+        Reg::from_index(rd).map(|r| (r, v))
     }
 
     /// Reads a register (reads of `x0` always return zero).
@@ -33,13 +63,15 @@ impl ArchState {
 
     /// A snapshot of all 64 registers in unified-index order.
     pub fn regs(&self) -> &[u64; NUM_REGS] {
-        &self.regs
+        self.regs[..NUM_REGS]
+            .try_into()
+            .expect("the sink follows them")
     }
 
     /// Serializes the register file and PC.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.tag("ARCH");
-        for &v in &self.regs {
+        for &v in self.regs() {
             w.put_u64(v);
         }
         w.put_u64(self.pc);
@@ -53,7 +85,7 @@ impl ArchState {
     /// is unspecified (but memory-safe) on error.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag("ARCH")?;
-        for v in self.regs.iter_mut() {
+        for v in &mut self.regs[..NUM_REGS] {
             *v = r.take_u64()?;
         }
         self.pc = r.take_u64()?;
@@ -179,7 +211,7 @@ pub struct RunOutcome {
 
 /// Observer of the effects [`Interp::run_with_hooks`] computes anyway.
 ///
-/// Each method is called from the point of the dispatch that already
+/// Each method is called from the point of `exec` that already
 /// knows the effect, in program order; every method defaults to doing
 /// nothing, so an observer implements only what it needs and the unit
 /// type `()` observes nothing. Hooks see exactly what a [`Interp::step`]
@@ -212,16 +244,26 @@ impl Hooks for () {}
 /// the golden model for co-simulation: every timing core in the workspace
 /// checks its retirement stream against an `Interp` running the same
 /// program (see `sst-sim`'s `RetireChecker`).
+///
+/// The text is lowered once, at construction, into a flat table of
+/// operations that carry their ALU operator, branch condition or access
+/// width in the variant, and into the length of the straight-line run that
+/// starts at each instruction. [`Interp::step`] and the one loop over those
+/// runs behind [`Interp::run`], [`Interp::run_traced`] and
+/// [`Interp::run_with_hooks`] execute through one `exec`.
 pub struct Interp {
     state: ArchState,
     mem: SparseMem,
     halted: bool,
     retired: u64,
-    /// Text predecoded once at construction: `decoded[i]` is the
-    /// instruction at `text_base + 4*i`, or `None` for an undecodable
-    /// word. Pure memoization of the immutable program text — the
-    /// per-step decode was the functional fast-forward bottleneck.
-    decoded: Vec<Option<Inst>>,
+    /// `ops[i]` is the instruction at `text_base + 4*i`, lowered
+    /// (`Op::Invalid` for an undecodable word). Pure memoization of the
+    /// immutable program text.
+    ops: Vec<Op>,
+    /// `runs[i]` counts the instructions from `ops[i]` up to and including
+    /// the first branch, jump or `halt` (or up to the end of the text or an
+    /// undecodable word); 0 for an undecodable word.
+    runs: Vec<u32>,
     text_base: u64,
 }
 
@@ -237,17 +279,30 @@ impl Interp {
     /// Creates an interpreter over an image that is already loaded: `mem`
     /// holds what [`Program::load_into`] writes for a program of `insts`
     /// instructions at `text_base`, entered at `entry`. For a caller that
-    /// has the loaded image but no longer the [`Program`].
+    /// has the loaded image but no longer the [`Program`]. The text is
+    /// decoded and lowered here, once.
     pub fn over_image(mem: SparseMem, text_base: u64, insts: usize, entry: u64) -> Interp {
-        let decoded = (0..insts as u64)
-            .map(|i| crate::decode(mem.read_u32(text_base + i * INST_BYTES)).ok())
-            .collect();
+        let mut ops = vec![Op::Invalid; insts];
+        let mut runs = vec![0; insts];
+        // Back to front: a run ends at a control transfer or `halt`.
+        let mut run = 0;
+        for i in (0..insts).rev() {
+            let decoded = crate::decode(mem.read_u32(text_base + i as u64 * INST_BYTES));
+            ops[i] = decoded.map_or(Op::Invalid, lower);
+            run = match decoded {
+                Ok(inst) if inst.is_control() || inst == Inst::Halt => 1,
+                Ok(_) => run + 1,
+                Err(_) => 0,
+            };
+            runs[i] = run;
+        }
         Interp {
             state: ArchState::new(entry),
             mem,
             halted: false,
             retired: 0,
-            decoded,
+            ops,
+            runs,
             text_base,
         }
     }
@@ -285,147 +340,19 @@ impl Interp {
     /// # Errors
     ///
     /// Returns a [`Trap`] if the PC leaves the text segment or the fetched
-    /// word cannot be decoded. The state is unchanged on error.
+    /// word cannot be decoded (both as [`Trap::BadPc`]). The state is
+    /// unchanged on error.
     pub fn step(&mut self) -> Result<StepEvent, Trap> {
         let pc = self.state.pc;
         if self.halted {
             return Ok(StepEvent::latched_halt(pc));
         }
-        let inst = self.inst_fast(pc)?;
-        let (next_pc, reg_write, mem, halted) = self.dispatch(pc, inst, &mut ());
-        Ok(StepEvent {
-            pc,
-            inst,
-            next_pc,
-            reg_write,
-            mem,
-            halted,
-        })
-    }
-
-    /// Predecoded-table fetch: bounds + alignment check, then a slot
-    /// read. Out-of-text and undecodable words both trap as
-    /// [`Trap::BadPc`], matching the `Program::inst_at` path this
-    /// replaced.
-    #[inline(always)]
-    fn inst_fast(&self, pc: u64) -> Result<Inst, Trap> {
-        let off = pc.wrapping_sub(self.text_base);
-        if off % INST_BYTES != 0 {
-            return Err(Trap::BadPc(pc));
-        }
-        match self.decoded.get((off / INST_BYTES) as usize) {
-            Some(&Some(inst)) => Ok(inst),
-            _ => Err(Trap::BadPc(pc)),
-        }
-    }
-
-    /// Executes one decoded instruction against the architectural state,
-    /// reporting its effects to `hooks` and returning `(next_pc,
-    /// reg_write, mem_effect, halted)`. The one dispatch behind
-    /// [`Interp::step`] and every run loop, so no two paths can diverge;
-    /// with `()` hooks the calls compile away.
-    #[inline(always)]
-    fn dispatch<H: Hooks>(
-        &mut self,
-        pc: u64,
-        inst: Inst,
-        hooks: &mut H,
-    ) -> (u64, Option<(Reg, u64)>, MemEffect, bool) {
-        hooks.fetch(pc);
-        let mut next_pc = pc.wrapping_add(INST_BYTES);
-        let mut reg_write = None;
-        let mut mem_effect = MemEffect::None;
-        let mut halted = false;
-
-        match inst {
-            Inst::Alu { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.state.read(rs1), self.state.read(rs2));
-                reg_write = Some((rd, v));
-            }
-            Inst::AluImm { op, rd, rs1, imm } => {
-                let v = op.eval(self.state.read(rs1), imm as u64);
-                reg_write = Some((rd, v));
-            }
-            Inst::Lui { rd, imm } => {
-                reg_write = Some((rd, (imm << 12) as u64));
-            }
-            Inst::Load {
-                width,
-                signed,
-                rd,
-                base,
-                offset,
-            } => {
-                let addr = self.state.read(base).wrapping_add_signed(offset);
-                let bytes = width.bytes();
-                let raw = self.mem.read_le(addr, bytes);
-                let value = if signed && bytes < 8 {
-                    let shift = 64 - bytes * 8;
-                    (((raw << shift) as i64) >> shift) as u64
-                } else {
-                    raw
-                };
-                reg_write = Some((rd, value));
-                mem_effect = MemEffect::Load { addr, bytes, value };
-                hooks.load(addr);
-            }
-            Inst::Store {
-                width,
-                src,
-                base,
-                offset,
-            } => {
-                let addr = self.state.read(base).wrapping_add_signed(offset);
-                let bytes = width.bytes();
-                let value = self.state.read(src);
-                self.mem.write_le(addr, bytes, value);
-                mem_effect = MemEffect::Store { addr, bytes, value };
-                hooks.store(addr);
-            }
-            Inst::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                if cond.eval(self.state.read(rs1), self.state.read(rs2)) {
-                    next_pc = pc.wrapping_add_signed(offset * 4);
-                }
-                hooks.control(pc, inst, next_pc != pc.wrapping_add(INST_BYTES), next_pc);
-            }
-            Inst::Jal { rd, offset } => {
-                reg_write = Some((rd, pc.wrapping_add(INST_BYTES)));
-                next_pc = pc.wrapping_add_signed(offset * 4);
-                hooks.control(pc, inst, true, next_pc);
-            }
-            Inst::Jalr { rd, base, offset } => {
-                let target = self.state.read(base).wrapping_add_signed(offset) & !3u64;
-                reg_write = Some((rd, pc.wrapping_add(INST_BYTES)));
-                next_pc = target;
-                hooks.control(pc, inst, true, next_pc);
-            }
-            Inst::Fpu { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.state.read(rs1), self.state.read(rs2));
-                reg_write = Some((rd, v));
-            }
-            Inst::Prefetch { .. } => {}
-            Inst::Halt => {
-                halted = true;
-                next_pc = pc;
-            }
-        }
-
-        if let Some((rd, v)) = reg_write {
-            self.state.write(rd, v);
-            if rd.is_zero() {
-                reg_write = None;
-            }
-        }
-        self.state.pc = next_pc;
-        self.halted = halted;
+        let (i, _) = run_at(&self.runs, self.text_base, pc).ok_or(Trap::BadPc(pc))?;
+        let ev = exec(&mut self.state, &mut self.mem, self.ops[i], pc, &mut ());
+        self.state.pc = ev.next_pc;
         self.retired += 1;
-
-        (next_pc, reg_write, mem_effect, halted)
+        self.halted = ev.halted;
+        Ok(ev)
     }
 
     /// Runs until `halt` or until `max_steps` instructions retire.
@@ -445,11 +372,11 @@ impl Interp {
     ///
     /// Semantically equivalent to calling [`Interp::step`] in a loop —
     /// including replaying a single halt event when the halt is already
-    /// latched — but monomorphized over the callback, so the dispatch
-    /// loop and the observer inline into one hot loop. For observers that
-    /// need whole events (values, register writes); one that needs only
-    /// addresses and control flow is cheaper as [`Hooks`] on
-    /// [`Interp::run_with_hooks`], which assembles no event.
+    /// latched — but monomorphized over the callback, so the run loop and
+    /// the observer inline into one hot loop. For observers that need whole
+    /// events (values, register writes); one that needs only addresses and
+    /// control flow is cheaper as [`Hooks`] on [`Interp::run_with_hooks`],
+    /// which assembles no event.
     ///
     /// # Errors
     ///
@@ -465,8 +392,8 @@ impl Interp {
 
     /// Runs until `halt` or until `max_steps` instructions retire,
     /// reporting each step's effects to `hooks` as it executes (see
-    /// [`Hooks`] for the order). The hooks are inlined into the dispatch
-    /// loop. The functional-warming path of sampled simulation.
+    /// [`Hooks`] for the order). The hooks are inlined into the run loop.
+    /// The functional-warming path of sampled simulation.
     ///
     /// # Errors
     ///
@@ -482,7 +409,9 @@ impl Interp {
 
     /// The one run loop behind [`Interp::run`], [`Interp::run_traced`]
     /// and [`Interp::run_with_hooks`]; an unused event or no-op hooks
-    /// compile away.
+    /// compile away. It checks the PC once per straight-line run (nothing
+    /// inside a run can trap), clamps the run to the step budget, and
+    /// writes the PC and the retire count once per run.
     fn run_loop<H: Hooks, F: FnMut(&StepEvent)>(
         &mut self,
         max_steps: u64,
@@ -496,7 +425,7 @@ impl Interp {
             });
         }
         if self.halted {
-            // A latched halt replays as a single halt step, as `step` does.
+            // A latched halt replays as a single halt step.
             let pc = self.state.pc;
             hooks.fetch(pc);
             on_step(&StepEvent::latched_halt(pc));
@@ -505,21 +434,32 @@ impl Interp {
                 steps: 1,
             });
         }
+        let Interp {
+            state,
+            mem,
+            halted,
+            retired,
+            ops,
+            runs,
+            text_base,
+        } = self;
         let mut steps = 0;
         while steps < max_steps {
-            let pc = self.state.pc;
-            let inst = self.inst_fast(pc)?;
-            let (next_pc, reg_write, mem, halted) = self.dispatch(pc, inst, hooks);
-            steps += 1;
-            on_step(&StepEvent {
-                pc,
-                inst,
-                next_pc,
-                reg_write,
-                mem,
-                halted,
-            });
-            if halted {
+            let mut pc = state.pc;
+            let (i, run) = run_at(runs, *text_base, pc).ok_or(Trap::BadPc(pc))?;
+            let run = run.min(max_steps - steps);
+            let mut halt = false;
+            for &op in &ops[i..i + run as usize] {
+                let ev = exec(state, mem, op, pc, hooks);
+                on_step(&ev);
+                pc = ev.next_pc;
+                halt = ev.halted;
+            }
+            state.pc = pc;
+            *retired += run;
+            steps += run;
+            if halt {
+                *halted = true;
                 return Ok(RunOutcome {
                     stop: StopReason::Halt,
                     steps,
@@ -557,6 +497,250 @@ impl Interp {
         self.mem.restore_state(r)?;
         Ok(())
     }
+}
+
+/// The text index of `pc` and the length of the run that starts there,
+/// if `pc` is an aligned text address whose word decodes.
+#[inline(always)]
+fn run_at(runs: &[u32], text_base: u64, pc: u64) -> Option<(usize, u64)> {
+    let off = pc.wrapping_sub(text_base);
+    let i = (off / INST_BYTES) as usize;
+    match runs.get(i) {
+        Some(&run) if run > 0 && off % INST_BYTES == 0 => Some((i, run.into())),
+        _ => None,
+    }
+}
+
+/// The register a raw index names; the [`SINK`] raises to `x0`.
+#[inline(always)]
+fn reg(r: u8) -> Reg {
+    Reg::from_index(r).unwrap_or(Reg::ZERO)
+}
+
+/// What a step that falls through to the next instruction with no other
+/// effect reports; `exec` overrides the fields its operation sets.
+#[inline(always)]
+fn fall(pc: u64, inst: Inst) -> StepEvent {
+    StepEvent {
+        pc,
+        inst,
+        next_pc: pc.wrapping_add(INST_BYTES),
+        reg_write: None,
+        mem: MemEffect::None,
+        halted: false,
+    }
+}
+
+/// A loaded value, sign-extended from `bytes` if `signed`.
+#[inline(always)]
+fn extend(raw: u64, bytes: u64, signed: bool) -> u64 {
+    if signed && bytes < 8 {
+        let shift = 64 - bytes * 8;
+        (((raw << shift) as i64) >> shift) as u64
+    } else {
+        raw
+    }
+}
+
+/// Defines [`Op`], [`lower`] (the one `match` on [`Inst`]) and [`exec`]
+/// (the one `match` on [`Op`]) from the lists of operators, conditions and
+/// access widths. Each arm calls the shared `eval` of its constant
+/// operator, so the interpreter and the timing cores cannot disagree about
+/// arithmetic.
+macro_rules! lowering {
+    (
+        alu: $($alu:ident $alui:ident),+;
+        fpu: $($fpu:ident),+;
+        branch: $($br:ident $cond:ident),+;
+        load: $($ld:ident $lw:ident $signed:literal),+;
+        store: $($st:ident $sw:ident),+;
+    ) => {
+        /// An instruction lowered for [`exec`]: one variant per operator,
+        /// condition, or access width and signedness; registers are raw
+        /// indices, and a register write to `x0` goes to the [`SINK`].
+        #[derive(Clone, Copy)]
+        enum Op {
+            $(
+                $alu { rd: u8, rs1: u8, rs2: u8 },
+                $alui { rd: u8, rs1: u8, imm: i32 },
+            )+
+            $($fpu { rd: u8, rs1: u8, rs2: u8 },)+
+            $($br { rs1: u8, rs2: u8, offset: i32 },)+
+            $($ld { rd: u8, base: u8, offset: i32 },)+
+            $($st { src: u8, base: u8, offset: i32 },)+
+            Lui { rd: u8, imm: i32 },
+            Jal { rd: u8, offset: i32 },
+            Jalr { rd: u8, base: u8, offset: i32 },
+            Prefetch { base: u8, offset: i32 },
+            Halt,
+            /// An undecodable word; its run is empty, so it never executes.
+            Invalid,
+        }
+
+        /// Lowers a decoded instruction; `x0` as a destination becomes the
+        /// [`SINK`], here and nowhere else.
+        fn lower(inst: Inst) -> Op {
+            let r = Reg::raw;
+            let w = |rd: Reg| if rd.is_zero() { SINK } else { rd.raw() };
+            let i = |v: i64| i32::try_from(v).expect("a decoded immediate has at most 18 bits");
+            match inst {
+                $(
+                    Inst::Alu { op: AluOp::$alu, rd, rs1, rs2 } => {
+                        Op::$alu { rd: w(rd), rs1: r(rs1), rs2: r(rs2) }
+                    }
+                    Inst::AluImm { op: AluOp::$alu, rd, rs1, imm } => {
+                        Op::$alui { rd: w(rd), rs1: r(rs1), imm: i(imm) }
+                    }
+                )+
+                $(
+                    Inst::Fpu { op: FpuOp::$fpu, rd, rs1, rs2 } => {
+                        Op::$fpu { rd: w(rd), rs1: r(rs1), rs2: r(rs2) }
+                    }
+                )+
+                $(
+                    Inst::Branch { cond: BranchCond::$cond, rs1, rs2, offset } => {
+                        Op::$br { rs1: r(rs1), rs2: r(rs2), offset: i(offset) }
+                    }
+                )+
+                $(
+                    Inst::Load { width: MemWidth::$lw, signed: $signed, rd, base, offset } => {
+                        Op::$ld { rd: w(rd), base: r(base), offset: i(offset) }
+                    }
+                )+
+                // `ld` has one encoding, which decodes as signed.
+                Inst::Load { width: MemWidth::B8, signed: false, rd, base, offset } => {
+                    Op::Ld { rd: w(rd), base: r(base), offset: i(offset) }
+                }
+                $(
+                    Inst::Store { width: MemWidth::$sw, src, base, offset } => {
+                        Op::$st { src: r(src), base: r(base), offset: i(offset) }
+                    }
+                )+
+                Inst::Lui { rd, imm } => Op::Lui { rd: w(rd), imm: i(imm) },
+                Inst::Jal { rd, offset } => Op::Jal { rd: w(rd), offset: i(offset) },
+                Inst::Jalr { rd, base, offset } => {
+                    Op::Jalr { rd: w(rd), base: r(base), offset: i(offset) }
+                }
+                Inst::Prefetch { base, offset } => {
+                    Op::Prefetch { base: r(base), offset: i(offset) }
+                }
+                Inst::Halt => Op::Halt,
+            }
+        }
+
+        /// Executes one lowered instruction at `pc` against the
+        /// architectural state, reporting its effects to `hooks` and
+        /// returning its event, with the original [`Inst`] raised back; the
+        /// caller moves the PC. What a caller does not read compiles away.
+        #[inline(always)]
+        fn exec<H: Hooks>(
+            state: &mut ArchState,
+            mem: &mut SparseMem,
+            op: Op,
+            pc: u64,
+            hooks: &mut H,
+        ) -> StepEvent {
+            hooks.fetch(pc);
+            let next = pc.wrapping_add(INST_BYTES);
+            match op {
+                $(
+                    Op::$alu { rd, rs1, rs2 } => {
+                        let v = AluOp::$alu.eval(state.get(rs1), state.get(rs2));
+                        let (op, rs1, rs2) = (AluOp::$alu, reg(rs1), reg(rs2));
+                        let inst = Inst::Alu { op, rd: reg(rd), rs1, rs2 };
+                        StepEvent { reg_write: state.put(rd, v), ..fall(pc, inst) }
+                    }
+                    Op::$alui { rd, rs1, imm } => {
+                        let v = AluOp::$alu.eval(state.get(rs1), i64::from(imm) as u64);
+                        let (op, rs1, imm) = (AluOp::$alu, reg(rs1), imm.into());
+                        let inst = Inst::AluImm { op, rd: reg(rd), rs1, imm };
+                        StepEvent { reg_write: state.put(rd, v), ..fall(pc, inst) }
+                    }
+                )+
+                $(
+                    Op::$fpu { rd, rs1, rs2 } => {
+                        let v = FpuOp::$fpu.eval(state.get(rs1), state.get(rs2));
+                        let (op, rs1, rs2) = (FpuOp::$fpu, reg(rs1), reg(rs2));
+                        let inst = Inst::Fpu { op, rd: reg(rd), rs1, rs2 };
+                        StepEvent { reg_write: state.put(rd, v), ..fall(pc, inst) }
+                    }
+                )+
+                $(
+                    Op::$br { rs1, rs2, offset } => {
+                        let cond = BranchCond::$cond;
+                        let taken = cond.eval(state.get(rs1), state.get(rs2));
+                        let (rs1, rs2, offset) = (reg(rs1), reg(rs2), i64::from(offset));
+                        let inst = Inst::Branch { cond, rs1, rs2, offset };
+                        let next_pc = if taken { pc.wrapping_add_signed(offset * 4) } else { next };
+                        // A branch to the next instruction is not taken.
+                        hooks.control(pc, inst, next_pc != next, next_pc);
+                        StepEvent { next_pc, ..fall(pc, inst) }
+                    }
+                )+
+                $(
+                    Op::$ld { rd, base, offset } => {
+                        let addr = state.get(base).wrapping_add_signed(offset.into());
+                        let bytes = MemWidth::$lw.bytes();
+                        let value = extend(mem.read_le(addr, bytes), bytes, $signed);
+                        hooks.load(addr);
+                        let (width, base, offset) = (MemWidth::$lw, reg(base), offset.into());
+                        let inst = Inst::Load { width, signed: $signed, rd: reg(rd), base, offset };
+                        StepEvent {
+                            reg_write: state.put(rd, value),
+                            mem: MemEffect::Load { addr, bytes, value },
+                            ..fall(pc, inst)
+                        }
+                    }
+                )+
+                $(
+                    Op::$st { src, base, offset } => {
+                        let addr = state.get(base).wrapping_add_signed(offset.into());
+                        let (bytes, value) = (MemWidth::$sw.bytes(), state.get(src));
+                        mem.write_le(addr, bytes, value);
+                        hooks.store(addr);
+                        let (src, base, offset) = (reg(src), reg(base), offset.into());
+                        let inst = Inst::Store { width: MemWidth::$sw, src, base, offset };
+                        StepEvent { mem: MemEffect::Store { addr, bytes, value }, ..fall(pc, inst) }
+                    }
+                )+
+                Op::Lui { rd, imm } => {
+                    let inst = Inst::Lui { rd: reg(rd), imm: imm.into() };
+                    let v = (i64::from(imm) << 12) as u64;
+                    StepEvent { reg_write: state.put(rd, v), ..fall(pc, inst) }
+                }
+                Op::Jal { rd, offset } => {
+                    let inst = Inst::Jal { rd: reg(rd), offset: offset.into() };
+                    let next_pc = pc.wrapping_add_signed(i64::from(offset) * 4);
+                    hooks.control(pc, inst, true, next_pc);
+                    StepEvent { next_pc, reg_write: state.put(rd, next), ..fall(pc, inst) }
+                }
+                Op::Jalr { rd, base, offset } => {
+                    // The target reads `base` before the link can overwrite it.
+                    let next_pc = state.get(base).wrapping_add_signed(offset.into()) & !3;
+                    let (base, offset) = (reg(base), offset.into());
+                    let inst = Inst::Jalr { rd: reg(rd), base, offset };
+                    hooks.control(pc, inst, true, next_pc);
+                    StepEvent { next_pc, reg_write: state.put(rd, next), ..fall(pc, inst) }
+                }
+                Op::Prefetch { base, offset } => {
+                    fall(pc, Inst::Prefetch { base: reg(base), offset: offset.into() })
+                }
+                Op::Halt => StepEvent { next_pc: pc, halted: true, ..fall(pc, Inst::Halt) },
+                Op::Invalid => unreachable!("an undecodable word starts no run"),
+            }
+        }
+    };
+}
+
+lowering! {
+    alu: Add Addi, Sub Subi, And Andi, Or Ori, Xor Xori, Sll Slli, Srl Srli, Sra Srai,
+        Slt Slti, Sltu Sltiu, Mul Muli, Mulh Mulhi, Div Divi, Divu Divui, Rem Remi,
+        Remu Remui;
+    fpu: Fadd, Fsub, Fmul, Fdiv, Fmin, Fmax, Fsqrt, Feq, Flt, Fle, CvtIntToF, CvtFToInt;
+    branch: Beq Eq, Bne Ne, Blt Lt, Bge Ge, Bltu Ltu, Bgeu Geu;
+    load: Lb B1 true, Lbu B1 false, Lh B2 true, Lhu B2 false, Lw B4 true, Lwu B4 false,
+        Ld B8 true;
+    store: Sb B1, Sh B2, Sw B4, Sd B8;
 }
 
 #[cfg(test)]
@@ -788,53 +972,380 @@ mod tests {
         }
     }
 
-    /// Steps `i` until it halts or traps, collecting what the hooks must
-    /// report; returns the trap, if any.
-    fn step_loop(i: &mut Interp, out: &mut Vec<Seen>) -> Option<Trap> {
-        loop {
-            match i.step() {
-                Ok(ev) => {
-                    expected(&ev, out);
-                    if ev.halted {
-                        return None;
-                    }
-                }
-                Err(t) => return Some(t),
-            }
+    const ALU: [AluOp; 16] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Sll,
+        AluOp::Srl,
+        AluOp::Sra,
+        AluOp::Slt,
+        AluOp::Sltu,
+        AluOp::Mul,
+        AluOp::Mulh,
+        AluOp::Div,
+        AluOp::Divu,
+        AluOp::Rem,
+        AluOp::Remu,
+    ];
+    const FPU: [FpuOp; 12] = [
+        FpuOp::Fadd,
+        FpuOp::Fsub,
+        FpuOp::Fmul,
+        FpuOp::Fdiv,
+        FpuOp::Fmin,
+        FpuOp::Fmax,
+        FpuOp::Fsqrt,
+        FpuOp::Feq,
+        FpuOp::Flt,
+        FpuOp::Fle,
+        FpuOp::CvtIntToF,
+        FpuOp::CvtFToInt,
+    ];
+    const WIDTHS: [MemWidth; 4] = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8];
+    const CONDS: [BranchCond; 6] = [
+        BranchCond::Eq,
+        BranchCond::Ne,
+        BranchCond::Lt,
+        BranchCond::Ge,
+        BranchCond::Ltu,
+        BranchCond::Geu,
+    ];
+
+    /// Operands of each condition that make it true, then false.
+    fn outcomes(cond: BranchCond) -> [(Reg, Reg); 2] {
+        // x1 is negative (a huge unsigned), x2 small and positive.
+        let (neg, pos) = (Reg::x(1), Reg::x(2));
+        match cond {
+            BranchCond::Eq => [(pos, pos), (neg, pos)],
+            BranchCond::Ne => [(neg, pos), (pos, pos)],
+            BranchCond::Lt => [(neg, pos), (pos, neg)],
+            BranchCond::Ge => [(pos, neg), (neg, pos)],
+            BranchCond::Ltu => [(pos, neg), (neg, pos)],
+            BranchCond::Geu => [(neg, pos), (pos, neg)],
         }
     }
 
-    /// Every `Inst` class: ALU, ALU-immediate, `lui`, load, store, FPU,
-    /// prefetch, a branch taken, not taken and to the next instruction,
-    /// `jal`, `jalr`, `halt`.
-    fn every_class(tail: impl FnOnce(&mut Asm)) -> Program {
+    /// Every operation: all sixteen ALU operators in register and
+    /// immediate form, every FPU operator, `lui`, loads of every width and
+    /// signedness (one straddling a page), stores of every width, prefetch,
+    /// each branch condition taken, not taken and true but targeting the
+    /// next instruction, `jal` and `jalr` with and without a link (one
+    /// `jalr` linking into its own base), a write to `x0` from every class
+    /// that writes a register, a loop and a call; then `tail`.
+    fn every_op(tail: impl FnOnce(&mut Asm)) -> Program {
         let mut a = Asm::new();
-        let buf = a.data_u64(&[7, 0]);
-        a.la(Reg::x(3), buf);
+        // The data starts page-aligned; its bytes all have the top bit set.
+        let page = a.data_bytes(&[0x9c; 4096 + 8]);
+        assert_eq!(page % 4096, 0);
+        let fp = a.data_f64(&[2.5, -1.25]);
+        let buf = a.reserve(64);
+        a.la(Reg::x(3), page);
+        a.la(Reg::x(4), fp);
+        a.la(Reg::x(8), buf);
+        a.li(Reg::x(1), -7);
+        a.li(Reg::x(2), 3);
         a.inst(Inst::Lui {
-            rd: Reg::x(2),
-            imm: 5,
+            rd: Reg::x(5),
+            imm: -5,
         });
-        a.ld(Reg::x(4), Reg::x(3), 0);
-        a.sd(Reg::x(4), Reg::x(3), 8);
-        a.add(Reg::x(5), Reg::x(4), Reg::x(2));
-        a.fadd(Reg::f(1), Reg::f(0), Reg::f(0));
+        for op in ALU {
+            a.alu(op, Reg::x(10), Reg::x(1), Reg::x(2));
+            let imm = match op {
+                AluOp::Sll | AluOp::Srl | AluOp::Sra => 3,
+                AluOp::And | AluOp::Or | AluOp::Xor => 0xf0f,
+                _ => -5,
+            };
+            a.alu_imm(op, Reg::x(11), Reg::x(1), imm);
+        }
+        a.ld(Reg::f(0), Reg::x(4), 0);
+        a.ld(Reg::f(1), Reg::x(4), 8);
+        for op in FPU {
+            a.fpu(op, Reg::f(2), Reg::f(0), Reg::f(1));
+        }
+        for width in WIDTHS {
+            for signed in [true, false] {
+                a.load(width, signed, Reg::x(12), Reg::x(3), 5);
+            }
+            a.store(width, Reg::x(1), Reg::x(8), 8);
+        }
+        a.addi(Reg::x(3), Reg::x(3), 2047);
+        a.ld(Reg::x(13), Reg::x(3), 2045); // bytes 4092..4100: two pages
         a.prefetch(Reg::x(3), 64);
-        a.li(Reg::x(6), 3);
+        // Writes to x0, one per class that writes a register.
+        a.add(Reg::ZERO, Reg::x(1), Reg::x(2));
+        a.addi(Reg::ZERO, Reg::x(1), 1);
+        a.inst(Inst::Lui {
+            rd: Reg::ZERO,
+            imm: 1,
+        });
+        a.lbu(Reg::ZERO, Reg::x(3), 0);
+        a.fadd(Reg::ZERO, Reg::f(0), Reg::f(1));
+        for cond in CONDS {
+            let [(t1, t2), (f1, f2)] = outcomes(cond);
+            let skip = a.label();
+            a.branch(cond, t1, t2, skip);
+            a.addi(Reg::x(20), Reg::x(20), 1); // skipped
+            a.bind(skip);
+            a.branch(cond, f1, f2, skip);
+            let next = a.label();
+            a.branch(cond, t1, t2, next);
+            a.bind(next);
+        }
+        // `jal` with a link in x6; the `jalr` reads x6 before relinking it.
+        let (back, over) = (a.label(), a.label());
+        a.jal(Reg::x(6), back);
+        a.j(over);
+        a.bind(back);
+        a.jalr(Reg::x(6), Reg::x(6), 0);
+        a.bind(over);
+        a.li(Reg::x(7), 3);
         let top = a.here();
-        a.addi(Reg::x(6), Reg::x(6), -1);
-        a.bne(Reg::x(6), Reg::ZERO, top);
-        // Condition true, target the fall-through: reported not taken.
-        let next = a.label();
-        a.beq(Reg::ZERO, Reg::ZERO, next);
-        a.bind(next);
+        a.addi(Reg::x(7), Reg::x(7), -1);
+        a.bne(Reg::x(7), Reg::ZERO, top);
         let func = a.label();
         a.call(func);
         tail(&mut a);
         a.bind(func);
-        a.lbu(Reg::x(7), Reg::x(3), 8);
+        a.lbu(Reg::x(9), Reg::x(8), 8);
         a.ret();
         a.finish().unwrap()
+    }
+
+    /// [`every_op`] ending in a straight-line run and then a word that does
+    /// not decode, at the returned PC.
+    fn every_op_then_undecodable() -> (Program, u64) {
+        let mut at = 0;
+        let mut p = every_op(|a| {
+            a.addi(Reg::x(5), Reg::x(5), 1);
+            a.addi(Reg::x(5), Reg::x(5), 1);
+            at = a.len();
+            a.nop();
+        });
+        assert!(crate::decode(u32::MAX).is_err());
+        p.text[at] = u32::MAX;
+        let at = p.text_base + at as u64 * INST_BYTES;
+        (p, at)
+    }
+
+    /// The three ways [`every_op`] can end: a halt, a jump out of the
+    /// text, an undecodable word.
+    fn every_op_endings() -> Vec<(Program, Option<Trap>)> {
+        let (undecodable, at) = every_op_then_undecodable();
+        vec![
+            (every_op(|a| a.halt()), None),
+            (
+                every_op(|a| {
+                    a.li(Reg::x(1), 0);
+                    a.jalr(Reg::ZERO, Reg::x(1), 0);
+                }),
+                Some(Trap::BadPc(0)),
+            ),
+            (undecodable, Some(Trap::BadPc(at))),
+        ]
+    }
+
+    /// What `inst` at `pc` does, by the shared `eval` functions: the next
+    /// PC, the register write a step reports, the memory effect.
+    fn by_eval(
+        s: &ArchState,
+        mem: &SparseMem,
+        pc: u64,
+        inst: Inst,
+    ) -> (u64, Option<(Reg, u64)>, MemEffect) {
+        let r = |reg: Reg| s.read(reg);
+        let w = |rd: Reg, v: u64| (!rd.is_zero()).then_some((rd, v));
+        let next = pc + INST_BYTES;
+        let none = MemEffect::None;
+        match inst {
+            Inst::Alu { op, rd, rs1, rs2 } => (next, w(rd, op.eval(r(rs1), r(rs2))), none),
+            Inst::AluImm { op, rd, rs1, imm } => (next, w(rd, op.eval(r(rs1), imm as u64)), none),
+            Inst::Fpu { op, rd, rs1, rs2 } => (next, w(rd, op.eval(r(rs1), r(rs2))), none),
+            Inst::Lui { rd, imm } => (next, w(rd, (imm << 12) as u64), none),
+            Inst::Load {
+                width,
+                signed,
+                rd,
+                base,
+                offset,
+            } => {
+                let (addr, bytes) = (r(base).wrapping_add_signed(offset), width.bytes());
+                let raw = mem.read_le(addr, bytes);
+                let shift = 64 - 8 * bytes;
+                let value = if signed {
+                    (((raw << shift) as i64) >> shift) as u64
+                } else {
+                    raw
+                };
+                (next, w(rd, value), MemEffect::Load { addr, bytes, value })
+            }
+            Inst::Store {
+                width,
+                src,
+                base,
+                offset,
+            } => {
+                let addr = r(base).wrapping_add_signed(offset);
+                let (bytes, value) = (width.bytes(), r(src));
+                (next, None, MemEffect::Store { addr, bytes, value })
+            }
+            Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset,
+            } => {
+                let taken = cond.eval(r(rs1), r(rs2));
+                let to = if taken {
+                    pc.wrapping_add_signed(offset * 4)
+                } else {
+                    next
+                };
+                (to, None, none)
+            }
+            Inst::Jal { rd, offset } => (pc.wrapping_add_signed(offset * 4), w(rd, next), none),
+            Inst::Jalr { rd, base, offset } => {
+                let to = r(base).wrapping_add_signed(offset) & !3;
+                (to, w(rd, next), none)
+            }
+            Inst::Prefetch { .. } => (next, None, none),
+            Inst::Halt => (pc, None, none),
+        }
+    }
+
+    /// What [`every_op_does_what_the_shared_evals_say`] counts a step as.
+    fn coverage(before: &ArchState, ev: &StepEvent) -> Vec<String> {
+        let mnemonic = ev.inst.to_string();
+        let mnemonic = mnemonic.split(' ').next().unwrap();
+        let mut keys = vec![mnemonic.to_string()];
+        match ev.inst {
+            Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset,
+            } => {
+                let truth = cond.eval(before.read(rs1), before.read(rs2));
+                keys.push(match (truth, offset) {
+                    (true, 1) => format!("{cond:?} to the next instruction"),
+                    (true, _) => format!("{cond:?} taken"),
+                    (false, _) => format!("{cond:?} not taken"),
+                });
+            }
+            Inst::Alu { rd, .. }
+            | Inst::AluImm { rd, .. }
+            | Inst::Lui { rd, .. }
+            | Inst::Load { rd, .. }
+            | Inst::Fpu { rd, .. }
+            | Inst::Jal { rd, .. }
+            | Inst::Jalr { rd, .. }
+                if rd.is_zero() =>
+            {
+                keys.push(format!("{mnemonic} x0"));
+            }
+            _ => {}
+        }
+        if let MemEffect::Load { addr, bytes, .. } = ev.mem {
+            if addr % 4096 + bytes > 4096 {
+                keys.push("a load across a page".into());
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn every_op_does_what_the_shared_evals_say() {
+        let p = every_op(|a| a.halt());
+        let mut i = Interp::new(&p);
+        let mut covered = std::collections::BTreeSet::new();
+        loop {
+            let (before, pc) = (i.state().clone(), i.state().pc);
+            let inst = crate::decode(i.mem().read_u32(pc)).unwrap();
+            let want = by_eval(&before, i.mem(), pc, inst);
+            let ev = i.step().unwrap();
+            assert_eq!((ev.pc, ev.inst), (pc, inst));
+            assert_eq!((ev.next_pc, ev.reg_write, ev.mem), want, "{inst}");
+            // The step moved the PC and wrote what it reports, nothing else.
+            let mut after = before.clone();
+            if let Some((rd, v)) = ev.reg_write {
+                after.write(rd, v);
+            }
+            after.pc = ev.next_pc;
+            assert_eq!(i.state(), &after, "{inst}");
+            assert_eq!(i.state().read(Reg::ZERO), 0);
+            if let MemEffect::Store { addr, bytes, value } = ev.mem {
+                let mask = u64::MAX >> (64 - 8 * bytes);
+                assert_eq!(i.mem().read_le(addr, bytes), value & mask);
+            }
+            covered.extend(coverage(&before, &ev));
+            if ev.halted {
+                break;
+            }
+        }
+        let mut want: Vec<String> = ALU
+            .iter()
+            .flat_map(|op| [op.mnemonic().to_string(), format!("{}i", op.mnemonic())])
+            .chain(FPU.iter().map(|op| op.mnemonic().to_string()))
+            .collect();
+        for cond in CONDS {
+            want.extend(
+                ["taken", "not taken", "to the next instruction"].map(|o| format!("{cond:?} {o}")),
+            );
+        }
+        want.extend(
+            [
+                "lb",
+                "lbu",
+                "lh",
+                "lhu",
+                "lw",
+                "lwu",
+                "ld",
+                "sb",
+                "sh",
+                "sw",
+                "sd",
+                "lui",
+                "prefetch",
+                "jal",
+                "jalr",
+                "halt",
+                "add x0",
+                "addi x0",
+                "lui x0",
+                "lbu x0",
+                "fadd x0",
+                "jal x0",
+                "jalr x0",
+                "a load across a page",
+            ]
+            .map(String::from),
+        );
+        for w in want {
+            assert!(covered.contains(&w), "{w:?} not covered: {covered:?}");
+        }
+    }
+
+    /// A step loop's account of `p`: its events, the hook stream they
+    /// imply, its trap (if any), and the interpreter where it stopped.
+    fn stepped(p: &Program) -> (Vec<StepEvent>, Vec<Seen>, Option<Trap>, Interp) {
+        let mut i = Interp::new(p);
+        let (mut events, mut seen) = (Vec::new(), Vec::new());
+        let trap = loop {
+            match i.step() {
+                Ok(ev) => {
+                    expected(&ev, &mut seen);
+                    events.push(ev);
+                    if ev.halted {
+                        break None;
+                    }
+                }
+                Err(t) => break Some(t),
+            }
+        };
+        (events, seen, trap, i)
     }
 
     fn same_state(a: &Interp, b: &Interp) {
@@ -842,57 +1353,74 @@ mod tests {
         assert_eq!((a.retired(), a.is_halted()), (b.retired(), b.is_halted()));
     }
 
+    const CHUNKS: [u64; 6] = [1, 2, 3, 5, 64, u64::MAX];
+
+    /// Runs `p` to its end in `run(interp, chunk)` calls; returns the trap,
+    /// if any, and the interpreter.
+    fn chunked(
+        p: &Program,
+        chunk: u64,
+        mut run: impl FnMut(&mut Interp, u64) -> Result<RunOutcome, Trap>,
+    ) -> (Option<Trap>, Interp) {
+        let mut i = Interp::new(p);
+        let trap = loop {
+            match run(&mut i, chunk) {
+                Ok(out) if out.stop == StopReason::Halt => break None,
+                Ok(out) => assert_eq!(out.steps, chunk),
+                Err(t) => break Some(t),
+            }
+        };
+        (trap, i)
+    }
+
     #[test]
     fn hooks_report_what_a_step_loop_reports() {
-        let p = every_class(|a| a.halt());
-        let mut stepped = Interp::new(&p);
-        let mut want = Vec::new();
-        assert_eq!(step_loop(&mut stepped, &mut want), None);
-
-        // One call, and the same stream cut into three-step calls.
-        for chunk in [u64::MAX, 3] {
-            let mut i = Interp::new(&p);
-            let mut seen = Recorder::default();
-            let mut steps = 0;
-            loop {
-                let out = i.run_with_hooks(chunk, &mut seen).unwrap();
-                steps += out.steps;
-                if out.stop == StopReason::Halt {
-                    break;
+        for (p, ending) in every_op_endings() {
+            let (_, want, trap, end) = stepped(&p);
+            assert_eq!(trap, ending);
+            for chunk in CHUNKS {
+                let mut seen = Recorder::default();
+                let (trap, mut i) = chunked(&p, chunk, |i, n| i.run_with_hooks(n, &mut seen));
+                assert_eq!(seen.0, want, "chunk {chunk}");
+                assert_eq!(trap, ending);
+                same_state(&i, &end);
+                if trap.is_none() {
+                    // A latched halt replays once, as `step` and `run` do.
+                    let mut replay = Recorder::default();
+                    let out = i.run_with_hooks(10, &mut replay).unwrap();
+                    assert_eq!((out.stop, out.steps), (StopReason::Halt, 1));
+                    assert_eq!(replay.0, [Seen::Fetch(end.state().pc)]);
+                    assert_eq!(i.run(10).unwrap().steps, 1);
+                    same_state(&i, &end);
                 }
             }
-            assert_eq!(seen.0, want, "chunk {chunk}");
-            assert_eq!(steps, stepped.retired());
-            same_state(&i, &stepped);
-
-            // A latched halt replays once, as `step` and `run` do.
-            let mut replay = Recorder::default();
-            let out = i.run_with_hooks(10, &mut replay).unwrap();
-            assert_eq!((out.stop, out.steps), (StopReason::Halt, 1));
-            let mut again = Vec::new();
-            expected(&stepped.step().unwrap(), &mut again);
-            assert_eq!(replay.0, again);
-            assert_eq!(i.run(10).unwrap().steps, 1);
-            same_state(&i, &stepped);
         }
-        let loads = want.iter().filter(|s| matches!(s, Seen::Load(_))).count();
-        let stores = want.iter().filter(|s| matches!(s, Seen::Store(_))).count();
-        let not_taken = want
-            .iter()
-            .filter(|s| matches!(s, Seen::Control(_, Inst::Branch { .. }, false, _)))
-            .count();
-        assert_eq!((loads, stores, not_taken), (2, 1, 2));
+    }
+
+    #[test]
+    fn chunked_runs_match_a_step_loop() {
+        for (p, ending) in every_op_endings() {
+            let (events, _, _, end) = stepped(&p);
+            for chunk in CHUNKS {
+                let (trap, i) = chunked(&p, chunk, |i, n| i.run(n));
+                assert_eq!(trap, ending, "chunk {chunk}");
+                same_state(&i, &end);
+                let mut seen = Vec::new();
+                let (trap, i) = chunked(&p, chunk, |i, n| i.run_traced(n, |ev| seen.push(*ev)));
+                assert_eq!(seen, events, "chunk {chunk}");
+                assert_eq!(trap, ending);
+                same_state(&i, &end);
+            }
+        }
     }
 
     #[test]
     fn hooks_stop_at_the_trapping_pc() {
-        let p = every_class(|a| {
+        let p = every_op(|a| {
             a.li(Reg::x(1), 0);
             a.jalr(Reg::ZERO, Reg::x(1), 0);
         });
-        let mut stepped = Interp::new(&p);
-        let mut want = Vec::new();
-        let trap = step_loop(&mut stepped, &mut want);
+        let (_, want, trap, stepped) = stepped(&p);
         assert_eq!(trap, Some(Trap::BadPc(0)));
 
         let mut i = Interp::new(&p);

@@ -87,8 +87,14 @@ impl Program {
             .collect()
     }
 
-    /// Writes the full byte image (text + data) into `mem`.
+    /// Writes the full byte image (text + data) into `mem`, sizing its
+    /// page window for the whole image first.
     pub fn load_into(&self, mem: &mut SparseMem) {
+        let (mut start, mut end) = (self.text_base, self.end_pc());
+        for seg in &self.data {
+            (start, end) = (start.min(seg.base), end.max(seg.end()));
+        }
+        mem.reserve(start, end);
         for (i, &w) in self.text.iter().enumerate() {
             mem.write_u32(self.text_base + i as u64 * INST_BYTES, w);
         }

@@ -7,10 +7,9 @@ const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
-/// Page-number hasher: a single Fibonacci multiply. Page numbers are
-/// small dense integers and every simulated load, store, and fetch
-/// funnels through the page map, so the default SipHash showed up as a
-/// top entry in the simulation profile.
+/// Page-number hasher for the pages outside the window: a single
+/// Fibonacci multiply (when every access went through the map, the
+/// default SipHash was a top entry in the simulation profile).
 #[derive(Default)]
 struct PageHasher(u64);
 
@@ -33,7 +32,18 @@ impl Hasher for PageHasher {
     }
 }
 
-type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>;
+/// One 4 KiB page.
+type Page = [u8; PAGE_SIZE];
+type PageMap = HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>;
+
+/// Most pages the dense window spans: 256 MiB of address space, so its
+/// table never exceeds 512 KiB. A whole program image — text at 64 KiB,
+/// data from 16 MiB, the largest full-scale table 32 MiB — fits.
+const WINDOW_PAGES: u64 = 1 << 16;
+
+fn zero_page() -> Box<Page> {
+    Box::new([0; PAGE_SIZE])
+}
 
 /// A sparse, byte-addressable 64-bit memory image.
 ///
@@ -43,11 +53,24 @@ type PageMap = HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>
 /// share a single `SparseMem`, so the timing and functional models observe
 /// identical memory contents.
 ///
+/// Every simulated load, store and fetch looks a page up, so the common
+/// lookup is a subtract, a compare and an index: a dense *window* of page
+/// slots starts at the first page ever materialized (a loaded program's
+/// lowest page) and grows to take any page less than 256 MiB above it —
+/// sized once for the whole image when [`crate::Program::load_into`]
+/// loads one. Pages below the window's base or beyond that cap (a second
+/// CMP slot's region, 64 GiB up) live in a hash map.
+///
 /// Accesses may straddle page boundaries and have no alignment requirement;
 /// multi-byte values are little-endian.
 #[derive(Clone, Default)]
 pub struct SparseMem {
-    pages: PageMap,
+    /// Page number of `window[0]`.
+    base: u64,
+    /// Pages `base..base + window.len()`; `None` for one not materialized.
+    window: Vec<Option<Box<Page>>>,
+    /// Materialized pages out of the window's reach.
+    far: PageMap,
 }
 
 impl SparseMem {
@@ -58,26 +81,70 @@ impl SparseMem {
 
     /// Number of 4 KiB pages currently materialized.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.window.iter().flatten().count() + self.far.len()
+    }
+
+    /// Page `pn`, if materialized. The one lookup: a page in the window's
+    /// reach that is not in the window is in neither place.
+    #[inline]
+    fn page(&self, pn: u64) -> Option<&Page> {
+        match self.window.get(pn.wrapping_sub(self.base) as usize) {
+            Some(slot) => slot.as_deref(),
+            None => self.far.get(&pn).map(|p| &**p),
+        }
+    }
+
+    /// Page `pn`, materialized (zeroed) first if need be.
+    #[inline]
+    fn page_mut(&mut self, pn: u64) -> &mut Page {
+        match self.reach(pn) {
+            Some(i) => self.window[i].get_or_insert_with(zero_page),
+            None => self.far.entry(pn).or_insert_with(zero_page),
+        }
+    }
+
+    /// The window slot of page `pn`, growing the window to it if it is in
+    /// reach (the first page materialized sets the base); `None` if not.
+    #[inline]
+    fn reach(&mut self, pn: u64) -> Option<usize> {
+        if self.window.is_empty() {
+            self.base = pn;
+        }
+        let i = pn.wrapping_sub(self.base);
+        if i >= WINDOW_PAGES {
+            return None;
+        }
+        let i = i as usize;
+        if i >= self.window.len() {
+            self.window.resize_with(i + 1, || None);
+        }
+        Some(i)
+    }
+
+    /// Sizes the window, once, for an image about to load into bytes
+    /// `start..end` (an empty window starts at its first page).
+    pub(crate) fn reserve(&mut self, start: u64, end: u64) {
+        if start < end {
+            self.reach(start >> PAGE_SHIFT);
+            let span = ((end - 1) >> PAGE_SHIFT).wrapping_sub(self.base);
+            if span < WINDOW_PAGES {
+                let more = (span as usize + 1).saturating_sub(self.window.len());
+                self.window.reserve_exact(more);
+            }
+        }
     }
 
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr & PAGE_MASK) as usize],
-            None => 0,
-        }
+        self.page(addr >> PAGE_SHIFT)
+            .map_or(0, |p| p[(addr & PAGE_MASK) as usize])
     }
 
     /// Writes one byte, materializing the page if needed.
     #[inline]
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = val;
+        self.page_mut(addr >> PAGE_SHIFT)[(addr & PAGE_MASK) as usize] = val;
     }
 
     /// Reads `n <= 8` bytes little-endian into a `u64`.
@@ -90,9 +157,9 @@ impl SparseMem {
         assert!(n <= 8, "at most 8 bytes per access");
         let off = (addr & PAGE_MASK) as usize;
         if off + n as usize <= PAGE_SIZE {
-            // Within one page: a single map lookup for the whole access
-            // (the overwhelmingly common case).
-            let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) else {
+            // Within one page: a single lookup for the whole access (the
+            // overwhelmingly common case).
+            let Some(p) = self.page(addr >> PAGE_SHIFT) else {
                 return 0;
             };
             let mut v = 0u64;
@@ -118,10 +185,7 @@ impl SparseMem {
         assert!(n <= 8, "at most 8 bytes per access");
         let off = (addr & PAGE_MASK) as usize;
         if off + n as usize <= PAGE_SIZE {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            let page = self.page_mut(addr >> PAGE_SHIFT);
             for (i, b) in page[off..off + n as usize].iter_mut().enumerate() {
                 *b = (val >> (8 * i)) as u8;
             }
@@ -159,11 +223,7 @@ impl SparseMem {
         while !rest.is_empty() {
             let off = (addr & PAGE_MASK) as usize;
             let n = rest.len().min(PAGE_SIZE - off);
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + n].copy_from_slice(&rest[..n]);
+            self.page_mut(addr >> PAGE_SHIFT)[off..off + n].copy_from_slice(&rest[..n]);
             addr = addr.wrapping_add(n as u64);
             rest = &rest[n..];
         }
@@ -171,15 +231,19 @@ impl SparseMem {
 
     /// Serializes the materialized pages in ascending page-number order
     /// (sorted so two equal memories always serialize byte-identically,
-    /// regardless of map iteration order).
+    /// however their pages are split between window and map).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.tag("SMEM");
-        let mut nums: Vec<u64> = self.pages.keys().copied().collect();
-        nums.sort_unstable();
-        w.put_usize(nums.len());
-        for pn in nums {
+        let window = (self.base..).zip(&self.window);
+        let mut pages: Vec<(u64, &Page)> = window
+            .filter_map(|(pn, p)| Some((pn, &**p.as_ref()?)))
+            .chain(self.far.iter().map(|(&pn, p)| (pn, &**p)))
+            .collect();
+        pages.sort_unstable_by_key(|&(pn, _)| pn);
+        w.put_usize(pages.len());
+        for (pn, page) in pages {
             w.put_u64(pn);
-            w.put_raw(&self.pages[&pn][..]);
+            w.put_raw(page);
         }
     }
 
@@ -193,17 +257,16 @@ impl SparseMem {
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag("SMEM")?;
         let n = r.take_usize()?;
-        let mut pages = PageMap::default();
+        let mut mem = SparseMem::new();
         for _ in 0..n {
             let pn = r.take_u64()?;
             let raw = r.take_raw(PAGE_SIZE)?;
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            page[..].copy_from_slice(raw);
-            if pages.insert(pn, page).is_some() {
+            if mem.page(pn).is_some() {
                 return Err(SnapError::Corrupt(format!("duplicate memory page {pn:#x}")));
             }
+            mem.page_mut(pn).copy_from_slice(raw);
         }
-        self.pages = pages;
+        *self = mem;
         Ok(())
     }
 
@@ -214,7 +277,7 @@ impl SparseMem {
         while !rest.is_empty() {
             let off = (addr & PAGE_MASK) as usize;
             let n = rest.len().min(PAGE_SIZE - off);
-            match self.pages.get(&(addr >> PAGE_SHIFT)) {
+            match self.page(addr >> PAGE_SHIFT) {
                 Some(p) => rest[..n].copy_from_slice(&p[off..off + n]),
                 None => rest[..n].fill(0),
             }
@@ -227,7 +290,7 @@ impl SparseMem {
 impl std::fmt::Debug for SparseMem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SparseMem")
-            .field("pages", &self.pages.len())
+            .field("pages", &self.page_count())
             .finish()
     }
 }
@@ -291,5 +354,184 @@ mod tests {
         let mut out = vec![0u8; 256];
         m.read_bytes(5000, &mut out);
         assert_eq!(data, out);
+    }
+
+    const PAGE: u64 = PAGE_SIZE as u64;
+
+    /// A memory whose window starts at page 16 and ends at page 20, with
+    /// a page below the base and one beyond the cap; every page's first
+    /// byte is its page number.
+    fn edged() -> SparseMem {
+        let mut m = SparseMem::new();
+        for pn in [16, 20, 15, 16 + WINDOW_PAGES] {
+            m.write_u8(pn * PAGE, pn as u8);
+        }
+        m
+    }
+
+    #[test]
+    fn pages_land_in_the_window_or_beside_it() {
+        let mut m = edged();
+        assert_eq!((m.base, m.window.len(), m.far.len()), (16, 5, 2));
+        assert_eq!(m.page_count(), 4);
+        // The last page in reach grows the window to the cap; one more
+        // page does not.
+        m.write_u8((16 + WINDOW_PAGES - 1) * PAGE, 7);
+        m.write_u8((16 + WINDOW_PAGES + 1) * PAGE, 9);
+        assert_eq!(m.window.len() as u64, WINDOW_PAGES);
+        assert_eq!((m.far.len(), m.page_count()), (3, 6));
+        for pn in [15, 16, 20, 16 + WINDOW_PAGES] {
+            assert_eq!(m.read_u8(pn * PAGE), pn as u8, "page {pn}");
+        }
+        assert_eq!(m.read_u8((16 + WINDOW_PAGES - 1) * PAGE), 7);
+        assert_eq!(m.read_u8((16 + WINDOW_PAGES + 1) * PAGE), 9);
+        // Unmaterialized pages inside, below and beyond the window read 0.
+        for pn in [
+            0,
+            14,
+            17,
+            19,
+            21,
+            16 + WINDOW_PAGES + 2,
+            u64::MAX >> PAGE_SHIFT,
+        ] {
+            assert_eq!(m.read_u64(pn * PAGE + 8), 0, "page {pn}");
+        }
+        assert_eq!(m.page_count(), 6);
+    }
+
+    #[test]
+    fn eight_byte_accesses_straddle_the_window_edges() {
+        let mut m = edged();
+        // Out of the last window page into an unmaterialized one.
+        let end = 21 * PAGE - 3;
+        m.write_u8(end, 0xaa);
+        assert_eq!(m.read_u64(end), 0xaa);
+        m.write_u64(end, 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u64(end), 0x1122_3344_5566_7788);
+        assert_eq!((m.window.len(), m.page_count()), (6, 5));
+        // From below the base into the first window page.
+        m.write_u64(16 * PAGE - 4, u64::MAX);
+        assert_eq!(m.read_u64(16 * PAGE - 4), u64::MAX);
+        assert_eq!(m.read_u8(16 * PAGE), 0xff);
+        // From the last page in reach into the first beyond the cap.
+        let cap = (16 + WINDOW_PAGES) * PAGE;
+        m.write_u64(cap - 5, 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u64(cap - 5), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u8(cap), 0x03);
+        let mut bytes = [0; 16];
+        m.read_bytes(cap - 8, &mut bytes);
+        assert_eq!(bytes[3..11], 0x0102_0304_0506_0708u64.to_le_bytes());
+    }
+
+    #[test]
+    fn slot_zero_and_slot_fifteen_share_one_image() {
+        let program = |slot: u64| {
+            let off = slot << 36;
+            let mut a = crate::Asm::with_bases(
+                crate::DEFAULT_TEXT_BASE + off,
+                crate::DEFAULT_DATA_BASE + off,
+            );
+            a.data_u64(&(0..1000).map(|i| i * 3 + slot).collect::<Vec<u64>>());
+            a.li(crate::Reg::x(1), slot as i64);
+            a.halt();
+            a.finish().unwrap()
+        };
+        let (p0, p15) = (program(0), program(15));
+        let mut m = SparseMem::new();
+        p0.load_into(&mut m);
+        p15.load_into(&mut m);
+        assert!(!m.far.is_empty(), "slot 15 lies beyond the window");
+        for p in [&p0, &p15] {
+            for (i, &word) in p.text.iter().enumerate() {
+                assert_eq!(m.read_u32(p.text_base + 4 * i as u64), word);
+            }
+            let seg = &p.data[0];
+            let mut back = vec![0; seg.bytes.len()];
+            m.read_bytes(seg.base, &mut back);
+            assert_eq!(back, seg.bytes);
+        }
+        let alone = |p: &crate::Program| {
+            let mut m = SparseMem::new();
+            p.load_into(&mut m);
+            // The data segment sized the window once, to the image's span.
+            assert_eq!(m.window.capacity(), m.window.len());
+            m.page_count()
+        };
+        assert_eq!(m.page_count(), alone(&p0) + alone(&p15));
+    }
+
+    #[test]
+    fn clones_are_independent() {
+        let m = edged();
+        let mut c = m.clone();
+        for pn in [15, 16, 20, 16 + WINDOW_PAGES] {
+            c.write_u8(pn * PAGE, 0xee);
+            c.write_u8(pn * PAGE + 1, 0xee);
+            assert_eq!(m.read_u8(pn * PAGE), pn as u8);
+            assert_eq!(m.read_u8(pn * PAGE + 1), 0);
+        }
+        c.write_u8(18 * PAGE, 1);
+        assert_eq!((m.page_count(), c.page_count()), (4, 5));
+        let mut m = m;
+        m.write_u8(16 * PAGE, 0x55);
+        assert_eq!(c.read_u8(16 * PAGE), 0xee);
+    }
+
+    fn saved(m: &SparseMem) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        m.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshots_list_pages_in_ascending_order_and_restore_exactly() {
+        let mut m = edged();
+        m.write_u64(3 * PAGE + 8, 33);
+        let bytes = saved(&m);
+        let mut r = SnapReader::new(&bytes);
+        r.tag("SMEM").unwrap();
+        let n = r.take_usize().unwrap();
+        let order: Vec<u64> = (0..n)
+            .map(|_| {
+                let pn = r.take_u64().unwrap();
+                r.take_raw(PAGE_SIZE).unwrap();
+                pn
+            })
+            .collect();
+        assert_eq!(order, [3, 15, 16, 20, 16 + WINDOW_PAGES]);
+        // A memory built in another order saves the same bytes.
+        let mut other = SparseMem::new();
+        for pn in [16 + WINDOW_PAGES, 20, 16, 15] {
+            other.write_u8(pn * PAGE, pn as u8);
+        }
+        other.write_u64(3 * PAGE + 8, 33);
+        assert_eq!(saved(&other), bytes);
+        let mut back = SparseMem::new();
+        back.restore_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(saved(&back), bytes);
+        assert_eq!(back.read_u64(3 * PAGE + 8), 33);
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_pages_and_leaves_the_memory_alone() {
+        for pn in [20, 16 + WINDOW_PAGES] {
+            let mut w = SnapWriter::new();
+            w.tag("SMEM");
+            w.put_usize(3);
+            for p in [16, pn, pn] {
+                w.put_u64(p);
+                w.put_raw(&[1; PAGE_SIZE]);
+            }
+            let bytes = w.into_bytes();
+            let mut m = edged();
+            let before = saved(&m);
+            let err = m.restore_state(&mut SnapReader::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(err, SnapError::Corrupt(ref e) if e.contains("duplicate")),
+                "{err}"
+            );
+            assert_eq!(saved(&m), before);
+        }
     }
 }

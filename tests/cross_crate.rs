@@ -103,3 +103,35 @@ fn mlp_microbenchmarks_bracket_the_mechanism() {
     );
     assert!(chase_gain > 0.85, "no big loss on pure chase: {chase_gain:.2}");
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The snapshot codec's output for the smoke-scale oltp image, as loaded
+/// and after a million instructions: (memory bytes, their FNV-1a, FNV-1a
+/// of the whole interpreter's state). Pinned when `SparseMem` kept every
+/// page in a hash map; however pages are stored, the bytes must not move.
+#[test]
+fn oltp_image_snapshots_to_pinned_bytes() {
+    use sst_isa::{Interp, SnapWriter};
+    let w = Workload::by_name("oltp", Scale::Smoke, 12345).expect("known");
+    let mut interp = Interp::new(&w.program);
+    let image = |interp: &Interp| {
+        let mut mem = SnapWriter::new();
+        interp.mem().save_state(&mut mem);
+        let mut whole = SnapWriter::new();
+        interp.save_state(&mut whole);
+        let (mem, whole) = (mem.into_bytes(), whole.into_bytes());
+        (mem.len(), fnv1a(&mem), fnv1a(&whole))
+    };
+    let loaded = image(&interp);
+    interp.run(1_000_000).expect("oltp runs");
+    let ran = image(&interp);
+    let pinned_loaded = (2_142_300, 0xd3e4_fcd6_c391_3c4b, 0x0ae2_98fd_491e_33af);
+    let pinned_ran = (2_146_404, 0x0c43_b615_c067_407f, 0xb902_4684_7371_0fe8);
+    assert_eq!((loaded, ran), (pinned_loaded, pinned_ran));
+}

@@ -4,7 +4,7 @@
 //! instruction-for-instruction. This hunts for speculation bugs that
 //! hand-written tests miss.
 
-use sst_isa::{Asm, Label, Program, Reg};
+use sst_isa::{Asm, Interp, Label, Program, Reg, SnapWriter, StopReason};
 use sst_prng::Prng;
 use sst_sim::{CoreModel, System};
 use sst_workloads::{Scale, Workload};
@@ -183,6 +183,28 @@ fn random_programs_with_tiny_structures() {
             System::new(CoreModel::CustomSst(cfg.clone()), &w)
                 .run_checked(500_000_000)
                 .unwrap_or_else(|e| panic!("seed {seed} on {label}: {e}"));
+        }
+    }
+}
+
+/// The interpreter's whole state: registers, PC, halt latch, retire count
+/// and memory image.
+fn image(i: &Interp) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    i.save_state(&mut w);
+    w.into_bytes()
+}
+
+#[test]
+fn random_programs_run_in_chunks_as_they_step() {
+    for seed in (0..24u64).chain(1000..1012) {
+        let p = random_program(seed);
+        let mut stepped = Interp::new(&p);
+        while !stepped.step().expect("random programs do not trap").halted {}
+        for chunk in [1, 2, 3, 5, 64, 1000, u64::MAX] {
+            let mut i = Interp::new(&p);
+            while i.run(chunk).expect("random programs do not trap").stop != StopReason::Halt {}
+            assert_eq!(image(&i), image(&stepped), "seed {seed}, chunks of {chunk}");
         }
     }
 }
