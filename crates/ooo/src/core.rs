@@ -27,7 +27,10 @@ pub struct OooConfig {
     pub rob_entries: usize,
     /// Unified issue-queue entries (instructions waiting to issue).
     pub iq_entries: usize,
-    /// Load-queue entries.
+    /// Load-queue entries. Rename stalls on this only for a load: a
+    /// prefetch takes a load-queue record without checking it (and is
+    /// violation-checked like a load), so the queue may hold more records
+    /// than this. Changing either would move simulated cycles.
     pub lq_entries: usize,
     /// Store-queue entries.
     pub sq_entries: usize,
@@ -168,25 +171,59 @@ struct RobEntry {
     pc: u64,
     inst: Inst,
     state: EntryState,
-    /// Physical sources (None = no register / always-ready).
-    srcs: [Option<usize>; 2],
-    dest_phys: Option<usize>,
-    old_phys: Option<usize>,
+    /// Physical sources (None = no register / always-ready). Physical
+    /// register numbers are `u32` here to keep the entry small.
+    srcs: [Option<u32>; 2],
+    dest_phys: Option<u32>,
+    old_phys: Option<u32>,
     /// Future-file value of the destination before this instruction.
     old_future: u64,
     /// Architectural result (computed functionally at rename).
     value: Option<u64>,
-    /// Memory operation: (addr, bytes, is_store, store value).
-    mem: Option<(u64, u64, bool, u64)>,
-    /// For executed loads: which store seq forwarded the value, if any.
-    forwarded_from: Option<Seq>,
-    /// Memory op has performed its access / resolved its address.
-    mem_executed: bool,
     /// Control: resolved next PC differed from the prediction.
     mispredicted: bool,
     /// Resolved next PC for control instructions.
     actual_next: u64,
+    /// A load's, prefetch's or store's record number in its queue.
+    mem_slot: u32,
 }
+
+/// An in-flight store: its store-queue record, from rename to commit.
+/// Queue records are numbered in push order (wrapping `u32`); the record
+/// numbered `n` sits at `n - popped`, `popped` counting the records
+/// committed from the front since the queue was last rebuilt.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SqEntry {
+    seq: Seq,
+    addr: u64,
+    bytes: u64,
+    /// The stored value (known functionally at rename).
+    value: u64,
+    /// Issued: the address is resolved and younger loads may forward.
+    executed: bool,
+    /// The number of the first load renamed after it.
+    loads_before: u32,
+}
+
+/// An in-flight load or prefetch: its load-queue record, from rename to
+/// commit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LqEntry {
+    seq: Seq,
+    pc: u64,
+    addr: u64,
+    bytes: u64,
+    /// Issued: the access has performed, from memory or by forwarding.
+    executed: bool,
+    /// The store whose value it forwarded, if any.
+    forwarded_from: Option<Seq>,
+    /// The number of the first store renamed after it.
+    stores_before: u32,
+}
+
+/// A window entry's memory fields as the snapshot lays them out:
+/// `(addr, bytes, is_store, store value)` and the forwarding store.
+type SnapMem = (Option<(u64, u64, bool, u64)>, Option<Seq>);
 
 /// One waiting instruction the issue scan can select: what the scan
 /// compares each cycle, so that it reads the (much larger) window entry
@@ -228,12 +265,21 @@ pub struct OooCore {
     /// window entry that carries the number *now* (or finds none), and the
     /// list is cleared when its register is next allocated.
     wakers: Vec<Vec<Seq>>,
-    /// Issue-, load- and store-queue occupancy, maintained incrementally
-    /// at rename / issue / commit / squash (`rename` consults all three
-    /// once per slot).
+    /// Issue-queue occupancy, maintained incrementally at rename / issue /
+    /// squash (`rename` consults it once per slot).
     n_waiting: usize,
-    n_loads: usize,
-    n_stores: usize,
+    /// The store queue: the window's stores, oldest first. Rename pushes,
+    /// commit pops the front, a squash pops the back; memory ordering
+    /// (`read_through_sq`, `lookup_forward`) reads it, never the window.
+    sq: VecDeque<SqEntry>,
+    /// The load queue: the window's loads and prefetches, oldest first,
+    /// kept like `sq`; `find_violation` reads it. A prefetch takes a record
+    /// though rename checks `lq_entries` only for a load, so the length may
+    /// exceed `lq_entries`.
+    lq: VecDeque<LqEntry>,
+    /// Records committed from the front of `sq` / `lq` (see `SqEntry`).
+    sq_popped: u32,
+    lq_popped: u32,
     seq: Seq,
     cycle: Cycle,
     halted: bool,
@@ -268,6 +314,10 @@ pub struct OooCore {
     /// Window entries the issue scan has read (work-counter tests).
     #[cfg(test)]
     issue_rob_reads: u64,
+    /// Memory-order checks (work-counter tests): per check, the sequence
+    /// number it ran for, the queue records it read and the queue's length.
+    #[cfg(test)]
+    mem_order_reads: std::cell::RefCell<Vec<(Seq, usize, usize)>>,
     /// Statistics.
     pub stats: OooStats,
 }
@@ -292,8 +342,10 @@ impl OooCore {
             iq: Vec::new(),
             wakers: vec![Vec::new(); phys_count],
             n_waiting: 0,
-            n_loads: 0,
-            n_stores: 0,
+            sq: VecDeque::new(),
+            lq: VecDeque::new(),
+            sq_popped: 0,
+            lq_popped: 0,
             seq: 0,
             cycle: 0,
             halted: false,
@@ -307,6 +359,8 @@ impl OooCore {
             commits: Vec::new(),
             #[cfg(test)]
             issue_rob_reads: 0,
+            #[cfg(test)]
+            mem_order_reads: Default::default(),
             stats: OooStats::default(),
         }
     }
@@ -323,9 +377,11 @@ impl OooCore {
 
     /// Checks the derived state against the window: the select list is the
     /// `Waiting` entries whose sources are all timed, in program order, each
-    /// with the readiness its sources give it now, and the occupancy counts
-    /// match. Debug builds assert this every tick; release builds never
-    /// call it.
+    /// with the readiness its sources give it now, the occupancy count
+    /// matches, and the store and load queues hold one record per window
+    /// store and per window load or prefetch, in order, each agreeing with
+    /// its entry and numbered where it sits. Debug builds assert this every
+    /// tick; release builds never call it.
     fn counts_consistent(&self) -> bool {
         let waiting = || self.rob.iter().filter(|e| e.state == EntryState::Waiting);
         let selectable = waiting()
@@ -334,20 +390,28 @@ impl OooCore {
                 ready_at: sources_ready(&self.phys_ready, e.srcs),
             })
             .filter(|w| w.ready_at != Cycle::MAX);
-        let loads = self
-            .rob
-            .iter()
-            .filter(|e| matches!(e.mem, Some((_, _, false, _))))
-            .count();
-        let stores = self
-            .rob
-            .iter()
-            .filter(|e| matches!(e.mem, Some((_, _, true, _))))
-            .count();
+        let issued = |e: &RobEntry| e.state != EntryState::Waiting;
+        let stores = self.rob.iter().filter(|e| e.inst.is_store());
+        let loads = self.rob.iter().filter(|e| e.inst.is_mem() && !e.inst.is_store());
+        let at = |n: u32, popped: u32| n.wrapping_sub(popped) as usize;
+        let sq_matches = self.sq.len() == stores.clone().count()
+            && self.sq.iter().zip(stores).enumerate().all(|(i, (s, e))| {
+                (s.seq, s.bytes, s.executed) == (e.seq, access_bytes(e.inst), issued(e))
+                    && at(e.mem_slot, self.sq_popped) == i
+                    && at(s.loads_before, self.lq_popped)
+                        == self.lq.partition_point(|l| l.seq < s.seq)
+            });
+        let lq_matches = self.lq.len() == loads.clone().count()
+            && self.lq.iter().zip(loads).enumerate().all(|(i, (l, e))| {
+                (l.seq, l.pc, l.bytes, l.executed) == (e.seq, e.pc, access_bytes(e.inst), issued(e))
+                    && at(e.mem_slot, self.lq_popped) == i
+                    && at(l.stores_before, self.sq_popped)
+                        == self.sq.partition_point(|s| s.seq < l.seq)
+            });
         self.iq.iter().copied().eq(selectable)
             && self.n_waiting == waiting().count()
-            && self.n_loads == loads
-            && self.n_stores == stores
+            && sq_matches
+            && lq_matches
     }
 
     /// Rebuilds the issue queue's derived state from the window, after a
@@ -483,11 +547,11 @@ impl OooCore {
                 break;
             }
             let inst = f.inst;
-            if inst.is_load() && self.n_loads >= self.cfg.lq_entries {
+            if inst.is_load() && self.lq.len() >= self.cfg.lq_entries {
                 self.stats.stall_lsq_full += 1;
                 break;
             }
-            if inst.is_store() && self.n_stores >= self.cfg.sq_entries {
+            if inst.is_store() && self.sq.len() >= self.cfg.sq_entries {
                 self.stats.stall_lsq_full += 1;
                 break;
             }
@@ -497,7 +561,7 @@ impl OooCore {
             let seq = self.seq;
 
             // Physical sources.
-            let srcs = inst.sources().map(|s| s.map(|r| self.rat[r.index()]));
+            let srcs = inst.sources().map(|s| s.map(|r| self.rat[r.index()] as u32));
 
             // Functional execution against the future file (rename order is
             // program order on the correct path, so these values are
@@ -506,7 +570,6 @@ impl OooCore {
             let s2 = inst.sources()[1].map_or(0, |r| self.future[r.index()]);
 
             let mut value = None;
-            let mut mem_info = None;
             let mut actual_next = f.pc.wrapping_add(4);
             let mut taken = false;
             match inst {
@@ -516,19 +579,10 @@ impl OooCore {
                     let addr = mem_addr(inst, s1);
                     // Architectural load value: backing memory (committed
                     // stores) overlaid with the in-flight store queue.
-                    mem_info = Some((addr, width.bytes(), false, 0));
                     let raw = self.read_through_sq(mem, seq, addr, width.bytes());
                     value = Some(extend_load(width, signed, raw));
                 }
-                Inst::Store { width, .. } => {
-                    let addr = mem_addr(inst, s1);
-                    mem_info = Some((addr, width.bytes(), true, s2));
-                }
-                Inst::Prefetch { .. } => {
-                    let addr = mem_addr(inst, s1);
-                    mem_info = Some((addr, 1, false, 0));
-                }
-                Inst::Halt => {}
+                Inst::Store { .. } | Inst::Prefetch { .. } | Inst::Halt => {}
                 _ => {
                     let out = execute(inst, s1, s2, f.pc);
                     value = out.value;
@@ -548,7 +602,7 @@ impl OooCore {
                         value.expect("dest implies a value");
                     self.phys_ready[p] = Cycle::MAX; // until executed
                     self.wakers[p].clear(); // what a squash left behind
-                    (Some(p), Some(old), old_future)
+                    (Some(p as u32), Some(old as u32), old_future)
                 }
                 None => (None, None, 0),
             };
@@ -560,12 +614,7 @@ impl OooCore {
 
             self.n_waiting += 1;
             enqueue(&mut self.iq, &mut self.wakers, &self.phys_ready, seq, srcs);
-            match mem_info {
-                Some((_, _, true, _)) => self.n_stores += 1,
-                Some(_) => self.n_loads += 1,
-                None => {}
-            }
-            self.rob.push_back(RobEntry {
+            let mut entry = RobEntry {
                 seq,
                 pc: f.pc,
                 inst,
@@ -575,12 +624,14 @@ impl OooCore {
                 old_phys,
                 old_future,
                 value,
-                mem: mem_info,
-                forwarded_from: None,
-                mem_executed: false,
                 mispredicted,
                 actual_next,
-            });
+                mem_slot: 0,
+            };
+            if inst.is_mem() {
+                entry.mem_slot = self.push_mem(&entry, mem_addr(inst, s1), s2, None);
+            }
+            self.rob.push_back(entry);
             self.stats.rob_high_water = self.stats.rob_high_water.max(self.rob.len());
             // A fresh entry may be issuable immediately: drop the memo.
             self.issue_quiet_until = 0;
@@ -597,34 +648,44 @@ impl OooCore {
         }
     }
 
-    /// The architectural bytes a load at `seq` reads: backing memory
-    /// overlaid, in program order, with older in-flight (uncommitted)
-    /// stores — whose values are known functionally at rename.
+    /// Files the memory record of window entry `e`, a load, prefetch or
+    /// store (`value` counts for a store only), at the back of its queue and
+    /// returns the record's number.
+    fn push_mem(&mut self, e: &RobEntry, addr: u64, value: u64, fwd: Option<Seq>) -> u32 {
+        let next_store = self.sq_popped.wrapping_add(self.sq.len() as u32);
+        let next_load = self.lq_popped.wrapping_add(self.lq.len() as u32);
+        let (seq, bytes) = (e.seq, access_bytes(e.inst));
+        let executed = e.state != EntryState::Waiting;
+        if e.inst.is_store() {
+            let loads_before = next_load;
+            self.sq.push_back(SqEntry { seq, addr, bytes, value, executed, loads_before });
+            next_store
+        } else {
+            let (pc, forwarded_from, stores_before) = (e.pc, fwd, next_store);
+            let l = LqEntry { seq, pc, addr, bytes, executed, forwarded_from, stores_before };
+            self.lq.push_back(l);
+            next_load
+        }
+    }
+
+    /// The architectural bytes the load `seq`, being renamed, reads:
+    /// backing memory overlaid, in program order, with the in-flight
+    /// (uncommitted) stores — all older than it, their values known
+    /// functionally at rename.
     fn read_through_sq(&self, mem: &MemBus, seq: Seq, addr: u64, bytes: u64) -> u64 {
         let mut buf = mem.mem().read_le(addr, bytes).to_le_bytes();
-        // `self.rob` does not yet contain `seq` (called from rename), and
-        // entries are program-ordered, so a simple forward walk applies
-        // stores oldest-to-youngest. `remaining` stops the walk after the
-        // youngest in-flight store (every store in the window is older
-        // than the load being renamed).
-        let mut remaining = self.n_stores;
-        for e in self.rob.iter() {
-            if remaining == 0 || e.seq >= seq {
-                break;
-            }
-            let Some((saddr, sbytes, true, svalue)) = e.mem else {
-                continue;
-            };
-            remaining -= 1;
-            let s_end = saddr + sbytes;
-            let l_end = addr + bytes;
-            if addr >= s_end || saddr >= l_end {
+        #[cfg(test)]
+        self.note_mem_order_check(seq, self.sq.len(), self.sq.len());
+        let l_end = addr + bytes;
+        for s in &self.sq {
+            debug_assert!(s.seq < seq);
+            if addr >= s.addr + s.bytes || s.addr >= l_end {
                 continue;
             }
-            for i in 0..sbytes {
-                let byte_addr = saddr + i;
+            for i in 0..s.bytes {
+                let byte_addr = s.addr + i;
                 if byte_addr >= addr && byte_addr < l_end {
-                    buf[(byte_addr - addr) as usize] = (svalue >> (8 * i)) as u8;
+                    buf[(byte_addr - addr) as usize] = (s.value >> (8 * i)) as u8;
                 }
             }
         }
@@ -681,46 +742,48 @@ impl OooCore {
             {
                 self.issue_rob_reads += 1;
             }
-            let inst = e.inst;
-            let mut held_back = inst.is_mem() && mem_ops >= self.cfg.dcache_ports;
+            let (inst, mem_slot) = (e.inst, e.mem_slot);
+            let mut held_back = false;
             let mut done_at = now + 1;
-            if !held_back {
-                match e.mem {
-                    Some((addr, bytes, false, _)) => {
-                        // Load (or prefetch): forwarding / memory.
-                        match self.lookup_forward(idx, addr, bytes) {
-                            ForwardState::Forward(from) => {
-                                self.stats.forwards += 1;
-                                self.rob[idx].forwarded_from = Some(from);
-                                done_at = now + 2;
-                            }
-                            ForwardState::WaitData => held_back = true,
-                            ForwardState::Memory => {
-                                mem_ops += 1;
-                                let kind = if matches!(inst, Inst::Prefetch { .. }) {
-                                    AccessKind::Prefetch
-                                } else {
-                                    AccessKind::Load
-                                };
-                                let out = mem.access_pc(now, kind, addr, self.rob[idx].pc);
-                                done_at = out.ready_at.max(now + 1);
-                            }
-                        }
-                    }
-                    Some((addr, bytes, true, _)) => {
-                        // Store: address+data resolved. Check younger executed
-                        // loads for a memory-order violation.
-                        if let Some(v) = self.find_violation(idx, addr, bytes) {
-                            self.stats.violations += 1;
-                            squash_at = Some(v);
-                            self.rob[idx].mem_executed = true;
-                            self.rob[idx].state = EntryState::Issued(now + 1);
-                            self.n_waiting -= 1;
-                            break;
-                        }
-                    }
-                    None => done_at = now + self.cfg.latency.of(inst),
+            if inst.is_mem() && mem_ops >= self.cfg.dcache_ports {
+                held_back = true;
+            } else if inst.is_store() {
+                // Store: address+data resolved. Check younger executed
+                // loads for a memory-order violation.
+                let at_sq = mem_slot.wrapping_sub(self.sq_popped) as usize;
+                self.sq[at_sq].executed = true;
+                if let Some(v) = self.find_violation(&self.sq[at_sq]) {
+                    self.stats.violations += 1;
+                    squash_at = Some(v);
+                    self.rob[idx].state = EntryState::Issued(now + 1);
+                    self.n_waiting -= 1;
+                    break;
                 }
+            } else if inst.is_mem() {
+                // Load (or prefetch): forwarding / memory.
+                let at_lq = mem_slot.wrapping_sub(self.lq_popped) as usize;
+                let l = self.lq[at_lq];
+                match self.lookup_forward(&l) {
+                    ForwardState::Forward(from) => {
+                        self.stats.forwards += 1;
+                        self.lq[at_lq].forwarded_from = Some(from);
+                        done_at = now + 2;
+                    }
+                    ForwardState::WaitData => held_back = true,
+                    ForwardState::Memory => {
+                        mem_ops += 1;
+                        let kind = if matches!(inst, Inst::Prefetch { .. }) {
+                            AccessKind::Prefetch
+                        } else {
+                            AccessKind::Load
+                        };
+                        let out = mem.access_pc(now, kind, l.addr, l.pc);
+                        done_at = out.ready_at.max(now + 1);
+                    }
+                }
+                self.lq[at_lq].executed = !held_back;
+            } else {
+                done_at = now + self.cfg.latency.of(inst);
             }
             if held_back {
                 // Port taken or store data not drained: retry next cycle.
@@ -733,11 +796,11 @@ impl OooCore {
             self.n_waiting -= 1;
             let e = &mut self.rob[idx];
             e.state = EntryState::Issued(done_at);
-            e.mem_executed = true;
             if e.mispredicted {
                 redirect = Some((done_at, e.actual_next));
             }
             if let Some(p) = e.dest_phys {
+                let p = p as usize;
                 self.phys_ready[p] = done_at;
                 self.wake_dependents(p, head_seq, &mut iq, at);
             }
@@ -801,63 +864,62 @@ impl OooCore {
         self.wakers[p] = list; // keep the allocation
     }
 
-    /// Forwarding decision for the load at window position `idx`.
-    fn lookup_forward(&self, idx: usize, addr: u64, bytes: u64) -> ForwardState {
-        if self.n_stores == 0 {
+    /// Forwarding decision for the load (or prefetch) `l`: the youngest
+    /// overlapping store older than it decides.
+    fn lookup_forward(&self, l: &LqEntry) -> ForwardState {
+        let (addr, l_end) = (l.addr, l.addr + l.bytes);
+        let older = l.stores_before.wrapping_sub(self.sq_popped) as usize;
+        let hit = self
+            .sq
+            .range(..older)
+            .rev()
+            .position(|s| addr < s.addr + s.bytes && s.addr < l_end);
+        #[cfg(test)]
+        self.note_mem_order_check(l.seq, hit.map_or(older, |i| i + 1), self.sq.len());
+        let Some(i) = hit else {
             return ForwardState::Memory;
-        }
-        // Youngest older overlapping store decides; only entries before
-        // `idx` are older (the window is program-ordered).
-        for e in self.rob.range(..idx).rev() {
-            let Some((saddr, sbytes, true, _)) = e.mem else {
-                continue;
-            };
-            let s_end = saddr + sbytes;
-            let l_end = addr + bytes;
-            if addr >= s_end || saddr >= l_end {
-                continue;
-            }
-            let covers = saddr <= addr && l_end <= s_end;
-            if e.mem_executed {
-                if covers {
-                    return ForwardState::Forward(e.seq);
-                }
-                // Partial overlap with a resolved store: wait for it to
-                // drain (conservative but rare).
-                return ForwardState::WaitData;
-            }
+        };
+        let s = &self.sq[older - 1 - i];
+        if !s.executed {
             // Unresolved older store: speculate past it (aggressive
             // disambiguation); a violation squash fixes mistakes.
-            return ForwardState::Memory;
+            ForwardState::Memory
+        } else if s.addr <= addr && l_end <= s.addr + s.bytes {
+            ForwardState::Forward(s.seq)
+        } else {
+            // Partial overlap with a resolved store: wait for it to drain
+            // (conservative but rare).
+            ForwardState::WaitData
         }
-        ForwardState::Memory
     }
 
-    /// A store at window position `idx` resolving `addr` checks younger
-    /// executed loads that did not forward from it (or anything younger).
-    fn find_violation(&self, idx: usize, addr: u64, bytes: u64) -> Option<(Seq, u64)> {
-        if self.n_loads == 0 {
-            return None;
+    /// The store `s`, resolving, finds the oldest younger executed load (or
+    /// prefetch) it overlaps that did not forward from it or from anything
+    /// younger: that load read a stale value.
+    fn find_violation(&self, s: &SqEntry) -> Option<(Seq, u64)> {
+        let (seq, addr, s_end) = (s.seq, s.addr, s.addr + s.bytes);
+        let younger = s.loads_before.wrapping_sub(self.lq_popped) as usize;
+        let hit = self.lq.range(younger..).position(|l| {
+            l.executed
+                && l.addr < s_end
+                && addr < l.addr + l.bytes
+                && !l.forwarded_from.is_some_and(|from| from >= seq)
+        });
+        #[cfg(test)]
+        {
+            let read = hit.map_or(self.lq.len() - younger, |i| i + 1);
+            self.note_mem_order_check(seq, read, self.lq.len());
         }
-        let seq = self.rob[idx].seq;
-        for e in self.rob.range(idx + 1..) {
-            if !e.mem_executed {
-                continue;
-            }
-            let Some((laddr, lbytes, false, _)) = e.mem else {
-                continue;
-            };
-            let s_end = addr + bytes;
-            let l_end = laddr + lbytes;
-            if laddr >= s_end || addr >= l_end {
-                continue;
-            }
-            match e.forwarded_from {
-                Some(from) if from >= seq => continue, // saw this store or newer
-                _ => return Some((e.seq, e.pc)),
-            }
-        }
-        None
+        hit.map(|i| {
+            let l = &self.lq[younger + i];
+            (l.seq, l.pc)
+        })
+    }
+
+    /// Logs one memory-order check for the work-counter tests.
+    #[cfg(test)]
+    fn note_mem_order_check(&self, seq: Seq, read: usize, queue_len: usize) {
+        self.mem_order_reads.borrow_mut().push((seq, read, queue_len));
     }
 
     // ------------------------------------------------------------- squash
@@ -873,20 +935,21 @@ impl OooCore {
             if e.state == EntryState::Waiting {
                 self.n_waiting -= 1;
             }
-            match e.mem {
-                Some((_, _, true, _)) => self.n_stores -= 1,
-                Some(_) => self.n_loads -= 1,
-                None => {}
-            }
+            let load = if e.inst.is_store() {
+                self.sq.pop_back();
+                None
+            } else if e.inst.is_mem() {
+                self.lq.pop_back()
+            } else {
+                None
+            };
             if let Some(t) = self.taint.as_mut() {
                 // Squashed loads that went to memory (not forwarded) left
                 // fills behind; squashed control already trained the
                 // predictor at rename. Record both for the sweep below.
-                if let Some((addr, _, false, _)) = e.mem {
-                    if e.mem_executed && e.forwarded_from.is_none() {
-                        t.note_line(e.seq, mem.block_of(addr));
-                        t.note_training(e.seq);
-                    }
+                if let Some(l) = load.filter(|l| l.executed && l.forwarded_from.is_none()) {
+                    t.note_line(e.seq, mem.block_of(l.addr));
+                    t.note_training(e.seq);
                 }
                 if e.inst.is_control() {
                     t.note_predictor(e.seq);
@@ -894,9 +957,9 @@ impl OooCore {
             }
             if let (Some(dest), Some(old)) = (e.dest_phys, e.old_phys) {
                 let rd = e.inst.dest().expect("dest_phys implies dest");
-                self.rat[rd.index()] = old;
+                self.rat[rd.index()] = old as usize;
                 self.future[rd.index()] = e.old_future;
-                self.free.push(dest);
+                self.free.push(dest as usize);
             }
         }
         if let Some(t) = self.taint.as_mut() {
@@ -937,10 +1000,10 @@ impl OooCore {
         if self.n_waiting >= self.cfg.iq_entries {
             return (Cycle::MAX, RenameStall::IqFull);
         }
-        if f.inst.is_load() && self.n_loads >= self.cfg.lq_entries {
+        if f.inst.is_load() && self.lq.len() >= self.cfg.lq_entries {
             return (Cycle::MAX, RenameStall::LsqFull);
         }
-        if f.inst.is_store() && self.n_stores >= self.cfg.sq_entries {
+        if f.inst.is_store() && self.sq.len() >= self.cfg.sq_entries {
             return (Cycle::MAX, RenameStall::LsqFull);
         }
         (now, RenameStall::None)
@@ -987,26 +1050,27 @@ impl OooCore {
                 break;
             }
             let e = self.rob.pop_front().expect("checked front");
-            match e.mem {
-                Some((_, _, true, _)) => self.n_stores -= 1,
-                Some(_) => self.n_loads -= 1,
-                None => {}
-            }
             let mut store = None;
-            if let Some((addr, bytes, true, value)) = e.mem {
-                mem.access(now, AccessKind::Store, addr);
-                mem.write(addr, bytes, value);
-                store = Some((addr, bytes, value));
-            }
-            if let Some(t) = self.taint.as_mut() {
+            let addr = if e.inst.is_store() {
+                let s = self.sq.pop_front().expect("a store has a store-queue record");
+                self.sq_popped = self.sq_popped.wrapping_add(1);
+                mem.access(now, AccessKind::Store, s.addr);
+                mem.write(s.addr, s.bytes, s.value);
+                store = Some((s.addr, s.bytes, s.value));
+                Some(s.addr)
+            } else if e.inst.is_mem() {
+                self.lq_popped = self.lq_popped.wrapping_add(1);
+                self.lq.pop_front().map(|l| l.addr)
+            } else {
+                None
+            };
+            if let (Some(t), Some(addr)) = (self.taint.as_mut(), addr) {
                 // A committed access is architectural demand for its line:
                 // it no longer counts toward the leaked footprint.
-                if let Some((addr, _, _, _)) = e.mem {
-                    t.note_architectural(mem.block_of(addr));
-                }
+                t.note_architectural(mem.block_of(addr));
             }
             if let Some(old) = e.old_phys {
-                self.free.push(old);
+                self.free.push(old as usize);
             }
             let reg_write = match (e.inst.dest(), e.value) {
                 (Some(rd), Some(v)) => Some((rd, v)),
@@ -1029,12 +1093,20 @@ impl OooCore {
 }
 
 /// When the last of `srcs` arrives (0 with no register source).
-fn sources_ready(phys_ready: &[Cycle], srcs: [Option<usize>; 2]) -> Cycle {
+fn sources_ready(phys_ready: &[Cycle], srcs: [Option<u32>; 2]) -> Cycle {
     srcs.iter()
         .flatten()
-        .map(|&p| phys_ready[p])
+        .map(|&p| phys_ready[p as usize])
         .max()
         .unwrap_or(0)
+}
+
+/// The bytes a memory instruction accesses (a prefetch touches one).
+fn access_bytes(inst: Inst) -> u64 {
+    match inst {
+        Inst::Load { width, .. } | Inst::Store { width, .. } => width.bytes(),
+        _ => 1,
+    }
 }
 
 /// Files a waiting instruction that has just been renamed (it is the
@@ -1046,7 +1118,7 @@ fn enqueue(
     wakers: &mut [Vec<Seq>],
     phys_ready: &[Cycle],
     seq: Seq,
-    srcs: [Option<usize>; 2],
+    srcs: [Option<u32>; 2],
 ) {
     let ready_at = sources_ready(phys_ready, srcs);
     if ready_at != Cycle::MAX {
@@ -1054,8 +1126,8 @@ fn enqueue(
         return;
     }
     for &p in srcs.iter().flatten() {
-        if phys_ready[p] == Cycle::MAX {
-            wakers[p].push(seq);
+        if phys_ready[p as usize] == Cycle::MAX {
+            wakers[p as usize].push(seq);
         }
     }
 }
@@ -1067,7 +1139,9 @@ enum ForwardState {
 }
 
 impl RobEntry {
-    fn save_state(&self, w: &mut SnapWriter) {
+    /// Writes the entry with its memory fields `mem` (which the load and
+    /// store queues hold) where the snapshot format has them.
+    fn save_state(&self, w: &mut SnapWriter, (mem, forwarded_from): SnapMem) {
         w.put_u64(self.seq);
         w.put_u64(self.pc);
         w.put_u32(encode(self.inst).expect("renamed instruction re-encodes"));
@@ -1085,7 +1159,7 @@ impl RobEntry {
         w.put_opt_u64(self.old_phys.map(|p| p as u64));
         w.put_u64(self.old_future);
         w.put_opt_u64(self.value);
-        match self.mem {
+        match mem {
             Some((addr, bytes, is_store, value)) => {
                 w.put_bool(true);
                 w.put_u64(addr);
@@ -1095,19 +1169,20 @@ impl RobEntry {
             }
             None => w.put_bool(false),
         }
-        w.put_opt_u64(self.forwarded_from);
-        w.put_bool(self.mem_executed);
+        w.put_opt_u64(forwarded_from);
+        w.put_bool(self.state != EntryState::Waiting); // executed
         w.put_bool(self.mispredicted);
         w.put_u64(self.actual_next);
     }
 
-    /// Reads one window entry; physical-register indexes are validated
-    /// against `phys_count` so corrupt input cannot index out of bounds.
-    fn load(r: &mut SnapReader<'_>, phys_count: usize) -> Result<RobEntry, SnapError> {
-        let take_phys = |r: &mut SnapReader<'_>| -> Result<Option<usize>, SnapError> {
+    /// Reads one window entry and its memory fields; physical-register
+    /// indexes are validated against `phys_count` so corrupt input cannot
+    /// index out of bounds.
+    fn load(r: &mut SnapReader<'_>, phys_count: usize) -> Result<(RobEntry, SnapMem), SnapError> {
+        let take_phys = |r: &mut SnapReader<'_>| -> Result<Option<u32>, SnapError> {
             match r.take_opt_u64()? {
                 None => Ok(None),
-                Some(p) if (p as usize) < phys_count => Ok(Some(p as usize)),
+                Some(p) if (p as usize) < phys_count => Ok(Some(p as u32)),
                 Some(p) => Err(SnapError::Corrupt(format!(
                     "physical register {p} out of range (count {phys_count})"
                 ))),
@@ -1142,7 +1217,9 @@ impl RobEntry {
         } else {
             None
         };
-        Ok(RobEntry {
+        let mem = (mem, r.take_opt_u64()?);
+        r.take_bool()?; // executed: the state says it
+        let e = RobEntry {
             seq,
             pc,
             inst,
@@ -1152,12 +1229,11 @@ impl RobEntry {
             old_phys,
             old_future,
             value,
-            mem,
-            forwarded_from: r.take_opt_u64()?,
-            mem_executed: r.take_bool()?,
             mispredicted: r.take_bool()?,
             actual_next: r.take_u64()?,
-        })
+            mem_slot: 0, // numbered by the restore
+        };
+        Ok((e, mem))
     }
 }
 
@@ -1167,7 +1243,7 @@ impl Core for OooCore {
         self.cycle += 1;
         if let Some(tb) = self.trace.as_mut() {
             tb.set_phase(Phase::Normal, now);
-            tb.sample_occupancy(now, self.rob.len() as u32, self.n_stores as u32);
+            tb.sample_occupancy(now, self.rob.len() as u32, self.sq.len() as u32);
         }
         if self.halted {
             return;
@@ -1340,8 +1416,18 @@ impl Core for OooCore {
             w.put_u64(p as u64);
         }
         w.put_usize(self.rob.len());
+        let (mut sq, mut lq) = (self.sq.iter(), self.lq.iter());
         for e in &self.rob {
-            e.save_state(w);
+            let mem = if e.inst.is_store() {
+                let s = sq.next().expect("a store has a store-queue record");
+                (Some((s.addr, s.bytes, true, s.value)), None)
+            } else if e.inst.is_mem() {
+                let l = lq.next().expect("a load has a load-queue record");
+                (Some((l.addr, l.bytes, false, 0)), l.forwarded_from)
+            } else {
+                (None, None)
+            };
+            e.save_state(w, mem);
         }
         match &self.phantom {
             Some((shadow, poison)) => {
@@ -1435,8 +1521,13 @@ impl Core for OooCore {
             )));
         }
         let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(n_rob);
+        // The load and store queues are rebuilt from the window's memory
+        // fields (width and progress follow from the entry), numbered from 0.
+        self.sq.clear();
+        self.lq.clear();
+        (self.sq_popped, self.lq_popped) = (0, 0);
         for _ in 0..n_rob {
-            let e = RobEntry::load(r, phys_count)?;
+            let (mut e, (mem, forwarded_from)) = RobEntry::load(r, phys_count)?;
             // The issue queue finds a window entry by its distance from
             // the head's sequence number.
             if rob.back().is_some_and(|prev| prev.seq.checked_add(1) != Some(e.seq)) {
@@ -1444,6 +1535,18 @@ impl Core for OooCore {
                     "window sequence number {} does not follow its predecessor",
                     e.seq
                 )));
+            }
+            match mem {
+                None if !e.inst.is_mem() => {}
+                Some((addr, _, store, value)) if e.inst.is_mem() && store == e.inst.is_store() => {
+                    e.mem_slot = self.push_mem(&e, addr, value, forwarded_from);
+                }
+                _ => {
+                    return Err(SnapError::Corrupt(format!(
+                        "window entry {}'s memory fields do not match its instruction",
+                        e.seq
+                    )))
+                }
             }
             rob.push_back(e);
         }
@@ -1481,18 +1584,10 @@ impl Core for OooCore {
             *slot = r.take_u64()?;
         }
         stats.rob_high_water = r.take_u64()? as usize;
-        // The occupancy counts, the select list and the wake lists are
+        // The occupancy count, the select list and the wake lists are
         // derived state: recompute them from the restored window so they
         // are consistent by construction (the debug-build
         // `counts_consistent` assertion would catch drift).
-        self.n_loads = rob
-            .iter()
-            .filter(|e| matches!(e.mem, Some((_, _, false, _))))
-            .count();
-        self.n_stores = rob
-            .iter()
-            .filter(|e| matches!(e.mem, Some((_, _, true, _))))
-            .count();
         self.cycle = cycle;
         self.seq = seq;
         self.halted = halted;
@@ -1518,8 +1613,9 @@ impl Core for OooCore {
         self.future = *regs;
         self.phys_ready.fill(0);
         self.rebuild_issue_queue();
-        self.n_loads = 0;
-        self.n_stores = 0;
+        self.sq.clear();
+        self.lq.clear();
+        (self.sq_popped, self.lq_popped) = (0, 0);
         self.fetch_blocked_on = None;
         self.phantom = None;
         self.phantom_count = 0;

@@ -1,4 +1,5 @@
-//! The issue queue against the window it is derived from.
+//! The issue queue and the load and store queues against the window they
+//! are derived from.
 
 use sst_isa::{Asm, Interp, Program, Reg, SnapReader, SnapWriter};
 use sst_mem::{MemConfig, MemSystem};
@@ -17,15 +18,17 @@ fn boot(cfg: OooConfig, build: impl FnOnce(&mut Asm)) -> (OooCore, MemSystem, Pr
     (OooCore::new(cfg, 0, &p), mem, p)
 }
 
-/// One tick, with the queue checked against the window in every build
+/// One tick, with the queues checked against the window in every build
 /// profile and the commits checked against the reference interpreter.
-fn checked_tick(core: &mut OooCore, mem: &mut MemSystem, interp: &mut Interp) {
+/// Returns the tick's commits.
+fn checked_tick(core: &mut OooCore, mem: &mut MemSystem, interp: &mut Interp) -> Vec<Commit> {
     core.tick(&mut mem.bus(0));
     assert!(core.counts_consistent(), "cycle {}", core.cycle);
-    for c in core.commits.drain(..) {
+    for c in &core.commits {
         let ev = interp.step().expect("reference runs");
         assert_eq!((c.pc, c.inst, c.reg_write), (ev.pc, ev.inst, ev.reg_write));
     }
+    std::mem::take(&mut core.commits)
 }
 
 /// A three-deep pointer chain whose last load is still waiting to issue
@@ -72,7 +75,7 @@ fn a_squash_leaves_numbers_in_a_surviving_wake_list_and_they_are_harmless() {
         .iter()
         .filter(|e| e.state == EntryState::Waiting)
         .filter_map(|e| e.dest_phys)
-        .flat_map(|p| core.wakers[p].iter())
+        .flat_map(|p| core.wakers[p as usize].iter())
         .filter(|&&s| s > core.seq)
         .count();
     assert!(left_behind > 0, "the chain's consumer was squashed");
@@ -150,6 +153,45 @@ fn save(core: &OooCore, mem: &MemSystem) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// The store and load queues with record numbers counted from the front,
+/// which is what a restore (numbering from 0) rebuilds.
+fn queues(c: &OooCore) -> (Vec<SqEntry>, Vec<LqEntry>) {
+    let sq = c.sq.iter().map(|&s| SqEntry {
+        loads_before: s.loads_before.wrapping_sub(c.lq_popped),
+        ..s
+    });
+    let lq = c.lq.iter().map(|&l| LqEntry {
+        stores_before: l.stores_before.wrapping_sub(c.sq_popped),
+        ..l
+    });
+    (sq.collect(), lq.collect())
+}
+
+/// Restores a twin of `core` (booted on `build`) from a snapshot taken
+/// now, checks that it rebuilt the derived queues to match, and runs both
+/// to the halt, tick for tick.
+fn restore_twin_and_run_both(core: &mut OooCore, mem: &mut MemSystem, build: fn(&mut Asm)) {
+    let bytes = save(core, mem);
+    let (mut twin, mut twin_mem, _) = boot(core.cfg.clone(), build);
+    let mut r = SnapReader::new(&bytes);
+    twin.restore_state(&mut r).unwrap();
+    twin_mem.restore_state(&mut r).unwrap();
+    r.finish().unwrap();
+    assert!(twin.counts_consistent());
+    assert_eq!((&twin.iq, queues(&twin)), (&core.iq, queues(core)));
+    assert!(twin.wakers.iter().any(|l| !l.is_empty()));
+
+    while !core.halted {
+        assert!(core.cycle < 10_000);
+        core.tick(&mut mem.bus(0));
+        twin.tick(&mut twin_mem.bus(0));
+        let cycle = core.cycle;
+        assert_eq!((&twin.iq, queues(&twin)), (&core.iq, queues(core)), "cycle {cycle}");
+        assert_eq!(twin.commits, core.commits);
+    }
+    assert_eq!(save(&twin, &twin_mem), save(core, mem));
+}
+
 /// The queue and the wake lists are not in the snapshot: a core restored
 /// in the middle of a window rebuilds them and continues like the one that
 /// was saved, cycle for cycle.
@@ -161,25 +203,153 @@ fn a_window_saved_mid_flight_is_rebuilt_and_continues_identically() {
         assert!(core.cycle < 10_000, "the queue never filled");
         checked_tick(&mut core, &mut mem, &mut interp);
     }
-    let bytes = save(&core, &mem);
+    restore_twin_and_run_both(&mut core, &mut mem, dependent_chain);
+}
 
-    let (mut twin, mut twin_mem, _) = boot(OooConfig::ooo_128(), dependent_chain);
-    let mut r = SnapReader::new(&bytes);
-    twin.restore_state(&mut r).unwrap();
-    twin_mem.restore_state(&mut r).unwrap();
-    r.finish().unwrap();
-    assert!(twin.counts_consistent());
-    assert_eq!(twin.iq, core.iq);
-    assert!(twin.wakers.iter().any(|l| !l.is_empty()));
+/// Two passes, each behind a cold load. A pass has 14 groups of a store
+/// and a load of the same cell, a store and a load of another cell through
+/// the cold load's result, and four adds; then a prefetch, 200 adds and a
+/// lone load. Loads forward from their stores, except where a store waits
+/// for its data and the load runs ahead: a memory-order violation. Behind
+/// the second pass's miss the window fills with 28 stores and 30 loads and
+/// prefetches in flight.
+fn store_heavy(a: &mut Asm) {
+    let cold = a.reserve(2 * FAR);
+    let cells = a.reserve(4096);
+    a.la(Reg::x(1), cold);
+    a.la(Reg::x(3), cells);
+    a.li(Reg::x(2), 2);
+    a.li(Reg::x(4), FAR as i64);
+    let pass = a.here();
+    a.ld(Reg::x(5), Reg::x(1), 0);
+    a.add(Reg::x(5), Reg::x(5), Reg::x(3));
+    for i in 0..14 {
+        let at = 16 * i;
+        a.sd(Reg::x(2), Reg::x(3), at);
+        a.ld(Reg::x(6), Reg::x(3), at);
+        a.sd(Reg::x(6), Reg::x(5), at + 8);
+        a.ld(Reg::x(7), Reg::x(5), at + 8);
+        for _ in 0..4 {
+            a.addi(Reg::x(8), Reg::x(8), 1);
+        }
+    }
+    a.prefetch(Reg::x(3), 0);
+    for _ in 0..200 {
+        a.addi(Reg::x(9), Reg::x(9), 1);
+    }
+    a.ld(Reg::x(10), Reg::x(3), 8);
+    a.add(Reg::x(1), Reg::x(1), Reg::x(4));
+    a.addi(Reg::x(2), Reg::x(2), -1);
+    a.bne(Reg::x(2), Reg::ZERO, pass);
+    a.halt();
+}
 
+/// Saved with stores and loads in flight — some executed, some waiting,
+/// one forwarded, one prefetch — a core's store and load queues come back
+/// from the snapshot equal, and the twin stays identical tick for tick.
+#[test]
+fn a_window_saved_with_memory_in_flight_is_rebuilt_and_continues_identically() {
+    let (mut core, mut mem, p) = boot(OooConfig::ooo_128(), store_heavy);
+    let mut interp = Interp::new(&p);
+    let busy = |c: &OooCore| {
+        c.sq.len() >= 8
+            && c.lq.len() >= 8
+            && c.sq.iter().any(|s| s.executed)
+            && c.sq.iter().any(|s| !s.executed)
+            && c.lq.iter().any(|l| l.executed)
+            && c.lq.iter().any(|l| !l.executed)
+            && c.lq.iter().any(|l| l.forwarded_from.is_some())
+            && c.rob.iter().any(|e| matches!(e.inst, Inst::Prefetch { .. }))
+    };
+    while !busy(&core) {
+        assert!(core.cycle < 10_000, "the memory queues never filled");
+        checked_tick(&mut core, &mut mem, &mut interp);
+    }
+    restore_twin_and_run_both(&mut core, &mut mem, store_heavy);
+}
+
+/// Work counter: every store-to-load check reads only the store and load
+/// queues, never more records than the queue holds — on a store-heavy
+/// program that fills the 128-entry window — and a load renamed behind a
+/// long run of non-memory instructions, with no store in flight, reads
+/// none at all.
+#[test]
+fn a_memory_order_check_reads_only_in_flight_stores_and_loads() {
+    let (mut core, mut mem, p) = boot(OooConfig::ooo_128(), store_heavy);
+    let mut interp = Interp::new(&p);
+    let mut lone_loads = Vec::new();
+    let mut non_mem_run = 0;
     while !core.halted {
         assert!(core.cycle < 10_000);
-        core.tick(&mut mem.bus(0));
-        twin.tick(&mut twin_mem.bus(0));
-        assert_eq!(twin.iq, core.iq, "cycle {}", core.cycle);
-        assert_eq!(twin.commits, core.commits);
+        for c in checked_tick(&mut core, &mut mem, &mut interp) {
+            if c.inst.is_load() && non_mem_run >= 100 {
+                lone_loads.push(c.seq);
+            }
+            non_mem_run = if c.inst.is_mem() { 0 } else { non_mem_run + 1 };
+        }
     }
-    assert_eq!(save(&twin, &twin_mem), save(&core, &mem));
+    // Both outcomes of both issue-time checks happen.
+    let stats = core.stats;
+    assert_eq!(stats.rob_high_water, 128);
+    assert!(stats.forwards > 0 && stats.violations > 0, "{stats:?}");
+    assert_eq!(lone_loads.len(), 2);
+
+    let log = core.mem_order_reads.borrow();
+    for &(seq, read, queue_len) in log.iter() {
+        assert!(read <= queue_len, "check for {seq} read {read} of {queue_len}");
+    }
+    assert!(log.iter().any(|&(_, read, _)| read > 0));
+    assert!(log.iter().any(|&(_, _, queue_len)| queue_len >= 20));
+    for seq in lone_loads {
+        let checks: Vec<_> = log.iter().filter(|c| c.0 == seq).collect();
+        assert_eq!(checks.len(), 2, "rename and issue of {seq}");
+        assert!(checks.iter().all(|c| c.1 == 0), "{checks:?}");
+    }
+}
+
+/// Rename holds `lq_entries` against loads only: with the load queue full
+/// of loads waiting on a miss, a prefetch still takes a record (one more
+/// than `lq_entries`) and the load behind it stalls.
+#[test]
+fn a_prefetch_takes_a_load_queue_record_while_the_queue_is_full() {
+    let cfg = OooConfig {
+        lq_entries: 4,
+        ..OooConfig::ooo_128()
+    };
+    let (mut core, mut mem, p) = boot(cfg, |a| {
+        let cold = a.reserve(FAR);
+        let cells = a.reserve(64);
+        a.la(Reg::x(1), cold);
+        a.la(Reg::x(3), cells);
+        a.ld(Reg::x(5), Reg::x(1), 0);
+        a.add(Reg::x(5), Reg::x(5), Reg::x(3));
+        for _ in 0..3 {
+            a.ld(Reg::x(6), Reg::x(5), 0);
+        }
+        a.prefetch(Reg::x(3), 8);
+        a.ld(Reg::x(7), Reg::x(3), 16);
+        a.halt();
+    });
+    let mut interp = Interp::new(&p);
+    while core.stats.stall_lsq_full == 0 {
+        assert!(core.cycle < 10_000, "the load queue never filled");
+        checked_tick(&mut core, &mut mem, &mut interp);
+    }
+    let in_lq: Vec<Inst> = core
+        .rob
+        .iter()
+        .filter(|e| core.lq.iter().any(|l| l.seq == e.seq))
+        .map(|e| e.inst)
+        .collect();
+    assert_eq!(in_lq.len(), 5);
+    assert!(in_lq[..4].iter().all(|i| i.is_load()));
+    assert!(matches!(in_lq[4], Inst::Prefetch { .. }));
+    assert_eq!(core.rob.back().unwrap().inst, in_lq[4]);
+    while !core.halted {
+        assert!(core.cycle < 10_000);
+        checked_tick(&mut core, &mut mem, &mut interp);
+    }
+    assert!(interp.is_halted());
 }
 
 /// The queue finds a window entry by its distance from the head's number,
