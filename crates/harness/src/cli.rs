@@ -25,8 +25,6 @@ experiments:
   (legacy binary names like e4_vs_ooo are accepted)
 
 subcommands:
-  bench          time the simulation hot loop and report Minst/s
-                 (see `sst-run bench --help`)
   trace          capture a Chrome-trace/Perfetto timeline of an
                  experiment's jobs (see `sst-run trace --help`)
 
@@ -53,7 +51,8 @@ environment:
                          manifest.json; give concurrent schedulers on
                          one out dir distinct names)
 
-exit status: 0 when every job succeeded, 1 otherwise.";
+exit status: 0 when every job succeeded, 1 otherwise, 2 on a usage
+error or a malformed environment value.";
 
 /// Parses a `--shard` value `"I/N"`; `None` on any malformed or
 /// out-of-range input.
@@ -91,18 +90,20 @@ fn print_list() {
 /// Parses `args` (without the program name) and runs. Returns the
 /// process exit code.
 pub fn cli_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
-    let mut cfg = RunConfig::from_os();
-    let mut tokens: Vec<String> = Vec::new();
-    let mut want_all = false;
     let mut args = args.into_iter().peekable();
-    if args.peek().map(String::as_str) == Some("bench") {
-        args.next();
-        return crate::bench::bench_main(args);
-    }
     if args.peek().map(String::as_str) == Some("trace") {
         args.next();
         return crate::trace::trace_main(args);
     }
+    let mut cfg = match RunConfig::from_os() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("sst-run: {e}");
+            return 2;
+        }
+    };
+    let mut tokens: Vec<String> = Vec::new();
+    let mut want_all = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--help" | "-h" => {

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod cli;
 mod experiments;
@@ -67,23 +66,48 @@ pub struct Env {
 }
 
 impl Env {
-    /// Reads `SST_SCALE` / `SST_SEED` / `SST_MAX_CYCLES` with the
-    /// documented defaults.
-    pub fn from_os() -> Env {
-        Env {
-            scale: match std::env::var("SST_SCALE").as_deref() {
-                Ok("smoke") => Scale::Smoke,
-                _ => Scale::Full,
+    /// Reads `SST_SCALE` / `SST_SEED` / `SST_MAX_CYCLES`; unset takes the
+    /// documented default, a malformed value is an `Err` naming it.
+    pub fn from_os() -> Result<Env, String> {
+        let var = |name: &str| match std::env::var(name) {
+            Ok(v) => Ok(Some(v)),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(std::env::VarError::NotUnicode(v)) => {
+                Err(format!("{name}={v:?} is not UTF-8"))
+            }
+        };
+        let scale = var("SST_SCALE")?;
+        let seed = var("SST_SEED")?;
+        let max_cycles = var("SST_MAX_CYCLES")?;
+        Env::parse(scale.as_deref(), seed.as_deref(), max_cycles.as_deref())
+    }
+
+    /// Builds an `Env` from the values of `SST_SCALE`, `SST_SEED` and
+    /// `SST_MAX_CYCLES` (`None` = unset, which takes the default). A set
+    /// value must be `smoke`/`full` or a `u64`; anything else is an error
+    /// naming the variable and the value, never a silent default.
+    fn parse(
+        scale: Option<&str>,
+        seed: Option<&str>,
+        max_cycles: Option<&str>,
+    ) -> Result<Env, String> {
+        let d = Env::default();
+        let int = |name: &str, v: Option<&str>, default: u64| match v {
+            None => Ok(default),
+            Some(s) => s
+                .parse()
+                .map_err(|_| format!("{name}={s:?} is not an unsigned 64-bit integer")),
+        };
+        Ok(Env {
+            scale: match scale {
+                None => d.scale,
+                Some("smoke") => Scale::Smoke,
+                Some("full") => Scale::Full,
+                Some(s) => return Err(format!("SST_SCALE={s:?} is not \"smoke\" or \"full\"")),
             },
-            seed: std::env::var("SST_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(12345),
-            max_cycles: std::env::var("SST_MAX_CYCLES")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(DEFAULT_MAX_CYCLES),
-        }
+            seed: int("SST_SEED", seed, d.seed)?,
+            max_cycles: int("SST_MAX_CYCLES", max_cycles, d.max_cycles)?,
+        })
     }
 
     /// The scale's token as it appears in cache keys ("smoke"/"full").
@@ -123,5 +147,32 @@ mod tests {
         assert_eq!(e.scale, Scale::Full);
         assert_eq!(e.seed, 12345);
         assert_eq!(e.scale_token(), "full");
+    }
+
+    #[test]
+    fn unset_variables_take_the_defaults() {
+        assert_eq!(Env::parse(None, None, None), Ok(Env::default()));
+    }
+
+    #[test]
+    fn valid_values_are_read() {
+        let e = Env::parse(Some("smoke"), Some("7"), Some("50")).unwrap();
+        assert_eq!((e.scale, e.seed, e.max_cycles), (Scale::Smoke, 7, 50));
+        assert_eq!(Env::parse(Some("full"), None, None).unwrap().scale, Scale::Full);
+    }
+
+    #[test]
+    fn malformed_values_are_rejected_by_name() {
+        for (args, name, value) in [
+            ((Some("smok"), None, None), "SST_SCALE", "smok"),
+            ((Some("Smoke"), None, None), "SST_SCALE", "Smoke"),
+            ((Some(""), None, None), "SST_SCALE", ""),
+            ((None, Some("x12"), None), "SST_SEED", "x12"),
+            ((None, Some("-1"), None), "SST_SEED", "-1"),
+            ((None, None, Some("2e10")), "SST_MAX_CYCLES", "2e10"),
+        ] {
+            let err = Env::parse(args.0, args.1, args.2).unwrap_err();
+            assert!(err.contains(name) && err.contains(&format!("{value:?}")), "{err}");
+        }
     }
 }

@@ -57,19 +57,19 @@ const CLAIM_POLL: Duration = Duration::from_millis(25);
 
 impl RunConfig {
     /// Defaults: available parallelism, cache on, env + out dir from the
-    /// process environment.
-    pub fn from_os() -> RunConfig {
-        RunConfig {
+    /// process environment; `Err` names a malformed variable.
+    pub fn from_os() -> Result<RunConfig, String> {
+        Ok(RunConfig {
             jobs: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             sim_threads: 1,
             use_cache: true,
             out_dir: crate::out_dir_from_os(),
-            env: Env::from_os(),
+            env: Env::from_os()?,
             quiet: false,
             shard: None,
-        }
+        })
     }
 }
 

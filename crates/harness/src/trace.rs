@@ -89,7 +89,13 @@ pub fn trace_main<I: Iterator<Item = String>>(mut args: I) -> i32 {
         eprintln!("{TRACE_USAGE}");
         return 2;
     }
-    run_trace(&tokens, &models, &workloads, &out, &Env::from_os())
+    match Env::from_os() {
+        Ok(env) => run_trace(&tokens, &models, &workloads, &out, &env),
+        Err(e) => {
+            eprintln!("sst-run trace: {e}");
+            2
+        }
+    }
 }
 
 /// The work behind [`trace_main`], with the environment passed in so

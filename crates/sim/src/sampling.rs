@@ -33,8 +33,8 @@
 //! One core and one memory system persist across the whole run — warmth
 //! accumulates; nothing is rebuilt per interval. The sampled CPI is the
 //! mean of the per-interval CPIs, reported with its 95% confidence
-//! interval (`1.96 · s/√n`), and validated against full detailed runs by
-//! the harness's sampling benchmark (3% gate).
+//! interval (`1.96 · s/√n`), and validated against a full detailed run
+//! by `tests/sampling_pin.rs` (3% gate).
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::{self, Scope};

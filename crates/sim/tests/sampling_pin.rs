@@ -14,6 +14,10 @@
 //! row holds `insts`, `intervals`, `detailed_insts`, `detailed_cycles` and
 //! every per-interval CPI as the bits of its `f64`.
 //!
+//! The ladder's schedule also carries the accuracy gate: its sampled CPI
+//! must stay within 3% of the CPI a fully detailed run of the same
+//! program measures past its warm-up.
+//!
 //! A change that is *meant* to move sampled numbers regenerates the table
 //! in the same commit and says so:
 //!
@@ -23,7 +27,7 @@
 
 use std::fmt::Write as _;
 
-use sst_sim::{run_sampled, CoreModel, SampledResult, SamplingConfig};
+use sst_sim::{run_sampled, CoreModel, SampledResult, SamplingConfig, System};
 use sst_workloads::{oltp_sized, Scale};
 
 const SEED: u64 = 12345;
@@ -103,6 +107,30 @@ fn sampled_numbers_match_the_committed_table() {
     for (got, want) in now.lines().zip(TABLE.lines()) {
         assert_eq!(got, want, "a sampled number moved (see the module doc)");
     }
+}
+
+/// Sampled CPI against the detailed run's post-warm-up CPI: sampled
+/// intervals all land past the workload's declared warm-up, so the
+/// reference leaves out the cold start that sampling is built to skip.
+/// The simulators are deterministic, so an error above 3% is a modelling
+/// bug, not noise.
+#[test]
+fn ladder_schedule_cpi_is_within_3_percent_of_detailed() {
+    let w = oltp_sized(Scale::Smoke, SEED, 0, 160_000);
+    let sampled = run_sampled(CoreModel::Sst, &w, &schedule(2_000_000, 20_000, None))
+        .expect("sampled run");
+    let r = System::new(CoreModel::Sst, &w)
+        .without_cosim()
+        .run_checked(2_000_000_000)
+        .expect("detailed run");
+    let detailed = (r.cycles - r.warmup_cycles) as f64 / (r.insts - r.warmup_insts) as f64;
+    let err = (sampled.cpi - detailed).abs() / detailed;
+    assert!(
+        err <= 0.03,
+        "sampled CPI {:.5} vs detailed {detailed:.5}: {:.2}% off",
+        sampled.cpi,
+        err * 100.0
+    );
 }
 
 #[test]
