@@ -7,7 +7,9 @@
 use std::fmt;
 
 use crate::program::{DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
-use crate::{encode, AluOp, BranchCond, EncodeError, FpuOp, Inst, MemWidth, Program, Reg, Segment, INST_BYTES};
+use crate::{
+    encode, AluOp, BranchCond, EncodeError, FpuOp, Inst, MemWidth, Program, Reg, SparseMem, INST_BYTES,
+};
 
 
 /// A code label created by [`Asm::label`] and bound by [`Asm::bind`].
@@ -100,12 +102,11 @@ pub struct Asm {
     text_base: u64,
     slots: Vec<Slot>,
     labels: Vec<Option<usize>>,
-    data_base: u64,
-    data: Vec<u8>,
+    /// The data written so far, in the page frames the program will hold.
+    image: SparseMem,
+    /// Initialized data bytes written (reserved gaps are not).
+    data_len: u64,
     data_cursor: u64,
-    /// Sparse holes created by [`Asm::reserve`]: (position in `data` where
-    /// the hole starts, hole length in bytes).
-    pending_gaps: Vec<(usize, u64)>,
 }
 
 impl Asm {
@@ -125,10 +126,9 @@ impl Asm {
             text_base,
             slots: Vec::new(),
             labels: Vec::new(),
-            data_base,
-            data: Vec::new(),
+            image: SparseMem::based_at(text_base.min(data_base)),
+            data_len: 0,
             data_cursor: data_base,
-            pending_gaps: Vec::new(),
         }
     }
 
@@ -502,16 +502,17 @@ impl Asm {
         self.skip_data(next - cur);
     }
 
+    /// Writes `n` zero bytes (padding is part of the image).
     fn skip_data(&mut self, n: u64) {
-        self.data.extend(std::iter::repeat(0).take(n as usize));
-        self.data_cursor += n;
+        self.data_bytes(&vec![0; n as usize]);
     }
 
     /// Appends raw bytes to the data segment; returns their address.
     pub fn data_bytes(&mut self, bytes: &[u8]) -> u64 {
         let addr = self.data_cursor;
-        self.data.extend_from_slice(bytes);
+        self.image.write_bytes(addr, bytes);
         self.data_cursor += bytes.len() as u64;
+        self.data_len += bytes.len() as u64;
         addr
     }
 
@@ -519,11 +520,13 @@ impl Asm {
     pub fn data_u64(&mut self, words: &[u64]) -> u64 {
         self.align_data(8);
         let addr = self.data_cursor;
-        for &w in words {
-            let le = w.to_le_bytes();
-            self.data.extend_from_slice(&le);
+        let mut buf = [0; 4096];
+        for chunk in words.chunks(buf.len() / 8) {
+            for (b, w) in buf.chunks_exact_mut(8).zip(chunk) {
+                b.copy_from_slice(&w.to_le_bytes());
+            }
+            self.data_bytes(&buf[..chunk.len() * 8]);
         }
-        self.data_cursor += words.len() as u64 * 8;
         addr
     }
 
@@ -538,11 +541,8 @@ impl Asm {
     /// The reservation stays sparse (no bytes are stored in the program
     /// image), so multi-megabyte work buffers are cheap.
     pub fn reserve(&mut self, n: u64) -> u64 {
-        // Flush current bytes into place and restart the cursor past the gap,
-        // leaving the gap out of the image entirely.
         let addr = self.data_cursor;
         self.data_cursor += n;
-        self.pending_gaps.push((self.data.len(), n));
         addr
     }
 
@@ -600,49 +600,7 @@ impl Asm {
             text.push(word);
         }
 
-        // Split the accumulated data bytes into segments around sparse gaps:
-        // first where each segment starts (byte position, address) ...
-        let mut starts = Vec::new();
-        let mut seg_start_addr = self.data_base;
-        let mut byte_pos = 0usize;
-        for &(gap_at, gap_len) in &self.pending_gaps {
-            if gap_at > byte_pos {
-                starts.push((byte_pos, seg_start_addr));
-            }
-            seg_start_addr += (gap_at - byte_pos) as u64 + gap_len;
-            byte_pos = gap_at;
-        }
-        if self.data.len() > byte_pos {
-            starts.push((byte_pos, seg_start_addr));
-        }
-        // ... then the bytes, cut off the end of the buffer back to front.
-        // The first segment (the whole of a 32 MiB image, for the large
-        // workloads) keeps the buffer it grew in, so the image is never
-        // held twice: building one is the peak memory of a process that
-        // runs it without co-simulation, and whether a second copy fits a
-        // hole the build has just freed is an accident of the heap.
-        let mut data = self.data;
-        let mut data_segments: Vec<Segment> = starts
-            .iter()
-            .rev()
-            .map(|&(at, base)| {
-                let mut bytes = if at == 0 {
-                    std::mem::take(&mut data)
-                } else {
-                    data.split_off(at)
-                };
-                bytes.shrink_to_fit();
-                Segment { base, bytes }
-            })
-            .collect();
-        data_segments.reverse();
-
-        Ok(Program {
-            text_base: self.text_base,
-            text,
-            data: data_segments,
-            entry: self.text_base,
-        })
+        Ok(Program::assemble(self.text_base, &text, self.image, self.data_len))
     }
 }
 
@@ -741,8 +699,9 @@ mod tests {
         a.halt();
         let p = a.finish().unwrap();
         assert_eq!(after, gap + (1 << 20));
-        let image: u64 = p.data.iter().map(|s| s.bytes.len() as u64).sum();
+        let image = p.image_bytes() - p.len_insts() as u64 * INST_BYTES;
         assert!(image < 64, "gap must not be materialized, got {image}");
+        assert_eq!(p.image().page_count(), 3, "text, and the data either side");
         let mut m = crate::SparseMem::new();
         p.load_into(&mut m);
         assert_eq!(m.read_u64(before), 11);
@@ -752,28 +711,33 @@ mod tests {
 
     #[test]
     fn segments_are_the_runs_between_gaps_in_address_order() {
+        const PAGE: u64 = 4096;
         let mut a = Asm::new();
         let base = a.data_cursor_addr();
-        a.reserve(64); // a leading gap: no empty segment before it
+        a.reserve(64); // a leading gap
         let first = a.data_bytes(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        a.reserve(128);
-        a.reserve(256); // two gaps back to back
+        a.reserve(2 * PAGE);
+        a.reserve(PAGE); // two gaps back to back
         let second = a.data_bytes(&[9, 10]);
         a.reserve(32); // a trailing gap
         a.halt();
         let p = a.finish().unwrap();
-        let got: Vec<(u64, &[u8])> = p.data.iter().map(|s| (s.base, &s.bytes[..])).collect();
-        assert_eq!((first, second), (base + 64, base + 64 + 8 + 128 + 256));
-        assert_eq!(
-            got,
-            vec![
-                (first, &[1u8, 2, 3, 4, 5, 6, 7, 8][..]),
-                (second, &[9u8, 10][..])
-            ]
-        );
-        // A segment holds its bytes and no more: the first one is the
-        // buffer the data grew in, cut down to size.
-        assert!(p.data.iter().all(|s| s.bytes.capacity() == s.bytes.len()));
+        assert_eq!((first, second), (base + 64, base + 72 + 3 * PAGE));
+        let image = p.image();
+        let mut back = [0; 10];
+        image.read_bytes(first, &mut back[..8]);
+        image.read_bytes(second, &mut back[8..]);
+        assert_eq!(back, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(p.image_bytes(), INST_BYTES + 10);
+        // The image holds the pages the runs wrote and no page the gaps
+        // span alone; all of them shared frames.
+        let mut pages = SparseMem::new();
+        for (addr, n) in [(p.text_base(), INST_BYTES), (first, 8), (second, 2)] {
+            pages.write_bytes(addr, &vec![0; n as usize]);
+        }
+        assert_eq!(image.page_count(), pages.page_count());
+        assert_eq!(image.page_count(), 3);
+        assert_eq!(image.owned_pages(), 0);
     }
 
     #[test]

@@ -273,26 +273,25 @@ impl Interp {
     pub fn new(program: &Program) -> Interp {
         let mut mem = SparseMem::new();
         program.load_into(&mut mem);
-        Interp::over_image(mem, program.text_base, program.len_insts(), program.entry)
+        Interp::over_image(mem, program.text_base(), program.decoded(), program.entry)
     }
 
     /// Creates an interpreter over an image that is already loaded: `mem`
-    /// holds what [`Program::load_into`] writes for a program of `insts`
-    /// instructions at `text_base`, entered at `entry`. For a caller that
-    /// has the loaded image but no longer the [`Program`]. The text is
-    /// decoded and lowered here, once.
-    pub fn over_image(mem: SparseMem, text_base: u64, insts: usize, entry: u64) -> Interp {
-        let mut ops = vec![Op::Invalid; insts];
-        let mut runs = vec![0; insts];
+    /// holds what [`Program::load_into`] writes for a program whose text
+    /// at `text_base` decodes to `text` ([`Program::decoded`]), entered at
+    /// `entry`. For a caller that has the loaded image but no longer the
+    /// [`Program`]. The text is lowered here, once.
+    pub fn over_image(mem: SparseMem, text_base: u64, text: &[Option<Inst>], entry: u64) -> Interp {
+        let mut ops = vec![Op::Invalid; text.len()];
+        let mut runs = vec![0; text.len()];
         // Back to front: a run ends at a control transfer or `halt`.
         let mut run = 0;
-        for i in (0..insts).rev() {
-            let decoded = crate::decode(mem.read_u32(text_base + i as u64 * INST_BYTES));
+        for (i, &decoded) in text.iter().enumerate().rev() {
             ops[i] = decoded.map_or(Op::Invalid, lower);
             run = match decoded {
-                Ok(inst) if inst.is_control() || inst == Inst::Halt => 1,
-                Ok(_) => run + 1,
-                Err(_) => 0,
+                Some(inst) if inst.is_control() || inst == Inst::Halt => 1,
+                Some(_) => run + 1,
+                None => 0,
             };
             runs[i] = run;
         }
@@ -1118,15 +1117,22 @@ mod tests {
     /// not decode, at the returned PC.
     fn every_op_then_undecodable() -> (Program, u64) {
         let mut at = 0;
-        let mut p = every_op(|a| {
+        let p = every_op(|a| {
             a.addi(Reg::x(5), Reg::x(5), 1);
             a.addi(Reg::x(5), Reg::x(5), 1);
             at = a.len();
             a.nop();
         });
         assert!(crate::decode(u32::MAX).is_err());
-        p.text[at] = u32::MAX;
-        let at = p.text_base + at as u64 * INST_BYTES;
+        let image = p.image();
+        let mut text: Vec<u32> = (0..p.len_insts())
+            .map(|i| image.read_u32(p.text_base() + i as u64 * INST_BYTES))
+            .collect();
+        let mut data = vec![0; 4096 + 8 + 16];
+        image.read_bytes(crate::DEFAULT_DATA_BASE, &mut data);
+        text[at] = u32::MAX;
+        let p = Program::from_parts(p.text_base(), &text, &[(crate::DEFAULT_DATA_BASE, &data)], p.entry);
+        let at = p.text_base() + at as u64 * INST_BYTES;
         (p, at)
     }
 

@@ -65,7 +65,7 @@ pub use builder::{Asm, BuildError, Label};
 pub use encode::{decode, encode, DecodeError, EncodeError};
 pub use inst::{disasm, AluOp, BranchCond, FpuOp, Inst, InstClass, MemWidth};
 pub use interp::{ArchState, Hooks, Interp, MemEffect, RunOutcome, StepEvent, StopReason, Trap};
-pub use program::{Program, Segment, DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
+pub use program::{Program, DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
 pub use reg::Reg;
 pub use snap::{SnapError, SnapReader, SnapWriter, SNAPSHOT_VERSION};
 pub use sparse_mem::SparseMem;

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::{SnapError, SnapReader, SnapWriter};
 
@@ -34,15 +35,42 @@ impl Hasher for PageHasher {
 
 /// One 4 KiB page.
 type Page = [u8; PAGE_SIZE];
-type PageMap = HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>;
+type PageMap = HashMap<u64, Option<Frame>, BuildHasherDefault<PageHasher>>;
 
-/// Most pages the dense window spans: 256 MiB of address space, so its
-/// table never exceeds 512 KiB. A whole program image — text at 64 KiB,
-/// data from 16 MiB, the largest full-scale table 32 MiB — fits.
+/// Most pages the dense window spans: 256 MiB of address space. A whole
+/// program image — text at 64 KiB, data from 16 MiB, the largest
+/// full-scale table 32 MiB — fits.
 const WINDOW_PAGES: u64 = 1 << 16;
 
-fn zero_page() -> Box<Page> {
-    Box::new([0; PAGE_SIZE])
+/// A materialized page: owned, or shared read-only with the program image
+/// it was loaded from. The first write to a shared frame makes it owned;
+/// reads, and writes to owned frames, touch no reference count.
+#[derive(Clone)]
+enum Frame {
+    Owned(Box<Page>),
+    Shared(Arc<Box<Page>>),
+}
+
+impl Frame {
+    #[inline]
+    fn bytes(&self) -> &Page {
+        match self {
+            Frame::Owned(p) => p,
+            Frame::Shared(p) => p,
+        }
+    }
+}
+
+/// Makes `slot` an owned frame: a zero page if it was empty, the page
+/// itself if this memory held its only reference, else a copy.
+#[cold]
+fn own(slot: &mut Option<Frame>) {
+    let page = match slot.take() {
+        Some(Frame::Shared(p)) => Arc::try_unwrap(p).unwrap_or_else(|p| Box::new(**p)),
+        Some(Frame::Owned(p)) => p,
+        None => Box::new([0; PAGE_SIZE]),
+    };
+    *slot = Some(Frame::Owned(page));
 }
 
 /// A sparse, byte-addressable 64-bit memory image.
@@ -53,13 +81,18 @@ fn zero_page() -> Box<Page> {
 /// share a single `SparseMem`, so the timing and functional models observe
 /// identical memory contents.
 ///
+/// A page is a *frame* this memory owns or shares with the program image
+/// it was loaded from ([`crate::Program::load_into`] copies no bytes); the
+/// first write to a shared frame copies that one page, or takes it over
+/// if no other memory holds it. A clone costs its owned pages, and every
+/// memory running a program shares its unwritten image.
+///
 /// Every simulated load, store and fetch looks a page up, so the common
-/// lookup is a subtract, a compare and an index: a dense *window* of page
-/// slots starts at the first page ever materialized (a loaded program's
-/// lowest page) and grows to take any page less than 256 MiB above it —
-/// sized once for the whole image when [`crate::Program::load_into`]
-/// loads one. Pages below the window's base or beyond that cap (a second
-/// CMP slot's region, 64 GiB up) live in a hash map.
+/// lookup is a subtract, a compare and an index: a dense *window* of frame
+/// slots starts at the first page ever materialized (a program image's
+/// lowest page) and grows to take any page less than 256 MiB above it.
+/// Pages below the window's base or beyond that cap (a second CMP slot's
+/// region, 64 GiB up) live in a hash map.
 ///
 /// Accesses may straddle page boundaries and have no alignment requirement;
 /// multi-byte values are little-endian.
@@ -68,7 +101,7 @@ pub struct SparseMem {
     /// Page number of `window[0]`.
     base: u64,
     /// Pages `base..base + window.len()`; `None` for one not materialized.
-    window: Vec<Option<Box<Page>>>,
+    window: Vec<Option<Frame>>,
     /// Materialized pages out of the window's reach.
     far: PageMap,
 }
@@ -81,7 +114,22 @@ impl SparseMem {
 
     /// Number of 4 KiB pages currently materialized.
     pub fn page_count(&self) -> usize {
-        self.window.iter().flatten().count() + self.far.len()
+        self.frames().count()
+    }
+
+    /// Number of materialized pages this memory owns (not shared).
+    pub fn owned_pages(&self) -> usize {
+        self.frames()
+            .filter(|(_, f)| matches!(f, Frame::Owned(_)))
+            .count()
+    }
+
+    /// Every materialized frame with its page number, window first.
+    fn frames(&self) -> impl Iterator<Item = (u64, &Frame)> {
+        (self.base..)
+            .zip(&self.window)
+            .chain(self.far.iter().map(|(&pn, f)| (pn, f)))
+            .filter_map(|(pn, f)| Some((pn, f.as_ref()?)))
     }
 
     /// Page `pn`, if materialized. The one lookup: a page in the window's
@@ -89,17 +137,39 @@ impl SparseMem {
     #[inline]
     fn page(&self, pn: u64) -> Option<&Page> {
         match self.window.get(pn.wrapping_sub(self.base) as usize) {
-            Some(slot) => slot.as_deref(),
-            None => self.far.get(&pn).map(|p| &**p),
+            Some(slot) => slot.as_ref().map(Frame::bytes),
+            None => self.far_page(pn),
         }
     }
 
-    /// Page `pn`, materialized (zeroed) first if need be.
+    /// Page `pn` from the map; out of line, since inlined it made every
+    /// read 2x slower (random reads over the oltp image, window hits too).
+    #[cold]
+    #[inline(never)]
+    fn far_page(&self, pn: u64) -> Option<&Page> {
+        self.far.get(&pn)?.as_ref().map(Frame::bytes)
+    }
+
+    /// Page `pn`, owned (see [`own`]).
     #[inline]
     fn page_mut(&mut self, pn: u64) -> &mut Page {
+        let slot = self.slot(pn);
+        if !matches!(slot, Some(Frame::Owned(_))) {
+            own(slot);
+        }
+        match slot {
+            Some(Frame::Owned(p)) => p,
+            _ => unreachable!("owned above"),
+        }
+    }
+
+    /// The slot of page `pn`: in the window if it is in reach, else in
+    /// the map.
+    #[inline]
+    fn slot(&mut self, pn: u64) -> &mut Option<Frame> {
         match self.reach(pn) {
-            Some(i) => self.window[i].get_or_insert_with(zero_page),
-            None => self.far.entry(pn).or_insert_with(zero_page),
+            Some(i) => &mut self.window[i],
+            None => self.far.entry(pn).or_default(),
         }
     }
 
@@ -121,15 +191,37 @@ impl SparseMem {
         Some(i)
     }
 
-    /// Sizes the window, once, for an image about to load into bytes
-    /// `start..end` (an empty window starts at its first page).
-    pub(crate) fn reserve(&mut self, start: u64, end: u64) {
-        if start < end {
-            self.reach(start >> PAGE_SHIFT);
-            let span = ((end - 1) >> PAGE_SHIFT).wrapping_sub(self.base);
-            if span < WINDOW_PAGES {
-                let more = (span as usize + 1).saturating_sub(self.window.len());
-                self.window.reserve_exact(more);
+    /// An empty image whose window starts at `addr`'s page: a builder's
+    /// lowest address, so that every page it writes lands in the window.
+    pub(crate) fn based_at(addr: u64) -> SparseMem {
+        let mut m = SparseMem::new();
+        m.reach(addr >> PAGE_SHIFT);
+        m
+    }
+
+    /// Turns every owned frame into a shared one, copying no bytes: the
+    /// image a built program holds.
+    pub(crate) fn share(&mut self) {
+        for slot in self.window.iter_mut().chain(self.far.values_mut()) {
+            if let Some(Frame::Owned(p)) = slot.take() {
+                *slot = Some(Frame::Shared(Arc::new(p)));
+            }
+        }
+    }
+
+    /// Maps every page of `image` into this memory: a page not yet
+    /// materialized here shares the image's frame, one already here gets
+    /// the image page's bytes copied over it. Into an empty memory this
+    /// is a clone of `image`, its window allocated once.
+    pub(crate) fn map(&mut self, image: &SparseMem) {
+        if self.window.is_empty() && self.far.is_empty() {
+            self.clone_from(image);
+            return;
+        }
+        for (pn, f) in image.frames() {
+            match self.slot(pn) {
+                slot @ None => *slot = Some(f.clone()),
+                Some(_) => self.page_mut(pn).copy_from_slice(f.bytes()),
             }
         }
     }
@@ -231,14 +323,11 @@ impl SparseMem {
 
     /// Serializes the materialized pages in ascending page-number order
     /// (sorted so two equal memories always serialize byte-identically,
-    /// however their pages are split between window and map).
+    /// however their pages are split between window and map, owned or
+    /// shared).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.tag("SMEM");
-        let window = (self.base..).zip(&self.window);
-        let mut pages: Vec<(u64, &Page)> = window
-            .filter_map(|(pn, p)| Some((pn, &**p.as_ref()?)))
-            .chain(self.far.iter().map(|(&pn, p)| (pn, &**p)))
-            .collect();
+        let mut pages: Vec<(u64, &Page)> = self.frames().map(|(pn, f)| (pn, f.bytes())).collect();
         pages.sort_unstable_by_key(|&(pn, _)| pn);
         w.put_usize(pages.len());
         for (pn, page) in pages {
@@ -443,22 +532,133 @@ mod tests {
         p15.load_into(&mut m);
         assert!(!m.far.is_empty(), "slot 15 lies beyond the window");
         for p in [&p0, &p15] {
-            for (i, &word) in p.text.iter().enumerate() {
-                assert_eq!(m.read_u32(p.text_base + 4 * i as u64), word);
+            for (pn, f) in p.image().frames() {
+                assert_eq!(m.page(pn), Some(f.bytes()), "page {pn:#x}");
+                assert!(same_frame(&m, p.image(), pn), "page {pn:#x}");
             }
-            let seg = &p.data[0];
-            let mut back = vec![0; seg.bytes.len()];
-            m.read_bytes(seg.base, &mut back);
-            assert_eq!(back, seg.bytes);
         }
+        assert_eq!(m.owned_pages(), 0);
         let alone = |p: &crate::Program| {
             let mut m = SparseMem::new();
             p.load_into(&mut m);
-            // The data segment sized the window once, to the image's span.
+            // Into an empty memory the image is a clone: the window is
+            // allocated once, at the image's span.
             assert_eq!(m.window.capacity(), m.window.len());
             m.page_count()
         };
         assert_eq!(m.page_count(), alone(&p0) + alone(&p15));
+    }
+
+    /// [`edged`]'s pages and bytes, as shared frames of an image.
+    fn shared_edged() -> SparseMem {
+        let mut m = edged();
+        m.share();
+        m
+    }
+
+    fn frame(m: &SparseMem, pn: u64) -> &Frame {
+        m.frames().find(|&(p, _)| p == pn).expect("materialized").1
+    }
+
+    /// Whether page `pn` of `a` and of `b` is one shared frame.
+    fn same_frame(a: &SparseMem, b: &SparseMem, pn: u64) -> bool {
+        matches!(
+            (frame(a, pn), frame(b, pn)),
+            (Frame::Shared(x), Frame::Shared(y)) if Arc::ptr_eq(x, y)
+        )
+    }
+
+    const EDGED: [u64; 4] = [15, 16, 20, 16 + WINDOW_PAGES];
+
+    #[test]
+    fn a_clone_shares_every_frame() {
+        let image = shared_edged();
+        assert_eq!(saved(&image), saved(&edged()));
+        let c = image.clone();
+        for pn in EDGED {
+            assert!(same_frame(&image, &c, pn), "page {pn}");
+        }
+        assert_eq!((image.owned_pages(), c.owned_pages()), (0, 0));
+        // An owned page is copied, not shared.
+        let owned = edged();
+        assert_eq!((owned.owned_pages(), owned.clone().owned_pages()), (4, 4));
+    }
+
+    #[test]
+    fn a_write_on_either_side_promotes_only_that_page() {
+        // Window pages and far pages (below the base, beyond the cap)
+        // alike.
+        for (pn, other) in [(16, 20), (20, 16), (15, 16 + WINDOW_PAGES), (16 + WINDOW_PAGES, 15)] {
+            let mut image = shared_edged();
+            let mut c = image.clone();
+            c.write_u8(pn * PAGE + 1, 0xee);
+            assert_eq!((c.owned_pages(), image.owned_pages()), (1, 0));
+            assert_eq!((c.read_u8(pn * PAGE), c.read_u8(pn * PAGE + 1)), (pn as u8, 0xee));
+            assert_eq!(image.read_u8(pn * PAGE + 1), 0, "page {pn}");
+            for q in EDGED.into_iter().filter(|&q| q != pn) {
+                assert!(same_frame(&image, &c, q), "page {q} after writing {pn}");
+            }
+            // The other side writes another page: the clone does not see it.
+            image.write_u8(other * PAGE + 2, 0x55);
+            assert_eq!((c.owned_pages(), image.owned_pages()), (1, 1));
+            assert_eq!(c.read_u8(other * PAGE + 2), 0);
+            assert_eq!(image.read_u8(pn * PAGE + 1), 0);
+            assert_eq!(c.page_count(), 4);
+        }
+    }
+
+    #[test]
+    fn a_page_no_other_memory_holds_is_taken_over_not_copied() {
+        let mut m = shared_edged();
+        let at = |m: &SparseMem, pn: u64| m.page(pn).unwrap() as *const Page;
+        let before = at(&m, 20);
+        let c = m.clone();
+        m.write_u8(20 * PAGE + 1, 1);
+        assert_ne!(at(&m, 20), before, "shared with the clone: copied");
+        drop(c);
+        let before = at(&m, 16);
+        m.write_u8(16 * PAGE + 1, 1);
+        assert_eq!(at(&m, 16), before, "held alone: the same page, now owned");
+        assert_eq!(m.owned_pages(), 2);
+    }
+
+    #[test]
+    fn mapping_over_a_held_page_copies_the_bytes() {
+        let mut image = SparseMem::new();
+        image.write_bytes(16 * PAGE, &[7; 8]);
+        image.write_bytes(17 * PAGE, &[9; 8]);
+        image.share();
+        let mut m = SparseMem::new();
+        m.write_u8(16 * PAGE + 100, 1);
+        m.map(&image);
+        assert_eq!(m.page(16), image.page(16), "the image's bytes, all of the page");
+        assert!(same_frame(&m, &image, 17));
+        assert_eq!((m.page_count(), m.owned_pages()), (2, 1));
+        // A page held as another image's shared frame is copied too.
+        let mut other = SparseMem::new();
+        other.write_bytes(17 * PAGE + 8, &[3; 8]);
+        other.share();
+        let mut m = other.clone();
+        m.map(&image);
+        assert_eq!(m.page(17), image.page(17));
+        assert_eq!(other.read_u8(17 * PAGE), 0);
+        assert_eq!(m.owned_pages(), 1);
+        assert!(same_frame(&m, &image, 16));
+    }
+
+    #[test]
+    fn a_shared_image_saves_the_bytes_of_a_written_one() {
+        let image = shared_edged();
+        assert_eq!(saved(&image), saved(&edged()));
+        // Promoted or not, a page saves its bytes.
+        let mut c = image.clone();
+        c.write_u8(20 * PAGE, 20);
+        assert_eq!(c.owned_pages(), 1);
+        assert_eq!(saved(&c), saved(&image));
+        // A restored snapshot owns its pages.
+        let mut back = SparseMem::new();
+        back.restore_state(&mut SnapReader::new(&saved(&image))).unwrap();
+        assert_eq!((back.owned_pages(), saved(&back)), (4, saved(&image)));
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn jalr_masks_low_bits() {
     a.bind(target);
     a.halt();
     let p0 = a.finish().unwrap();
-    let tgt_pc = p0.text_base + 8; // the bound halt
+    let tgt_pc = p0.text_base() + 8; // the bound halt
 
     let mut a = Asm::new();
     a.li(Reg::x(1), (tgt_pc | 3) as i64);

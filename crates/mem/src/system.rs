@@ -746,6 +746,11 @@ impl MemSystem {
         &mut self.ports[core].mem
     }
 
+    /// Backing memory of `core`'s port.
+    pub fn port_mem(&self, core: usize) -> &SparseMem {
+        &self.ports[core].mem
+    }
+
     /// Functionally reads `bytes` little-endian bytes at `addr` from
     /// core 0's image.
     pub fn read(&self, addr: u64, bytes: u64) -> u64 {
@@ -893,9 +898,10 @@ impl MemSystem {
     }
 
     /// Replaces `core`'s functional backing image wholesale. The sampled
-    /// driver clones the reference interpreter's memory in after
-    /// functional warming, so the detailed core executes the measured
-    /// window against the architecturally correct bytes.
+    /// driver hands in the reference interpreter's memory after functional
+    /// warming (pages it never wrote stay shared with the program image),
+    /// so the detailed core executes the measured window against the
+    /// architecturally correct bytes.
     pub fn replace_port_mem(&mut self, core: usize, mem: SparseMem) {
         self.ports[core].mem = mem;
     }

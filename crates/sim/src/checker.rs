@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sst_isa::{Interp, MemEffect, Program, SnapError, SnapReader, SnapWriter, SparseMem};
+use sst_isa::{Inst, Interp, MemEffect, Program, SnapError, SnapReader, SnapWriter, SparseMem};
 use sst_uarch::Commit;
 
 /// A divergence between a core's commit stream and the reference
@@ -45,9 +45,9 @@ impl RetireChecker {
 
     /// Creates a checker over an already loaded image — the arguments of
     /// [`Interp::over_image`].
-    pub fn over_image(mem: SparseMem, text_base: u64, insts: usize, entry: u64) -> RetireChecker {
+    pub fn over_image(mem: SparseMem, text_base: u64, text: &[Option<Inst>], entry: u64) -> RetireChecker {
         RetireChecker {
-            interp: Interp::over_image(mem, text_base, insts, entry),
+            interp: Interp::over_image(mem, text_base, text, entry),
             checked: 0,
         }
     }

@@ -11,7 +11,7 @@
 //! stated there, and `crates/sim/tests/parallel_cmp.rs` enforces it across
 //! models, mixes, and thread counts.
 
-use sst_isa::Program;
+use sst_isa::{Program, SparseMem};
 use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
 use sst_prng::splitmix64;
 use sst_uarch::Core;
@@ -133,6 +133,11 @@ impl CmpSystem {
         let id = self.cores.len();
         program.load_into(self.mem.port_mem_mut(id));
         self.cores.push(model.build(id, program));
+    }
+
+    /// Core `core`'s functional memory (its port's backing image).
+    pub fn port_mem(&self, core: usize) -> &SparseMem {
+        self.mem.port_mem(core)
     }
 
     /// Disables idle-cycle fast-forwarding (see

@@ -1,7 +1,9 @@
 //! Single-core simulation with warm-up accounting and optional
 //! co-simulation: [`crate::engine`]'s serial executor over one core.
 
-use sst_isa::{InstClass, SnapError, SnapReader, SnapWriter, SparseMem, SNAPSHOT_VERSION};
+use std::sync::Arc;
+
+use sst_isa::{Inst, InstClass, SnapError, SnapReader, SnapWriter, SparseMem, SNAPSHOT_VERSION};
 use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
 use sst_obs::{HostTimes, TraceBuf};
 use sst_uarch::{Commit, Core};
@@ -134,10 +136,11 @@ enum Cosim {
     /// that turns co-simulation off right after construction never builds
     /// the reference. Until then nothing has run and the system's own
     /// memory still holds exactly the program image: the reference starts
-    /// from a copy of it, decoding `insts` instructions at `text_base`.
+    /// from a copy of it (sharing its frames), running the program's
+    /// decoded `text` at `text_base`.
     Pending {
         text_base: u64,
-        insts: usize,
+        text: Arc<[Option<Inst>]>,
         entry: u64,
     },
     On(Box<RetireChecker>),
@@ -147,16 +150,16 @@ impl Cosim {
     /// The checker a `Pending` co-simulation starts with; `image` is the
     /// never-run system's memory.
     fn start(&self, image: &SparseMem) -> Option<Box<RetireChecker>> {
-        match *self {
+        match self {
             Cosim::Pending {
                 text_base,
-                insts,
+                text,
                 entry,
             } => Some(Box::new(RetireChecker::over_image(
                 image.clone(),
-                text_base,
-                insts,
-                entry,
+                *text_base,
+                text,
+                *entry,
             ))),
             _ => None,
         }
@@ -208,8 +211,8 @@ impl System {
             fast_forward: true,
             retirement: Retirement {
                 cosim: Cosim::Pending {
-                    text_base: workload.program.text_base,
-                    insts: workload.program.len_insts(),
+                    text_base: workload.program.text_base(),
+                    text: Arc::clone(workload.program.decoded()),
                     entry: workload.program.entry,
                 },
                 skip_insts: workload.skip_insts,
@@ -383,6 +386,11 @@ impl System {
     /// `true` once the core has retired its `halt`.
     pub fn halted(&self) -> bool {
         self.core.halted()
+    }
+
+    /// The core's functional memory (its port's backing image).
+    pub fn mem(&self) -> &SparseMem {
+        self.mem.mem()
     }
 
     /// Assembles the [`RunResult`] for the run so far (normally called

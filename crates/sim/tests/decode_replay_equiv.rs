@@ -1,52 +1,20 @@
-//! Decode-cache and event-wakeup equivalence suite.
+//! Event-wakeup equivalence suite.
 //!
-//! Two hot-loop mechanisms must be architecturally invisible:
-//!
-//! * the frontend's **decode-once instruction cache** only memoizes the
-//!   functional `read + decode` of text-segment PCs (the I-cache timing
-//!   access per line is unchanged), and
-//! * the SST cores' **event-driven replay wakeup** only changes what
-//!   window `next_event_cycle` vouches to the fast-forward driver, never
-//!   the replay schedule itself.
-//!
-//! For the bench lineup (all five models) on two workloads — `gzip`
-//! (compute-heavy) and `oltp` (the replay-heavy pointer-chaser that
-//! motivated both mechanisms) — a run with each mechanism disabled must
-//! produce a byte-identical `RunResult`: cycles, commits, every model
-//! counter, the memory statistics, the instruction mix. Co-simulation
-//! stays on, so commit streams are also checked instruction by
-//! instruction.
+//! The SST cores' **event-driven replay wakeup** only changes what window
+//! `next_event_cycle` vouches to the fast-forward driver, never the replay
+//! schedule itself. For scout, execute-ahead and SST on two workloads —
+//! `gzip` (compute-heavy) and `oltp` (the replay-heavy pointer-chaser that
+//! motivated the mechanism) — a run with it disabled must produce a
+//! byte-identical `RunResult`: cycles, commits, every model counter, the
+//! memory statistics, the instruction mix. Co-simulation stays on, so
+//! commit streams are also checked instruction by instruction.
 
 use sst_core::SstConfig;
-use sst_inorder::InOrderConfig;
-use sst_ooo::OooConfig;
 use sst_sim::{CoreModel, System};
 use sst_workloads::{Scale, Workload};
 
 const MAX_CYCLES: u64 = 200_000_000;
 const WORKLOADS: [&str; 2] = ["gzip", "oltp"];
-
-/// The bench lineup (`io`, `scout`, `ea`, `sst`, `o128`) with every
-/// frontend's decode cache forced to the given setting.
-fn bench_lineup(decode_cache: bool) -> Vec<CoreModel> {
-    let mut io = InOrderConfig::default();
-    io.frontend.decode_cache = decode_cache;
-    let mut o128 = OooConfig::ooo_128();
-    o128.frontend.decode_cache = decode_cache;
-    let sst_family = [
-        SstConfig::scout(),
-        SstConfig::execute_ahead(),
-        SstConfig::sst(),
-    ]
-    .map(|mut c| {
-        c.frontend.decode_cache = decode_cache;
-        CoreModel::CustomSst(c)
-    });
-    let mut out = vec![CoreModel::CustomInOrder(io)];
-    out.extend(sst_family);
-    out.push(CoreModel::CustomOoo(o128));
-    out
-}
 
 fn run(model: CoreModel, workload: &str, what: &str) -> sst_sim::RunResult {
     let w = Workload::by_name(workload, Scale::Smoke, 3).unwrap();
@@ -54,23 +22,6 @@ fn run(model: CoreModel, workload: &str, what: &str) -> sst_sim::RunResult {
     System::new(model, &w)
         .run_checked(MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{label} on {workload} ({what}): {e}"))
-}
-
-#[test]
-fn decode_cache_off_is_byte_identical() {
-    for workload in WORKLOADS {
-        let on = bench_lineup(true);
-        let off = bench_lineup(false);
-        for (m_on, m_off) in on.into_iter().zip(off) {
-            let label = m_on.label();
-            let a = run(m_on, workload, "decode cache on");
-            let b = run(m_off, workload, "decode cache off");
-            assert_eq!(
-                a, b,
-                "{label} on {workload}: decode cache on/off runs diverged"
-            );
-        }
-    }
 }
 
 #[test]
@@ -94,13 +45,12 @@ fn event_wakeup_off_is_byte_identical() {
     }
 }
 
-/// Both mechanisms off at once — the fully conservative configuration —
-/// still matches the default for the paper's SST design point.
+/// The conservative configuration still matches the default model for
+/// the paper's SST design point.
 #[test]
 fn fully_conservative_sst_matches_default() {
     for workload in WORKLOADS {
         let mut cold = SstConfig::sst();
-        cold.frontend.decode_cache = false;
         cold.event_wakeup = false;
         let a = run(CoreModel::Sst, workload, "default");
         let b = run(CoreModel::CustomSst(cold), workload, "conservative");

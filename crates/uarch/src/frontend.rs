@@ -7,6 +7,7 @@
 //! queues [`FetchedInst`]s for the core to consume.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use sst_branch::{BranchKind, BranchUnit, Prediction, PredictorKind};
 use sst_isa::{
@@ -29,12 +30,6 @@ pub struct FrontendConfig {
     pub ras_depth: usize,
     /// Bubble cycles charged on every redirect (pipeline refill).
     pub redirect_penalty: Cycle,
-    /// Decode each text-segment instruction once and replay the cached
-    /// [`Inst`] on later fetches of the same PC. Purely an implementation
-    /// speedup: the timing path (I-cache access per line) is unchanged, so
-    /// runs with the cache on and off are byte-identical. Off exists for
-    /// the equivalence suite.
-    pub decode_cache: bool,
 }
 
 impl Default for FrontendConfig {
@@ -46,7 +41,6 @@ impl Default for FrontendConfig {
             btb_entries: 1024,
             ras_depth: 8,
             redirect_penalty: 6,
-            decode_cache: true,
         }
     }
 }
@@ -109,16 +103,16 @@ pub struct Frontend {
     saw_halt: bool,
     /// PC of the fetched `halt` (set with `saw_halt`, cleared by redirect).
     halt_pc: Option<u64>,
-    /// Base PC of the program's text segment (decode-cache index origin).
+    /// Base PC of the program's text segment.
     text_base: u64,
-    /// Decode-once cache: one slot per text-segment instruction, indexed by
-    /// `(pc - text_base) / 4`, filled lazily on first decode. Empty when
-    /// [`FrontendConfig::decode_cache`] is off. There is no self-modifying
-    ///-code path in this machine (speculative stores drain only at epoch
-    /// commit, and no workload writes its own text), so entries stay valid
-    /// for the life of the run; [`Frontend::invalidate_decoded`] is the
-    /// hook an SMC path would have to call.
-    decoded: Vec<Option<Inst>>,
+    /// The program's text decoded at build ([`Program::decoded`]), shared
+    /// with every other core and interpreter running it; indexed by
+    /// `(pc - text_base) / 4`. There is no self-modifying-code path in
+    /// this machine (speculative stores drain only at epoch commit, and
+    /// no workload writes its own text), so it stays valid for the life of
+    /// the run. A PC outside it, or a word that does not decode, is
+    /// decoded from memory.
+    decoded: Arc<[Option<Inst>]>,
     /// The I-line held in the fetch buffer: fetch re-accesses the I-cache
     /// only when it leaves this line (one timing access per line, as a
     /// real fetch buffer behaves), not once per cycle. Invalidated by
@@ -131,14 +125,9 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    /// Creates a frontend fetching from `program.entry`, with the decode
-    /// cache sized to the program's text segment.
+    /// Creates a frontend fetching from `program.entry`, decoding through
+    /// the program's decoded text.
     pub fn new(cfg: FrontendConfig, program: &Program) -> Frontend {
-        let slots = if cfg.decode_cache {
-            program.len_insts()
-        } else {
-            0
-        };
         Frontend {
             unit: BranchUnit::new(cfg.predictor, cfg.btb_entries, cfg.ras_depth),
             cfg,
@@ -149,31 +138,23 @@ impl Frontend {
             bad_path: false,
             saw_halt: false,
             halt_pc: None,
-            text_base: program.text_base,
-            decoded: vec![None; slots],
+            text_base: program.text_base(),
+            decoded: Arc::clone(program.decoded()),
             fetch_line: None,
             fetched_insts: 0,
             icache_stall_cycles: 0,
         }
     }
 
-    /// Decode-cache slot for `pc`, if `pc` is a cacheable text-segment
-    /// instruction address.
-    fn decoded_slot(&self, pc: u64) -> Option<usize> {
+    /// The decoded instruction at `pc`, if `pc` is in the text and its
+    /// word decodes.
+    #[inline]
+    fn decoded_at(&self, pc: u64) -> Option<Inst> {
         let off = pc.wrapping_sub(self.text_base);
         if off % INST_BYTES != 0 {
             return None;
         }
-        let idx = (off / INST_BYTES) as usize;
-        (idx < self.decoded.len()).then_some(idx)
-    }
-
-    /// Drops the cached decode for `pc` (the self-modifying-code hook; no
-    /// current core path stores into text, so nothing calls this today).
-    pub fn invalidate_decoded(&mut self, pc: u64) {
-        if let Some(idx) = self.decoded_slot(pc) {
-            self.decoded[idx] = None;
-        }
+        *self.decoded.get((off / INST_BYTES) as usize)?
     }
 
     /// The shared branch unit, for resolution training.
@@ -266,26 +247,14 @@ impl Frontend {
                 self.fetch_line = Some(line);
             }
 
-            let slot = self.decoded_slot(pc);
-            let inst = match slot.and_then(|i| self.decoded[i]) {
-                Some(i) => i,
-                None => {
-                    let word = mem.read(pc, 4) as u32;
-                    match decode(word) {
-                        Ok(i) => {
-                            if let Some(s) = slot {
-                                self.decoded[s] = Some(i);
-                            }
-                            i
-                        }
-                        Err(_) => {
-                            // Wrong-path fetch into non-text bytes; park
-                            // until the core redirects.
-                            self.bad_path = true;
-                            return;
-                        }
-                    }
-                }
+            let decoded = self
+                .decoded_at(pc)
+                .or_else(|| decode(mem.read(pc, 4) as u32).ok());
+            let Some(inst) = decoded else {
+                // Wrong-path fetch into non-text bytes; park until the
+                // core redirects.
+                self.bad_path = true;
+                return;
             };
 
             let (pred_taken, pred_next_pc, pred_confident) = match branch_kind(inst) {
@@ -649,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_cache_refetch_matches_and_invalidates() {
+    fn refetch_from_the_shared_text_matches_the_first_fetch() {
         let (mut fe, mut ms) = setup(|a| {
             a.addi(Reg::x(1), Reg::ZERO, 7);
             a.addi(Reg::x(2), Reg::x(1), 1);
@@ -657,7 +626,6 @@ mod tests {
         });
         run_until(&mut fe, &mut ms, 3, 10_000);
         let first: Vec<_> = std::iter::from_fn(|| fe.pop()).collect();
-        // Refetch the same PCs: now served from the decode cache.
         fe.redirect(20_000, first[0].pc);
         let mut now = 20_000;
         while fe.queued() < 3 && now < 30_000 {
@@ -668,17 +636,10 @@ mod tests {
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.pc, b.pc);
-            assert_eq!(a.inst, b.inst, "cached decode matches fresh decode");
+            assert_eq!(a.inst, b.inst);
+            let word = ms.mem().read_u32(a.pc);
+            assert_eq!(Ok(a.inst), decode(word), "the shared text is the memory's decode");
         }
-        // The SMC hook drops a slot; the next fetch re-decodes and refills.
-        fe.invalidate_decoded(first[0].pc);
-        fe.redirect(40_000, first[0].pc);
-        let mut now = 40_000;
-        while fe.queued() < 1 && now < 50_000 {
-            fe.tick(now, &mut ms.bus(0));
-            now += 1;
-        }
-        assert_eq!(fe.pop().unwrap().inst, first[0].inst);
     }
 
     #[test]

@@ -403,7 +403,7 @@ mod tests {
         for name in gadget_names() {
             let a = Workload::by_name(name, Scale::Smoke, 5).unwrap();
             let b = Workload::by_name(name, Scale::Smoke, 5).unwrap();
-            assert_eq!(a.program.text, b.program.text);
+            assert_eq!(a.program.decoded(), b.program.decoded());
             assert!(!Workload::all_names().contains(name));
         }
     }

@@ -235,18 +235,15 @@ mod tests {
     fn deterministic_given_seed() {
         let a = Workload::by_name("oltp", Scale::Smoke, 5).unwrap();
         let b = Workload::by_name("oltp", Scale::Smoke, 5).unwrap();
-        assert_eq!(a.program.text, b.program.text);
-        assert_eq!(a.program.data.len(), b.program.data.len());
-        for (x, y) in a.program.data.iter().zip(&b.program.data) {
-            assert_eq!(x, y);
-        }
+        let image = |w: &Workload| {
+            let mut out = sst_isa::SnapWriter::new();
+            w.program.image().save_state(&mut out);
+            out.into_bytes()
+        };
+        assert_eq!(a.program.decoded(), b.program.decoded());
+        assert!(image(&a) == image(&b), "same seed, same image");
         let c = Workload::by_name("oltp", Scale::Smoke, 6).unwrap();
-        let same_data = a
-            .program
-            .data
-            .iter()
-            .zip(&c.program.data)
-            .all(|(x, y)| x == y);
+        let same_data = image(&a) == image(&c);
         assert!(!same_data, "different seeds must change the data image");
     }
 
