@@ -41,16 +41,6 @@ pub struct SstConfig {
     /// speculating past it, trading run-ahead coverage for fewer
     /// deferred-branch rollbacks. Ablation A3 measures the trade.
     pub confidence_gate: bool,
-    /// Event-driven replay wakeup (on by default): `next_event_cycle`
-    /// vouches the whole window up to `replay_check_at` — the next DQ
-    /// data-ready arrival or entry-ready time — so the fast-forward driver
-    /// skips a core parked on a long miss straight to the wake event
-    /// instead of ticking empty replay passes. Off falls back to
-    /// cycle-by-cycle ticking whenever an epoch is live; the toggle only
-    /// gates the skip vouching, never the replay schedule itself, so runs
-    /// with it on and off are byte-identical (the equivalence suite pins
-    /// this).
-    pub event_wakeup: bool,
     /// Speculation-taint tracking (off by default): tag every line touch,
     /// predictor update, and prefetcher training performed between
     /// checkpoint creation and rollback, and sweep the squashed range
@@ -92,7 +82,6 @@ impl SstConfig {
             retain_results: true,
             bypass_stall_window: 6,
             confidence_gate: false,
-            event_wakeup: true,
             taint: false,
             trace: false,
         }

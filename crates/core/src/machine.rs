@@ -31,25 +31,44 @@ struct Epoch {
     cause_ready: Cycle,
 }
 
-/// Why the ahead strand cannot use its slot-0 issue slot (the stall
-/// counter `tick` charges once per fully idle cycle), plus the classified
-/// wake cycle. Shared by [`Core::next_event_cycle`] and [`Core::skip_to`]
-/// so the two always agree.
+/// Why the ahead strand does not issue its head this cycle: the verdict of
+/// [`SstCore::head_gate`] (or of EA's suspension), which `ahead` acts on
+/// and [`Core::next_event_cycle`] / [`Core::skip_to`] vouch and charge by.
+#[derive(Clone, Copy)]
 enum AheadStall {
     /// Decode queue empty; refilled only by fetch.
     Frontend,
     /// `halt` at the head with speculation outstanding.
     HaltWait,
-    /// Head's non-NT sources not timing-ready yet.
-    Operand,
+    /// Head's non-NT sources not timing-ready until the given cycle.
+    Operand(Cycle),
     /// Confidence gate holding back a shaky deferred branch.
     LowConf,
     /// Deferred queue full; drained only by replay.
     DqFull,
     /// Store buffer full; drained only by replay/commit.
     StbFull,
-    /// The head could issue (or defer) this cycle — no skip is safe.
-    None,
+    /// Execute-ahead suspended behind its deferred strand: a replay pass
+    /// used the pipeline, or blocked work holds it
+    /// ([`SstCore::ea_suspended`]).
+    EaReplay,
+}
+
+impl AheadStall {
+    /// Charges `n` stalled cycles to this stall's counter.
+    #[inline]
+    fn charge(self, s: &mut SstStats, n: u64) {
+        let counter = match self {
+            AheadStall::Frontend => &mut s.stall_frontend,
+            AheadStall::HaltWait => &mut s.stall_halt_wait,
+            AheadStall::Operand(_) => &mut s.stall_operand,
+            AheadStall::LowConf => &mut s.stall_lowconf,
+            AheadStall::DqFull => &mut s.stall_dq_full,
+            AheadStall::StbFull => &mut s.stall_stb_full,
+            AheadStall::EaReplay => &mut s.stall_ea_replay,
+        };
+        *counter += n;
+    }
 }
 
 enum ReplayOutcome {
@@ -164,8 +183,7 @@ pub struct SstCore {
     /// Typed event sink ([`SstConfig::trace`] or `Core::set_trace`);
     /// `None` when tracing is off. Record-only — see the config flag's
     /// byte-identity contract. Replaces the old `SST_TRACE` string ring
-    /// (and its racy per-core env read); [`SstCore::dump_debug`] prints
-    /// its tail on a wedge.
+    /// (and its racy per-core env read).
     tracebuf: Option<Box<TraceBuf>>,
     /// Host self-profiling accumulator (`Core::set_host_prof`); `None`
     /// when profiling is off. Record-only, like the trace sink.
@@ -257,40 +275,6 @@ impl SstCore {
         self.stb.forwards
     }
 
-    /// Dumps internal state to stderr (debugging aid for wedge reports).
-    #[doc(hidden)]
-    pub fn dump_debug(&self) {
-        eprintln!(
-            "cycle={} seq={} epochs={:?} dq_len={} stb_len={} check_at={:?} cursor={:?}",
-            self.cycle,
-            self.seq,
-            self.epochs
-                .iter()
-                .map(|e| (e.ckpt.start_seq, e.end_seq))
-                .collect::<Vec<_>>(),
-            self.dq.len(),
-            self.stb.len(),
-            self.replay_check_at,
-            self.dq.cursor()
-        );
-        for e in self.dq.iter().take(8) {
-            eprintln!(
-                "  dq seq={} pc={:#x} {:?} cap={:?} prod={:?} data_ready={:?}",
-                e.seq, e.pc, e.inst, e.captured, e.producers, e.data_ready_at
-            );
-        }
-        for e in self.stb.iter().take(8) {
-            eprintln!("  stb {:?}", e);
-        }
-        if let Some(tb) = &self.tracebuf {
-            for e in tb.tail(64) {
-                eprintln!("  trace {e:?}");
-            }
-        } else {
-            eprintln!("  (run with tracing enabled — SstConfig::trace or sst-run trace — for the event tail)");
-        }
-    }
-
     /// The deferred strand's derived state against what it is derived
     /// from (`tick` asserts this every cycle in debug builds): the DQ's
     /// wake lists, timed list and cursor ([`DeferredQueue::consistent`]),
@@ -333,7 +317,7 @@ impl SstCore {
             Phase::Scout
         } else if self.dq.cursor().is_some()
             || now >= self.replay_check_at
-            || self.ea_replay_suspended()
+            || self.ea_suspended()
         {
             Phase::Replay
         } else {
@@ -513,6 +497,25 @@ impl SstCore {
                 self.replay_check_at = Cycle::MAX;
             }
         }
+    }
+
+    /// Opens an epoch at `pc` whose first instruction is sequence number
+    /// `start`, under a fresh checkpoint of the speculative image, closing
+    /// the open youngest epoch (if any) just before it. `cause_ready` is
+    /// scout's rollback point.
+    fn open_epoch(&mut self, pc: u64, start: Seq, now: Cycle, cause_ready: Cycle) {
+        if let Some(open) = self.epochs.back_mut() {
+            open.end_seq = Some(start - 1);
+            self.note_commit_event();
+        }
+        self.epochs.push_back(Epoch {
+            ckpt: Checkpoint::take(&self.spec, pc, start, now),
+            end_seq: None,
+            log: Vec::new(),
+            cause_ready,
+        });
+        let live = self.epochs.len() as u32;
+        self.emit(Event::CkptTake { at: now, live });
     }
 
     // ------------------------------------------------------------ rollback
@@ -812,80 +815,59 @@ impl SstCore {
         }
     }
 
-    /// Mirrors the slot-0 decision tree of [`SstCore::ahead`] without side
-    /// effects: when would the ahead strand next act, and which stall
-    /// counter does each idle cycle charge meanwhile? `Cycle::MAX` wake
-    /// values are stalls released only by fetch, replay, commit, or
-    /// rollback — all covered by the other [`Core::next_event_cycle`]
-    /// terms.
-    fn ahead_wake(&self, now: Cycle) -> (Cycle, AheadStall) {
-        let Some(f) = self.frontend.peek() else {
-            return (Cycle::MAX, AheadStall::Frontend);
-        };
-        let inst = f.inst;
-        if inst == Inst::Halt {
-            return if self.in_speculation() {
-                (Cycle::MAX, AheadStall::HaltWait)
-            } else {
-                (now, AheadStall::None)
-            };
-        }
-        let sources = inst.sources();
-        let ready_needed = sources
-            .iter()
-            .flatten()
-            .filter(|r| !self.spec.is_nt(**r))
-            .map(|r| self.spec.ready_at(*r))
-            .max()
-            .unwrap_or(0);
-        if ready_needed > now {
-            return (ready_needed, AheadStall::Operand);
-        }
-        if self.spec.any_nt(sources) {
-            if self.cfg.confidence_gate
-                && self.cfg.retain_results
-                && inst.is_control()
-                && !f.pred_confident
-            {
-                return (Cycle::MAX, AheadStall::LowConf);
-            }
-            if self.dq.is_full() {
-                return (Cycle::MAX, AheadStall::DqFull);
-            }
-            if inst.is_store() && self.stb.is_full() {
-                return (Cycle::MAX, AheadStall::StbFull);
-            }
-            return (now, AheadStall::None);
-        }
-        if inst.is_store() && self.in_speculation() && self.stb.is_full() {
-            return (Cycle::MAX, AheadStall::StbFull);
-        }
-        (now, AheadStall::None)
-    }
-
     // -------------------------------------------------------- speculation mgmt
 
-    /// Decides what the deferred strand does this cycle. Returns
-    /// `(slots_for_ahead, ahead_suspended)`.
-    fn manage_speculation(
-        &mut self,
-        now: Cycle,
-        mem: &mut MemBus,
-        mem_ops: &mut usize,
-    ) -> (usize, bool) {
-        let width = self.cfg.width;
-        let Some(oldest) = self.epochs.front() else {
-            return (width, false);
-        };
-        let cause_ready = oldest.cause_ready;
-        let oldest_open = oldest.end_seq.is_none();
+    /// Scout's policy: the live episode rolls back when its originating
+    /// miss returns. `None` outside a scout episode.
+    #[inline]
+    fn scout_rollback_at(&self) -> Option<Cycle> {
+        match self.epochs.front() {
+            Some(oldest) if !self.cfg.retain_results => Some(oldest.cause_ready),
+            _ => None,
+        }
+    }
 
-        if !self.cfg.retain_results {
+    /// The PC a new epoch starts at if the open oldest epoch can be closed
+    /// into a free checkpoint now (SST); `None` if there is no open epoch,
+    /// no free checkpoint (EA), or no known continuation.
+    #[inline]
+    fn closing_pc(&self) -> Option<u64> {
+        let open = self.epochs.front().is_some_and(|e| e.end_seq.is_none());
+        if open && self.epochs.len() < self.cfg.checkpoints {
+            self.frontend.resume_pc()
+        } else {
+            None
+        }
+    }
+
+    /// `true` when execute-ahead suspends its ahead strand on blocked
+    /// deferred work: a replay pass stalled on an ordering-blocked load
+    /// (input-ready, waiting on an unresolved older store) under an open
+    /// oldest epoch that cannot be closed. With a single checkpoint the
+    /// ahead strand shares the pipeline with the stalled deferred strand
+    /// and suspends with it — exactly the execute-ahead weakness the
+    /// second checkpoint (SST) removes.
+    #[inline]
+    fn ea_suspended(&self) -> bool {
+        self.cfg.retain_results
+            && self.dq.any_blocked()
+            && self.epochs.front().is_some_and(|e| e.end_seq.is_none())
+            && self.closing_pc().is_none()
+    }
+
+    /// Decides what the deferred strand does this cycle. Returns the issue
+    /// slots left for the ahead strand.
+    fn manage_speculation(&mut self, now: Cycle, mem: &mut MemBus, mem_ops: &mut usize) -> usize {
+        let width = self.cfg.width;
+        if self.epochs.is_empty() {
+            return width;
+        }
+        if let Some(at) = self.scout_rollback_at() {
             // Scout: run until the originating miss returns, then restart.
-            if now >= cause_ready {
+            if now >= at {
                 self.rollback_to(0, now, true, mem);
             }
-            return (width, false);
+            return width;
         }
         let work = now >= self.replay_check_at;
 
@@ -894,80 +876,30 @@ impl SstCore {
         // pending deferred work all the same: SST closes the open epoch
         // promptly so the deferred strand can drain it concurrently with
         // the ahead strand instead of waiting for the next data return.
-        if oldest_open && (work || self.dq.any_blocked()) {
+        if work || self.dq.any_blocked() {
             // The (single) open epoch has replayable work. With a free
             // checkpoint we close it and keep the ahead strand running
             // (SST); otherwise the ahead strand suspends (EA).
-            if self.epochs.len() < self.cfg.checkpoints {
-                if let Some(pc) = self.frontend.resume_pc() {
-                    let end = self.seq;
-                    self.epochs.front_mut().expect("nonempty").end_seq = Some(end);
-                    self.note_commit_event();
-                    let ck = Checkpoint::take(&self.spec, pc, self.seq + 1, now);
-                    self.epochs.push_back(Epoch {
-                        ckpt: ck,
-                        end_seq: None,
-                        log: Vec::new(),
-                        cause_ready: 0,
-                    });
-                    let live = self.epochs.len() as u32;
-                    self.emit(Event::CkptTake { at: now, live });
-                }
+            if let Some(pc) = self.closing_pc() {
+                self.open_epoch(pc, self.seq + 1, now, 0);
             }
         }
 
-        let oldest_open = self
-            .epochs
-            .front()
-            .map(|e| e.end_seq.is_none())
-            .unwrap_or(true);
-
-        if !oldest_open {
+        if self.epochs.front().is_some_and(|e| e.end_seq.is_some()) {
             // SST: deferred strand replays the closed epoch; ahead keeps
             // whatever issue slots remain.
-            if now >= self.replay_check_at {
-                let used = self.replay(now, mem, width, mem_ops);
-                return (width.saturating_sub(used), false);
+            if work {
+                return width.saturating_sub(self.replay(now, mem, width, mem_ops));
             }
-            return (width, false);
+            return width;
         }
 
         // EA: replay the open epoch with the ahead strand suspended.
-        if work {
-            let used = self.replay(now, mem, width, mem_ops);
-            if used > 0 {
-                self.stats.stall_ea_replay += 1;
-                return (0, true);
-            }
+        if (work && self.replay(now, mem, width, mem_ops) > 0) || self.ea_suspended() {
+            AheadStall::EaReplay.charge(&mut self.stats, 1);
+            return 0;
         }
-        if self.dq.any_blocked() {
-            // A replay pass is stalled in place on an ordering-blocked
-            // load (input-ready, waiting on an unresolved older store).
-            // With a single checkpoint the ahead strand shares the
-            // pipeline with the stalled deferred strand and suspends with
-            // it — exactly the execute-ahead weakness the second
-            // checkpoint (SST) removes. `ea_replay_suspended` mirrors the
-            // conditions that reach this line; keep them in lockstep.
-            self.stats.stall_ea_replay += 1;
-            return (0, true);
-        }
-        (width, false)
-    }
-
-    /// `true` when this cycle's `manage_speculation` would suspend the
-    /// ahead strand on blocked deferred work (the EA path: an open oldest
-    /// epoch it cannot close). Used by `next_event_cycle`/`skip_to` to
-    /// vouch and bulk-credit such windows — the only per-cycle effect is
-    /// the `stall_ea_replay` counter.
-    fn ea_replay_suspended(&self) -> bool {
-        self.cfg.retain_results
-            && self
-                .epochs
-                .front()
-                .is_some_and(|e| e.end_seq.is_none())
-            && self.dq.any_blocked()
-            && !(self.epochs.len() < self.cfg.checkpoints
-                && self.frontend.resume_pc().is_some())
+        width
     }
 
     // ------------------------------------------------------------- ahead strand
@@ -1049,24 +981,126 @@ impl SstCore {
         self.emit(Event::Defer { at: now, cause });
     }
 
+    /// The ahead strand's stall decision for its head instruction at cycle
+    /// `now`: the head and whether it defers on an NT source, or why it
+    /// cannot issue. `ahead` calls it per slot to act;
+    /// [`Core::next_event_cycle`] and [`Core::skip_to`] call it to vouch
+    /// an idle window and to charge it. Checks deeper in `ahead` (the load
+    /// path's DQ and port limits) are outside it: a head that reaches them
+    /// counts as able to act. Always inlined: out of line, its result
+    /// travels through memory on every issue slot of the hot loop.
+    #[inline(always)]
+    fn head_gate(&self, now: Cycle) -> Result<(FetchedInst, bool), AheadStall> {
+        let Some(&f) = self.frontend.peek() else {
+            return Err(AheadStall::Frontend);
+        };
+        let inst = f.inst;
+        // A halt cannot commit while speculation is outstanding.
+        if inst == Inst::Halt {
+            return if self.in_speculation() {
+                Err(AheadStall::HaltWait)
+            } else {
+                Ok((f, false))
+            };
+        }
+        let sources = inst.sources();
+        // Non-NT sources must be timing-ready (in-order issue).
+        let ready_needed = sources
+            .iter()
+            .flatten()
+            .filter(|r| !self.spec.is_nt(**r))
+            .map(|r| self.spec.ready_at(*r))
+            .max()
+            .unwrap_or(0);
+        if ready_needed > now {
+            return Err(AheadStall::Operand(ready_needed));
+        }
+        if self.spec.any_nt(sources) {
+            // NT source: defer (possible only inside speculation).
+            debug_assert!(self.in_speculation(), "NT bits imply an active epoch");
+            if self.cfg.confidence_gate
+                && self.cfg.retain_results
+                && inst.is_control()
+                && !f.pred_confident
+            {
+                // Confidence gate: don't speculate past a shaky deferred
+                // branch; wait for its inputs instead.
+                return Err(AheadStall::LowConf);
+            }
+            if self.dq.is_full() {
+                return Err(AheadStall::DqFull);
+            }
+            if inst.is_store() && self.stb.is_full() {
+                return Err(AheadStall::StbFull);
+            }
+            return Ok((f, true));
+        }
+        if inst.is_store() && self.in_speculation() && self.stb.is_full() {
+            return Err(AheadStall::StbFull);
+        }
+        Ok((f, false))
+    }
+
+    /// Why a tick at `now` would leave the ahead strand idle — EA's
+    /// suspension, or its head's gate — or `None` if it could act.
+    #[inline]
+    fn ahead_stall(&self, now: Cycle) -> Option<AheadStall> {
+        if self.ea_suspended() {
+            Some(AheadStall::EaReplay)
+        } else {
+            self.head_gate(now).err()
+        }
+    }
+
+    /// Consumes the head `head_gate` passed and gives it the next sequence
+    /// number, which it returns.
+    #[inline]
+    fn issue_head(&mut self) -> Seq {
+        self.frontend.pop();
+        self.seq += 1;
+        self.stats.ahead_issued += 1;
+        self.seq
+    }
+
+    /// Logs the instruction `issue_head` just consumed as finished at
+    /// `now`.
+    #[inline]
+    fn log_issued(
+        &mut self,
+        f: &FetchedInst,
+        now: Cycle,
+        reg_write: Option<(Reg, u64)>,
+        store: Option<(u64, u64, u64)>,
+    ) {
+        self.log_commit(Commit {
+            seq: self.seq,
+            pc: f.pc,
+            inst: f.inst,
+            reg_write,
+            store,
+            at: now,
+        });
+    }
+
     /// Issues ahead-strand instructions. Returns after using `slots` slots
     /// or hitting a stall.
     fn ahead(&mut self, now: Cycle, mem: &mut MemBus, slots: usize, mem_ops: &mut usize) {
         for slot in 0..slots {
-            let Some(f) = self.frontend.peek().copied() else {
-                if slot == 0 {
-                    self.stats.stall_frontend += 1;
+            let (f, defers) = match self.head_gate(now) {
+                Ok(head) => head,
+                Err(stall) => {
+                    // An empty queue or an unready operand counts only a
+                    // fully idle cycle; the others count on any slot.
+                    let idle_only = matches!(stall, AheadStall::Frontend | AheadStall::Operand(_));
+                    if slot == 0 || !idle_only {
+                        stall.charge(&mut self.stats, 1);
+                    }
+                    break;
                 }
-                break;
             };
             let inst = f.inst;
 
-            // A halt cannot commit while speculation is outstanding.
             if inst == Inst::Halt {
-                if self.in_speculation() {
-                    self.stats.stall_halt_wait += 1;
-                    break;
-                }
                 self.frontend.pop();
                 self.seq += 1;
                 self.commits.push(Commit {
@@ -1082,51 +1116,12 @@ impl SstCore {
                 break;
             }
 
-            let sources = inst.sources();
-            let any_nt = self.spec.any_nt(sources);
-
-            // Non-NT sources must be timing-ready (in-order issue).
-            let ready_needed = sources
-                .iter()
-                .flatten()
-                .filter(|r| !self.spec.is_nt(**r))
-                .map(|r| self.spec.ready_at(*r))
-                .max()
-                .unwrap_or(0);
-            if ready_needed > now {
-                if slot == 0 {
-                    self.stats.stall_operand += 1;
-                }
-                break;
-            }
-
-            if any_nt {
-                // NT source: defer (possible only inside speculation).
-                debug_assert!(self.in_speculation(), "NT bits imply an active epoch");
-                if self.cfg.confidence_gate
-                    && self.cfg.retain_results
-                    && inst.is_control()
-                    && !f.pred_confident
-                {
-                    // Confidence gate: don't speculate past a shaky
-                    // deferred branch; wait for its inputs instead.
-                    self.stats.stall_lowconf += 1;
-                    break;
-                }
-                if self.dq.is_full() {
-                    self.stats.stall_dq_full += 1;
-                    break;
-                }
-                if inst.is_store() && self.stb.is_full() {
-                    self.stats.stall_stb_full += 1;
-                    break;
-                }
-                self.frontend.pop();
-                self.seq += 1;
-                self.stats.ahead_issued += 1;
+            if defers {
+                self.issue_head();
                 self.defer(&f, now, None, DeferCause::NtSource);
                 continue;
             }
+            let sources = inst.sources();
 
             // All sources available: execute (or latency-defer a miss).
             match inst {
@@ -1145,9 +1140,7 @@ impl SstCore {
                             self.stats.stall_dq_full += 1;
                             break;
                         }
-                        self.frontend.pop();
-                        self.seq += 1;
-                        self.stats.ahead_issued += 1;
+                        self.issue_head();
                         // defer() marks the destination NT.
                         self.defer(&f, now, None, DeferCause::StoreOrder);
                         continue;
@@ -1155,32 +1148,18 @@ impl SstCore {
 
                     match self.stb.forward(my_seq, addr, bytes) {
                         ForwardResult::Forward(raw) => {
-                            self.frontend.pop();
-                            self.seq += 1;
-                            self.stats.ahead_issued += 1;
+                            let seq = self.issue_head();
                             let value = extend_load(width, signed, raw);
-                            self.spec.write(rd, value, self.seq, now + 2);
-                            self.log_commit(Commit {
-                                seq: self.seq,
-                                pc: f.pc,
-                                inst,
-                                reg_write: if rd.is_zero() {
-                                    None
-                                } else {
-                                    Some((rd, value))
-                                },
-                                store: None,
-                                at: now,
-                            });
+                            self.spec.write(rd, value, seq, now + 2);
+                            let reg_write = (!rd.is_zero()).then_some((rd, value));
+                            self.log_issued(&f, now, reg_write, None);
                         }
                         ForwardResult::NotThere { .. } | ForwardResult::MustWait => {
                             if self.dq.is_full() {
                                 self.stats.stall_dq_full += 1;
                                 break;
                             }
-                            self.frontend.pop();
-                            self.seq += 1;
-                            self.stats.ahead_issued += 1;
+                            self.issue_head();
                             self.defer(&f, now, None, DeferCause::ForwardMiss);
                         }
                         ForwardResult::NoMatch => {
@@ -1214,16 +1193,8 @@ impl SstCore {
                                     break;
                                 }
                                 if !self.in_speculation() {
-                                    let ck =
-                                        Checkpoint::take(&self.spec, f.pc, my_seq, now);
-                                    self.epochs.push_back(Epoch {
-                                        ckpt: ck,
-                                        end_seq: None,
-                                        log: Vec::new(),
-                                        cause_ready: out.ready_at,
-                                    });
+                                    self.open_epoch(f.pc, my_seq, now, out.ready_at);
                                     self.stats.episodes += 1;
-                                    self.emit(Event::CkptTake { at: now, live: 1 });
                                 } else {
                                     self.stats.overlapped_misses += 1;
                                     // Eager checkpointing: anchor a new
@@ -1235,50 +1206,18 @@ impl SstCore {
                                     if self.cfg.retain_results
                                         && self.epochs.len() < self.cfg.checkpoints
                                     {
-                                        self.epochs
-                                            .back_mut()
-                                            .expect("in speculation")
-                                            .end_seq = Some(my_seq - 1);
-                                        self.note_commit_event();
-                                        let ck = Checkpoint::take(
-                                            &self.spec,
-                                            f.pc,
-                                            my_seq,
-                                            now,
-                                        );
-                                        self.epochs.push_back(Epoch {
-                                            ckpt: ck,
-                                            end_seq: None,
-                                            log: Vec::new(),
-                                            cause_ready: out.ready_at,
-                                        });
-                                        let live = self.epochs.len() as u32;
-                                        self.emit(Event::CkptTake { at: now, live });
+                                        self.open_epoch(f.pc, my_seq, now, out.ready_at);
                                     }
                                 }
-                                self.frontend.pop();
-                                self.seq += 1;
-                                self.stats.ahead_issued += 1;
+                                self.issue_head();
                                 self.defer(&f, now, Some(out.ready_at), DeferCause::CacheMiss);
                             } else {
-                                self.frontend.pop();
-                                self.seq += 1;
-                                self.stats.ahead_issued += 1;
+                                let seq = self.issue_head();
                                 let raw = mem.read(addr, bytes);
                                 let value = extend_load(width, signed, raw);
-                                self.spec.write(rd, value, self.seq, out.ready_at);
-                                self.log_commit(Commit {
-                                    seq: self.seq,
-                                    pc: f.pc,
-                                    inst,
-                                    reg_write: if rd.is_zero() {
-                                        None
-                                    } else {
-                                        Some((rd, value))
-                                    },
-                                    store: None,
-                                    at: now,
-                                });
+                                self.spec.write(rd, value, seq, out.ready_at);
+                                let reg_write = (!rd.is_zero()).then_some((rd, value));
+                                self.log_issued(&f, now, reg_write, None);
                             }
                         }
                     }
@@ -1289,98 +1228,56 @@ impl SstCore {
                     let addr = mem_addr(inst, base);
                     let bytes = width.bytes();
                     if self.in_speculation() {
-                        if self.stb.is_full() {
-                            self.stats.stall_stb_full += 1;
-                            break;
-                        }
-                        self.frontend.pop();
-                        self.seq += 1;
-                        self.stats.ahead_issued += 1;
+                        let seq = self.issue_head();
                         self.stb.push(StoreEntry {
-                            seq: self.seq,
+                            seq,
                             addr: Some(addr),
                             bytes,
                             value: Some(data),
                         });
                         // Warm the line ahead of the commit-time write.
                         mem.access_pc(now, AccessKind::Prefetch, addr, f.pc);
-                        self.taint_line(self.seq, addr, mem);
-                        self.log_commit(Commit {
-                            seq: self.seq,
-                            pc: f.pc,
-                            inst,
-                            reg_write: None,
-                            store: Some((addr, bytes, data)),
-                            at: now,
-                        });
+                        self.taint_line(seq, addr, mem);
                     } else {
                         if *mem_ops >= self.cfg.dcache_ports {
                             self.stats.stall_port += 1;
                             break;
                         }
                         *mem_ops += 1;
-                        self.frontend.pop();
-                        self.seq += 1;
-                        self.stats.ahead_issued += 1;
+                        self.issue_head();
                         mem.access_pc(now, AccessKind::Store, addr, f.pc);
                         self.taint_arch(addr, mem);
                         mem.write(addr, bytes, data);
-                        self.log_commit(Commit {
-                            seq: self.seq,
-                            pc: f.pc,
-                            inst,
-                            reg_write: None,
-                            store: Some((addr, bytes, data)),
-                            at: now,
-                        });
                     }
+                    self.log_issued(&f, now, None, Some((addr, bytes, data)));
                 }
                 Inst::Prefetch { .. } => {
                     let base = sources[0].map_or(0, |r| self.spec.value(r));
                     let addr = mem_addr(inst, base);
-                    self.frontend.pop();
-                    self.seq += 1;
-                    self.stats.ahead_issued += 1;
+                    let seq = self.issue_head();
                     mem.access_pc(now, AccessKind::Prefetch, addr, f.pc);
                     if self.in_speculation() {
-                        self.taint_line(self.seq, addr, mem);
+                        self.taint_line(seq, addr, mem);
                     } else {
                         self.taint_arch(addr, mem);
                     }
-                    self.log_commit(Commit {
-                        seq: self.seq,
-                        pc: f.pc,
-                        inst,
-                        reg_write: None,
-                        store: None,
-                        at: now,
-                    });
+                    self.log_issued(&f, now, None, None);
                 }
                 _ => {
                     let s1 = sources[0].map_or(0, |r| self.spec.value(r));
                     let s2 = sources[1].map_or(0, |r| self.spec.value(r));
-                    self.frontend.pop();
-                    self.seq += 1;
-                    self.stats.ahead_issued += 1;
+                    let seq = self.issue_head();
                     let out = execute(inst, s1, s2, f.pc);
                     let mut reg_write = None;
                     if let (Some(v), Some(rd)) = (out.value, inst.dest()) {
-                        self.spec
-                            .write(rd, v, self.seq, now + self.cfg.latency.of(inst));
+                        self.spec.write(rd, v, seq, now + self.cfg.latency.of(inst));
                         reg_write = Some((rd, v));
                     }
-                    self.log_commit(Commit {
-                        seq: self.seq,
-                        pc: f.pc,
-                        inst,
-                        reg_write,
-                        store: None,
-                        at: now,
-                    });
+                    self.log_issued(&f, now, reg_write, None);
                     if inst.is_control() {
                         self.frontend.resolve(f.pc, inst, out.taken, out.next_pc);
                         if self.in_speculation() {
-                            self.taint_predictor(self.seq);
+                            self.taint_predictor(seq);
                         }
                         if out.next_pc != f.pred_next_pc {
                             self.stats.mispredicts += 1;
@@ -1418,7 +1315,7 @@ impl Core for SstCore {
 
         let t0 = HostTimes::start(&self.prof);
         let mut mem_ops = 0usize;
-        let (ahead_slots, _suspended) = self.manage_speculation(now, mem, &mut mem_ops);
+        let ahead_slots = self.manage_speculation(now, mem, &mut mem_ops);
         if self.commit_due {
             self.try_commit(now, mem);
         }
@@ -1467,52 +1364,38 @@ impl Core for SstCore {
         if fetch <= now {
             // Fetch can proceed this cycle, so no window can be vouched;
             // every other term is >= now, making the min `now`. Bailing
-            // here keeps the (pricier) ahead-wake computation off the
+            // here keeps the (pricier) gate evaluation off the
             // per-tick path of active phases.
             return now;
         }
-        // Deferred-strand / speculation-management wake: a scout episode
-        // rolls back when its originating miss returns; SST/EA epochs do
-        // replay work (and close/commit/rollback) at `replay_check_at` —
-        // the next DQ data-ready arrival or entry-ready time. With
-        // `event_wakeup` off, no window is vouched while an epoch is live
-        // (the driver ticks cycle by cycle); the toggle changes only the
-        // vouching, never the replay schedule, so both settings produce
-        // byte-identical runs.
-        let spec = match self.epochs.front() {
-            Some(oldest) if !self.cfg.retain_results => oldest.cause_ready.max(now),
-            Some(oldest) if self.cfg.event_wakeup => {
-                // Blocked deferred work under an *open* oldest epoch:
-                // with a free checkpoint (and a resumable PC) SST closes
-                // the epoch on the very next tick — a state change no
-                // window may jump. Without one, EA suspends its ahead
-                // strand and the only per-cycle effect is the
-                // `stall_ea_replay` counter, which `skip_to` credits in
-                // bulk — so the window up to the next replay event is
-                // vouchable. With the oldest epoch closed, blocked
-                // entries are inert until the next replay event.
-                if oldest.end_seq.is_none()
-                    && self.dq.any_blocked()
-                    && self.epochs.len() < self.cfg.checkpoints
-                    && self.frontend.resume_pc().is_some()
-                {
-                    now
-                } else {
-                    self.replay_check_at.max(now)
-                }
-            }
-            Some(_) => now,
-            None => Cycle::MAX,
+        // Speculation-policy wake: a scout episode rolls back when its
+        // originating miss returns; SST/EA epochs do replay work (and
+        // close/commit/rollback) at `replay_check_at` — the next DQ
+        // data-ready arrival or entry-ready time. Blocked deferred work
+        // under an open oldest epoch that can be closed into a free
+        // checkpoint closes it on the very next tick — a state change no
+        // window may jump. Without a free checkpoint EA suspends its ahead
+        // strand, and the only per-cycle effect is the stall counter that
+        // `skip_to` charges in bulk. With the oldest epoch closed, blocked
+        // entries are inert until the next replay event.
+        let spec = if let Some(at) = self.scout_rollback_at() {
+            at
+        } else if self.epochs.is_empty() {
+            Cycle::MAX
+        } else if self.dq.any_blocked() && self.closing_pc().is_some() {
+            now
+        } else {
+            self.replay_check_at
         };
         if spec <= now {
             return now;
         }
-        // A suspended ahead strand cannot issue no matter what its head's
-        // readiness says, so its wake must not shrink the window.
-        let ahead = if self.ea_replay_suspended() {
-            Cycle::MAX
-        } else {
-            self.ahead_wake(now).0.max(now)
+        let ahead = match self.ahead_stall(now) {
+            None => now,
+            Some(AheadStall::Operand(ready)) => ready,
+            // Released only by fetch, replay, commit or rollback: their
+            // own terms.
+            Some(_) => Cycle::MAX,
         };
         // The wedge watchdog must still fire at the exact cycle it would
         // in an unskipped run.
@@ -1528,22 +1411,11 @@ impl Core for SstCore {
         // its first cycle holds across it.
         self.account_phase(from, n);
         self.frontend.note_skipped(from, target);
-        if self.ea_replay_suspended() {
-            // Each skipped cycle would have suspended the ahead strand in
-            // `manage_speculation` (blocked deferred work, no free
-            // checkpoint to close into) and counted one EA-replay stall —
-            // and nothing else.
-            self.stats.stall_ea_replay += n;
-        } else {
-            match self.ahead_wake(from).1 {
-                AheadStall::Frontend => self.stats.stall_frontend += n,
-                AheadStall::HaltWait => self.stats.stall_halt_wait += n,
-                AheadStall::Operand => self.stats.stall_operand += n,
-                AheadStall::LowConf => self.stats.stall_lowconf += n,
-                AheadStall::DqFull => self.stats.stall_dq_full += n,
-                AheadStall::StbFull => self.stats.stall_stb_full += n,
-                AheadStall::None => debug_assert!(false, "skip_to with an issueable head"),
-            }
+        // Each skipped cycle would have left the ahead strand idle for the
+        // same reason, and done nothing else.
+        match self.ahead_stall(from) {
+            Some(stall) => stall.charge(&mut self.stats, n),
+            None => debug_assert!(false, "skip_to with an issueable head"),
         }
         self.cycle = target;
     }

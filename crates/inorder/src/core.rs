@@ -47,6 +47,28 @@ pub struct InOrderStats {
     pub issued: u64,
 }
 
+/// Why the head of the decode queue cannot issue this cycle: the verdict of
+/// [`InOrderCore::issue_gate`], which `tick` acts on and `next_event_cycle`
+/// / `skip_to` vouch and charge by.
+#[derive(Clone, Copy)]
+enum IssueStall {
+    /// Decode queue empty; refilled only by fetch.
+    Frontend,
+    /// A source is not produced or timed ready until the given cycle.
+    Operand(Cycle),
+}
+
+impl IssueStall {
+    /// Charges `n` stalled cycles to this stall's counter.
+    #[inline]
+    fn charge(self, s: &mut InOrderStats, n: u64) {
+        match self {
+            IssueStall::Frontend => s.stall_frontend += n,
+            IssueStall::Operand(_) => s.stall_operand += n,
+        }
+    }
+}
+
 /// The in-order stall-on-use core.
 pub struct InOrderCore {
     cfg: InOrderConfig,
@@ -103,6 +125,25 @@ impl InOrderCore {
         let v1 = s1.map_or(0, |r| self.regs.value(r));
         let v2 = s2.map_or(0, |r| self.regs.value(r));
         (v1, v2)
+    }
+
+    /// The issue stage's stall decision for the head of the decode queue at
+    /// cycle `now`: the head's instruction, or why it cannot issue. `tick` calls it per
+    /// slot to act; `next_event_cycle` and `skip_to` call it to vouch an
+    /// idle window and to charge it. The D-cache port limit is outside it:
+    /// a head that reaches it counts as able to act. Always inlined, like
+    /// the checks it replaced in `tick`'s issue loop.
+    #[inline(always)]
+    fn issue_gate(&self, now: Cycle) -> Result<Inst, IssueStall> {
+        let Some(f) = self.frontend.peek() else {
+            return Err(IssueStall::Frontend);
+        };
+        // Stall-on-use: all sources must be produced and timed ready.
+        let ready = self.regs.ready_after(f.inst.sources());
+        if ready > now {
+            return Err(IssueStall::Operand(ready));
+        }
+        Ok(f.inst)
     }
 
     /// Issues one instruction; returns `false` if issue must stop this
@@ -201,21 +242,15 @@ impl Core for InOrderCore {
         let t0 = HostTimes::start(&self.prof);
         let mut mem_ops = 0;
         for slot in 0..self.cfg.width {
-            let Some(peeked) = self.frontend.peek() else {
-                if slot == 0 {
-                    self.stats.stall_frontend += 1;
+            let inst = match self.issue_gate(now) {
+                Ok(inst) => inst,
+                Err(stall) => {
+                    if slot == 0 {
+                        stall.charge(&mut self.stats, 1);
+                    }
+                    break;
                 }
-                break;
             };
-            let inst = peeked.inst;
-
-            // Stall-on-use: all sources must be produced and timed ready.
-            if self.regs.ready_after(inst.sources()) > now {
-                if slot == 0 {
-                    self.stats.stall_operand += 1;
-                }
-                break;
-            }
             if inst.is_mem() {
                 if mem_ops >= self.cfg.dcache_ports {
                     self.stats.stall_port += 1;
@@ -257,11 +292,12 @@ impl Core for InOrderCore {
             return Cycle::MAX;
         }
         let fetch = self.frontend.next_fetch_cycle(now);
-        let issue = match self.frontend.peek() {
+        let issue = match self.issue_gate(now) {
+            Ok(_) => now,
+            Err(IssueStall::Operand(ready)) => ready,
             // An empty queue is refilled only by fetch, which `fetch`
             // already covers.
-            None => Cycle::MAX,
-            Some(f) => self.regs.ready_after(f.inst.sources()).max(now),
+            Err(IssueStall::Frontend) => Cycle::MAX,
         };
         fetch.min(issue)
     }
@@ -274,10 +310,9 @@ impl Core for InOrderCore {
         // Nothing fetches or issues inside the window, so one stall reason
         // holds for every skipped cycle — the same slot-0 bookkeeping
         // `tick` would have done.
-        if self.frontend.peek().is_none() {
-            self.stats.stall_frontend += n;
-        } else {
-            self.stats.stall_operand += n;
+        match self.issue_gate(from) {
+            Err(stall) => stall.charge(&mut self.stats, n),
+            Ok(_) => debug_assert!(false, "skip_to with an issueable head"),
         }
         self.cycle = target;
     }

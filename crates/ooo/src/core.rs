@@ -6,8 +6,8 @@ use sst_isa::{decode, encode, Inst, Program, Reg, SnapError, SnapReader, SnapWri
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
 use sst_uarch::{
-    drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, Frontend, FrontendConfig,
-    LeakageSummary, Seq, SquashCounts, TaintState,
+    drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst, Frontend,
+    FrontendConfig, LeakageSummary, Seq, SquashCounts, TaintState,
 };
 
 /// Configuration of the out-of-order baseline.
@@ -138,12 +138,13 @@ pub struct OooStats {
 /// branch (see [`OooCore::phantom_walk`]).
 const PHANTOM_LIMIT: usize = 64;
 
-/// Why rename cannot accept an instruction this cycle — the stall counter
-/// `tick` charges once per idle cycle. Shared by `next_event_cycle` and
-/// `skip_to` so the two always agree.
+/// Why rename cannot accept an instruction this cycle: the verdict of
+/// [`OooCore::rename_gate`], which `rename` acts on and `next_event_cycle` /
+/// `skip_to` vouch and charge by.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum RenameStall {
-    /// Waiting for a mispredicted branch to resolve (with the phantom
-    /// walk inert).
+    /// Waiting for a mispredicted branch to resolve (the phantom walk runs
+    /// meanwhile).
     BranchResolve,
     /// Decode queue empty.
     Frontend,
@@ -153,8 +154,21 @@ enum RenameStall {
     IqFull,
     /// Load or store queue full.
     LsqFull,
-    /// Rename could act this cycle — no skip is safe.
-    None,
+}
+
+impl RenameStall {
+    /// Charges `n` stalled cycles to this stall's counter.
+    #[inline]
+    fn charge(self, s: &mut OooStats, n: u64) {
+        let counter = match self {
+            RenameStall::BranchResolve => &mut s.stall_branch_resolve,
+            RenameStall::Frontend => &mut s.stall_frontend,
+            RenameStall::RobFull => &mut s.stall_rob_full,
+            RenameStall::IqFull => &mut s.stall_iq_full,
+            RenameStall::LsqFull => &mut s.stall_lsq_full,
+        };
+        *counter += n;
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -449,15 +463,9 @@ impl OooCore {
             .phantom
             .get_or_insert((self.future, [false; 64]));
         for _ in 0..self.cfg.rename_width {
-            if self.phantom_count >= PHANTOM_LIMIT {
-                return;
-            }
-            let Some(f) = self.frontend.peek().copied() else {
+            let Some(f) = phantom_head(self.phantom_count, &self.frontend) else {
                 return;
             };
-            if f.inst == Inst::Halt {
-                return;
-            }
             self.frontend.pop();
             self.phantom_count += 1;
             let inst = f.inst;
@@ -522,39 +530,52 @@ impl OooCore {
         }
     }
 
-    fn rename(&mut self, now: Cycle, mem: &mut MemBus) {
+    /// Rename's stall decision for the head of the decode queue: the head,
+    /// or why it cannot be renamed. `rename` calls it per slot to act;
+    /// `next_event_cycle` and `skip_to` call it to vouch an idle window and
+    /// to charge it.
+    #[inline]
+    fn rename_gate(&self) -> Result<FetchedInst, RenameStall> {
         if self.fetch_blocked_on.is_some() {
-            self.stats.stall_branch_resolve += 1;
-            self.phantom_walk(now, mem);
-            return;
+            return Err(RenameStall::BranchResolve);
         }
+        let Some(&f) = self.frontend.peek() else {
+            return Err(RenameStall::Frontend);
+        };
+        if self.rob.len() >= self.cfg.rob_entries {
+            return Err(RenameStall::RobFull);
+        }
+        if self.n_waiting >= self.cfg.iq_entries {
+            return Err(RenameStall::IqFull);
+        }
+        if f.inst.is_load() && self.lq.len() >= self.cfg.lq_entries {
+            return Err(RenameStall::LsqFull);
+        }
+        if f.inst.is_store() && self.sq.len() >= self.cfg.sq_entries {
+            return Err(RenameStall::LsqFull);
+        }
+        Ok(f)
+    }
+
+    fn rename(&mut self, now: Cycle, mem: &mut MemBus) {
         for slot in 0..self.cfg.rename_width {
             if self.halted {
                 break;
             }
-            let Some(f) = self.frontend.peek().copied() else {
-                if slot == 0 {
-                    self.stats.stall_frontend += 1;
+            let f = match self.rename_gate() {
+                Ok(f) => f,
+                Err(stall) => {
+                    // An empty decode queue counts only a fully idle cycle.
+                    if slot == 0 || stall != RenameStall::Frontend {
+                        stall.charge(&mut self.stats, 1);
+                    }
+                    if stall == RenameStall::BranchResolve {
+                        self.phantom_walk(now, mem);
+                    }
+                    break;
                 }
-                break;
             };
-            if self.rob.len() >= self.cfg.rob_entries {
-                self.stats.stall_rob_full += 1;
-                break;
-            }
-            if self.n_waiting >= self.cfg.iq_entries {
-                self.stats.stall_iq_full += 1;
-                break;
-            }
             let inst = f.inst;
-            if inst.is_load() && self.lq.len() >= self.cfg.lq_entries {
-                self.stats.stall_lsq_full += 1;
-                break;
-            }
-            if inst.is_store() && self.sq.len() >= self.cfg.sq_entries {
-                self.stats.stall_lsq_full += 1;
-                break;
-            }
 
             self.frontend.pop();
             self.seq += 1;
@@ -979,36 +1000,6 @@ impl OooCore {
 
     // ------------------------------------------------------- idle wake-up
 
-    /// Mirrors the slot-0 decision tree of [`OooCore::rename`] without side
-    /// effects. A `Cycle::MAX` wake is a stall released only by fetch,
-    /// issue, or commit — each covered by its own `next_event_cycle` term.
-    fn rename_wake(&self, now: Cycle) -> (Cycle, RenameStall) {
-        if self.fetch_blocked_on.is_some() {
-            // The phantom walk does real (prefetching) work only while it
-            // still has budget and a non-halt instruction to consume.
-            let phantom_active = self.phantom_count < PHANTOM_LIMIT
-                && self.frontend.peek().is_some_and(|f| f.inst != Inst::Halt);
-            let wake = if phantom_active { now } else { Cycle::MAX };
-            return (wake, RenameStall::BranchResolve);
-        }
-        let Some(f) = self.frontend.peek() else {
-            return (Cycle::MAX, RenameStall::Frontend);
-        };
-        if self.rob.len() >= self.cfg.rob_entries {
-            return (Cycle::MAX, RenameStall::RobFull);
-        }
-        if self.n_waiting >= self.cfg.iq_entries {
-            return (Cycle::MAX, RenameStall::IqFull);
-        }
-        if f.inst.is_load() && self.lq.len() >= self.cfg.lq_entries {
-            return (Cycle::MAX, RenameStall::LsqFull);
-        }
-        if f.inst.is_store() && self.sq.len() >= self.cfg.sq_entries {
-            return (Cycle::MAX, RenameStall::LsqFull);
-        }
-        (now, RenameStall::None)
-    }
-
     /// When the ROB head could commit: the head's completion time, or
     /// `Cycle::MAX` while it is still waiting to issue (the issue wake
     /// covers that) or the ROB is empty (the rename wake covers that).
@@ -1090,6 +1081,17 @@ impl OooCore {
             }
         }
     }
+}
+
+/// The next instruction the wrong-path phantom walk consumes, given how many
+/// it has consumed: it does real (prefetching) work only while it has
+/// budget and a non-halt instruction to consume.
+#[inline]
+fn phantom_head(consumed: usize, frontend: &Frontend) -> Option<FetchedInst> {
+    if consumed >= PHANTOM_LIMIT {
+        return None;
+    }
+    frontend.peek().copied().filter(|f| f.inst != Inst::Halt)
 }
 
 /// When the last of `srcs` arrives (0 with no register source).
@@ -1297,10 +1299,16 @@ impl Core for OooCore {
         if fetch <= now {
             return now;
         }
-        let rename = self.rename_wake(now).0;
-        if rename <= now {
-            return now;
-        }
+        let rename = match self.rename_gate() {
+            Ok(_) => return now,
+            Err(RenameStall::BranchResolve)
+                if phantom_head(self.phantom_count, &self.frontend).is_some() =>
+            {
+                return now;
+            }
+            // Released only by fetch, issue or commit: their own terms.
+            Err(_) => Cycle::MAX,
+        };
         let commit = self.commit_wake(now);
         if commit <= now {
             return now;
@@ -1313,13 +1321,9 @@ impl Core for OooCore {
         debug_assert!(from < target && target <= self.next_event_cycle());
         let n = target - from;
         self.frontend.note_skipped(from, target);
-        match self.rename_wake(from).1 {
-            RenameStall::BranchResolve => self.stats.stall_branch_resolve += n,
-            RenameStall::Frontend => self.stats.stall_frontend += n,
-            RenameStall::RobFull => self.stats.stall_rob_full += n,
-            RenameStall::IqFull => self.stats.stall_iq_full += n,
-            RenameStall::LsqFull => self.stats.stall_lsq_full += n,
-            RenameStall::None => debug_assert!(false, "skip_to with rename able to act"),
+        match self.rename_gate() {
+            Err(stall) => stall.charge(&mut self.stats, n),
+            Ok(_) => debug_assert!(false, "skip_to with rename able to act"),
         }
         self.cycle = target;
     }

@@ -6,16 +6,29 @@
 //! counts, warm-up accounting, every model counter, the full memory
 //! statistics, and the instruction mix. Co-simulation stays on, so the
 //! commit streams are also checked instruction by instruction.
+//!
+//! Beyond the stock models, the suite drives configurations at the edges
+//! of each model's stall gates — one- and two-entry deferred queues, a
+//! one-entry store buffer, the confidence gate, a one-wide core, four
+//! checkpoints, one-entry issue/load/store queues and a two-entry ROB —
+//! over the miss-heavy workloads, where deferral, replay, rollback and
+//! idle-cycle skipping dominate.
 
+use sst_core::SstConfig;
 use sst_mem::MemConfig;
+use sst_ooo::OooConfig;
 use sst_sim::{CmpSystem, CoreModel, System};
+use sst_uarch::FrontendConfig;
 use sst_workloads::{Scale, Workload};
 
 const MAX_CYCLES: u64 = 200_000_000;
 
+/// The workloads whose runs are dominated by misses.
+const MISS_HEAVY: [&str; 8] = ["oltp", "chase", "mcf", "gcc", "web", "mlp8", "gups", "erp"];
+
 fn assert_equivalent(model: CoreModel, workload: &str) {
     let w = Workload::by_name(workload, Scale::Smoke, 3).unwrap();
-    let label = model.label();
+    let label = format!("{model:?}");
     let fast = System::new(model.clone(), &w)
         .run_checked(MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{label} on {workload} (fast-forward): {e}"));
@@ -41,6 +54,96 @@ fn every_model_matches_on_erp() {
     for m in CoreModel::lineup() {
         assert_equivalent(m, "erp");
     }
+}
+
+/// Scout, execute-ahead and SST with `base`'s policy and each degenerate
+/// sizing: DQ 1 and 2, STB 1, the confidence gate, and a one-wide core
+/// with one DQ and one STB entry.
+fn degenerate_sst(base: SstConfig) -> Vec<CoreModel> {
+    let tiny = SstConfig {
+        width: 1,
+        frontend: FrontendConfig {
+            width: 1,
+            ..base.frontend
+        },
+        dq_entries: 1,
+        stb_entries: 1,
+        ..base.clone()
+    };
+    [
+        SstConfig {
+            dq_entries: 1,
+            ..base.clone()
+        },
+        SstConfig {
+            dq_entries: 2,
+            ..base.clone()
+        },
+        SstConfig {
+            stb_entries: 1,
+            ..base.clone()
+        },
+        SstConfig {
+            confidence_gate: true,
+            ..base.clone()
+        },
+        tiny,
+    ]
+    .into_iter()
+    .map(CoreModel::CustomSst)
+    .collect()
+}
+
+fn assert_equivalent_on_miss_heavy(models: Vec<CoreModel>) {
+    for workload in MISS_HEAVY {
+        for m in &models {
+            assert_equivalent(m.clone(), workload);
+        }
+    }
+}
+
+#[test]
+fn degenerate_scout_matches_on_miss_heavy() {
+    assert_equivalent_on_miss_heavy(degenerate_sst(SstConfig::scout()));
+}
+
+#[test]
+fn degenerate_execute_ahead_matches_on_miss_heavy() {
+    assert_equivalent_on_miss_heavy(degenerate_sst(SstConfig::execute_ahead()));
+}
+
+#[test]
+fn degenerate_sst_matches_on_miss_heavy() {
+    let mut models = degenerate_sst(SstConfig::sst());
+    models.push(CoreModel::CustomSst(SstConfig {
+        checkpoints: 4,
+        ..SstConfig::sst()
+    }));
+    assert_equivalent_on_miss_heavy(models);
+}
+
+#[test]
+fn degenerate_ooo_matches_on_miss_heavy() {
+    let base = OooConfig::ooo_32();
+    let models = [
+        OooConfig {
+            iq_entries: 1,
+            ..base.clone()
+        },
+        OooConfig {
+            lq_entries: 1,
+            ..base.clone()
+        },
+        OooConfig {
+            sq_entries: 1,
+            ..base.clone()
+        },
+        OooConfig {
+            rob_entries: 2,
+            ..base
+        },
+    ];
+    assert_equivalent_on_miss_heavy(models.into_iter().map(CoreModel::CustomOoo).collect());
 }
 
 #[test]

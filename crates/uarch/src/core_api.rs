@@ -164,6 +164,12 @@ pub trait Core: Send {
     /// identical (committed instructions, cycles, and all counters) to
     /// the unskipped one.
     ///
+    /// A model vouches through the same stall gates its `tick` acts on: a
+    /// `&self` function per pipeline stage that returns what the stage
+    /// does next or why it cannot, called by the stage to act and here,
+    /// on the state the last tick left, to find the window. A second copy
+    /// of the stall conditions kept beside `tick` would drift from it.
+    ///
     /// Returning `self.cycle()` means "no skip is provably safe"; that is
     /// the default, so custom cores stay correct without opting in.
     fn next_event_cycle(&self) -> Cycle {
@@ -172,10 +178,13 @@ pub trait Core: Send {
 
     /// Advances the clock to `target` without ticking, bulk-crediting
     /// exactly the stall counters the skipped ticks would have
-    /// incremented. Callers must only pass targets that
-    /// [`Core::next_event_cycle`] vouched for; the default implementation
-    /// pairs with the default `next_event_cycle` (which never vouches for
-    /// anything) and therefore panics if reached.
+    /// incremented. A model charges through the gate its `tick` uses: the
+    /// stall reason the gate returns at `cycle()` holds across the whole
+    /// vouched window, and the same reason-to-counter map that charges one
+    /// cycle in `tick` charges the window's length here. Callers must only
+    /// pass targets that [`Core::next_event_cycle`] vouched for; the
+    /// default implementation pairs with the default `next_event_cycle`
+    /// (which never vouches for anything) and therefore panics if reached.
     fn skip_to(&mut self, target: Cycle) {
         panic!(
             "{}: skip_to({target}) called but next_event_cycle() was not overridden",

@@ -157,11 +157,6 @@ impl Frontend {
         *self.decoded.get((off / INST_BYTES) as usize)?
     }
 
-    /// The shared branch unit, for resolution training.
-    pub fn branch_unit(&mut self) -> &mut BranchUnit {
-        &mut self.unit
-    }
-
     /// Read-only view of the branch unit, for statistics reporting.
     pub fn branch_unit_ref(&self) -> &BranchUnit {
         &self.unit

@@ -18,7 +18,6 @@
 use std::collections::VecDeque;
 
 use sst_isa::{SnapError, SnapReader, SnapWriter};
-use sst_mem::Cycle;
 
 use crate::Seq;
 
@@ -33,14 +32,6 @@ pub struct StoreEntry {
     pub bytes: u64,
     /// Store data; `None` while the data is not-there.
     pub value: Option<u64>,
-}
-
-impl StoreEntry {
-    /// `true` once both address and data are known.
-    #[inline]
-    pub fn is_resolved(&self) -> bool {
-        self.addr.is_some() && self.value.is_some()
-    }
 }
 
 /// Result of a forwarding lookup.
@@ -387,10 +378,6 @@ impl StoreBuffer {
         self.high_water = high_water;
         Ok(())
     }
-
-    /// Suppress unused warnings for timing-typed code paths.
-    #[doc(hidden)]
-    pub fn _cycle_marker(_: Cycle) {}
 }
 
 #[cfg(test)]
