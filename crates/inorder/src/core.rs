@@ -530,7 +530,7 @@ mod tests {
     fn cosim_calls_and_fp() {
         cosim(
             |a| {
-                let vals = a.data_f64(&[1.0, 2.0, 3.0, 4.0]);
+                let vals = a.data_u64(&[1.0f64, 2.0, 3.0, 4.0].map(f64::to_bits));
                 a.la(Reg::x(10), vals);
                 a.li(Reg::x(11), 4);
                 let f = a.label();

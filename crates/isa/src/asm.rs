@@ -325,9 +325,9 @@ fn apply_data_directive(a: &mut Asm, directive: &str, lno: usize) -> Result<(), 
         }
         ".f64" => {
             let vals = split_list(rest)
-                .map(|t| parse_f64(t, lno))
+                .map(|t| parse_f64(t, lno).map(f64::to_bits))
                 .collect::<Result<Vec<_>, _>>()?;
-            a.data_f64(&vals);
+            a.data_u64(&vals);
         }
         ".zero" => {
             let n = parse_int(rest, lno)?;

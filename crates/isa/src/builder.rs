@@ -7,6 +7,7 @@
 use std::fmt;
 
 use crate::program::{DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
+use crate::sparse_mem::PAGE_SIZE;
 use crate::{
     encode, AluOp, BranchCond, EncodeError, FpuOp, Inst, MemWidth, Program, Reg, SparseMem, INST_BYTES,
 };
@@ -71,6 +72,28 @@ enum Slot {
     Branch { cond: BranchCond, rs1: Reg, rs2: Reg, target: Label },
     /// A jal whose offset awaits label resolution.
     Jal { rd: Reg, target: Label },
+}
+
+/// A data region [`Asm::data_in_place`] has appended, as its filler
+/// writes it: the program image's own page frames.
+pub struct Region<'a> {
+    /// Offset of the region's first byte in `pages[0]`.
+    head: usize,
+    len: u64,
+    pages: Vec<&'a mut [u8]>,
+}
+
+impl Region<'_> {
+    /// The `len` bytes at offset `off` into the region, to write in place.
+    /// Panics if they run past the region's end or cross a page boundary
+    /// (in a region aligned to `len`, a power of two up to 4 KiB, none do).
+    pub fn at(&mut self, off: u64, len: usize) -> &mut [u8] {
+        assert!(off + len as u64 <= self.len, "bytes past the end of the region");
+        let at = self.head + off as usize;
+        let (page, o) = (at / PAGE_SIZE, at % PAGE_SIZE);
+        assert!(o + len <= PAGE_SIZE, "bytes across a page boundary");
+        &mut self.pages[page][o..o + len]
+    }
 }
 
 /// Programmatic assembler with labels and a data allocator.
@@ -504,7 +527,7 @@ impl Asm {
 
     /// Writes `n` zero bytes (padding is part of the image).
     fn skip_data(&mut self, n: u64) {
-        self.data_bytes(&vec![0; n as usize]);
+        self.data_stream(n, |_| {});
     }
 
     /// Appends raw bytes to the data segment; returns their address.
@@ -519,21 +542,41 @@ impl Asm {
     /// Appends 64-bit little-endian words; returns the address of the first.
     pub fn data_u64(&mut self, words: &[u64]) -> u64 {
         self.align_data(8);
-        let addr = self.data_cursor;
-        let mut buf = [0; 4096];
-        for chunk in words.chunks(buf.len() / 8) {
-            for (b, w) in buf.chunks_exact_mut(8).zip(chunk) {
+        let mut words = words.iter();
+        self.data_stream(words.len() as u64 * 8, |chunk| {
+            for (b, w) in chunk.chunks_exact_mut(8).zip(&mut words) {
                 b.copy_from_slice(&w.to_le_bytes());
             }
-            self.data_bytes(&buf[..chunk.len() * 8]);
+        })
+    }
+
+    /// Appends `len` bytes that `fill` writes in address order, one chunk
+    /// of a 4 KiB buffer at a time (every chunk but the last is full);
+    /// returns their address. Nothing is staged beyond the buffer.
+    pub fn data_stream(&mut self, len: u64, mut fill: impl FnMut(&mut [u8])) -> u64 {
+        let addr = self.data_cursor;
+        let mut buf = [0; 4096];
+        let mut left = len;
+        while left > 0 {
+            let chunk = &mut buf[..left.min(4096) as usize];
+            fill(chunk);
+            left -= chunk.len() as u64;
+            self.data_bytes(chunk);
         }
         addr
     }
 
-    /// Appends `f64` values as raw bits; returns the address of the first.
-    pub fn data_f64(&mut self, vals: &[f64]) -> u64 {
-        let words: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-        self.data_u64(&words)
+    /// Appends `len` bytes that `fill` writes in place, in whatever order
+    /// it draws them; returns their address, which `fill` is also given.
+    /// The [`Region`] is the image's own page frames, every one the
+    /// region spans materialized and zero until written.
+    pub fn data_in_place(&mut self, len: u64, fill: impl FnOnce(u64, &mut Region<'_>)) -> u64 {
+        let addr = self.data_cursor;
+        let pages = self.image.pages_mut(addr, len);
+        fill(addr, &mut Region { head: addr as usize % PAGE_SIZE, len, pages });
+        self.data_cursor += len;
+        self.data_len += len;
+        addr
     }
 
     /// Reserves `n` zero bytes; returns their address.
@@ -738,6 +781,51 @@ mod tests {
         assert_eq!(image.page_count(), pages.page_count());
         assert_eq!(image.page_count(), 3);
         assert_eq!(image.owned_pages(), 0);
+    }
+
+    #[test]
+    fn streamed_and_in_place_data_match_appended_bytes() {
+        // From an unaligned cursor, so the region's pages straddle: the same
+        // bytes appended, streamed in 4 KiB chunks, and written in place
+        // backwards in 4-byte pieces.
+        let bytes: Vec<u8> = (0..10_000u32).map(|i| (i * 7 + 3) as u8).collect();
+        let len = bytes.len() as u64;
+        let build = |how: u8| {
+            let mut a = Asm::new();
+            a.data_bytes(&[1; 100]);
+            let mut chunks = bytes.chunks(4096);
+            let at = match how {
+                0 => a.data_bytes(&bytes),
+                1 => a.data_stream(len, |c| c.copy_from_slice(chunks.next().unwrap())),
+                _ => a.data_in_place(len, |_, region| {
+                    for (i, piece) in bytes.chunks(4).enumerate().rev() {
+                        region.at(i as u64 * 4, piece.len()).copy_from_slice(piece);
+                    }
+                }),
+            };
+            a.data_bytes(&[2]);
+            a.halt();
+            let p = a.finish().unwrap();
+            let mut snap = crate::SnapWriter::new();
+            p.image().save_state(&mut snap);
+            (at, p.image_bytes(), p.image().page_count(), snap.into_bytes())
+        };
+        let appended = build(0);
+        assert_eq!(appended.2, 4, "text and three data pages");
+        assert!(build(1) == appended, "streamed");
+        assert!(build(2) == appended, "in place");
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes past the end of the region")]
+    fn in_place_bytes_stay_in_the_region() {
+        Asm::new().data_in_place(8, |_, region| region.at(4, 5)[0] = 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes across a page boundary")]
+    fn in_place_bytes_stay_in_one_page() {
+        Asm::new().data_in_place(8192, |_, region| region.at(4092, 8)[0] = 1);
     }
 
     #[test]

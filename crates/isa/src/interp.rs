@@ -872,7 +872,7 @@ mod tests {
     #[test]
     fn fp_kernel() {
         let mut a = Asm::new();
-        let vals = a.data_f64(&[1.5, 2.5]);
+        let vals = a.data_u64(&[1.5f64, 2.5].map(f64::to_bits));
         a.la(Reg::x(1), vals);
         a.ld(Reg::f(0), Reg::x(1), 0);
         a.ld(Reg::f(1), Reg::x(1), 8);
@@ -1039,7 +1039,7 @@ mod tests {
         // The data starts page-aligned; its bytes all have the top bit set.
         let page = a.data_bytes(&[0x9c; 4096 + 8]);
         assert_eq!(page % 4096, 0);
-        let fp = a.data_f64(&[2.5, -1.25]);
+        let fp = a.data_u64(&[2.5f64, -1.25].map(f64::to_bits));
         let buf = a.reserve(64);
         a.la(Reg::x(3), page);
         a.la(Reg::x(4), fp);

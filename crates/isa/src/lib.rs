@@ -61,7 +61,7 @@ mod snap;
 mod sparse_mem;
 
 pub use asm::{assemble, AsmError};
-pub use builder::{Asm, BuildError, Label};
+pub use builder::{Asm, BuildError, Label, Region};
 pub use encode::{decode, encode, DecodeError, EncodeError};
 pub use inst::{disasm, AluOp, BranchCond, FpuOp, Inst, InstClass, MemWidth};
 pub use interp::{ArchState, Hooks, Interp, MemEffect, RunOutcome, StepEvent, StopReason, Trap};

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::{SnapError, SnapReader, SnapWriter};
 
 const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
 /// Page-number hasher for the pages outside the window: a single
@@ -207,6 +207,30 @@ impl SparseMem {
                 *slot = Some(Frame::Shared(Arc::new(p)));
             }
         }
+    }
+
+    /// The pages `addr..addr + len` spans, in address order, each made
+    /// owned (see [`own`]): a builder filling a region it has just
+    /// appended, in whatever order it draws the bytes.
+    pub(crate) fn pages_mut(&mut self, addr: u64, len: u64) -> Vec<&mut [u8]> {
+        let span = match len {
+            0 => 0..0,
+            _ => addr >> PAGE_SHIFT..((addr + len - 1) >> PAGE_SHIFT) + 1,
+        };
+        for pn in span.clone() {
+            self.page_mut(pn);
+        }
+        let mut pages: Vec<(u64, &mut [u8])> = (self.base..)
+            .zip(&mut self.window)
+            .chain(self.far.iter_mut().map(|(&pn, f)| (pn, f)))
+            .filter(|(pn, _)| span.contains(pn))
+            .map(|(pn, f)| match f {
+                Some(Frame::Owned(p)) => (pn, &mut p[..]),
+                _ => unreachable!("owned above"),
+            })
+            .collect();
+        pages.sort_unstable_by_key(|&(pn, _)| pn);
+        pages.into_iter().map(|(_, p)| p).collect()
     }
 
     /// Maps every page of `image` into this memory: a page not yet

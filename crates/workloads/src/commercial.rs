@@ -8,7 +8,7 @@
 
 use sst_isa::Reg;
 
-use crate::common::{slot_asm, pointer_chain, random_bytes, random_words, rng, xorshift};
+use crate::common::{pointer_chain, random_words, rng, slot_asm, words, xorshift};
 use crate::{Class, Scale, Workload};
 
 /// Nominal instructions per OLTP transaction (one trip round the main
@@ -58,12 +58,9 @@ fn oltp_build(scale: Scale, seed: u64, slot: usize, txns: i64, skip_insts: u64) 
     let mut r = rng("oltp", seed);
     let mut a = slot_asm(slot);
 
-    let chain = pointer_chain(&mut a, &mut r, nodes, 64);
+    let chain = pointer_chain(&mut a, &mut r, nodes);
     // Hash directory: pointers to random chain nodes.
-    let dir_words: Vec<u64> = (0..dir_entries)
-        .map(|_| chain + (r.gen_range(0..nodes)) * 64)
-        .collect();
-    let dir = a.data_u64(&dir_words);
+    let dir = words(&mut a, dir_entries, || chain + r.gen_range(0..nodes) * 64);
     let log = a.reserve(64 * 1024);
     let hot = a.data_u64(&[0]);
 
@@ -163,12 +160,9 @@ fn erp_build(scale: Scale, seed: u64, slot: usize, iters: i64, skip_insts: u64) 
     let mut r = rng("erp", seed);
     let mut a = slot_asm(slot);
 
-    let heap = pointer_chain(&mut a, &mut r, objects, 64);
+    let heap = pointer_chain(&mut a, &mut r, objects);
     // Object handle table: all objects, first `hot_objects` are "hot".
-    let handles: Vec<u64> = (0..objects)
-        .map(|_| heap + r.gen_range(0..objects) * 64)
-        .collect();
-    let table = a.data_u64(&handles);
+    let table = words(&mut a, objects, || heap + r.gen_range(0..objects) * 64);
 
     let state = Reg::x(1);
     let tmp = Reg::x(3);
@@ -271,11 +265,8 @@ fn web_build(scale: Scale, seed: u64, slot: usize, requests: i64, skip_insts: u6
     *bytes.last_mut().expect("nonempty") = 0;
     let buf = a.data_bytes(&bytes);
     // Session table: pointers into a large object heap (8 MiB full scale).
-    let heap = pointer_chain(&mut a, &mut r, sessions, 64);
-    let handles: Vec<u64> = (0..sessions)
-        .map(|_| heap + r.gen_range(0..sessions) * 64)
-        .collect();
-    let session_tab = a.data_u64(&handles);
+    let heap = pointer_chain(&mut a, &mut r, sessions);
+    let session_tab = words(&mut a, sessions, || heap + r.gen_range(0..sessions) * 64);
     let table = random_words(&mut a, &mut r, 8 * 1024); // 64 KiB mime table
     let stats = a.reserve(sessions * 8); // flat per-session counters
     let out = a.reserve(64 * 1024);
@@ -364,7 +355,6 @@ fn web_build(scale: Scale, seed: u64, slot: usize, requests: i64, skip_insts: u6
     a.bne(Reg::x(2), Reg::ZERO, top);
     a.halt();
 
-    let _ = random_bytes; // (see spec.rs for byte-stream users)
     Workload {
         name: "web",
         class: Class::Commercial,

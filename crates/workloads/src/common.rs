@@ -21,42 +21,58 @@ pub fn rng(workload: &str, seed: u64) -> Prng {
     Prng::seed_from_u64(h)
 }
 
-/// Builds a random-cycle pointer chain of `nodes` nodes of `node_bytes`
-/// bytes each inside a reserved region; offset 0 of each node holds the
-/// absolute address of the next node, the rest of the node is filled with
-/// random payload words. Returns the region base (== the first node).
+/// Sattolo's algorithm: a uniformly random single cycle over `0..n`, as
+/// a visit order (position `k` visits item `perm[k]`, and the last
+/// position leads back to the first). Panics unless `0 < n <= u32::MAX`.
+pub fn sattolo(rng: &mut Prng, n: u64) -> Vec<u32> {
+    assert!(n > 0, "a random cycle needs at least one node");
+    let mut perm: Vec<u32> = (0..u32::try_from(n).expect("at most u32::MAX nodes")).collect();
+    for i in (1..n as usize).rev() {
+        perm.swap(i, rng.gen_range(0..i));
+    }
+    perm
+}
+
+/// Writes `head`, then random words, over `node`, 8 bytes each.
+pub fn fill_node(node: &mut [u8], head: &[u64], rng: &mut Prng) {
+    let (head_bytes, rest) = node.split_at_mut(head.len() * 8);
+    for (b, w) in head_bytes.chunks_exact_mut(8).zip(head) {
+        b.copy_from_slice(&w.to_le_bytes());
+    }
+    for b in rest.chunks_exact_mut(8) {
+        b.copy_from_slice(&rng.gen::<u64>().to_le_bytes());
+    }
+}
+
+/// Builds a random-cycle pointer chain of `nodes` 64-byte nodes in a
+/// 64-byte-aligned region; offset 0 of each node holds the absolute
+/// address of the next node, the rest of the node is filled with random
+/// payload words. Returns the region base (== the first node).
 ///
 /// A single cycle through a random permutation gives the classic
 /// cache-hostile chase: successive hops are far apart and unpredictable.
-pub fn pointer_chain(a: &mut Asm, rng: &mut Prng, nodes: u64, node_bytes: u64) -> u64 {
-    assert!(node_bytes >= 8 && node_bytes % 8 == 0);
-    // Sattolo's algorithm: a uniformly random single cycle.
-    let mut perm: Vec<u64> = (0..nodes).collect();
-    let mut i = nodes as usize - 1;
-    while i > 0 {
-        let j = rng.gen_range(0..i);
-        perm.swap(i, j);
-        i -= 1;
-    }
-    // The region starts at the (aligned) current data cursor, so the next
-    // `data_u64` lands exactly there and absolute links can be computed
-    // up front.
+/// Nodes are written into the image where the cycle visits them, so the
+/// build holds the image once plus the visit order.
+pub fn pointer_chain(a: &mut Asm, rng: &mut Prng, nodes: u64) -> u64 {
+    let perm = sattolo(rng, nodes);
     a.align_data(64);
-    let region = a.data_cursor_addr();
-    let mut words: Vec<u64> = vec![0; (nodes * node_bytes / 8) as usize];
-    let words_per_node = (node_bytes / 8) as usize;
-    for k in 0..nodes as usize {
-        let cur = perm[k];
-        let next = perm[(k + 1) % nodes as usize];
-        let idx = cur as usize * words_per_node;
-        words[idx] = region + next * node_bytes;
-        for w in 1..words_per_node {
-            words[idx + w] = rng.gen();
+    a.data_in_place(nodes * 64, |region, data| {
+        for (k, &cur) in perm.iter().enumerate() {
+            let next = u64::from(perm[(k + 1) % perm.len()]);
+            fill_node(data.at(u64::from(cur) * 64, 64), &[region + next * 64], rng);
         }
-    }
-    let actual = a.data_u64(&words);
-    assert_eq!(actual, region, "image must land at the precomputed base");
-    region
+    })
+}
+
+/// Appends `count` 8-byte-aligned words, each `next()`'s, in order;
+/// returns the address of the first.
+pub fn words(a: &mut Asm, count: u64, mut next: impl FnMut() -> u64) -> u64 {
+    a.align_data(8);
+    a.data_stream(count * 8, |chunk| {
+        for w in chunk.chunks_exact_mut(8) {
+            w.copy_from_slice(&next().to_le_bytes());
+        }
+    })
 }
 
 /// Emits an xorshift64 step on `state`, clobbering `tmp`.
@@ -69,16 +85,18 @@ pub fn xorshift(a: &mut Asm, state: Reg, tmp: Reg) {
     a.xor(state, state, tmp);
 }
 
-/// Fills a reserved region with random 64-bit words; returns its base.
+/// Fills a region with random 64-bit words; returns its base.
 pub fn random_words(a: &mut Asm, rng: &mut Prng, count: u64) -> u64 {
-    let words: Vec<u64> = (0..count).map(|_| rng.gen()).collect();
-    a.data_u64(&words)
+    words(a, count, || rng.gen())
 }
 
 /// Fills a region with random bytes; returns its base.
 pub fn random_bytes(a: &mut Asm, rng: &mut Prng, count: u64) -> u64 {
-    let bytes: Vec<u8> = (0..count).map(|_| rng.gen()).collect();
-    a.data_bytes(&bytes)
+    a.data_stream(count, |chunk| {
+        for b in chunk {
+            *b = rng.gen();
+        }
+    })
 }
 
 #[cfg(test)]
@@ -91,7 +109,7 @@ mod tests {
         let mut a = Asm::new();
         let mut r = rng("t", 1);
         let nodes = 64;
-        let base = pointer_chain(&mut a, &mut r, nodes, 64);
+        let base = pointer_chain(&mut a, &mut r, nodes);
         // Walk it functionally and require we visit every node once.
         a.la(Reg::x(1), base);
         a.li(Reg::x(2), nodes as i64);
@@ -108,6 +126,12 @@ mod tests {
             base,
             "after `nodes` hops the cycle returns to the start"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "a random cycle needs at least one node")]
+    fn an_empty_cycle_is_rejected() {
+        sattolo(&mut rng("t", 1), 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 use sst_isa::Reg;
 use sst_prng::Prng;
 
-use crate::common::{rng, slot_asm, xorshift};
+use crate::common::{fill_node, rng, sattolo, slot_asm, xorshift};
 use crate::{Class, Scale, Workload};
 
 /// Outer-loop iterations (cold chase nodes) per scale.
@@ -92,30 +92,20 @@ fn build_layout(a: &mut sst_isa::Asm, r: &mut Prng, m: u64, k_big: u8, probe_byt
     };
 
     // Visit orders: position p in the chain occupies node index perm[p].
-    let perm = permutation(r, m);
-    let lperm = permutation(r, m);
+    let perm = sattolo(r, m);
+    let lperm = sattolo(r, m);
 
     a.align_data(64);
-    let l1_region = a.data_cursor_addr();
-    let l2_region = l1_region + m * 64;
-    let mut words = vec![0u64; (2 * m * 8) as usize];
-    for p in 0..m as usize {
-        let node = perm[p] as usize;
-        let next = perm[(p + 1) % m as usize];
-        let l2 = lperm[p];
-        words[node * 8] = l1_region + next * 64;
-        words[node * 8 + 1] = l2_region + l2 * 64;
-        for w in 2..8 {
-            words[node * 8 + w] = r.gen();
+    let l1_region = a.data_in_place(2 * m * 64, |l1_region, data| {
+        let l2_region = l1_region + m * 64;
+        for p in 0..m as usize {
+            let next = u64::from(perm[(p + 1) % m as usize]);
+            let l2 = u64::from(lperm[p]);
+            let l1_node = data.at(u64::from(perm[p]) * 64, 64);
+            fill_node(l1_node, &[l1_region + next * 64, l2_region + l2 * 64], r);
+            fill_node(data.at((m + l2) * 64, 64), &[u64::from(taken_pat[p])], r);
         }
-        let l2i = (m as usize + l2 as usize) * 8;
-        words[l2i] = u64::from(taken_pat[p]);
-        for w in 1..8 {
-            words[l2i + w] = r.gen();
-        }
-    }
-    let actual = a.data_u64(&words);
-    assert_eq!(actual, l1_region);
+    });
 
     // Inverted on purpose: the *unauthorized* (mispredicted) iterations
     // carry the big trip count, so the long body is speculation-only.
@@ -130,23 +120,12 @@ fn build_layout(a: &mut sst_isa::Asm, r: &mut Prng, m: u64, k_big: u8, probe_byt
     let probe = a.reserve(probe_bytes);
 
     Layout {
-        l1_head: l1_region + perm[0] * 64,
+        l1_head: l1_region + u64::from(perm[0]) * 64,
         limits,
         secret,
         probe,
         taken: taken_pat.iter().filter(|&&t| t).count() as u64,
     }
-}
-
-fn permutation(r: &mut Prng, n: u64) -> Vec<u64> {
-    let mut perm: Vec<u64> = (0..n).collect();
-    let mut i = n as usize - 1;
-    while i > 0 {
-        let j = r.gen_range(0..i);
-        perm.swap(i, j);
-        i -= 1;
-    }
-    perm
 }
 
 /// Register plan shared by all three gadgets.

@@ -15,7 +15,7 @@ pub fn chase(scale: Scale, seed: u64, slot: usize) -> Workload {
     };
     let mut r = rng("chase", seed);
     let mut a = slot_asm(slot);
-    let chain = pointer_chain(&mut a, &mut r, nodes, 64);
+    let chain = pointer_chain(&mut a, &mut r, nodes);
     a.la(Reg::x(1), chain);
     a.li(Reg::x(2), hops);
     let top = a.here();
@@ -44,7 +44,7 @@ pub fn mlp8(scale: Scale, seed: u64, slot: usize) -> Workload {
     let mut r = rng("mlp8", seed);
     let mut a = slot_asm(slot);
     let chains: Vec<u64> = (0..8)
-        .map(|_| pointer_chain(&mut a, &mut r, nodes, 64))
+        .map(|_| pointer_chain(&mut a, &mut r, nodes))
         .collect();
     for (i, &c) in chains.iter().enumerate() {
         a.la(Reg::x(10 + i as u8), c);

@@ -2,7 +2,7 @@
 
 use sst_isa::Reg;
 
-use crate::common::{slot_asm, pointer_chain, random_bytes, random_words, rng, xorshift};
+use crate::common::{pointer_chain, random_bytes, random_words, rng, slot_asm, words, xorshift};
 use crate::{Class, Scale, Workload};
 
 /// `mcf`-like: pure pointer chasing over a large graph with minimal
@@ -14,7 +14,7 @@ pub fn mcf_like(scale: Scale, seed: u64, slot: usize) -> Workload {
     };
     let mut r = rng("mcf", seed);
     let mut a = slot_asm(slot);
-    let chain = pointer_chain(&mut a, &mut r, nodes, 64);
+    let chain = pointer_chain(&mut a, &mut r, nodes);
 
     a.la(Reg::x(1), chain);
     a.li(Reg::x(2), hops);
@@ -204,10 +204,8 @@ pub fn stream_like(scale: Scale, seed: u64, slot: usize) -> Workload {
     };
     let mut r = rng("stream", seed);
     let mut a = slot_asm(slot);
-    let b: Vec<f64> = (0..elems).map(|_| r.gen::<f64>()).collect();
-    let c: Vec<f64> = (0..elems).map(|_| r.gen::<f64>()).collect();
-    let b_base = a.data_f64(&b);
-    let c_base = a.data_f64(&c);
+    let b_base = words(&mut a, elems, || r.gen::<f64>().to_bits());
+    let c_base = words(&mut a, elems, || r.gen::<f64>().to_bits());
     let a_base = a.reserve(elems * 8);
 
     a.li(Reg::x(9), passes);
@@ -251,8 +249,7 @@ pub fn stencil_like(scale: Scale, seed: u64, slot: usize) -> Workload {
     };
     let mut r = rng("stencil", seed);
     let mut a = slot_asm(slot);
-    let grid: Vec<f64> = (0..nx * ny).map(|_| r.gen::<f64>()).collect();
-    let src = a.data_f64(&grid);
+    let src = words(&mut a, (nx * ny) as u64, || r.gen::<f64>().to_bits());
     let dst = a.reserve((nx * ny) as u64 * 8);
     let row_bytes = (nx * 8) as i64;
 
@@ -316,10 +313,8 @@ pub fn matmul_like(scale: Scale, seed: u64, slot: usize) -> Workload {
     };
     let mut r = rng("matmul", seed);
     let mut a = slot_asm(slot);
-    let ma: Vec<f64> = (0..n * n).map(|_| r.gen::<f64>()).collect();
-    let mb: Vec<f64> = (0..n * n).map(|_| r.gen::<f64>()).collect();
-    let a_base = a.data_f64(&ma);
-    let b_base = a.data_f64(&mb);
+    let a_base = words(&mut a, (n * n) as u64, || r.gen::<f64>().to_bits());
+    let b_base = words(&mut a, (n * n) as u64, || r.gen::<f64>().to_bits());
     let c_base = a.reserve((n * n) as u64 * 8);
     let row = (n * 8) as i64;
 
