@@ -392,6 +392,15 @@ fn truncated_snapshots_error_not_panic() {
     let mut padded = bytes.clone();
     padded.extend_from_slice(&[0u8; 9]);
     assert!(System::resume(CoreModel::Sst, &w, &Snapshot::from_bytes(padded)).is_err());
+
+    // Every model, cut inside the header and the core's own state.
+    for (m, bytes, mems) in core_sections(&w) {
+        for cut in (0..mems).step_by((mems / 97).max(1)) {
+            let truncated = Snapshot::from_bytes(bytes[..cut].to_vec());
+            let r = System::resume(m.clone(), &w, &truncated);
+            assert!(r.is_err(), "{}: truncation at {cut}/{} must fail", m.label(), bytes.len());
+        }
+    }
 }
 
 #[test]
@@ -419,4 +428,33 @@ fn corrupted_snapshots_never_panic() {
             let _ = System::resume(CoreModel::Sst, &w, &Snapshot::from_bytes(corrupt));
         }
     }
+    // Every model: flip bytes from the header to the memory hierarchy's
+    // section, where each core's restore validates its own state.
+    for (m, bytes, mems) in core_sections(&w) {
+        for (i, off) in (0..mems).step_by((mems / 503).max(1)).enumerate() {
+            let mut corrupt = bytes.clone();
+            corrupt[off] ^= if i % 2 == 0 { 0xff } else { 0x01 };
+            let _ = System::resume(m.clone(), &w, &Snapshot::from_bytes(corrupt));
+        }
+    }
+}
+
+/// The hostile-input tests' second input: every model paused mid-run on
+/// `w` with co-simulation off, its snapshot, and the offset of the memory
+/// hierarchy's `MEMS` section — the bytes before it are the header and the
+/// core's own state.
+fn core_sections(w: &Workload) -> Vec<(CoreModel, Vec<u8>, usize)> {
+    models()
+        .into_iter()
+        .map(|m| {
+            let mut sys = System::new(m.clone(), w).without_cosim();
+            sys.run_insts(5_000, MAX_CYCLES).unwrap();
+            let bytes = sys.snapshot().unwrap().as_bytes().to_vec();
+            let mems = bytes
+                .windows(4)
+                .position(|tag| tag == b"MEMS")
+                .expect("the memory hierarchy's section");
+            (m, bytes, mems)
+        })
+        .collect()
 }
