@@ -1,5 +1,7 @@
 //! Branch target buffer.
 
+use sst_isa::SnapError;
+
 /// A direct-mapped branch target buffer.
 ///
 /// Maps a branch PC to its most recent target; used for indirect jumps
@@ -52,21 +54,13 @@ impl Btb {
         self.entries[i] = Some((self.tag(pc), target));
     }
 
-    /// Raw `(tag, target)` slots, for snapshotting.
-    pub fn entries(&self) -> &[Option<(u64, u64)>] {
-        &self.entries
-    }
-
-    /// Replaces all slots with snapshot contents. Returns `false`
-    /// (leaving the BTB unchanged) when the entry count differs.
-    pub fn set_entries(&mut self, entries: &[Option<(u64, u64)>]) -> bool {
-        if entries.len() != self.entries.len() {
-            return false;
-        }
-        self.entries.copy_from_slice(entries);
-        true
+    /// The snapshot's slots fill the configured table exactly.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_size("BTB entry count", self.entries.len(), self.mask as usize + 1)
     }
 }
+
+sst_isa::snap_record!(state Btb { entries } then Btb::restored);
 
 #[cfg(test)]
 mod tests {

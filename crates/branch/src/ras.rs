@@ -1,5 +1,7 @@
 //! Return-address stack.
 
+use sst_isa::SnapError;
+
 /// A fixed-depth return-address stack.
 ///
 /// Calls push their return address; returns pop the predicted target.
@@ -57,24 +59,29 @@ impl ReturnAddressStack {
         Some(v)
     }
 
-    /// Raw `(ring, top, len)` state, for snapshotting.
-    pub fn raw_state(&self) -> (&[u64], usize, usize) {
-        (&self.stack, self.top, self.len)
+    /// Number of entries the stack holds when full.
+    pub fn depth(&self) -> usize {
+        self.stack.len()
     }
 
-    /// Restores raw state written by [`ReturnAddressStack::raw_state`].
-    /// Returns `false` (leaving the stack unchanged) when the shape is
-    /// inconsistent with this stack's depth.
-    pub fn set_raw_state(&mut self, stack: &[u64], top: usize, len: usize) -> bool {
-        if stack.len() != self.stack.len() || top >= stack.len() || len > stack.len() {
-            return false;
+    /// The snapshot's top and live count fit its ring (the ring's depth is
+    /// checked against the configuration by the owner).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        if self.top >= self.stack.len() || self.len > self.stack.len() {
+            return Err(SnapError::Corrupt(format!(
+                "RAS state (top {}, len {}) inconsistent with depth {}",
+                self.top,
+                self.len,
+                self.stack.len()
+            )));
         }
-        self.stack.copy_from_slice(stack);
-        self.top = top;
-        self.len = len;
-        true
+        Ok(())
     }
 }
+
+sst_isa::snap_record!(
+    state ReturnAddressStack { stack, top, len } then ReturnAddressStack::restored
+);
 
 #[cfg(test)]
 mod tests {

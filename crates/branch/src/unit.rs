@@ -1,5 +1,7 @@
 //! The combined branch unit used by core frontends.
 
+use sst_isa::{SnapError, SnapReader, SnapState, SnapWriter};
+
 use crate::btb::Btb;
 use crate::direction::{make_predictor, DirectionPredictor, PredictorKind};
 use crate::ras::ReturnAddressStack;
@@ -150,36 +152,9 @@ impl BranchUnit {
         while self.ras.pop().is_some() {}
     }
 
-    /// Appends the direction predictor's mutable state to `out`
-    /// (snapshotting; see [`DirectionPredictor::state_dump`]).
-    pub fn direction_dump(&self, out: &mut Vec<u8>) {
-        self.direction.state_dump(out);
-    }
-
-    /// Restores direction-predictor state; `false` when the blob does
-    /// not match this unit's predictor configuration.
-    pub fn direction_load(&mut self, data: &[u8]) -> bool {
-        self.direction.state_load(data)
-    }
-
-    /// The branch target buffer (snapshotting).
-    pub fn btb(&self) -> &Btb {
-        &self.btb
-    }
-
-    /// Mutable branch target buffer (snapshot restore).
-    pub fn btb_mut(&mut self) -> &mut Btb {
-        &mut self.btb
-    }
-
-    /// The return-address stack (snapshotting).
+    /// The return-address stack.
     pub fn ras(&self) -> &ReturnAddressStack {
         &self.ras
-    }
-
-    /// Mutable return-address stack (snapshot restore).
-    pub fn ras_mut(&mut self) -> &mut ReturnAddressStack {
-        &mut self.ras
     }
 
     /// Fraction of conditional predictions that were wrong.
@@ -189,6 +164,34 @@ impl BranchUnit {
         } else {
             self.cond_mispredictions as f64 / self.cond_predictions as f64
         }
+    }
+}
+
+sst_isa::snap_record!(state BranchUnit {
+    direction,
+    btb,
+    ras,
+    cond_predictions,
+    cond_mispredictions,
+    target_mispredictions,
+});
+
+/// The predictor's tables and history as one length-prefixed byte string
+/// ([`DirectionPredictor::state_dump`]).
+impl SnapState for Box<dyn DirectionPredictor> {
+    fn put_state(&self, w: &mut SnapWriter) {
+        let mut dump = Vec::new();
+        self.state_dump(&mut dump);
+        w.put_bytes(&dump);
+    }
+
+    fn take_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        if !self.state_load(r.take_bytes()?) {
+            return Err(SnapError::Mismatch(
+                "direction-predictor state does not fit the configured predictor".into(),
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{DeferCause, Event, HostTimes, Phase, PhaseTable, Stage, TraceBuf};
 use sst_uarch::{
@@ -30,6 +30,8 @@ struct Epoch {
     /// point).
     cause_ready: Cycle,
 }
+
+sst_isa::snap_record!(Epoch { ckpt, end_seq, cause_ready, log });
 
 /// Why the ahead strand does not issue its head this cycle: the verdict of
 /// [`SstCore::head_gate`] (or of EA's suspension), which `ahead` acts on
@@ -80,70 +82,6 @@ enum ReplayOutcome {
     Fail,
     /// Memory port exhausted; stop replaying this cycle.
     PortFull,
-}
-
-/// Serializes every [`SstStats`] counter in declaration order.
-fn put_stats(w: &mut SnapWriter, s: &SstStats) {
-    for v in [
-        s.episodes,
-        s.epochs_committed,
-        s.deferred,
-        s.replayed,
-        s.redeferred,
-        s.fail_branch,
-        s.scout_rollbacks,
-        s.overlapped_misses,
-        s.defer_nt_source,
-        s.defer_store_order,
-        s.defer_forward_miss,
-        s.defer_cache_miss,
-        s.stall_frontend,
-        s.stall_operand,
-        s.stall_dq_full,
-        s.stall_stb_full,
-        s.stall_ea_replay,
-        s.stall_halt_wait,
-        s.stall_port,
-        s.stall_lowconf,
-        s.ahead_issued,
-        s.replay_issued,
-        s.mispredicts,
-    ] {
-        w.put_u64(v);
-    }
-}
-
-/// Reads counters written by [`put_stats`].
-fn take_stats(r: &mut SnapReader<'_>) -> Result<SstStats, SnapError> {
-    let mut s = SstStats::default();
-    for slot in [
-        &mut s.episodes,
-        &mut s.epochs_committed,
-        &mut s.deferred,
-        &mut s.replayed,
-        &mut s.redeferred,
-        &mut s.fail_branch,
-        &mut s.scout_rollbacks,
-        &mut s.overlapped_misses,
-        &mut s.defer_nt_source,
-        &mut s.defer_store_order,
-        &mut s.defer_forward_miss,
-        &mut s.defer_cache_miss,
-        &mut s.stall_frontend,
-        &mut s.stall_operand,
-        &mut s.stall_dq_full,
-        &mut s.stall_stb_full,
-        &mut s.stall_ea_replay,
-        &mut s.stall_halt_wait,
-        &mut s.stall_port,
-        &mut s.stall_lowconf,
-        &mut s.ahead_issued,
-        &mut s.replay_issued,
-        &mut s.mispredicts,
-    ] {
-        *slot = r.take_u64()?;
-    }
-    Ok(s)
 }
 
 /// The scout / execute-ahead / SST core.
@@ -283,8 +221,11 @@ impl SstCore {
     /// each record's), and no commit left pending between ticks.
     #[doc(hidden)]
     pub fn deferred_state_consistent(&self) -> bool {
+        // Wrapping, so that a corrupt snapshot's numbers are refused, not
+        // overflowed.
         let logged = |ep: &Epoch| {
-            ep.ckpt.start_seq + ep.log.len() as Seq == ep.end_seq.unwrap_or(self.seq) + 1
+            ep.ckpt.start_seq.wrapping_add(ep.log.len() as Seq)
+                == ep.end_seq.unwrap_or(self.seq).wrapping_add(1)
         };
         self.dq.consistent()
             && !self.commit_due
@@ -1527,107 +1468,12 @@ impl Core for SstCore {
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.tag("SSTC");
-        w.put_u64(self.cycle);
-        w.put_u64(self.seq);
-        w.put_bool(self.halted);
-        w.put_bool(self.no_defer);
-        w.put_u64(self.last_progress);
-        w.put_u64(self.replay_check_at);
-        self.frontend.save_state(w);
-        self.spec.save_state(w);
-        w.put_usize(self.epochs.len());
-        for ep in &self.epochs {
-            ep.ckpt.save_state(w);
-            w.put_opt_u64(ep.end_seq);
-            w.put_u64(ep.cause_ready);
-            w.put_usize(ep.log.len());
-            for c in &ep.log {
-                c.save_state(w);
-            }
-        }
-        self.dq.save_state(w);
-        self.stb.save_state(w);
-        w.put_usize(self.commits.len());
-        for c in &self.commits {
-            c.save_state(w);
-        }
-        for ph in Phase::ALL {
-            w.put_u64(self.phase_cycles.get(ph));
-        }
-        put_stats(w, &self.stats);
+        self.put_state(w);
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("SSTC")?;
-        let cycle = r.take_u64()?;
-        let seq = r.take_u64()?;
-        let halted = r.take_bool()?;
-        let no_defer = r.take_bool()?;
-        let last_progress = r.take_u64()?;
-        let replay_check_at = r.take_u64()?;
-        self.frontend.restore_state(r)?;
-        self.spec.restore_state(r)?;
-        let n_epochs = r.take_usize()?;
-        if n_epochs > self.cfg.checkpoints {
-            return Err(SnapError::Corrupt(format!(
-                "epoch count {n_epochs} exceeds {} checkpoints",
-                self.cfg.checkpoints
-            )));
-        }
-        self.epochs.clear();
-        for _ in 0..n_epochs {
-            let ckpt = Checkpoint::load(r)?;
-            let end_seq = r.take_opt_u64()?;
-            let cause_ready = r.take_u64()?;
-            let n_log = r.take_usize()?;
-            let mut log = Vec::new();
-            for i in 0..n_log {
-                let c = Commit::load(r)?;
-                // Replay indexes the log by sequence number.
-                if c.seq != ckpt.start_seq + i as Seq {
-                    return Err(SnapError::Corrupt(format!(
-                        "epoch log out of program order at seq {}",
-                        c.seq
-                    )));
-                }
-                log.push(c);
-            }
-            self.epochs.push_back(Epoch {
-                ckpt,
-                end_seq,
-                log,
-                cause_ready,
-            });
-        }
-        self.dq.restore_state(r)?;
-        self.stb.restore_state(r)?;
-        let n_commits = r.take_usize()?;
-        self.commits.clear();
-        for _ in 0..n_commits {
-            self.commits.push(Commit::load(r)?);
-        }
-        let mut phases = PhaseTable::new();
-        for ph in Phase::ALL {
-            phases.add(ph, r.take_u64()?);
-        }
-        self.stats = take_stats(r)?;
-        self.cycle = cycle;
-        self.seq = seq;
-        self.halted = halted;
-        self.no_defer = no_defer;
-        self.last_progress = last_progress;
-        self.replay_check_at = replay_check_at;
-        self.commit_due = false;
-        self.phase_cycles = phases;
-        self.drain_buf.clear();
-        if !self.deferred_state_consistent() {
-            return Err(SnapError::Corrupt(
-                "epoch logs do not cover their epochs' instructions".into(),
-            ));
-        }
-        Ok(())
+        self.take_state(r)
     }
 
     fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64) {
@@ -1656,6 +1502,49 @@ impl Core for SstCore {
 
     fn warm_predictor(&mut self, pc: u64, inst: Inst, taken: bool, next_pc: u64) {
         self.frontend.resolve(pc, inst, taken, next_pc);
+    }
+}
+
+sst_isa::snap_record!(state SstCore "SSTC" {
+    cycle,
+    seq,
+    halted,
+    no_defer,
+    last_progress,
+    replay_check_at,
+    frontend,
+    spec,
+    epochs,
+    dq,
+    stb,
+    commits,
+    phase_cycles as [u64; Phase::ALL.len()],
+    stats,
+} then SstCore::restored);
+
+impl SstCore {
+    /// The snapshot's epochs fit the checkpoints, each log holds its
+    /// epoch's instructions in sequence order (replay indexes it by
+    /// sequence number) and covers them ([`SstCore::deferred_state_consistent`]).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_bound("epoch count", self.epochs.len(), self.cfg.checkpoints)?;
+        for ep in &self.epochs {
+            let start = ep.ckpt.start_seq;
+            if let Some(c) = ep.log.iter().zip(0..).find(|&(c, i)| c.seq.wrapping_sub(start) != i) {
+                return Err(SnapError::Corrupt(format!(
+                    "epoch log out of program order at seq {}",
+                    c.0.seq
+                )));
+            }
+        }
+        self.commit_due = false;
+        self.drain_buf.clear();
+        if !self.deferred_state_consistent() {
+            return Err(SnapError::Corrupt(
+                "epoch logs do not cover their epochs' instructions".into(),
+            ));
+        }
+        Ok(())
     }
 }
 

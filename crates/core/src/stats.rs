@@ -61,6 +61,32 @@ pub struct SstStats {
     pub mispredicts: u64,
 }
 
+sst_isa::snap_record!(SstStats {
+    episodes,
+    epochs_committed,
+    deferred,
+    replayed,
+    redeferred,
+    fail_branch,
+    scout_rollbacks,
+    overlapped_misses,
+    defer_nt_source,
+    defer_store_order,
+    defer_forward_miss,
+    defer_cache_miss,
+    stall_frontend,
+    stall_operand,
+    stall_dq_full,
+    stall_stb_full,
+    stall_ea_replay,
+    stall_halt_wait,
+    stall_port,
+    stall_lowconf,
+    ahead_issued,
+    replay_issued,
+    mispredicts,
+});
+
 impl SstStats {
     /// Fraction of deferred instructions among all issued.
     pub fn defer_rate(&self) -> f64 {

@@ -1,6 +1,6 @@
 //! The in-order pipeline model.
 
-use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
 use sst_uarch::{
@@ -46,6 +46,14 @@ pub struct InOrderStats {
     /// Total issue slots used.
     pub issued: u64,
 }
+
+sst_isa::snap_record!(InOrderStats {
+    stall_frontend,
+    stall_operand,
+    stall_port,
+    mispredicts,
+    issued,
+});
 
 /// Why the head of the decode queue cannot issue this cycle: the verdict of
 /// [`InOrderCore::issue_gate`], which `tick` acts on and `next_event_cycle`
@@ -225,6 +233,16 @@ impl InOrderCore {
     }
 }
 
+sst_isa::snap_record!(state InOrderCore "INOC" {
+    cycle,
+    seq,
+    halted,
+    frontend,
+    regs,
+    commits,
+    stats,
+});
+
 impl Core for InOrderCore {
     fn tick(&mut self, mem: &mut MemBus) {
         let now = self.cycle;
@@ -377,55 +395,12 @@ impl Core for InOrderCore {
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.tag("INOC");
-        w.put_u64(self.cycle);
-        w.put_u64(self.seq);
-        w.put_bool(self.halted);
-        self.frontend.save_state(w);
-        self.regs.save_state(w);
-        w.put_usize(self.commits.len());
-        for c in &self.commits {
-            c.save_state(w);
-        }
-        for v in [
-            self.stats.stall_frontend,
-            self.stats.stall_operand,
-            self.stats.stall_port,
-            self.stats.mispredicts,
-            self.stats.issued,
-        ] {
-            w.put_u64(v);
-        }
+        self.put_state(w);
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("INOC")?;
-        let cycle = r.take_u64()?;
-        let seq = r.take_u64()?;
-        let halted = r.take_bool()?;
-        self.frontend.restore_state(r)?;
-        self.regs.restore_state(r)?;
-        let n = r.take_usize()?;
-        self.commits.clear();
-        for _ in 0..n {
-            self.commits.push(Commit::load(r)?);
-        }
-        let mut stats = InOrderStats::default();
-        for slot in [
-            &mut stats.stall_frontend,
-            &mut stats.stall_operand,
-            &mut stats.stall_port,
-            &mut stats.mispredicts,
-            &mut stats.issued,
-        ] {
-            *slot = r.take_u64()?;
-        }
-        self.cycle = cycle;
-        self.seq = seq;
-        self.halted = halted;
-        self.stats = stats;
-        Ok(())
+        self.take_state(r)
     }
 
     fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64) {

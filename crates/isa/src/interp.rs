@@ -1,8 +1,8 @@
 use std::fmt;
 
 use crate::{
-    AluOp, BranchCond, FpuOp, Inst, MemWidth, Program, Reg, SnapError, SnapReader, SnapWriter,
-    SparseMem, INST_BYTES, NUM_REGS,
+    AluOp, BranchCond, FpuOp, Inst, MemWidth, Program, Reg, Snap, SnapError, SnapReader, SnapState,
+    SnapWriter, SparseMem, INST_BYTES, NUM_REGS,
 };
 
 /// Where the interpreter's lowered code writes `x0`: one slot past the
@@ -67,29 +67,22 @@ impl ArchState {
             .try_into()
             .expect("the sink follows them")
     }
+}
 
-    /// Serializes the register file and PC.
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// The registers (the sink is not state), then the PC.
+impl Snap for ArchState {
+    fn put(&self, w: &mut SnapWriter) {
         w.tag("ARCH");
-        for &v in self.regs() {
-            w.put_u64(v);
-        }
-        w.put_u64(self.pc);
+        self.regs().put(w);
+        self.pc.put(w);
     }
 
-    /// Restores state written by [`ArchState::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] on truncated or corrupt input; the state
-    /// is unspecified (but memory-safe) on error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn take(r: &mut SnapReader<'_>) -> Result<ArchState, SnapError> {
         r.tag("ARCH")?;
-        for v in &mut self.regs[..NUM_REGS] {
-            *v = r.take_u64()?;
-        }
-        self.pc = r.take_u64()?;
-        Ok(())
+        let regs: [u64; NUM_REGS] = Snap::take(r)?;
+        let mut state = ArchState::new(Snap::take(r)?);
+        state.regs[..NUM_REGS].copy_from_slice(&regs);
+        Ok(state)
     }
 }
 
@@ -476,11 +469,7 @@ impl Interp {
     /// serialized — restore requires an interpreter built over the same
     /// program, which the caller validates by workload name.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("INTP");
-        self.state.save_state(w);
-        w.put_bool(self.halted);
-        w.put_u64(self.retired);
-        self.mem.save_state(w);
+        self.put_state(w);
     }
 
     /// Restores state written by [`Interp::save_state`].
@@ -489,14 +478,11 @@ impl Interp {
     ///
     /// Returns a [`SnapError`] on truncated or corrupt input.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("INTP")?;
-        self.state.restore_state(r)?;
-        self.halted = r.take_bool()?;
-        self.retired = r.take_u64()?;
-        self.mem.restore_state(r)?;
-        Ok(())
+        self.take_state(r)
     }
 }
+
+crate::snap_record!(state Interp "INTP" { state, halted, retired, mem });
 
 /// The text index of `pc` and the length of the run that starts there,
 /// if `pc` is an aligned text address whose word decodes.

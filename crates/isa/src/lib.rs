@@ -67,7 +67,7 @@ pub use inst::{disasm, AluOp, BranchCond, FpuOp, Inst, InstClass, MemWidth};
 pub use interp::{ArchState, Hooks, Interp, MemEffect, RunOutcome, StepEvent, StopReason, Trap};
 pub use program::{Program, DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
 pub use reg::Reg;
-pub use snap::{SnapError, SnapReader, SnapWriter, SNAPSHOT_VERSION};
+pub use snap::{Snap, SnapError, SnapReader, SnapState, SnapWriter, SNAPSHOT_VERSION};
 pub use sparse_mem::SparseMem;
 
 /// Number of architectural registers (32 integer + 32 floating point,

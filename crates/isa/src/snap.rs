@@ -5,18 +5,31 @@
 //! and resume byte-identically. The format is deliberately dumb:
 //!
 //! * little-endian fixed-width integers, no varints;
-//! * length-prefixed byte strings (`u64` length);
+//! * length-prefixed sequences and byte strings (`u64` length);
 //! * four-byte ASCII section tags ahead of every structure, so a
 //!   truncated or corrupt snapshot fails with a *structured* error
 //!   naming the section, never a panic;
 //! * a single format version checked up front
 //!   ([`SNAPSHOT_VERSION`]).
 //!
-//! Everything that serializes state does so through [`SnapWriter`] /
-//! [`SnapReader`] in its *own* module (private fields stay private);
-//! this module only owns the byte-level encoding and the error type.
+//! Every record is listed once. [`Snap`] is the codec of a value: `put`
+//! writes it and `take` reads it back, implemented here for scalars,
+//! `Option`, fixed arrays, tuples, registers, instructions and
+//! length-prefixed sequences. [`snap_record!`](crate::snap_record) derives
+//! both directions of a record from a single field list, in the record's
+//! own module (private fields stay private). A component built from a
+//! configuration — a cache, a queue, a core — is restored in place through
+//! [`SnapState`], from a field list of the same macro; what a field list
+//! cannot say — a table's configured size, a queue's capacity, structure
+//! rebuilt from the saved entries — is the one piece of code per direction
+//! that remains, in the `then` check the restore runs last. Encode and
+//! decode therefore cannot drift: there is no second list to reorder.
 
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
+
+use crate::{decode, encode, Inst, Reg};
 
 /// Current snapshot format version. Bumped on any layout change (3: the
 /// deferred queue's held-slot count); a snapshot of another version is
@@ -64,6 +77,312 @@ impl fmt::Display for SnapError {
 }
 
 impl std::error::Error for SnapError {}
+
+impl SnapError {
+    /// `Ok` when a restored sequence of `n` items fits `max`; corruption
+    /// naming `what` otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] when `n > max`.
+    pub fn check_bound(what: &str, n: usize, max: usize) -> Result<(), SnapError> {
+        if n > max {
+            return Err(SnapError::Corrupt(format!("{what} {n} exceeds {max}")));
+        }
+        Ok(())
+    }
+
+    /// `Ok` when a restored table has the `want` entries its configuration
+    /// gives it; a mismatch naming `what` otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Mismatch`] when `n != want`.
+    pub fn check_size(what: &str, n: usize, want: usize) -> Result<(), SnapError> {
+        if n != want {
+            return Err(SnapError::Mismatch(format!("{what} {n} != configured {want}")));
+        }
+        Ok(())
+    }
+}
+
+/// A value with one snapshot encoding: [`Snap::put`] writes it and
+/// [`Snap::take`] reads it back.
+pub trait Snap: Sized {
+    /// Appends the value to `w`.
+    fn put(&self, w: &mut SnapWriter);
+
+    /// Reads a value written by [`Snap::put`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on truncated or corrupt input; never a panic.
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+/// A component restored in place, over the configuration it was built
+/// with (see [`snap_record!`](crate::snap_record)'s `state` form). Every
+/// [`Snap`] value is one too: restoring it replaces it.
+pub trait SnapState {
+    /// Appends the component's state to `w`.
+    fn put_state(&self, w: &mut SnapWriter);
+
+    /// Restores state written by [`SnapState::put_state`] on a component
+    /// built with the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] on truncated, corrupt or configuration-mismatched
+    /// input; the component must not be used after a failed restore.
+    fn take_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> SnapState for T {
+    fn put_state(&self, w: &mut SnapWriter) {
+        self.put(w);
+    }
+
+    fn take_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = T::take(r)?;
+        Ok(())
+    }
+}
+
+/// Derives both directions of a snapshot encoding from one field list.
+///
+/// `snap_record!(Checkpoint "CKPT" { image, pc, start_seq, taken_at })`
+/// implements [`Snap`] for a plain record: an optional section tag, then
+/// every field in list order. A field written in another type names it
+/// with `as`: `phase_cycles as [u64; 5]` puts `<[u64; 5]>::from(field)` and
+/// takes it back with `into()`.
+///
+/// `snap_record!(state Dram "DRAM" { accesses, banks } then Dram::restored)`
+/// implements [`SnapState`] for a component restored in place: every field
+/// is a [`SnapState`] (a nested component or a value), `as` works as above,
+/// and a part that spans several fields is a pair of methods,
+/// `(Self::put_part, Self::take_part)`, taking `(&self, &mut SnapWriter)`
+/// and `(&mut self, &mut SnapReader)`. The optional `then` method —
+/// `fn(&mut Self) -> Result<(), SnapError>` — runs last, to check what the
+/// list cannot (configured sizes, capacities) and rebuild derived state.
+#[macro_export]
+macro_rules! snap_record {
+    (state $ty:ident $($tag:literal)? { $($items:tt)* } $(then $check:path)?) => {
+        impl $crate::SnapState for $ty {
+            fn put_state(&self, w: &mut $crate::SnapWriter) {
+                $(w.tag($tag);)?
+                $crate::snap_record!(@put self w; $($items)*);
+            }
+
+            fn take_state(
+                &mut self,
+                r: &mut $crate::SnapReader<'_>,
+            ) -> Result<(), $crate::SnapError> {
+                $(r.tag($tag)?;)?
+                $crate::snap_record!(@take self r; $($items)*);
+                $($check(self)?;)?
+                Ok(())
+            }
+        }
+    };
+    (@put $s:ident $w:ident; $(,)?) => {};
+    (@put $s:ident $w:ident; ($put:path, $take:path) $(, $($rest:tt)*)?) => {
+        $put($s, $w);
+        $crate::snap_record!(@put $s $w; $($($rest)*)?);
+    };
+    (@put $s:ident $w:ident; $f:ident as $wire:ty $(, $($rest:tt)*)?) => {
+        $crate::Snap::put(&<$wire>::from($s.$f.clone()), $w);
+        $crate::snap_record!(@put $s $w; $($($rest)*)?);
+    };
+    (@put $s:ident $w:ident; $f:ident $(, $($rest:tt)*)?) => {
+        $crate::SnapState::put_state(&$s.$f, $w);
+        $crate::snap_record!(@put $s $w; $($($rest)*)?);
+    };
+    (@take $s:ident $r:ident; $(,)?) => {};
+    (@take $s:ident $r:ident; ($put:path, $take:path) $(, $($rest:tt)*)?) => {
+        $take($s, $r)?;
+        $crate::snap_record!(@take $s $r; $($($rest)*)?);
+    };
+    (@take $s:ident $r:ident; $f:ident as $wire:ty $(, $($rest:tt)*)?) => {
+        $s.$f = <$wire as $crate::Snap>::take($r)?.into();
+        $crate::snap_record!(@take $s $r; $($($rest)*)?);
+    };
+    (@take $s:ident $r:ident; $f:ident $(, $($rest:tt)*)?) => {
+        $crate::SnapState::take_state(&mut $s.$f, $r)?;
+        $crate::snap_record!(@take $s $r; $($($rest)*)?);
+    };
+    (@value $r:ident) => { $crate::Snap::take($r)? };
+    (@value $r:ident as $wire:ty) => { <$wire as $crate::Snap>::take($r)?.into() };
+    ($ty:ident $($tag:literal)? { $($f:ident $(as $wire:ty)?),* $(,)? }) => {
+        impl $crate::Snap for $ty {
+            fn put(&self, w: &mut $crate::SnapWriter) {
+                $(w.tag($tag);)?
+                $crate::snap_record!(@put self w; $($f $(as $wire)?),*);
+            }
+
+            fn take(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                $(r.tag($tag)?;)?
+                Ok($ty {
+                    $($f: $crate::snap_record!(@value r $(as $wire)?),)*
+                })
+            }
+        }
+    };
+}
+
+macro_rules! snap_scalars {
+    ($($t:ty: $put:ident, $take:ident;)*) => {
+        $(impl Snap for $t {
+            #[inline]
+            fn put(&self, w: &mut SnapWriter) {
+                w.$put(*self);
+            }
+
+            #[inline]
+            fn take(r: &mut SnapReader<'_>) -> Result<$t, SnapError> {
+                r.$take()
+            }
+        })*
+    };
+}
+
+snap_scalars! {
+    u8: put_u8, take_u8;
+    u32: put_u32, take_u32;
+    u64: put_u64, take_u64;
+    i64: put_i64, take_i64;
+    usize: put_usize, take_usize;
+    bool: put_bool, take_bool;
+}
+
+/// A boolean presence flag, then the value.
+impl<T: Snap> Snap for Option<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Option<T>, SnapError> {
+        Ok(if r.take_bool()? { Some(T::take(r)?) } else { None })
+    }
+}
+
+/// The elements in order, no length: the length is the type's.
+impl<T: Snap + Copy + Default, const N: usize> Snap for [T; N] {
+    fn put(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.put(w);
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<[T; N], SnapError> {
+        let mut out = [T::default(); N];
+        for v in out.iter_mut() {
+            *v = T::take(r)?;
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! snap_tuples {
+    ($(($($t:ident $i:tt),*))*) => {
+        $(impl<$($t: Snap),*> Snap for ($($t,)*) {
+            fn put(&self, w: &mut SnapWriter) {
+                $(self.$i.put(w);)*
+            }
+
+            fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(($($t::take(r)?,)*))
+            }
+        })*
+    };
+}
+
+snap_tuples! {
+    (A 0, B 1)
+    (A 0, B 1, C 2)
+    (A 0, B 1, C 2, D 3)
+    (A 0, B 1, C 2, D 3, E 4)
+}
+
+/// A `u64` length, then the elements. The length is bounded by the bytes
+/// left before anything is read (every element takes at least one), and
+/// nothing is reserved from it: a corrupt length cannot allocate.
+fn take_seq<T: Snap, C: FromIterator<T>>(r: &mut SnapReader<'_>) -> Result<C, SnapError> {
+    let n = r.take_usize()?;
+    if n > r.remaining() {
+        return Err(SnapError::Truncated);
+    }
+    (0..n).map(|_| T::take(r)).collect()
+}
+
+fn put_seq<'a, T: Snap + 'a>(w: &mut SnapWriter, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.put_usize(items.len());
+    for v in items {
+        v.put(w);
+    }
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        put_seq(w, self.iter());
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Vec<T>, SnapError> {
+        take_seq(r)
+    }
+}
+
+impl<T: Snap> Snap for VecDeque<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        put_seq(w, self.iter());
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<VecDeque<T>, SnapError> {
+        take_seq(r)
+    }
+}
+
+/// Written in ascending order, so equal sets serialize byte-identically
+/// whatever their hash iteration order.
+impl<T: Snap + Ord + Hash + Copy, S: BuildHasher + Default> Snap for HashSet<T, S> {
+    fn put(&self, w: &mut SnapWriter) {
+        let mut sorted: Vec<T> = self.iter().copied().collect();
+        sorted.sort_unstable();
+        sorted.put(w);
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<HashSet<T, S>, SnapError> {
+        take_seq(r)
+    }
+}
+
+/// The register's index, one byte.
+impl Snap for Reg {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u8(self.index() as u8);
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Reg, SnapError> {
+        let i = r.take_u8()?;
+        Reg::from_index(i)
+            .ok_or_else(|| SnapError::Corrupt(format!("register index {i} out of range")))
+    }
+}
+
+/// The instruction's encoding, a `u32`.
+impl Snap for Inst {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(encode(*self).expect("a decoded instruction re-encodes"));
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Inst, SnapError> {
+        let word = r.take_u32()?;
+        decode(word)
+            .map_err(|_| SnapError::Corrupt(format!("undecodable instruction {word:#010x}")))
+    }
+}
 
 /// Appends snapshot fields to a growing byte buffer.
 #[derive(Clone, Debug, Default)]
@@ -431,6 +750,49 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         r.take_u8().unwrap();
         assert!(matches!(r.finish(), Err(SnapError::Corrupt(_))));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Rec {
+        a: u64,
+        b: Option<(Reg, u64)>,
+        c: Vec<bool>,
+        d: [u8; 2],
+    }
+
+    crate::snap_record!(Rec "RECD" { a, c, b, d });
+
+    #[test]
+    fn a_record_round_trips_in_list_order() {
+        let rec = Rec {
+            a: 7,
+            b: Some((Reg::LINK, 9)),
+            c: vec![true, false],
+            d: [1, 2],
+        };
+        let mut w = SnapWriter::new();
+        rec.put(&mut w);
+        // The list, not the declaration, orders the bytes: `c` follows `a`.
+        assert_eq!(w.as_bytes()[..20], *b"RECD\x07\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0");
+        let mut r = SnapReader::new(w.as_bytes());
+        assert_eq!(Rec::take(&mut r), Ok(rec));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn a_sequence_longer_than_the_bytes_left_is_truncation() {
+        let mut w = SnapWriter::new();
+        w.put_u64(u64::MAX >> 1);
+        w.put_u64(1);
+        let r = Vec::<u64>::take(&mut SnapReader::new(w.as_bytes()));
+        assert_eq!(r, Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn bad_register_and_instruction_words_are_corrupt() {
+        assert!(matches!(Reg::take(&mut SnapReader::new(&[200])), Err(SnapError::Corrupt(_))));
+        let r = Inst::take(&mut SnapReader::new(&[0xff; 4]));
+        assert!(matches!(r, Err(SnapError::Corrupt(_))));
     }
 
     #[test]

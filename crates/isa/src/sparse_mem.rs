@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::{SnapError, SnapReader, SnapWriter};
+use crate::{Snap, SnapError, SnapReader, SnapWriter};
 
 const PAGE_SHIFT: u32 = 12;
 pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -345,19 +345,9 @@ impl SparseMem {
         }
     }
 
-    /// Serializes the materialized pages in ascending page-number order
-    /// (sorted so two equal memories always serialize byte-identically,
-    /// however their pages are split between window and map, owned or
-    /// shared).
+    /// Serializes the materialized pages (see the [`Snap`] impl).
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("SMEM");
-        let mut pages: Vec<(u64, &Page)> = self.frames().map(|(pn, f)| (pn, f.bytes())).collect();
-        pages.sort_unstable_by_key(|&(pn, _)| pn);
-        w.put_usize(pages.len());
-        for (pn, page) in pages {
-            w.put_u64(pn);
-            w.put_raw(page);
-        }
+        self.put(w);
     }
 
     /// Replaces the contents with pages written by
@@ -368,18 +358,7 @@ impl SparseMem {
     /// Returns a [`SnapError`] on truncated input or duplicate pages;
     /// the memory is unchanged on error.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("SMEM")?;
-        let n = r.take_usize()?;
-        let mut mem = SparseMem::new();
-        for _ in 0..n {
-            let pn = r.take_u64()?;
-            let raw = r.take_raw(PAGE_SIZE)?;
-            if mem.page(pn).is_some() {
-                return Err(SnapError::Corrupt(format!("duplicate memory page {pn:#x}")));
-            }
-            mem.page_mut(pn).copy_from_slice(raw);
-        }
-        *self = mem;
+        *self = SparseMem::take(r)?;
         Ok(())
     }
 
@@ -397,6 +376,38 @@ impl SparseMem {
             addr = addr.wrapping_add(n as u64);
             rest = &mut rest[n..];
         }
+    }
+}
+
+/// The materialized pages in ascending page-number order, each its number
+/// and its bytes (sorted so two equal memories always serialize
+/// byte-identically, however their pages are split between window and map,
+/// owned or shared).
+impl Snap for SparseMem {
+    fn put(&self, w: &mut SnapWriter) {
+        w.tag("SMEM");
+        let mut pages: Vec<(u64, &Page)> = self.frames().map(|(pn, f)| (pn, f.bytes())).collect();
+        pages.sort_unstable_by_key(|&(pn, _)| pn);
+        w.put_usize(pages.len());
+        for (pn, page) in pages {
+            w.put_u64(pn);
+            w.put_raw(page);
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<SparseMem, SnapError> {
+        r.tag("SMEM")?;
+        let n = r.take_usize()?;
+        let mut mem = SparseMem::new();
+        for _ in 0..n {
+            let pn = r.take_u64()?;
+            let raw = r.take_raw(PAGE_SIZE)?;
+            if mem.page(pn).is_some() {
+                return Err(SnapError::Corrupt(format!("duplicate memory page {pn:#x}")));
+            }
+            mem.page_mut(pn).copy_from_slice(raw);
+        }
+        Ok(mem)
     }
 }
 

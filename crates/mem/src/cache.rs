@@ -3,7 +3,7 @@
 //! The array tracks presence, dirtiness, and recency only; data always
 //! lives in the backing [`sst_isa::SparseMem`].
 
-use sst_isa::{SnapError, SnapReader, SnapWriter};
+use sst_isa::SnapError;
 
 use crate::CacheConfig;
 
@@ -15,6 +15,8 @@ struct Way {
     /// LRU stamp; larger = more recently used.
     stamp: u64,
 }
+
+sst_isa::snap_record!(Way { valid, dirty, tag, stamp });
 
 /// Result of a fill that displaced a line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,47 +177,14 @@ impl TagArray {
         self.ways.iter().filter(|w| w.valid).count()
     }
 
-    /// Serializes every way (valid, dirty, tag, LRU stamp) plus the stamp
-    /// counter. Geometry is not written: it derives from the config the
-    /// restored array was built with, and restore validates the way count.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("TAGA");
-        w.put_u64(self.next_stamp);
-        w.put_usize(self.ways.len());
-        for way in &self.ways {
-            w.put_bool(way.valid);
-            w.put_bool(way.dirty);
-            w.put_u64(way.tag);
-            w.put_u64(way.stamp);
-        }
-    }
-
-    /// Restores state written by [`TagArray::save_state`] on an array of
-    /// the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or geometry-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("TAGA")?;
-        let next_stamp = r.take_u64()?;
-        let n = r.take_usize()?;
-        if n != self.ways.len() {
-            return Err(SnapError::Mismatch(format!(
-                "tag-array way count {n} != configured {}",
-                self.ways.len()
-            )));
-        }
-        for way in self.ways.iter_mut() {
-            way.valid = r.take_bool()?;
-            way.dirty = r.take_bool()?;
-            way.tag = r.take_u64()?;
-            way.stamp = r.take_u64()?;
-        }
-        self.next_stamp = next_stamp;
-        Ok(())
+    /// The snapshot's ways fill the configured geometry exactly (geometry
+    /// is not written: it derives from the config the array was built with).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_size("tag-array way count", self.ways.len(), self.sets * self.assoc)
     }
 }
+
+sst_isa::snap_record!(state TagArray "TAGA" { next_stamp, ways } then TagArray::restored);
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! DRAM timing model: one channel, N banks, per-bank open-row tracking.
 
-use sst_isa::{SnapError, SnapReader, SnapWriter};
+use sst_isa::SnapError;
 
 use crate::{Cycle, DramConfig};
 
@@ -13,6 +13,15 @@ pub struct DramOutcome {
     pub row_hit: bool,
 }
 
+/// One bank: when it is free again, and the row it holds open.
+#[derive(Clone, Copy, Debug, Default)]
+struct Bank {
+    free_at: Cycle,
+    open_row: Option<u64>,
+}
+
+sst_isa::snap_record!(Bank { free_at, open_row });
+
 /// The DRAM device + channel model.
 ///
 /// Each access serializes on the shared channel, then on its bank. Banks
@@ -23,8 +32,7 @@ pub struct DramOutcome {
 pub struct Dram {
     cfg: DramConfig,
     channel_free_at: Cycle,
-    bank_free_at: Vec<Cycle>,
-    open_row: Vec<Option<u64>>,
+    banks: Vec<Bank>,
     /// Total demand accesses served.
     pub accesses: u64,
     /// Accesses that hit an open row.
@@ -38,8 +46,7 @@ impl Dram {
     pub fn new(cfg: DramConfig) -> Dram {
         Dram {
             channel_free_at: 0,
-            bank_free_at: vec![0; cfg.banks],
-            open_row: vec![None; cfg.banks],
+            banks: vec![Bank::default(); cfg.banks],
             cfg,
             accesses: 0,
             row_hits: 0,
@@ -68,8 +75,8 @@ impl Dram {
         let bank = self.bank_of(addr);
         let row = self.row_of(addr);
 
-        let start = now.max(self.channel_free_at).max(self.bank_free_at[bank]);
-        let row_hit = self.open_row[bank] == Some(row);
+        let start = now.max(self.channel_free_at).max(self.banks[bank].free_at);
+        let row_hit = self.banks[bank].open_row == Some(row);
         if row_hit {
             self.row_hits += 1;
         }
@@ -82,8 +89,10 @@ impl Dram {
         let ready_at = start + access;
 
         self.channel_free_at = start + self.cfg.burst_cycles;
-        self.bank_free_at[bank] = start + self.cfg.bank_busy_cycles;
-        self.open_row[bank] = Some(row);
+        self.banks[bank] = Bank {
+            free_at: start + self.cfg.bank_busy_cycles,
+            open_row: Some(row),
+        };
 
         DramOutcome { ready_at, row_hit }
     }
@@ -93,54 +102,17 @@ impl Dram {
     pub fn writeback(&mut self, now: Cycle, addr: u64) {
         self.writebacks += 1;
         let bank = self.bank_of(addr);
-        let start = now.max(self.channel_free_at).max(self.bank_free_at[bank]);
+        let start = now.max(self.channel_free_at).max(self.banks[bank].free_at);
         self.channel_free_at = start + self.cfg.burst_cycles;
-        self.bank_free_at[bank] = start + self.cfg.bank_busy_cycles;
-        self.open_row[bank] = Some(self.row_of(addr));
+        self.banks[bank] = Bank {
+            free_at: start + self.cfg.bank_busy_cycles,
+            open_row: Some(self.row_of(addr)),
+        };
     }
 
-    /// Serializes channel/bank timing, open rows, and counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("DRAM");
-        w.put_u64(self.channel_free_at);
-        w.put_u64(self.accesses);
-        w.put_u64(self.row_hits);
-        w.put_u64(self.writebacks);
-        w.put_usize(self.bank_free_at.len());
-        for (&free_at, &row) in self.bank_free_at.iter().zip(&self.open_row) {
-            w.put_u64(free_at);
-            w.put_opt_u64(row);
-        }
-    }
-
-    /// Restores state written by [`Dram::save_state`] on a model with the
-    /// same bank count.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or bank-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("DRAM")?;
-        let channel_free_at = r.take_u64()?;
-        let accesses = r.take_u64()?;
-        let row_hits = r.take_u64()?;
-        let writebacks = r.take_u64()?;
-        let banks = r.take_usize()?;
-        if banks != self.bank_free_at.len() {
-            return Err(SnapError::Mismatch(format!(
-                "DRAM bank count {banks} != configured {}",
-                self.bank_free_at.len()
-            )));
-        }
-        for i in 0..banks {
-            self.bank_free_at[i] = r.take_u64()?;
-            self.open_row[i] = r.take_opt_u64()?;
-        }
-        self.channel_free_at = channel_free_at;
-        self.accesses = accesses;
-        self.row_hits = row_hits;
-        self.writebacks = writebacks;
-        Ok(())
+    /// The snapshot's banks are the configured ones.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_size("DRAM bank count", self.banks.len(), self.cfg.banks)
     }
 
     /// Fraction of demand accesses that hit an open row.
@@ -152,6 +124,14 @@ impl Dram {
         }
     }
 }
+
+sst_isa::snap_record!(state Dram "DRAM" {
+    channel_free_at,
+    accesses,
+    row_hits,
+    writebacks,
+    banks,
+} then Dram::restored);
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,7 @@
 //!   returned start time reflects that serialization. This is what caps a
 //!   core's achievable memory-level parallelism.
 
-use sst_isa::{SnapError, SnapReader, SnapWriter};
+use sst_isa::SnapError;
 
 use crate::Cycle;
 
@@ -24,6 +24,8 @@ struct Entry {
     ready_at: Cycle,
     deep: bool,
 }
+
+sst_isa::snap_record!(Entry { block, ready_at, deep });
 
 /// A fixed-capacity file of in-flight line misses.
 #[derive(Clone, Debug)]
@@ -154,52 +156,18 @@ impl MshrFile {
         self.earliest_ready = Cycle::MAX;
     }
 
-    /// Serializes in-flight entries and counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("MSHR");
-        w.put_u64(self.earliest_ready);
-        w.put_u64(self.merged);
-        w.put_u64(self.full_stalls);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.block);
-            w.put_u64(e.ready_at);
-            w.put_bool(e.deep);
-        }
-    }
-
-    /// Restores state written by [`MshrFile::save_state`] on a file of the
-    /// same capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or capacity-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("MSHR")?;
-        let earliest_ready = r.take_u64()?;
-        let merged = r.take_u64()?;
-        let full_stalls = r.take_u64()?;
-        let n = r.take_usize()?;
-        if n > self.capacity {
-            return Err(SnapError::Corrupt(format!(
-                "MSHR occupancy {n} exceeds capacity {}",
-                self.capacity
-            )));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(Entry {
-                block: r.take_u64()?,
-                ready_at: r.take_u64()?,
-                deep: r.take_bool()?,
-            });
-        }
-        self.earliest_ready = earliest_ready;
-        self.merged = merged;
-        self.full_stalls = full_stalls;
-        Ok(())
+    /// The snapshot's in-flight entries fit the file.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_bound("MSHR occupancy", self.entries.len(), self.capacity)
     }
 }
+
+sst_isa::snap_record!(state MshrFile "MSHR" {
+    earliest_ready,
+    merged,
+    full_stalls,
+    entries,
+} then MshrFile::restored);
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! PC-indexed stride prefetcher.
 
-use sst_isa::{SnapError, SnapReader, SnapWriter};
+use sst_isa::SnapError;
 
 use crate::StrideConfig;
 
@@ -12,6 +12,8 @@ struct Entry {
     stride: i64,
     confidence: u8,
 }
+
+sst_isa::snap_record!(Entry { valid, pc_tag, last_addr, stride, confidence });
 
 /// A classic PC-indexed stride detector.
 ///
@@ -80,47 +82,15 @@ impl StridePrefetcher {
         }
     }
 
-    /// Serializes the stride table and the issue counter.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("STRD");
-        w.put_u64(self.issued);
-        w.put_usize(self.table.len());
-        for e in &self.table {
-            w.put_bool(e.valid);
-            w.put_u64(e.pc_tag);
-            w.put_u64(e.last_addr);
-            w.put_i64(e.stride);
-            w.put_u8(e.confidence);
-        }
-    }
-
-    /// Restores state written by [`StridePrefetcher::save_state`] on a
-    /// prefetcher of the same table size.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or size-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("STRD")?;
-        let issued = r.take_u64()?;
-        let n = r.take_usize()?;
-        if n != self.table.len() {
-            return Err(SnapError::Mismatch(format!(
-                "stride-table size {n} != configured {}",
-                self.table.len()
-            )));
-        }
-        for e in self.table.iter_mut() {
-            e.valid = r.take_bool()?;
-            e.pc_tag = r.take_u64()?;
-            e.last_addr = r.take_u64()?;
-            e.stride = r.take_i64()?;
-            e.confidence = r.take_u8()?;
-        }
-        self.issued = issued;
-        Ok(())
+    /// The snapshot's stride table has the configured size.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_size("stride-table size", self.table.len(), self.cfg.entries)
     }
 }
+
+sst_isa::snap_record!(
+    state StridePrefetcher "STRD" { issued, table } then StridePrefetcher::restored
+);
 
 #[cfg(test)]
 mod tests {

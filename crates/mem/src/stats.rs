@@ -11,6 +11,8 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
+sst_isa::snap_record!(CacheStats { accesses, hits, writebacks });
+
 impl CacheStats {
     /// Misses (`accesses - hits`).
     pub fn misses(&self) -> u64 {

@@ -25,7 +25,7 @@
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use sst_isa::{SnapError, SnapReader, SnapWriter, SparseMem};
+use sst_isa::{SnapError, SnapReader, SnapState, SnapWriter, SparseMem};
 use sst_obs::{Event, HostTimes, Stage, TraceBuf};
 
 use crate::cache::TagArray;
@@ -159,7 +159,7 @@ pub struct MemPort {
     l1d: TagArray,
     l1i_mshr: MshrFile,
     l1d_mshr: MshrFile,
-    prefetcher: Option<StridePrefetcher>,
+    prefetcher: Prefetcher,
     /// Blocks brought in by a prefetch and still resident in this L1D.
     /// Cleared on eviction, so the set is bounded by L1D capacity and a
     /// long-evicted prefetch is never credited as useful. Workload
@@ -187,7 +187,7 @@ impl MemPort {
             l1d: TagArray::new(&cfg.l1d),
             l1i_mshr: MshrFile::new(4),
             l1d_mshr: MshrFile::new(cfg.l1d_mshrs),
-            prefetcher: cfg.prefetch.map(StridePrefetcher::new),
+            prefetcher: Prefetcher(cfg.prefetch.map(StridePrefetcher::new)),
             prefetched: BlockSet::default(),
             l1i_stats: CacheStats::default(),
             l1d_stats: CacheStats::default(),
@@ -269,76 +269,44 @@ impl MemPort {
         !self.prefetched.is_empty() && self.prefetched.remove(&block)
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("PORT");
-        self.mem.save_state(w);
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l1i_mshr.save_state(w);
-        self.l1d_mshr.save_state(w);
-        match &self.prefetcher {
-            Some(p) => {
-                w.put_bool(true);
-                p.save_state(w);
-            }
-            None => w.put_bool(false),
-        }
-        // The residency set is written sorted so serialization is a pure
-        // function of logical state, not of hash iteration order.
-        let mut resident: Vec<u64> = self.prefetched.iter().copied().collect();
-        resident.sort_unstable();
-        w.put_usize(resident.len());
-        for b in resident {
-            w.put_u64(b);
-        }
-        put_cache_stats(w, &self.l1i_stats);
-        put_cache_stats(w, &self.l1d_stats);
-        w.put_u64(self.prefetches);
-        w.put_u64(self.useful_prefetches);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("PORT")?;
-        self.mem.restore_state(r)?;
-        self.l1i.restore_state(r)?;
-        self.l1d.restore_state(r)?;
-        self.l1i_mshr.restore_state(r)?;
-        self.l1d_mshr.restore_state(r)?;
-        let has_prefetcher = r.take_bool()?;
-        match (&mut self.prefetcher, has_prefetcher) {
-            (Some(p), true) => p.restore_state(r)?,
-            (None, false) => {}
-            _ => {
-                return Err(SnapError::Mismatch(
-                    "prefetcher presence differs between snapshot and config".into(),
-                ));
-            }
-        }
-        let n = r.take_usize()?;
-        self.prefetched.clear();
-        for _ in 0..n {
-            self.prefetched.insert(r.take_u64()?);
-        }
-        self.l1i_stats = take_cache_stats(r)?;
-        self.l1d_stats = take_cache_stats(r)?;
-        self.prefetches = r.take_u64()?;
-        self.useful_prefetches = r.take_u64()?;
-        Ok(())
-    }
 }
 
-fn put_cache_stats(w: &mut SnapWriter, s: &CacheStats) {
-    w.put_u64(s.accesses);
-    w.put_u64(s.hits);
-    w.put_u64(s.writebacks);
-}
+sst_isa::snap_record!(state MemPort "PORT" {
+    mem,
+    l1i,
+    l1d,
+    l1i_mshr,
+    l1d_mshr,
+    prefetcher,
+    prefetched,
+    l1i_stats,
+    l1d_stats,
+    prefetches,
+    useful_prefetches,
+});
 
-fn take_cache_stats(r: &mut SnapReader<'_>) -> Result<CacheStats, SnapError> {
-    Ok(CacheStats {
-        accesses: r.take_u64()?,
-        hits: r.take_u64()?,
-        writebacks: r.take_u64()?,
-    })
+/// A port's stride prefetcher, present or not by configuration: a
+/// presence flag, then its state; a snapshot that disagrees with the
+/// configuration is a mismatch.
+struct Prefetcher(Option<StridePrefetcher>);
+
+impl SnapState for Prefetcher {
+    fn put_state(&self, w: &mut SnapWriter) {
+        w.put_bool(self.0.is_some());
+        if let Some(p) = &self.0 {
+            p.put_state(w);
+        }
+    }
+
+    fn take_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match (&mut self.0, r.take_bool()?) {
+            (Some(p), true) => p.take_state(r),
+            (None, false) => Ok(()),
+            _ => Err(SnapError::Mismatch(
+                "prefetcher presence differs between snapshot and config".into(),
+            )),
+        }
+    }
 }
 
 /// The state every core contends on: shared L2 tags and MSHRs, the L2
@@ -403,25 +371,9 @@ impl L2Shared {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("L2SH");
-        self.l2.save_state(w);
-        self.l2_mshr.save_state(w);
-        w.put_u64(self.l2_port_free_at);
-        self.dram.save_state(w);
-        put_cache_stats(w, &self.l2_stats);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("L2SH")?;
-        self.l2.restore_state(r)?;
-        self.l2_mshr.restore_state(r)?;
-        self.l2_port_free_at = r.take_u64()?;
-        self.dram.restore_state(r)?;
-        self.l2_stats = take_cache_stats(r)?;
-        Ok(())
-    }
 }
+
+sst_isa::snap_record!(state L2Shared "L2SH" { l2, l2_mshr, l2_port_free_at, dram, l2_stats });
 
 /// A core's handle onto the memory system: its private [`MemPort`] plus
 /// a (possibly gated) reference to the shared L2/DRAM residue.
@@ -497,7 +449,7 @@ impl<'a> MemBus<'a> {
         // Train the prefetcher on demand data accesses and issue its
         // candidates as best-effort fills.
         if matches!(kind, AccessKind::Load | AccessKind::Store) {
-            let candidates = match self.port.prefetcher.as_mut() {
+            let candidates = match self.port.prefetcher.0.as_mut() {
                 Some(p) => p.train(pc, addr),
                 None => Vec::new(),
             };
@@ -829,9 +781,9 @@ impl MemSystem {
         w.tag("MEMS");
         w.put_usize(self.ports.len());
         for p in &self.ports {
-            p.save_state(w);
+            p.put_state(w);
         }
-        self.shared.save_state(w);
+        self.shared.put_state(w);
     }
 
     /// Restores state written by [`MemSystem::save_state`] on a system
@@ -843,17 +795,11 @@ impl MemSystem {
     /// input.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag("MEMS")?;
-        let n = r.take_usize()?;
-        if n != self.ports.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {n} memory ports, system has {}",
-                self.ports.len()
-            )));
-        }
+        SnapError::check_size("memory port count", r.take_usize()?, self.ports.len())?;
         for p in &mut self.ports {
-            p.restore_state(r)?;
+            p.take_state(r)?;
         }
-        self.shared.restore_state(r)
+        self.shared.take_state(r)
     }
 
     /// Warms the cache *tags* with one architecturally executed access —

@@ -174,6 +174,19 @@ impl PhaseTable {
     }
 }
 
+/// The rows in [`Phase::ALL`] order, as a snapshot holds them.
+impl From<PhaseTable> for [u64; Phase::ALL.len()] {
+    fn from(t: PhaseTable) -> Self {
+        t.cycles
+    }
+}
+
+impl From<[u64; Phase::ALL.len()]> for PhaseTable {
+    fn from(cycles: [u64; Phase::ALL.len()]) -> PhaseTable {
+        PhaseTable { cycles }
+    }
+}
+
 /// One typed pipeline event. Every variant is self-contained — spans
 /// carry both endpoints — so a bounded ring of events always exports to
 /// a well-formed trace.

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use sst_isa::{decode, encode, Inst, Program, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Inst, Program, Reg, Snap, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
 use sst_uarch::{
@@ -134,6 +134,20 @@ pub struct OooStats {
     pub rob_high_water: usize,
 }
 
+sst_isa::snap_record!(OooStats {
+    stall_frontend,
+    stall_rob_full,
+    stall_iq_full,
+    stall_lsq_full,
+    stall_branch_resolve,
+    mispredicts,
+    violations,
+    forwards,
+    wrong_path_prefetches,
+    issued,
+    rob_high_water,
+});
+
 /// Instructions the wrong-path phantom walk may consume per blocked
 /// branch (see [`OooCore::phantom_walk`]).
 const PHANTOM_LIMIT: usize = 64;
@@ -235,9 +249,64 @@ struct LqEntry {
     stores_before: u32,
 }
 
-/// A window entry's memory fields as the snapshot lays them out:
+/// A window entry as a snapshot holds it: physical registers widened to
+/// `u64`, and the memory fields its load- or store-queue record keeps —
 /// `(addr, bytes, is_store, store value)` and the forwarding store.
-type SnapMem = (Option<(u64, u64, bool, u64)>, Option<Seq>);
+struct SavedEntry {
+    seq: Seq,
+    pc: u64,
+    inst: Inst,
+    state: EntryState,
+    srcs: [Option<u64>; 2],
+    dest_phys: Option<u64>,
+    old_phys: Option<u64>,
+    old_future: u64,
+    value: Option<u64>,
+    mem: Option<(u64, u64, bool, u64)>,
+    forwarded_from: Option<Seq>,
+    /// Issued (the state says it; not read back).
+    executed: bool,
+    mispredicted: bool,
+    actual_next: u64,
+}
+
+sst_isa::snap_record!(SavedEntry {
+    seq,
+    pc,
+    inst,
+    state,
+    srcs,
+    dest_phys,
+    old_phys,
+    old_future,
+    value,
+    mem,
+    forwarded_from,
+    executed,
+    mispredicted,
+    actual_next,
+});
+
+/// `Waiting` as a 0 byte; `Issued(done_at)` as a 1 byte and the cycle.
+impl Snap for EntryState {
+    fn put(&self, w: &mut SnapWriter) {
+        match *self {
+            EntryState::Waiting => w.put_u8(0),
+            EntryState::Issued(done_at) => {
+                w.put_u8(1);
+                w.put_u64(done_at);
+            }
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<EntryState, SnapError> {
+        match r.take_u8()? {
+            0 => Ok(EntryState::Waiting),
+            1 => Ok(EntryState::Issued(r.take_u64()?)),
+            b => Err(SnapError::Corrupt(format!("invalid window-entry state byte {b}"))),
+        }
+    }
+}
 
 /// One waiting instruction the issue scan can select: what the scan
 /// compares each cycle, so that it reads the (much larger) window entry
@@ -1140,105 +1209,6 @@ enum ForwardState {
     Memory,
 }
 
-impl RobEntry {
-    /// Writes the entry with its memory fields `mem` (which the load and
-    /// store queues hold) where the snapshot format has them.
-    fn save_state(&self, w: &mut SnapWriter, (mem, forwarded_from): SnapMem) {
-        w.put_u64(self.seq);
-        w.put_u64(self.pc);
-        w.put_u32(encode(self.inst).expect("renamed instruction re-encodes"));
-        match self.state {
-            EntryState::Waiting => w.put_u8(0),
-            EntryState::Issued(done_at) => {
-                w.put_u8(1);
-                w.put_u64(done_at);
-            }
-        }
-        for s in self.srcs {
-            w.put_opt_u64(s.map(|p| p as u64));
-        }
-        w.put_opt_u64(self.dest_phys.map(|p| p as u64));
-        w.put_opt_u64(self.old_phys.map(|p| p as u64));
-        w.put_u64(self.old_future);
-        w.put_opt_u64(self.value);
-        match mem {
-            Some((addr, bytes, is_store, value)) => {
-                w.put_bool(true);
-                w.put_u64(addr);
-                w.put_u64(bytes);
-                w.put_bool(is_store);
-                w.put_u64(value);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_opt_u64(forwarded_from);
-        w.put_bool(self.state != EntryState::Waiting); // executed
-        w.put_bool(self.mispredicted);
-        w.put_u64(self.actual_next);
-    }
-
-    /// Reads one window entry and its memory fields; physical-register
-    /// indexes are validated against `phys_count` so corrupt input cannot
-    /// index out of bounds.
-    fn load(r: &mut SnapReader<'_>, phys_count: usize) -> Result<(RobEntry, SnapMem), SnapError> {
-        let take_phys = |r: &mut SnapReader<'_>| -> Result<Option<u32>, SnapError> {
-            match r.take_opt_u64()? {
-                None => Ok(None),
-                Some(p) if (p as usize) < phys_count => Ok(Some(p as u32)),
-                Some(p) => Err(SnapError::Corrupt(format!(
-                    "physical register {p} out of range (count {phys_count})"
-                ))),
-            }
-        };
-        let seq = r.take_u64()?;
-        let pc = r.take_u64()?;
-        let word = r.take_u32()?;
-        let inst = decode(word).map_err(|_| {
-            SnapError::Corrupt(format!("undecodable window instruction {word:#010x}"))
-        })?;
-        let state = match r.take_u8()? {
-            0 => EntryState::Waiting,
-            1 => EntryState::Issued(r.take_u64()?),
-            b => {
-                return Err(SnapError::Corrupt(format!(
-                    "invalid window-entry state byte {b}"
-                )))
-            }
-        };
-        let srcs = [take_phys(r)?, take_phys(r)?];
-        let dest_phys = take_phys(r)?;
-        let old_phys = take_phys(r)?;
-        let old_future = r.take_u64()?;
-        let value = r.take_opt_u64()?;
-        let mem = if r.take_bool()? {
-            let addr = r.take_u64()?;
-            let bytes = r.take_u64()?;
-            let is_store = r.take_bool()?;
-            let value = r.take_u64()?;
-            Some((addr, bytes, is_store, value))
-        } else {
-            None
-        };
-        let mem = (mem, r.take_opt_u64()?);
-        r.take_bool()?; // executed: the state says it
-        let e = RobEntry {
-            seq,
-            pc,
-            inst,
-            state,
-            srcs,
-            dest_phys,
-            old_phys,
-            old_future,
-            value,
-            mispredicted: r.take_bool()?,
-            actual_next: r.take_u64()?,
-            mem_slot: 0, // numbered by the restore
-        };
-        Ok((e, mem))
-    }
-}
-
 impl Core for OooCore {
     fn tick(&mut self, mem: &mut MemBus) {
         let now = self.cycle;
@@ -1397,216 +1367,12 @@ impl Core for OooCore {
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.tag("OOOC");
-        w.put_u64(self.cycle);
-        w.put_u64(self.seq);
-        w.put_bool(self.halted);
-        w.put_opt_u64(self.fetch_blocked_on);
-        w.put_usize(self.phantom_count);
-        w.put_u64(self.issue_quiet_until);
-        self.frontend.save_state(w);
-        for v in self.future {
-            w.put_u64(v);
-        }
-        for p in self.rat {
-            w.put_u64(p as u64);
-        }
-        w.put_usize(self.phys_ready.len());
-        for &t in &self.phys_ready {
-            w.put_u64(t);
-        }
-        w.put_usize(self.free.len());
-        for &p in &self.free {
-            w.put_u64(p as u64);
-        }
-        w.put_usize(self.rob.len());
-        let (mut sq, mut lq) = (self.sq.iter(), self.lq.iter());
-        for e in &self.rob {
-            let mem = if e.inst.is_store() {
-                let s = sq.next().expect("a store has a store-queue record");
-                (Some((s.addr, s.bytes, true, s.value)), None)
-            } else if e.inst.is_mem() {
-                let l = lq.next().expect("a load has a load-queue record");
-                (Some((l.addr, l.bytes, false, 0)), l.forwarded_from)
-            } else {
-                (None, None)
-            };
-            e.save_state(w, mem);
-        }
-        match &self.phantom {
-            Some((shadow, poison)) => {
-                w.put_bool(true);
-                for &v in shadow.iter() {
-                    w.put_u64(v);
-                }
-                for &b in poison.iter() {
-                    w.put_bool(b);
-                }
-            }
-            None => w.put_bool(false),
-        }
-        w.put_usize(self.commits.len());
-        for c in &self.commits {
-            c.save_state(w);
-        }
-        for v in [
-            self.stats.stall_frontend,
-            self.stats.stall_rob_full,
-            self.stats.stall_iq_full,
-            self.stats.stall_lsq_full,
-            self.stats.stall_branch_resolve,
-            self.stats.mispredicts,
-            self.stats.violations,
-            self.stats.forwards,
-            self.stats.wrong_path_prefetches,
-            self.stats.issued,
-            self.stats.rob_high_water as u64,
-        ] {
-            w.put_u64(v);
-        }
+        self.put_state(w);
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let phys_count = self.phys_ready.len();
-        r.tag("OOOC")?;
-        let cycle = r.take_u64()?;
-        let seq = r.take_u64()?;
-        let halted = r.take_bool()?;
-        let fetch_blocked_on = r.take_opt_u64()?;
-        let phantom_count = r.take_usize()?;
-        let issue_quiet_until = r.take_u64()?;
-        self.frontend.restore_state(r)?;
-        let mut future = [0u64; 64];
-        for v in future.iter_mut() {
-            *v = r.take_u64()?;
-        }
-        let mut rat = [0usize; 64];
-        for p in rat.iter_mut() {
-            let v = r.take_u64()? as usize;
-            if v >= phys_count {
-                return Err(SnapError::Corrupt(format!(
-                    "RAT maps to physical register {v} out of range (count {phys_count})"
-                )));
-            }
-            *p = v;
-        }
-        let n_phys = r.take_usize()?;
-        if n_phys != phys_count {
-            return Err(SnapError::Mismatch(format!(
-                "physical register count {n_phys} != configured {phys_count}"
-            )));
-        }
-        let mut phys_ready = vec![0u64; phys_count];
-        for t in phys_ready.iter_mut() {
-            *t = r.take_u64()?;
-        }
-        let n_free = r.take_usize()?;
-        if n_free > phys_count {
-            return Err(SnapError::Corrupt(format!(
-                "free list length {n_free} exceeds physical count {phys_count}"
-            )));
-        }
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            let p = r.take_u64()? as usize;
-            if p >= phys_count {
-                return Err(SnapError::Corrupt(format!(
-                    "free physical register {p} out of range (count {phys_count})"
-                )));
-            }
-            free.push(p);
-        }
-        let n_rob = r.take_usize()?;
-        if n_rob > self.cfg.rob_entries {
-            return Err(SnapError::Corrupt(format!(
-                "window occupancy {n_rob} exceeds {} entries",
-                self.cfg.rob_entries
-            )));
-        }
-        let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(n_rob);
-        // The load and store queues are rebuilt from the window's memory
-        // fields (width and progress follow from the entry), numbered from 0.
-        self.sq.clear();
-        self.lq.clear();
-        (self.sq_popped, self.lq_popped) = (0, 0);
-        for _ in 0..n_rob {
-            let (mut e, (mem, forwarded_from)) = RobEntry::load(r, phys_count)?;
-            // The issue queue finds a window entry by its distance from
-            // the head's sequence number.
-            if rob.back().is_some_and(|prev| prev.seq.checked_add(1) != Some(e.seq)) {
-                return Err(SnapError::Corrupt(format!(
-                    "window sequence number {} does not follow its predecessor",
-                    e.seq
-                )));
-            }
-            match mem {
-                None if !e.inst.is_mem() => {}
-                Some((addr, _, store, value)) if e.inst.is_mem() && store == e.inst.is_store() => {
-                    e.mem_slot = self.push_mem(&e, addr, value, forwarded_from);
-                }
-                _ => {
-                    return Err(SnapError::Corrupt(format!(
-                        "window entry {}'s memory fields do not match its instruction",
-                        e.seq
-                    )))
-                }
-            }
-            rob.push_back(e);
-        }
-        let phantom = if r.take_bool()? {
-            let mut shadow = [0u64; 64];
-            for v in shadow.iter_mut() {
-                *v = r.take_u64()?;
-            }
-            let mut poison = [false; 64];
-            for b in poison.iter_mut() {
-                *b = r.take_bool()?;
-            }
-            Some((shadow, poison))
-        } else {
-            None
-        };
-        let n_commits = r.take_usize()?;
-        self.commits.clear();
-        for _ in 0..n_commits {
-            self.commits.push(Commit::load(r)?);
-        }
-        let mut stats = OooStats::default();
-        for slot in [
-            &mut stats.stall_frontend,
-            &mut stats.stall_rob_full,
-            &mut stats.stall_iq_full,
-            &mut stats.stall_lsq_full,
-            &mut stats.stall_branch_resolve,
-            &mut stats.mispredicts,
-            &mut stats.violations,
-            &mut stats.forwards,
-            &mut stats.wrong_path_prefetches,
-            &mut stats.issued,
-        ] {
-            *slot = r.take_u64()?;
-        }
-        stats.rob_high_water = r.take_u64()? as usize;
-        // The occupancy count, the select list and the wake lists are
-        // derived state: recompute them from the restored window so they
-        // are consistent by construction (the debug-build
-        // `counts_consistent` assertion would catch drift).
-        self.cycle = cycle;
-        self.seq = seq;
-        self.halted = halted;
-        self.fetch_blocked_on = fetch_blocked_on;
-        self.phantom_count = phantom_count;
-        self.issue_quiet_until = issue_quiet_until;
-        self.future = future;
-        self.rat = rat;
-        self.phys_ready = phys_ready;
-        self.free = free;
-        self.rob = rob;
-        self.phantom = phantom;
-        self.stats = stats;
-        self.rebuild_issue_queue();
-        Ok(())
+        self.take_state(r)
     }
 
     fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64) {
@@ -1630,6 +1396,146 @@ impl Core for OooCore {
 
     fn warm_predictor(&mut self, pc: u64, inst: Inst, taken: bool, next_pc: u64) {
         self.frontend.resolve(pc, inst, taken, next_pc);
+    }
+}
+
+sst_isa::snap_record!(state OooCore "OOOC" {
+    cycle,
+    seq,
+    halted,
+    fetch_blocked_on,
+    phantom_count,
+    issue_quiet_until,
+    frontend,
+    future,
+    rat,
+    phys_ready,
+    free,
+    (OooCore::put_window, OooCore::take_window),
+    phantom,
+    commits,
+    stats,
+} then OooCore::restored);
+
+impl OooCore {
+    /// The window, each entry with the memory fields of its queue record.
+    fn put_window(&self, w: &mut SnapWriter) {
+        let (mut sq, mut lq) = (self.sq.iter(), self.lq.iter());
+        let wide = |p: Option<u32>| p.map(u64::from);
+        let window: Vec<SavedEntry> = self
+            .rob
+            .iter()
+            .map(|e| {
+                let (mem, forwarded_from) = if e.inst.is_store() {
+                    let s = sq.next().expect("a store has a store-queue record");
+                    (Some((s.addr, s.bytes, true, s.value)), None)
+                } else if e.inst.is_mem() {
+                    let l = lq.next().expect("a load has a load-queue record");
+                    (Some((l.addr, l.bytes, false, 0)), l.forwarded_from)
+                } else {
+                    (None, None)
+                };
+                SavedEntry {
+                    seq: e.seq,
+                    pc: e.pc,
+                    inst: e.inst,
+                    state: e.state,
+                    srcs: e.srcs.map(wide),
+                    dest_phys: wide(e.dest_phys),
+                    old_phys: wide(e.old_phys),
+                    old_future: e.old_future,
+                    value: e.value,
+                    mem,
+                    forwarded_from,
+                    executed: e.state != EntryState::Waiting,
+                    mispredicted: e.mispredicted,
+                    actual_next: e.actual_next,
+                }
+            })
+            .collect();
+        window.put(w);
+    }
+
+    /// Rebuilds the window and, from its entries' memory fields, the load
+    /// and store queues (numbered from 0; width and progress follow from
+    /// the entry). Physical registers are checked against the configured
+    /// count so corrupt input cannot index out of bounds.
+    fn take_window(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let window: Vec<SavedEntry> = Snap::take(r)?;
+        SnapError::check_bound("window occupancy", window.len(), self.cfg.rob_entries)?;
+        let phys_count = self.phys_count();
+        let phys = |p: Option<u64>| match p {
+            Some(p) if p >= phys_count as u64 => Err(SnapError::Corrupt(format!(
+                "physical register {p} out of range (count {phys_count})"
+            ))),
+            p => Ok(p.map(|p| p as u32)),
+        };
+        self.rob.clear();
+        self.sq.clear();
+        self.lq.clear();
+        (self.sq_popped, self.lq_popped) = (0, 0);
+        for s in window {
+            // The issue queue finds a window entry by its distance from
+            // the head's sequence number.
+            if self.rob.back().is_some_and(|prev| prev.seq.checked_add(1) != Some(s.seq)) {
+                return Err(SnapError::Corrupt(format!(
+                    "window sequence number {} does not follow its predecessor",
+                    s.seq
+                )));
+            }
+            let mut e = RobEntry {
+                seq: s.seq,
+                pc: s.pc,
+                inst: s.inst,
+                state: s.state,
+                srcs: [phys(s.srcs[0])?, phys(s.srcs[1])?],
+                dest_phys: phys(s.dest_phys)?,
+                old_phys: phys(s.old_phys)?,
+                old_future: s.old_future,
+                value: s.value,
+                mispredicted: s.mispredicted,
+                actual_next: s.actual_next,
+                mem_slot: 0,
+            };
+            match s.mem {
+                None if !e.inst.is_mem() => {}
+                Some((addr, _, store, value)) if e.inst.is_mem() && store == e.inst.is_store() => {
+                    e.mem_slot = self.push_mem(&e, addr, value, s.forwarded_from);
+                }
+                _ => {
+                    return Err(SnapError::Corrupt(format!(
+                        "window entry {}'s memory fields do not match its instruction",
+                        e.seq
+                    )))
+                }
+            }
+            self.rob.push_back(e);
+        }
+        Ok(())
+    }
+
+    /// Physical registers: the architectural ones plus one per window
+    /// entry.
+    fn phys_count(&self) -> usize {
+        64 + self.cfg.rob_entries
+    }
+
+    /// The snapshot's register map, readiness table and free list fit the
+    /// configured physical registers; the occupancy count, the select list
+    /// and the wake lists are derived state, recomputed from the restored
+    /// window so they are consistent by construction (the debug-build
+    /// `counts_consistent` assertion would catch drift).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        let phys_count = self.phys_count();
+        SnapError::check_size("physical register count", self.phys_ready.len(), phys_count)?;
+        SnapError::check_bound("free list length", self.free.len(), phys_count)?;
+        if let Some(p) = self.rat.iter().chain(&self.free).find(|&&p| p >= phys_count) {
+            return Err(SnapError::Corrupt(format!(
+                "physical register {p} out of range (count {phys_count})"
+            )));
+        }
+        self.rebuild_issue_queue();
+        Ok(())
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use sst_isa::{Inst, Interp, MemEffect, Program, SnapError, SnapReader, SnapWriter, SparseMem};
+use sst_isa::{Inst, Interp, MemEffect, Program, SparseMem};
 use sst_uarch::Commit;
 
 /// A divergence between a core's commit stream and the reference
@@ -34,6 +34,9 @@ pub struct RetireChecker {
     checked: u64,
 }
 
+// The verified-commit count, then the reference interpreter.
+sst_isa::snap_record!(state RetireChecker "CHKR" { checked, interp });
+
 impl RetireChecker {
     /// Creates a checker for `program`.
     pub fn new(program: &Program) -> RetireChecker {
@@ -60,25 +63,6 @@ impl RetireChecker {
     /// `true` once the reference has executed its `halt`.
     pub fn finished(&self) -> bool {
         self.interp.is_halted()
-    }
-
-    /// Serializes the checker (reference interpreter plus verified-commit
-    /// count) for a run snapshot.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("CHKR");
-        w.put_u64(self.checked);
-        self.interp.save_state(w);
-    }
-
-    /// Restores state written by [`RetireChecker::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] on truncated or corrupt input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("CHKR")?;
-        self.checked = r.take_u64()?;
-        self.interp.restore_state(r)
     }
 
     /// Verifies one commit.

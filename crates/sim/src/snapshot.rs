@@ -8,8 +8,9 @@
 //! the workspace's hand-rolled little-endian codec (`sst_isa::snap`) —
 //! no external serialization dependency — and restoring is strictly
 //! validating: truncated or corrupt bytes produce a structured
-//! [`SnapError`](sst_isa::SnapError), never a panic, and shape fields
-//! are checked against the rebuilt configuration before any allocation.
+//! [`SnapError`](sst_isa::SnapError), never a panic; no allocation is
+//! sized from a length in the bytes, and shapes are checked against the
+//! rebuilt configuration.
 //!
 //! Determinism contract: serializing the same paused state twice yields
 //! identical bytes (unordered containers are written in sorted key

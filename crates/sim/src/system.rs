@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use sst_isa::{Inst, InstClass, SnapError, SnapReader, SnapWriter, SparseMem, SNAPSHOT_VERSION};
+use sst_isa::{
+    Inst, InstClass, Snap, SnapError, SnapReader, SnapState, SnapWriter, SparseMem,
+    SNAPSHOT_VERSION,
+};
 use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
 use sst_obs::{HostTimes, TraceBuf};
 use sst_uarch::{Commit, Core};
@@ -438,9 +441,7 @@ impl System {
         w.put_u64(self.retirement.skip_insts);
         w.put_u64(self.retirement.committed);
         w.put_u64(self.retirement.warmup_cycles);
-        for &n in &self.retirement.inst_mix {
-            w.put_u64(n);
-        }
+        self.retirement.inst_mix.put(&mut w);
         let not_run_yet = self.retirement.cosim.start(self.mem.mem());
         let checker = match &self.retirement.cosim {
             Cosim::On(ck) => Some(ck),
@@ -449,7 +450,7 @@ impl System {
         match checker {
             Some(ck) => {
                 w.put_bool(true);
-                ck.save_state(&mut w);
+                ck.put_state(&mut w);
             }
             None => w.put_bool(false),
         }
@@ -518,12 +519,10 @@ impl System {
         }
         acc.committed = r.take_u64()?;
         acc.warmup_cycles = r.take_u64()?;
-        for n in acc.inst_mix.iter_mut() {
-            *n = r.take_u64()?;
-        }
+        acc.inst_mix = Snap::take(&mut r)?;
         acc.cosim = if r.take_bool()? {
             let mut ck = Box::new(RetireChecker::new(&workload.program));
-            ck.restore_state(&mut r)?;
+            ck.take_state(&mut r)?;
             Cosim::On(ck)
         } else {
             Cosim::Off

@@ -1,7 +1,7 @@
 //! The interface every core model implements, and the commit-event record
 //! used for co-simulation against the functional golden model.
 
-use sst_isa::{decode, encode, Inst, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Inst, Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
 use sst_mem::{Cycle, MemBus};
 
 use crate::Seq;
@@ -29,69 +29,7 @@ pub struct Commit {
     pub at: Cycle,
 }
 
-impl Commit {
-    /// Serializes the commit record (snapshotting of undrained commit
-    /// buffers and epoch logs).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seq);
-        w.put_u64(self.pc);
-        w.put_u32(encode(self.inst).expect("committed instruction re-encodes"));
-        match self.reg_write {
-            Some((r, v)) => {
-                w.put_bool(true);
-                w.put_u8(r.index() as u8);
-                w.put_u64(v);
-            }
-            None => w.put_bool(false),
-        }
-        match self.store {
-            Some((addr, bytes, value)) => {
-                w.put_bool(true);
-                w.put_u64(addr);
-                w.put_u64(bytes);
-                w.put_u64(value);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.at);
-    }
-
-    /// Reads a commit record written by [`Commit::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Commit, SnapError> {
-        let seq = r.take_u64()?;
-        let pc = r.take_u64()?;
-        let word = r.take_u32()?;
-        let inst = decode(word).map_err(|_| {
-            SnapError::Corrupt(format!("undecodable committed instruction {word:#010x}"))
-        })?;
-        let reg_write = if r.take_bool()? {
-            let idx = r.take_u8()?;
-            let reg = Reg::from_index(idx).ok_or_else(|| {
-                SnapError::Corrupt(format!("register index {idx} out of range"))
-            })?;
-            Some((reg, r.take_u64()?))
-        } else {
-            None
-        };
-        let store = if r.take_bool()? {
-            Some((r.take_u64()?, r.take_u64()?, r.take_u64()?))
-        } else {
-            None
-        };
-        Ok(Commit {
-            seq,
-            pc,
-            inst,
-            reg_write,
-            store,
-            at: r.take_u64()?,
-        })
-    }
-}
+sst_isa::snap_record!(Commit { seq, pc, inst, reg_write, store, at });
 
 /// Every model's [`Core::drain_commits_into`]: nothing when nothing is
 /// pending (the buffers keep their capacities); a swap of the two when `out`
@@ -170,11 +108,8 @@ pub trait Core: Send {
     /// on the state the last tick left, to find the window. A second copy
     /// of the stall conditions kept beside `tick` would drift from it.
     ///
-    /// Returning `self.cycle()` means "no skip is provably safe"; that is
-    /// the default, so custom cores stay correct without opting in.
-    fn next_event_cycle(&self) -> Cycle {
-        self.cycle()
-    }
+    /// Returning `self.cycle()` means "no skip is provably safe".
+    fn next_event_cycle(&self) -> Cycle;
 
     /// Advances the clock to `target` without ticking, bulk-crediting
     /// exactly the stall counters the skipped ticks would have
@@ -182,15 +117,8 @@ pub trait Core: Send {
     /// stall reason the gate returns at `cycle()` holds across the whole
     /// vouched window, and the same reason-to-counter map that charges one
     /// cycle in `tick` charges the window's length here. Callers must only
-    /// pass targets that [`Core::next_event_cycle`] vouched for; the
-    /// default implementation pairs with the default `next_event_cycle`
-    /// (which never vouches for anything) and therefore panics if reached.
-    fn skip_to(&mut self, target: Cycle) {
-        panic!(
-            "{}: skip_to({target}) called but next_event_cycle() was not overridden",
-            self.model_name()
-        );
-    }
+    /// pass targets that [`Core::next_event_cycle`] vouched for.
+    fn skip_to(&mut self, target: Cycle);
 
     /// Runs the core from [`Core::cycle`] towards `horizon` (ahead of it;
     /// the core has not halted): tick, drain the tick's commits into `out`
@@ -247,14 +175,7 @@ pub trait Core: Send {
     /// clock is held. Callers must only gate a core they then resume at
     /// `target` (all cores of a chip share one clock). A `target` at or
     /// before the current cycle is a no-op.
-    ///
-    /// The default panics: drivers may only gate cores that opted in.
-    fn gate_to(&mut self, target: Cycle) {
-        panic!(
-            "{}: gate_to({target}) called but the model does not support clock gating",
-            self.model_name()
-        );
-    }
+    fn gate_to(&mut self, target: Cycle);
 
     /// The core's index in the shared memory system.
     fn core_id(&self) -> usize;
@@ -356,9 +277,10 @@ pub trait Core: Send {
     /// speculative state (epochs, deferred queues, store buffers, ROB),
     /// loads `regs` as the committed register file, and redirects fetch
     /// to `pc` penalty-free — while **keeping** learned microarchitectural
-    /// warmth (branch-predictor tables, decoded-text caches). The cycle
-    /// counter keeps running monotonically; sampled simulation measures
-    /// per-interval cycles as deltas around these teleports.
+    /// warmth (branch-predictor tables; decoded text belongs to the
+    /// program and is shared). The cycle counter keeps running
+    /// monotonically; sampled simulation measures per-interval cycles as
+    /// deltas around these teleports.
     ///
     /// The default panics: sampling drivers only warm-boot models that
     /// opted in.

@@ -49,7 +49,7 @@
 //! that the next squash zeroes. A full queue stalls as before; the record
 //! nobody reads is not built.
 
-use sst_isa::{decode, encode, Inst, SnapError, SnapReader, SnapWriter};
+use sst_isa::{Inst, Snap, SnapError, SnapReader, SnapState, SnapWriter};
 use sst_mem::Cycle;
 
 use crate::Seq;
@@ -80,6 +80,47 @@ pub struct DqEntry {
     /// time in this simulator's resolve-at-issue timing model). Replay
     /// before this cycle is pointless.
     pub data_ready_at: Option<Cycle>,
+}
+
+sst_isa::snap_record!(DqEntry {
+    seq,
+    pc,
+    inst,
+    captured,
+    producers,
+    predicted_taken as Direction,
+    pred_next_pc,
+    data_ready_at,
+});
+
+/// A speculated branch direction as a snapshot holds it: one byte, 0 for
+/// none, 1 for not taken, 2 for taken.
+struct Direction(Option<bool>);
+
+impl From<Option<bool>> for Direction {
+    fn from(d: Option<bool>) -> Direction {
+        Direction(d)
+    }
+}
+
+impl From<Direction> for Option<bool> {
+    fn from(d: Direction) -> Option<bool> {
+        d.0
+    }
+}
+
+impl Snap for Direction {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u8(self.0.map_or(0, |taken| 1 + taken as u8));
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Direction, SnapError> {
+        match r.take_u8()? {
+            0 => Ok(Direction(None)),
+            b @ (1 | 2) => Ok(Direction(Some(b == 2))),
+            b => Err(SnapError::Corrupt(format!("bad predicted-taken byte {b}"))),
+        }
+    }
 }
 
 impl DqEntry {
@@ -564,44 +605,20 @@ impl DeferredQueue {
             && self.cursor.map_or(true, |at| at <= self.timed.len())
     }
 
-    /// Serializes live entries (program order, each with its delivered
-    /// operands' ready cycle and blocked mark), the held-slot count, the
-    /// pass cursor, and the occupancy statistics.
+    /// Serializes the deferral total, the high-water mark, the held-slot
+    /// count, the pass cursor, and the live entries in program order, each
+    /// with its delivered operands' ready cycle and blocked mark.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.tag("DQUE");
-        w.put_u64(self.total_deferred);
-        w.put_usize(self.high_water);
-        w.put_usize(self.held);
-        w.put_opt_u64(self.cursor.map(|at| at as u64));
-        w.put_usize(self.len);
         let mut listed = self.timed.iter().peekable();
+        let mut entries = Vec::with_capacity(self.len);
         let mut at = self.head;
         while let Some(s) = self.slots.get(at as usize) {
+            let blocked = listed.next_if(|t| t.seq == s.entry.seq).is_some_and(|t| t.blocked);
+            entries.push((s.entry, s.src_ready, blocked));
             at = s.next;
-            let e = &s.entry;
-            w.put_u64(e.seq);
-            w.put_u64(e.pc);
-            w.put_u32(encode(e.inst).expect("deferred instruction re-encodes"));
-            for c in e.captured {
-                w.put_opt_u64(c);
-            }
-            for p in e.producers {
-                w.put_opt_u64(p);
-            }
-            w.put_u8(match e.predicted_taken {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            });
-            w.put_opt_u64(e.pred_next_pc);
-            w.put_opt_u64(e.data_ready_at);
-            w.put_u64(s.src_ready);
-            w.put_bool(
-                listed
-                    .next_if(|t| t.seq == e.seq)
-                    .is_some_and(|t| t.blocked),
-            );
         }
+        (self.total_deferred, self.high_water, self.held, self.cursor, entries).put(w);
     }
 
     /// Restores state written by [`DeferredQueue::save_state`] on a queue
@@ -616,11 +633,8 @@ impl DeferredQueue {
     /// [`DeferredQueue::consistent`]).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.tag("DQUE")?;
-        let total_deferred = r.take_u64()?;
-        let high_water = r.take_usize()?;
-        let held = r.take_usize()?;
-        let cursor = r.take_opt_u64()?;
-        let n = r.take_usize()?;
+        let (total_deferred, high_water, held, cursor, entries): Saved = Snap::take(r)?;
+        let n = entries.len();
         if n.saturating_add(held) > self.capacity || high_water > self.capacity {
             return Err(SnapError::Corrupt(format!(
                 "DQ occupancy {n} + {held} held / high-water {high_water} exceeds capacity {}",
@@ -630,42 +644,14 @@ impl DeferredQueue {
         self.clear();
         self.slots.clear();
         self.free.clear();
-        let mut last_seq: Option<Seq> = None;
-        for _ in 0..n {
-            let seq = r.take_u64()?;
-            if last_seq.is_some_and(|l| l >= seq) {
+        for (entry, src_ready, blocked) in entries {
+            let seq = entry.seq;
+            if self.seq_of(self.tail) >= Some(seq) {
                 return Err(SnapError::Corrupt(format!(
                     "DQ entries out of program order at seq {seq}"
                 )));
             }
-            last_seq = Some(seq);
-            let pc = r.take_u64()?;
-            let word = r.take_u32()?;
-            let inst = decode(word).map_err(|_| {
-                SnapError::Corrupt(format!("undecodable deferred instruction {word:#010x}"))
-            })?;
-            let captured = [r.take_opt_u64()?, r.take_opt_u64()?];
-            let producers = [r.take_opt_u64()?, r.take_opt_u64()?];
-            let predicted_taken = match r.take_u8()? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                b => return Err(SnapError::Corrupt(format!("bad predicted-taken byte {b}"))),
-            };
-            let pred_next_pc = r.take_opt_u64()?;
-            let data_ready_at = r.take_opt_u64()?;
-            let src_ready = r.take_u64()?;
-            let blocked = r.take_bool()?;
-            self.push(DqEntry {
-                seq,
-                pc,
-                inst,
-                captured,
-                producers,
-                predicted_taken,
-                pred_next_pc,
-                data_ready_at,
-            });
+            self.push(entry);
             let slot = &mut self.slots[self.tail as usize];
             slot.src_ready = src_ready;
             match self.timed.last_mut().filter(|t| t.seq == seq) {
@@ -684,7 +670,7 @@ impl DeferredQueue {
                 None => {}
             }
         }
-        self.cursor = cursor.map(|at| at as usize);
+        self.cursor = cursor;
         self.held = held;
         self.total_deferred = total_deferred;
         self.high_water = high_water;
@@ -694,6 +680,21 @@ impl DeferredQueue {
             ));
         }
         Ok(())
+    }
+}
+
+/// The queue as a snapshot holds it: deferral total, high-water mark,
+/// held slots, pass cursor, and each live entry with its delivered
+/// operands' ready cycle and blocked mark.
+type Saved = (u64, usize, usize, Option<usize>, Vec<(DqEntry, Cycle, bool)>);
+
+impl SnapState for DeferredQueue {
+    fn put_state(&self, w: &mut SnapWriter) {
+        self.save_state(w);
+    }
+
+    fn take_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.restore_state(r)
     }
 }
 

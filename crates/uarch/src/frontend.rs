@@ -10,9 +10,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sst_branch::{BranchKind, BranchUnit, Prediction, PredictorKind};
-use sst_isa::{
-    decode, encode, Inst, Program, Reg, SnapError, SnapReader, SnapWriter, INST_BYTES,
-};
+use sst_isa::{decode, Inst, Program, Reg, SnapError, INST_BYTES};
 use sst_mem::{AccessKind, Cycle, MemBus};
 
 /// Frontend configuration.
@@ -61,6 +59,8 @@ pub struct FetchedInst {
     /// non-control and unconditional instructions).
     pub pred_confident: bool,
 }
+
+sst_isa::snap_record!(FetchedInst { pc, inst, pred_taken, pred_next_pc, pred_confident });
 
 /// Classifies a control instruction for the branch unit.
 #[inline]
@@ -361,10 +361,10 @@ impl Frontend {
     }
 
     /// Squashes all in-flight fetch state and restarts fetch at `pc` with
-    /// no redirect penalty, **keeping** learned warmth (predictor tables,
-    /// decode cache). Sampled simulation uses this to teleport between
-    /// measurement intervals; a normal misprediction recovery uses
-    /// [`Frontend::redirect`] instead.
+    /// no redirect penalty, **keeping** learned warmth (the predictor
+    /// tables; decoded text belongs to the program and is shared). Sampled
+    /// simulation uses this to teleport between measurement intervals; a
+    /// normal misprediction recovery uses [`Frontend::redirect`] instead.
     pub fn warm_reset(&mut self, pc: u64) {
         self.queue.clear();
         self.fetch_pc = pc;
@@ -377,146 +377,30 @@ impl Frontend {
         self.unit.repair_ras();
     }
 
-    /// Serializes all mutable fetch state — queue contents, park flags,
-    /// stall window, and the branch unit's tables — for snapshotting. The
-    /// decode cache is deliberately excluded: it is a pure implementation
-    /// speedup refilled lazily on the restored side, with identical timing.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("FRNT");
-        w.put_u64(self.fetch_pc);
-        w.put_u64(self.stalled_until);
-        w.put_bool(self.waiting_indirect);
-        w.put_bool(self.bad_path);
-        w.put_bool(self.saw_halt);
-        w.put_opt_u64(self.halt_pc);
-        w.put_opt_u64(self.fetch_line);
-        w.put_u64(self.fetched_insts);
-        w.put_u64(self.icache_stall_cycles);
-        w.put_usize(self.queue.len());
-        for f in &self.queue {
-            w.put_u64(f.pc);
-            w.put_u32(encode(f.inst).expect("fetched instruction re-encodes"));
-            w.put_bool(f.pred_taken);
-            w.put_u64(f.pred_next_pc);
-            w.put_bool(f.pred_confident);
-        }
-        let mut dir = Vec::new();
-        self.unit.direction_dump(&mut dir);
-        w.put_bytes(&dir);
-        let btb = self.unit.btb().entries();
-        w.put_usize(btb.len());
-        for e in btb {
-            match e {
-                Some((tag, target)) => {
-                    w.put_bool(true);
-                    w.put_u64(*tag);
-                    w.put_u64(*target);
-                }
-                None => w.put_bool(false),
-            }
-        }
-        let (stack, top, len) = self.unit.ras().raw_state();
-        w.put_usize(stack.len());
-        for &v in stack {
-            w.put_u64(v);
-        }
-        w.put_usize(top);
-        w.put_usize(len);
-        w.put_u64(self.unit.cond_predictions);
-        w.put_u64(self.unit.cond_mispredictions);
-        w.put_u64(self.unit.target_mispredictions);
-    }
-
-    /// Restores state written by [`Frontend::save_state`] on a frontend
-    /// built with the same configuration over the same program.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or shape-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("FRNT")?;
-        self.fetch_pc = r.take_u64()?;
-        self.stalled_until = r.take_u64()?;
-        self.waiting_indirect = r.take_bool()?;
-        self.bad_path = r.take_bool()?;
-        self.saw_halt = r.take_bool()?;
-        self.halt_pc = r.take_opt_u64()?;
-        self.fetch_line = r.take_opt_u64()?;
-        self.fetched_insts = r.take_u64()?;
-        self.icache_stall_cycles = r.take_u64()?;
-        let n = r.take_usize()?;
-        if n > self.cfg.queue_depth {
-            return Err(SnapError::Corrupt(format!(
-                "frontend queue length {n} exceeds depth {}",
-                self.cfg.queue_depth
-            )));
-        }
-        self.queue.clear();
-        for _ in 0..n {
-            let pc = r.take_u64()?;
-            let word = r.take_u32()?;
-            let inst = decode(word).map_err(|_| {
-                SnapError::Corrupt(format!("undecodable queued instruction {word:#010x}"))
-            })?;
-            let pred_taken = r.take_bool()?;
-            let pred_next_pc = r.take_u64()?;
-            let pred_confident = r.take_bool()?;
-            self.queue.push_back(FetchedInst {
-                pc,
-                inst,
-                pred_taken,
-                pred_next_pc,
-                pred_confident,
-            });
-        }
-        let dir = r.take_bytes()?;
-        if !self.unit.direction_load(&dir) {
-            return Err(SnapError::Mismatch(
-                "direction-predictor state does not fit the configured predictor".into(),
-            ));
-        }
-        let btb_n = r.take_usize()?;
-        if btb_n != self.unit.btb().entries().len() {
-            return Err(SnapError::Mismatch(format!(
-                "BTB entry count {btb_n} != configured {}",
-                self.unit.btb().entries().len()
-            )));
-        }
-        let mut entries = Vec::with_capacity(btb_n);
-        for _ in 0..btb_n {
-            entries.push(if r.take_bool()? {
-                Some((r.take_u64()?, r.take_u64()?))
-            } else {
-                None
-            });
-        }
-        if !self.unit.btb_mut().set_entries(&entries) {
-            return Err(SnapError::Mismatch("BTB shape mismatch".into()));
-        }
-        let depth = r.take_usize()?;
-        if depth != self.unit.ras().raw_state().0.len() {
-            return Err(SnapError::Mismatch(format!(
-                "RAS depth {depth} != configured {}",
-                self.unit.ras().raw_state().0.len()
-            )));
-        }
-        let mut stack = vec![0u64; depth];
-        for slot in stack.iter_mut() {
-            *slot = r.take_u64()?;
-        }
-        let top = r.take_usize()?;
-        let len = r.take_usize()?;
-        if !self.unit.ras_mut().set_raw_state(&stack, top, len) {
-            return Err(SnapError::Corrupt(format!(
-                "RAS state (top {top}, len {len}) inconsistent with depth {depth}"
-            )));
-        }
-        self.unit.cond_predictions = r.take_u64()?;
-        self.unit.cond_mispredictions = r.take_u64()?;
-        self.unit.target_mispredictions = r.take_u64()?;
-        Ok(())
+    /// The snapshot's queue fits the configured depth and its RAS has the
+    /// configured depth (the BTB and predictor tables check their own).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_bound("frontend queue length", self.queue.len(), self.cfg.queue_depth)?;
+        SnapError::check_size("RAS depth", self.unit.ras().depth(), self.cfg.ras_depth)
     }
 }
+
+// All mutable fetch state: the fetch point, park flags and stall window,
+// the queue, and the branch unit's tables. The decoded text belongs to the
+// program and is shared, so it is not written.
+sst_isa::snap_record!(state Frontend "FRNT" {
+    fetch_pc,
+    stalled_until,
+    waiting_indirect,
+    bad_path,
+    saw_halt,
+    halt_pc,
+    fetch_line,
+    fetched_insts,
+    icache_stall_cycles,
+    queue,
+    unit,
+} then Frontend::restored);
 
 #[cfg(test)]
 mod tests {

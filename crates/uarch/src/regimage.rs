@@ -1,6 +1,6 @@
 //! Register images with NT bits — the SST checkpoint substrate.
 
-use sst_isa::{Reg, SnapError, SnapReader, SnapWriter, NUM_REGS};
+use sst_isa::{Reg, NUM_REGS};
 use sst_mem::Cycle;
 
 use crate::Seq;
@@ -21,6 +21,8 @@ pub struct RegSlot {
     /// Cycle at which the value becomes readable (execution latency).
     pub ready_at: Cycle,
 }
+
+sst_isa::snap_record!(RegSlot { value, nt, writer, ready_at });
 
 
 /// A full 64-register image with NT bits.
@@ -151,34 +153,9 @@ impl RegImage {
         }
         out
     }
-
-    /// Serializes every slot (value, NT bit, writer tag, readiness).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("RIMG");
-        for s in &self.slots {
-            w.put_u64(s.value);
-            w.put_bool(s.nt);
-            w.put_u64(s.writer);
-            w.put_u64(s.ready_at);
-        }
-    }
-
-    /// Restores state written by [`RegImage::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("RIMG")?;
-        for s in self.slots.iter_mut() {
-            s.value = r.take_u64()?;
-            s.nt = r.take_bool()?;
-            s.writer = r.take_u64()?;
-            s.ready_at = r.take_u64()?;
-        }
-        Ok(())
-    }
 }
+
+sst_isa::snap_record!(RegImage "RIMG" { slots });
 
 impl Default for RegImage {
     fn default() -> RegImage {
@@ -215,33 +192,9 @@ impl Checkpoint {
             taken_at,
         }
     }
-
-    /// Serializes the checkpoint (image + restore point).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("CKPT");
-        self.image.save_state(w);
-        w.put_u64(self.pc);
-        w.put_u64(self.start_seq);
-        w.put_u64(self.taken_at);
-    }
-
-    /// Reads a checkpoint written by [`Checkpoint::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated or corrupt input.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Checkpoint, SnapError> {
-        r.tag("CKPT")?;
-        let mut image = RegImage::new();
-        image.restore_state(r)?;
-        Ok(Checkpoint {
-            image,
-            pc: r.take_u64()?,
-            start_seq: r.take_u64()?,
-            taken_at: r.take_u64()?,
-        })
-    }
 }
+
+sst_isa::snap_record!(Checkpoint "CKPT" { image, pc, start_seq, taken_at });
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use sst_isa::{SnapError, SnapReader, SnapWriter};
+use sst_isa::SnapError;
 
 use crate::Seq;
 
@@ -33,6 +33,8 @@ pub struct StoreEntry {
     /// Store data; `None` while the data is not-there.
     pub value: Option<u64>,
 }
+
+sst_isa::snap_record!(StoreEntry { seq, addr, bytes, value });
 
 /// Result of a forwarding lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -311,74 +313,32 @@ impl StoreBuffer {
         self.entries.iter()
     }
 
-    /// Serializes live entries (program order) and the counters. The
-    /// unresolved-address side index is not written: it is derivable from
-    /// the entries and rebuilt on restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.tag("STBF");
-        w.put_u64(self.total_stores);
-        w.put_u64(self.forwards);
-        w.put_u64(self.must_waits);
-        w.put_usize(self.high_water);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.seq);
-            w.put_opt_u64(e.addr);
-            w.put_u64(e.bytes);
-            w.put_opt_u64(e.value);
-        }
-    }
-
-    /// Restores state written by [`StoreBuffer::save_state`] on a buffer
-    /// of the same capacity, rebuilding the unresolved-address index.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] on truncated, corrupt, or capacity-mismatched input.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.tag("STBF")?;
-        let total_stores = r.take_u64()?;
-        let forwards = r.take_u64()?;
-        let must_waits = r.take_u64()?;
-        let high_water = r.take_usize()?;
-        let n = r.take_usize()?;
-        if n > self.capacity || high_water > self.capacity {
+    /// The snapshot's entries fit the buffer in program order; rebuilds the
+    /// unresolved-address index (derivable from the entries, so not
+    /// written).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        SnapError::check_bound("STB occupancy", self.entries.len(), self.capacity)?;
+        SnapError::check_bound("STB high-water mark", self.high_water, self.capacity)?;
+        let mut pairs = self.entries.iter().zip(self.entries.iter().skip(1));
+        if let Some((_, e)) = pairs.find(|(older, e)| older.seq >= e.seq) {
             return Err(SnapError::Corrupt(format!(
-                "STB occupancy {n} / high-water {high_water} exceeds capacity {}",
-                self.capacity
+                "STB entries out of program order at seq {}",
+                e.seq
             )));
         }
-        self.entries.clear();
-        self.unresolved_addrs.clear();
-        let mut last_seq: Option<Seq> = None;
-        for _ in 0..n {
-            let seq = r.take_u64()?;
-            if last_seq.is_some_and(|l| l >= seq) {
-                return Err(SnapError::Corrupt(format!(
-                    "STB entries out of program order at seq {seq}"
-                )));
-            }
-            last_seq = Some(seq);
-            let addr = r.take_opt_u64()?;
-            let bytes = r.take_u64()?;
-            let value = r.take_opt_u64()?;
-            if addr.is_none() {
-                self.unresolved_addrs.push_back(seq);
-            }
-            self.entries.push_back(StoreEntry {
-                seq,
-                addr,
-                bytes,
-                value,
-            });
-        }
-        self.total_stores = total_stores;
-        self.forwards = forwards;
-        self.must_waits = must_waits;
-        self.high_water = high_water;
+        let unresolved = self.entries.iter().filter(|e| e.addr.is_none());
+        self.unresolved_addrs = unresolved.map(|e| e.seq).collect();
         Ok(())
     }
 }
+
+sst_isa::snap_record!(state StoreBuffer "STBF" {
+    total_stores,
+    forwards,
+    must_waits,
+    high_water,
+    entries,
+} then StoreBuffer::restored);
 
 #[cfg(test)]
 mod tests {
