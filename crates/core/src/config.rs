@@ -52,19 +52,6 @@ pub struct SstConfig {
     /// summary is reported through `Core::leakage`, never through
     /// `Core::counters`.
     pub taint: bool,
-    /// Typed event tracing (off by default): record phase spans,
-    /// checkpoint take/commit/rollback, defer/redefer/replay markers,
-    /// and DQ/STB occupancy samples into an `sst_obs::TraceBuf` for the
-    /// Chrome-trace exporter. The taint layer's contract applies
-    /// verbatim: recording is purely observational and never consulted,
-    /// so runs with the flag on and off are byte-identical — same
-    /// cycles, commits, counters, and memory statistics (the trace
-    /// equivalence test pins this). The buffer is reported through
-    /// `Core::take_trace`, never through `Core::counters`. This flag
-    /// replaces the old `SST_TRACE` / `SST_TRACE_FAILS` env-var reads,
-    /// which were sampled per-core at construction and raced with
-    /// harness-parallel jobs.
-    pub trace: bool,
 }
 
 impl SstConfig {
@@ -83,7 +70,6 @@ impl SstConfig {
             bypass_stall_window: 6,
             confidence_gate: false,
             taint: false,
-            trace: false,
         }
     }
 

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
-use sst_obs::{DeferCause, Event, HostTimes, Phase, PhaseTable, Stage, TraceBuf};
+use sst_obs::{DeferCause, Event, Phase, PhaseTable, Probes, Stage};
 use sst_uarch::{
     drain_commits, execute, extend_load, mem_addr, Checkpoint, Commit, Core, DeferredQueue, DqEntry,
     DrainedStore, FetchedInst, ForwardResult, Frontend, LeakageSummary, RegImage, Seq,
@@ -118,14 +118,8 @@ pub struct SstCore {
     /// Per-phase cycle table (always on: one array add per tick). Rows
     /// sum exactly to `cycle`, however the clock advanced.
     phase_cycles: PhaseTable,
-    /// Typed event sink ([`SstConfig::trace`] or `Core::set_trace`);
-    /// `None` when tracing is off. Record-only — see the config flag's
-    /// byte-identity contract. Replaces the old `SST_TRACE` string ring
-    /// (and its racy per-core env read).
-    tracebuf: Option<Box<TraceBuf>>,
-    /// Host self-profiling accumulator (`Core::set_host_prof`); `None`
-    /// when profiling is off. Record-only, like the trace sink.
-    prof: Option<Box<HostTimes>>,
+    /// Event ring and host stage timers (`Core::probes`), record-only.
+    probes: Probes,
     /// Speculation-taint tracker ([`SstConfig::taint`]); `None` when the
     /// layer is disabled. Purely observational — see the config flag's
     /// byte-identity contract.
@@ -161,7 +155,6 @@ impl SstCore {
             dq: DeferredQueue::new(cfg.dq_entries),
             stb: StoreBuffer::new(cfg.stb_entries),
             taint: cfg.taint.then(|| Box::new(TaintState::new())),
-            tracebuf: cfg.trace.then(|| Box::new(TraceBuf::new())),
             cfg,
             id,
             spec: RegImage::new(),
@@ -176,7 +169,7 @@ impl SstCore {
             no_defer: false,
             last_progress: 0,
             phase_cycles: PhaseTable::new(),
-            prof: None,
+            probes: Probes::default(),
             stats: SstStats::default(),
             #[cfg(test)]
             work: WorkCounters::default(),
@@ -234,15 +227,6 @@ impl SstCore {
 
     // ---------------------------------------------------------------- helpers
 
-    /// Records a typed event iff tracing is on (one discriminant test
-    /// when off — the event-sink contract).
-    #[inline]
-    fn emit(&mut self, e: Event) {
-        if let Some(tb) = self.tracebuf.as_mut() {
-            tb.push(e);
-        }
-    }
-
     fn in_speculation(&self) -> bool {
         !self.epochs.is_empty()
     }
@@ -271,9 +255,7 @@ impl SstCore {
     fn account_phase(&mut self, now: Cycle, n: u64) {
         let ph = self.phase_at(now);
         self.phase_cycles.add(ph, n);
-        if let Some(tb) = self.tracebuf.as_mut() {
-            tb.set_phase(ph, now);
-        }
+        self.probes.set_phase(ph, now);
     }
 
     // ------------------------------------------------------------ taint hooks
@@ -414,7 +396,7 @@ impl SstCore {
             );
             let merged = ep.log.len() as u32;
             self.commits.append(&mut ep.log);
-            self.emit(Event::CkptCommit { at: now, merged });
+            self.probes.emit(Event::CkptCommit { at: now, merged });
             self.drain_buf.clear();
             self.stb.drain_through_into(bound, &mut self.drain_buf);
             for d in &self.drain_buf {
@@ -456,7 +438,7 @@ impl SstCore {
             cause_ready,
         });
         let live = self.epochs.len() as u32;
-        self.emit(Event::CkptTake { at: now, live });
+        self.probes.emit(Event::CkptTake { at: now, live });
     }
 
     // ------------------------------------------------------------ rollback
@@ -467,7 +449,7 @@ impl SstCore {
     /// layer is enabled.
     fn rollback_to(&mut self, idx: usize, now: Cycle, scout: bool, mem: &mut MemBus) {
         let ck = self.epochs[idx].ckpt.clone();
-        self.emit(Event::CkptRollback {
+        self.probes.emit(Event::CkptRollback {
             at: now,
             scout,
             squashed: (self.seq + 1).saturating_sub(ck.start_seq) as u32,
@@ -551,7 +533,7 @@ impl SstCore {
             let Some(when) = self.dq.when_at(at) else {
                 // Pass complete: sleep until the earliest knowable
                 // enabling event of any remaining entry.
-                self.emit(Event::ReplayPass {
+                self.probes.emit(Event::ReplayPass {
                     at: now,
                     executed: pass_exec,
                     redeferred: pass_stuck,
@@ -657,7 +639,7 @@ impl SstCore {
                         // returns.
                         self.dq.set_data_ready(at, out.ready_at);
                         self.stats.redeferred += 1;
-                        self.emit(Event::Redefer { at: now });
+                        self.probes.emit(Event::Redefer { at: now });
                         return ReplayOutcome::Stuck;
                     }
                     out.ready_at.max(now + 1)
@@ -730,7 +712,7 @@ impl SstCore {
                             // Typed successor of the old SST_TRACE_FAILS
                             // eprintln: the failing control transfer is an
                             // event, inspectable in the exported trace.
-                            self.emit(Event::ReplayFail { at: now, seq: e.seq });
+                            self.probes.emit(Event::ReplayFail { at: now, seq: e.seq });
                             return ReplayOutcome::Fail;
                         }
                         self.frontend.redirect(now + 1, out.next_pc);
@@ -919,7 +901,7 @@ impl SstCore {
             DeferCause::ForwardMiss => self.stats.defer_forward_miss += 1,
             DeferCause::CacheMiss => self.stats.defer_cache_miss += 1,
         }
-        self.emit(Event::Defer { at: now, cause });
+        self.probes.emit(Event::Defer { at: now, cause });
     }
 
     /// The ahead strand's stall decision for its head instruction at cycle
@@ -1250,31 +1232,29 @@ impl Core for SstCore {
             self.stb.len()
         );
 
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         self.frontend.tick(now, mem);
-        HostTimes::stop(&mut self.prof, Stage::Fetch, t0);
+        self.probes.stop(Stage::Fetch, t0);
 
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         let mut mem_ops = 0usize;
         let ahead_slots = self.manage_speculation(now, mem, &mut mem_ops);
         if self.commit_due {
             self.try_commit(now, mem);
         }
-        HostTimes::stop(&mut self.prof, Stage::Replay, t0);
+        self.probes.stop(Stage::Replay, t0);
 
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         if ahead_slots > 0 && !self.halted {
             self.ahead(now, mem, ahead_slots, &mut mem_ops);
         }
         if self.commit_due {
             self.try_commit(now, mem);
         }
-        HostTimes::stop(&mut self.prof, Stage::Issue, t0);
+        self.probes.stop(Stage::Issue, t0);
         debug_assert!(self.deferred_state_consistent(), "cycle {now}");
 
-        if let Some(tb) = self.tracebuf.as_mut() {
-            tb.sample_occupancy(now, self.dq.len() as u32, self.stb.len() as u32);
-        }
+        self.probes.sample_occupancy(now, self.dq.len() as u32, self.stb.len() as u32);
     }
 
     #[inline]
@@ -1370,9 +1350,7 @@ impl Core for SstCore {
         // cycles: credit them to their own row so the table still sums
         // to the total cycle count.
         self.phase_cycles.add(Phase::Gated, target - from);
-        if let Some(tb) = self.tracebuf.as_mut() {
-            tb.set_phase(Phase::Gated, from);
-        }
+        self.probes.set_phase(Phase::Gated, from);
         self.cycle = target;
         // Gated time is intentional idleness, not a wedge: restart the
         // watchdog window at the resume cycle.
@@ -1436,35 +1414,8 @@ impl Core for SstCore {
         self.phase_cycles
     }
 
-    fn set_trace(&mut self, on: bool) {
-        if on {
-            if self.tracebuf.is_none() {
-                self.tracebuf = Some(Box::new(TraceBuf::new()));
-            }
-        } else {
-            self.tracebuf = None;
-        }
-    }
-
-    fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.tracebuf.take().map(|mut tb| {
-            tb.close(self.cycle);
-            *tb
-        })
-    }
-
-    fn set_host_prof(&mut self, on: bool) {
-        if on {
-            if self.prof.is_none() {
-                self.prof = Some(Box::new(HostTimes::new()));
-            }
-        } else {
-            self.prof = None;
-        }
-    }
-
-    fn host_times(&self) -> Option<&HostTimes> {
-        self.prof.as_deref()
+    fn probes(&mut self) -> &mut Probes {
+        &mut self.probes
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

@@ -96,7 +96,7 @@ pub fn claim(out_dir: &Path, hash: u64) -> io::Result<Claim> {
     {
         Ok(mut f) => {
             use std::io::Write;
-            write!(f, "pid={}\n", std::process::id()).ok();
+            writeln!(f, "pid={}", std::process::id()).ok();
             Ok(Claim::Won(ClaimGuard { path }))
         }
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(Claim::Lost),

@@ -180,7 +180,7 @@ pub(super) fn e2() -> Experiment {
     }
 }
 
-const E3_MODELS: [(&str, fn() -> CoreModel); 4] = [
+const E3_MODELS: [super::ModelTok; 4] = [
     ("io", || CoreModel::InOrder),
     ("scout", || CoreModel::Scout),
     ("ea", || CoreModel::ExecuteAhead),
@@ -255,7 +255,7 @@ pub(super) fn e3() -> Experiment {
     }
 }
 
-const E4_MODELS: [(&str, fn() -> CoreModel); 4] = [
+const E4_MODELS: [super::ModelTok; 4] = [
     ("sst", || CoreModel::Sst),
     ("o32", || CoreModel::Ooo32),
     ("o64", || CoreModel::Ooo64),

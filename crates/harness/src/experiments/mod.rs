@@ -8,9 +8,14 @@ mod sweeps;
 mod system;
 mod traffic;
 
+use sst_sim::CoreModel;
+
 use crate::job::{JobKind, JobSpec};
 use crate::registry::{Experiment, Fold, RunCtx};
 use crate::Env;
+
+/// One model of an experiment's lineup: its job-name token and its builder.
+type ModelTok = (&'static str, fn() -> CoreModel);
 
 /// Every experiment, in publication order, plus the hidden `xfail`
 /// fault-injection experiment.

@@ -12,7 +12,7 @@ use crate::Env;
 
 const E5_LATENCIES: [u64; 6] = [100, 200, 300, 450, 700, 1000];
 const E5_WORKLOADS: [&str; 3] = ["oltp", "erp", "mcf"];
-const E5_MODELS: [(&str, fn() -> CoreModel); 5] = [
+const E5_MODELS: [super::ModelTok; 5] = [
     ("io", || CoreModel::InOrder),
     ("scout", || CoreModel::Scout),
     ("ea", || CoreModel::ExecuteAhead),

@@ -104,7 +104,7 @@ pub(super) fn e10() -> Experiment {
             ]);
             let mut base = None;
             for n in E10_CORE_COUNTS {
-                let r = ctx.cmp(&format!("{}/x{n}", model.label()));
+                let r = ctx.chip(&format!("{}/x{n}", model.label()));
                 let tp = r.throughput_ipc();
                 let b = *base.get_or_insert(tp);
                 t.row([
@@ -133,7 +133,7 @@ pub(super) fn e10() -> Experiment {
 }
 
 const E11_WORKLOADS: [&str; 5] = ["oltp", "erp", "gups", "mcf", "mlp8"];
-const E11_MODELS: [(&str, fn() -> CoreModel); 5] = [
+const E11_MODELS: [super::ModelTok; 5] = [
     ("io", || CoreModel::InOrder),
     ("scout", || CoreModel::Scout),
     ("ea", || CoreModel::ExecuteAhead),

@@ -21,7 +21,7 @@ use crate::registry::{Experiment, Fold, RunCtx};
 use crate::Env;
 
 const E14_WORKLOAD: &str = "oltp";
-const E14_MODELS: [(&str, fn() -> CoreModel); 5] = [
+const E14_MODELS: [super::ModelTok; 5] = [
     ("io", || CoreModel::InOrder),
     ("scout", || CoreModel::Scout),
     ("ea", || CoreModel::ExecuteAhead),

@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn float_roundtrip_precision() {
-        let x = 0.1234567890123456789f64;
+        let x = 0.123_456_789_012_345_68_f64;
         let s = JVal::Num(x).render();
         assert_eq!(s.parse::<f64>().unwrap(), x);
     }

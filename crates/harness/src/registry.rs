@@ -77,7 +77,7 @@ impl<'a> RunCtx<'a> {
     /// # Panics
     ///
     /// Panics if the job does not exist or is not a CMP run.
-    pub fn cmp(&self, name: &str) -> &CmpResult {
+    pub fn chip(&self, name: &str) -> &CmpResult {
         self.results
             .get(name)
             .unwrap_or_else(|| panic!("no job named {name:?}"))

@@ -78,8 +78,11 @@ impl RunConfig {
 /// the first of them arrived.
 struct SilenceState {
     depth: usize,
-    saved: Option<Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync>>,
+    saved: Option<PanicHook>,
 }
+
+/// A panic hook as `std::panic::take_hook` returns it.
+type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync>;
 
 static SILENCE: Mutex<SilenceState> = Mutex::new(SilenceState {
     depth: 0,
@@ -199,7 +202,7 @@ impl RunSummary {
 }
 
 enum Outcome {
-    Ok { output: JobOutput, cached: bool },
+    Ok { output: Box<JobOutput>, cached: bool },
     /// Owned by another shard and not (yet) in the shared cache.
     Skipped,
     Failed { kind: &'static str, message: String },
@@ -292,7 +295,7 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                     if cfg.use_cache {
                         if let Some(output) = cache::load(&cfg.out_dir, hash, &key) {
                             break 'job Outcome::Ok {
-                                output,
+                                output: Box::new(output),
                                 cached: true,
                             };
                         }
@@ -320,7 +323,7 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                                         cache::load(&cfg.out_dir, hash, &key)
                                     {
                                         break 'job Outcome::Ok {
-                                            output,
+                                            output: Box::new(output),
                                             cached: true,
                                         };
                                     }
@@ -332,7 +335,7 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                                         cache::load(&cfg.out_dir, hash, &key)
                                     {
                                         break 'job Outcome::Ok {
-                                            output,
+                                            output: Box::new(output),
                                             cached: true,
                                         };
                                     }
@@ -368,7 +371,7 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                                 let _ = cache::store(&cfg.out_dir, hash, &key, &output);
                             }
                             Outcome::Ok {
-                                output,
+                                output: Box::new(output),
                                 cached: false,
                             }
                         }
@@ -414,7 +417,7 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                     if cached {
                         cache_hits += 1;
                     }
-                    results[msg.exp_idx][msg.job_idx] = Some(output);
+                    results[msg.exp_idx][msg.job_idx] = Some(*output);
                     (rec.status, String::new())
                 }
                 Outcome::Skipped => {

@@ -116,7 +116,7 @@ fn run_trace(
                 return 2;
             }
         };
-        for job in (exp.jobs)(&env) {
+        for job in (exp.jobs)(env) {
             // Tracing is a single-core instrument: CMP/traffic jobs are
             // skipped (their cores multiplex workload slices and would
             // need per-core rings the CmpSystem does not expose yet).
@@ -129,10 +129,10 @@ fn run_trace(
                 Some((m, w)) => (m.to_string(), w.to_string()),
                 None => (job.name.clone(), workload.clone()),
             };
-            if !models.is_empty() && !models.iter().any(|m| *m == tok) {
+            if !models.is_empty() && !models.contains(&tok) {
                 continue;
             }
-            if !workloads.is_empty() && !workloads.iter().any(|w| *w == wname) {
+            if !workloads.is_empty() && !workloads.contains(&wname) {
                 continue;
             }
             selected.push((job.name, model, workload, mem));

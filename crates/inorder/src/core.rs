@@ -2,7 +2,7 @@
 
 use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
-use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
+use sst_obs::{Phase, Probes, Stage};
 use sst_uarch::{
     drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst, Frontend,
     FrontendConfig, RegImage, Seq,
@@ -87,12 +87,9 @@ pub struct InOrderCore {
     cycle: Cycle,
     halted: bool,
     commits: Vec<Commit>,
-    /// Typed event trace, present only while tracing is enabled
-    /// (record-only: see the `sst-obs` event-sink contract). An in-order
-    /// core has a single phase, so its track is one `normal` span.
-    trace: Option<Box<TraceBuf>>,
-    /// Host-side stage timers, present only while profiling is enabled.
-    prof: Option<Box<HostTimes>>,
+    /// Event ring and host stage timers (`Core::probes`), record-only. An
+    /// in-order core has a single phase, so its track is one `normal` span.
+    probes: Probes,
     /// Statistics counters.
     pub stats: InOrderStats,
 }
@@ -112,8 +109,7 @@ impl InOrderCore {
             cycle: 0,
             halted: false,
             commits: Vec::new(),
-            trace: None,
-            prof: None,
+            probes: Probes::default(),
             stats: InOrderStats::default(),
         }
     }
@@ -247,17 +243,15 @@ impl Core for InOrderCore {
     fn tick(&mut self, mem: &mut MemBus) {
         let now = self.cycle;
         self.cycle += 1;
-        if let Some(tb) = self.trace.as_mut() {
-            tb.set_phase(Phase::Normal, now);
-        }
+        self.probes.set_phase(Phase::Normal, now);
         if self.halted {
             return;
         }
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         self.frontend.tick(now, mem);
-        HostTimes::stop(&mut self.prof, Stage::Fetch, t0);
+        self.probes.stop(Stage::Fetch, t0);
 
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         let mut mem_ops = 0;
         for slot in 0..self.cfg.width {
             let inst = match self.issue_gate(now) {
@@ -282,7 +276,7 @@ impl Core for InOrderCore {
                 break;
             }
         }
-        HostTimes::stop(&mut self.prof, Stage::Issue, t0);
+        self.probes.stop(Stage::Issue, t0);
     }
 
     #[inline]
@@ -363,35 +357,8 @@ impl Core for InOrderCore {
         ]
     }
 
-    fn set_trace(&mut self, on: bool) {
-        if on {
-            if self.trace.is_none() {
-                self.trace = Some(Box::new(TraceBuf::new()));
-            }
-        } else {
-            self.trace = None;
-        }
-    }
-
-    fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.trace.take().map(|mut tb| {
-            tb.close(self.cycle);
-            *tb
-        })
-    }
-
-    fn set_host_prof(&mut self, on: bool) {
-        if on {
-            if self.prof.is_none() {
-                self.prof = Some(Box::new(HostTimes::new()));
-            }
-        } else {
-            self.prof = None;
-        }
-    }
-
-    fn host_times(&self) -> Option<&HostTimes> {
-        self.prof.as_deref()
+    fn probes(&mut self) -> &mut Probes {
+        &mut self.probes
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

@@ -48,6 +48,9 @@ const WINDOW_PAGES: u64 = 1 << 16;
 #[derive(Clone)]
 enum Frame {
     Owned(Box<Page>),
+    // `Arc<Box<_>>`, not `Arc<Page>`: an unshared frame unwraps to its
+    // `Box` with no 4 KiB copy when it becomes owned.
+    #[allow(clippy::redundant_allocation)]
     Shared(Arc<Box<Page>>),
 }
 

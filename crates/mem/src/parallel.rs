@@ -303,9 +303,7 @@ mod tests {
                         std::thread::sleep(std::time::Duration::from_millis(
                             10 * (cores - 1 - i) as u64,
                         ));
-                        let mut bus = pmem.bus(port, i);
-                        let out = bus.access(0, kind, addr);
-                        drop(bus);
+                        let out = pmem.bus(port, i).access(0, kind, addr);
                         pmem.note_halted(i);
                         out
                     }),
@@ -410,8 +408,9 @@ mod tests {
         let mut ms = MemSystem::new(&cfg, 2);
         let mut serial = Vec::new();
         for t in 0..2 {
-            for core in 0..2 {
-                serial.push(ms.access(t as Cycle, core, plan[core][t].0, plan[core][t].1));
+            for (core, steps) in plan.iter().enumerate() {
+                let (kind, addr) = steps[t];
+                serial.push(ms.access(t as Cycle, core, kind, addr));
             }
         }
         let serial_stats = ms.stats();
@@ -429,9 +428,7 @@ mod tests {
                     s.spawn(move || {
                         let mut outs = Vec::new();
                         for (t, &(kind, addr)) in my_plan.iter().enumerate() {
-                            let mut bus = pmem.bus(port, i);
-                            outs.push(bus.access(t as Cycle, kind, addr));
-                            drop(bus);
+                            outs.push(pmem.bus(port, i).access(t as Cycle, kind, addr));
                             pmem.note_progress(i, t as Cycle + 1);
                         }
                         pmem.note_halted(i);

@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use sst_isa::{SnapError, SnapReader, SnapState, SnapWriter, SparseMem};
-use sst_obs::{Event, HostTimes, Stage, TraceBuf};
+use sst_obs::{Event, Probes, Stage};
 
 use crate::cache::TagArray;
 use crate::dram::Dram;
@@ -170,13 +170,10 @@ pub struct MemPort {
     l1d_stats: CacheStats,
     prefetches: u64,
     useful_prefetches: u64,
-    /// Typed event trace of demand-miss lifetimes, present only while
-    /// tracing is enabled. Record-only (the `sst-obs` event-sink
-    /// contract): nothing in the walk ever consults it, so traced runs
-    /// are byte-identical to untraced ones.
-    trace: Option<Box<TraceBuf>>,
-    /// Host-side wall time spent inside this port's timing walks.
-    prof: Option<Box<HostTimes>>,
+    /// Event ring of demand-miss lifetimes and the host time spent inside
+    /// this port's timing walks. Record-only (the `sst-obs` event-sink
+    /// contract): nothing in the walk ever consults it.
+    probes: Probes,
 }
 
 impl MemPort {
@@ -193,41 +190,8 @@ impl MemPort {
             l1d_stats: CacheStats::default(),
             prefetches: 0,
             useful_prefetches: 0,
-            trace: None,
-            prof: None,
+            probes: Probes::default(),
         }
-    }
-
-    /// Enables (or disables) demand-miss tracing on this port.
-    pub fn set_trace(&mut self, on: bool) {
-        if on {
-            if self.trace.is_none() {
-                self.trace = Some(Box::new(TraceBuf::new()));
-            }
-        } else {
-            self.trace = None;
-        }
-    }
-
-    /// Takes the recorded miss trace, leaving tracing disabled.
-    pub fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.trace.take().map(|tb| *tb)
-    }
-
-    /// Enables (or disables) host-side timing of this port's walks.
-    pub fn set_host_prof(&mut self, on: bool) {
-        if on {
-            if self.prof.is_none() {
-                self.prof = Some(Box::new(HostTimes::new()));
-            }
-        } else {
-            self.prof = None;
-        }
-    }
-
-    /// The accumulated host time, when profiling is enabled.
-    pub fn host_times(&self) -> Option<&HostTimes> {
-        self.prof.as_deref()
     }
 
     /// Mutable access to the port's functional backing store (program
@@ -443,7 +407,7 @@ impl<'a> MemBus<'a> {
     /// Like [`MemBus::access`] but with the accessing PC for prefetcher
     /// training.
     pub fn access_pc(&mut self, now: Cycle, kind: AccessKind, addr: u64, pc: u64) -> AccessOutcome {
-        let t0 = HostTimes::start(&self.port.prof);
+        let t0 = self.port.probes.start();
         let outcome = self.demand_walk(now, kind, addr);
 
         // Train the prefetcher on demand data accesses and issue its
@@ -457,7 +421,7 @@ impl<'a> MemBus<'a> {
                 self.issue_prefetch(now, cand);
             }
         }
-        HostTimes::stop(&mut self.port.prof, Stage::MemTick, t0);
+        self.port.probes.stop(Stage::MemTick, t0);
         outcome
     }
 
@@ -549,14 +513,12 @@ impl<'a> MemBus<'a> {
             // earliest_slot() may have pushed past `now` when the file was
             // full).
             mshr.insert(start, block, ready_at, level == HitLevel::Mem);
-            if let Some(tb) = port.trace.as_mut() {
-                tb.push(Event::MissSpan {
-                    start,
-                    end: ready_at,
-                    block,
-                    deep: level == HitLevel::Mem,
-                });
-            }
+            port.probes.emit(Event::MissSpan {
+                start,
+                end: ready_at,
+                block,
+                deep: level == HitLevel::Mem,
+            });
         }
 
         AccessOutcome { ready_at, level }
@@ -739,35 +701,11 @@ impl MemSystem {
 
     // ---- observability ---------------------------------------------------------
 
-    /// Enables (or disables) demand-miss tracing on `core`'s port.
-    /// Record-only (the `sst-obs` event-sink contract): traced runs are
-    /// byte-identical to untraced ones.
-    pub fn set_trace(&mut self, core: usize, on: bool) {
-        self.ports[core].set_trace(on);
-    }
-
-    /// Takes `core`'s recorded miss trace, leaving tracing disabled.
-    pub fn take_trace(&mut self, core: usize) -> Option<TraceBuf> {
-        self.ports[core].take_trace()
-    }
-
-    /// Enables (or disables) host-side timing of every port's walks.
-    pub fn set_host_prof(&mut self, on: bool) {
-        for p in &mut self.ports {
-            p.set_host_prof(on);
-        }
-    }
-
-    /// The host time spent inside all ports' timing walks, merged.
-    /// `None` when profiling is disabled.
-    pub fn host_times(&self) -> Option<HostTimes> {
-        let mut out: Option<HostTimes> = None;
-        for p in &self.ports {
-            if let Some(t) = p.host_times() {
-                out.get_or_insert_with(HostTimes::new).merge(t);
-            }
-        }
-        out
+    /// `core`'s port's record-only attachments: its demand-miss ring and
+    /// the host time spent in its timing walks (the `sst-obs` event-sink
+    /// contract: traced and profiled runs are byte-identical to plain ones).
+    pub fn probes(&mut self, core: usize) -> &mut Probes {
+        &mut self.ports[core].probes
     }
 
     // ---- snapshot / sampling support -------------------------------------------

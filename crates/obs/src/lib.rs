@@ -10,14 +10,16 @@
 //!
 //! Observability is **zero-cost when off and invisible when on**:
 //!
-//! * When tracing is disabled (the default), cores carry a `None`
-//!   where the [`TraceBuf`] would live; every emission site is a single
-//!   discriminant test.
-//! * When tracing is enabled, events are *recorded*, never *consulted*:
-//!   no model ever branches on trace state, so a traced run produces a
-//!   byte-identical result to an untraced one. The same contract the
-//!   taint layer established (`SstConfig::taint`) applies verbatim and
-//!   is enforced by `crates/sim/tests/trace_equiv.rs`.
+//! * Every core and memory port holds one [`Probes`]: an event ring
+//!   ([`TraceBuf`]) and host stage timers ([`HostTimes`]), each a `None`
+//!   until enabled, so every emission or timer site is a single
+//!   discriminant test while off.
+//! * When a probe is enabled, it *records* and is never *consulted*: no
+//!   model ever branches on probe state, so enabling a probe never
+//!   changes a `RunResult`. The same contract the taint layer
+//!   established (`SstConfig::taint`) applies verbatim and is enforced
+//!   by `crates/sim/tests/trace_equiv.rs`; `trace_pin.rs` holds what the
+//!   rings record to a committed table.
 //! * Per-phase cycle accounting ([`PhaseTable`]) is *always on* — one
 //!   array add per tick — so the phase table in every `RunResult` sums
 //!   exactly to the run's total cycles whether or not a trace was
@@ -35,9 +37,11 @@
 use std::collections::VecDeque;
 
 mod chrome;
+mod probes;
 mod prof;
 
 pub use chrome::ChromeTrace;
+pub use probes::Probes;
 pub use prof::{HostTimes, Stage};
 
 /// Absolute simulation cycle (mirrors `sst_mem::Cycle` without the
@@ -378,13 +382,6 @@ impl TraceBuf {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// The most recent `n` events, oldest of those first — the wedge
-    /// dump's view.
-    pub fn tail(&self, n: usize) -> Vec<Event> {
-        let skip = self.events.len().saturating_sub(n);
-        self.events.iter().skip(skip).copied().collect()
-    }
 }
 
 impl Default for TraceBuf {
@@ -460,9 +457,8 @@ mod tests {
         }
         assert_eq!(b.len(), 4);
         assert_eq!(b.dropped(), 6);
-        let first = *b.events().next().unwrap();
-        assert_eq!(first, Event::Redefer { at: 6 }, "oldest events dropped first");
-        let tail = b.tail(2);
-        assert_eq!(tail, vec![Event::Redefer { at: 8 }, Event::Redefer { at: 9 }]);
+        let kept: Vec<_> = b.events().copied().collect();
+        let want: Vec<_> = (6..10).map(|at| Event::Redefer { at }).collect();
+        assert_eq!(kept, want, "oldest events dropped first");
     }
 }

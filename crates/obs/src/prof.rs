@@ -1,18 +1,15 @@
 //! Host-side self-profiling: scoped wall-time timers around the
 //! simulator's own hot stages.
 //!
-//! Cores carry an `Option<Box<HostTimes>>`; when it is `None` (the
-//! default) every probe site is a single discriminant test and no clock
-//! is read. When enabled, stage boundaries bracket `Instant::now()`
-//! reads and accumulate nanoseconds per [`Stage`]. Host profiling never
-//! touches model state, so — like tracing — a profiled run's
-//! `RunResult` is byte-identical to an unprofiled one.
+//! An owner's [`crate::Probes`] holds the accumulator while profiling is
+//! enabled; stage boundaries then bracket `Instant::now()` reads and
+//! accumulate nanoseconds per [`Stage`]. Host profiling never touches
+//! model state, so — like tracing — a profiled run's `RunResult` is
+//! byte-identical to an unprofiled one.
 //!
 //! `MemTick` is accumulated inside the memory system's miss walk, which
 //! cores invoke from within their own stages: it *overlaps* `Issue`/
 //! `Replay` rather than adding to them, and the per-model tables say so.
-
-use std::time::Instant;
 
 /// A simulator hot-loop stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,31 +107,12 @@ impl HostTimes {
             self.ns[s.index()] += other.get(s);
         }
     }
-
-    /// Starts a scoped timer *iff* profiling is enabled. The returned
-    /// token is `None` when disabled, making the probe one branch.
-    #[inline]
-    pub fn start(prof: &Option<Box<HostTimes>>) -> Option<Instant> {
-        if prof.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Stops a scoped timer started with [`HostTimes::start`], crediting
-    /// the elapsed wall time to `stage`.
-    #[inline]
-    pub fn stop(prof: &mut Option<Box<HostTimes>>, stage: Stage, t0: Option<Instant>) {
-        if let (Some(p), Some(t)) = (prof.as_deref_mut(), t0) {
-            p.add(stage, t.elapsed().as_nanos() as u64);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Probes;
 
     #[test]
     fn rows_and_totals() {
@@ -153,22 +131,23 @@ mod tests {
 
     #[test]
     fn disabled_probe_is_inert() {
-        let mut prof: Option<Box<HostTimes>> = None;
-        let t0 = HostTimes::start(&prof);
+        let mut probes = Probes::default();
+        let t0 = probes.start();
         assert!(t0.is_none());
-        HostTimes::stop(&mut prof, Stage::Fetch, t0);
-        assert!(prof.is_none());
+        probes.stop(Stage::Fetch, t0);
+        assert!(probes.host_times().is_none());
     }
 
     #[test]
     fn enabled_probe_accumulates() {
-        let mut prof: Option<Box<HostTimes>> = Some(Box::new(HostTimes::new()));
-        let t0 = HostTimes::start(&prof);
+        let mut probes = Probes::default();
+        probes.enable_prof();
+        let t0 = probes.start();
         std::hint::black_box(0u64);
-        HostTimes::stop(&mut prof, Stage::Replay, t0);
+        probes.stop(Stage::Replay, t0);
         // Elapsed time is clock-dependent; the structural fact is that
         // the credited stage is the one asked for.
-        let times = prof.unwrap();
+        let times = probes.host_times().unwrap();
         assert_eq!(times.total_ns(), times.get(Stage::Replay));
     }
 }

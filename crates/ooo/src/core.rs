@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use sst_isa::{Inst, Program, Reg, Snap, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
-use sst_obs::{HostTimes, Phase, Stage, TraceBuf};
+use sst_obs::{Phase, Probes, Stage};
 use sst_uarch::{
     drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst, Frontend,
     FrontendConfig, LeakageSummary, Seq, SquashCounts, TaintState,
@@ -386,13 +386,10 @@ pub struct OooCore {
     /// [`OooConfig::taint`] is set, so the disabled path costs one
     /// discriminant test per hook.
     taint: Option<Box<TaintState>>,
-    /// Typed event trace, present only while tracing is enabled
-    /// (record-only: see the `sst-obs` event-sink contract). The OoO
-    /// core has a single phase, so its track is one `normal` span plus
+    /// Event ring and host stage timers (`Core::probes`), record-only. The
+    /// OoO core has a single phase, so its track is one `normal` span plus
     /// ROB-occupancy samples.
-    trace: Option<Box<TraceBuf>>,
-    /// Host-side stage timers, present only while profiling is enabled.
-    prof: Option<Box<HostTimes>>,
+    probes: Probes,
     commits: Vec<Commit>,
     /// Window entries the issue scan has read (work-counter tests).
     #[cfg(test)]
@@ -437,8 +434,7 @@ impl OooCore {
             phantom_count: 0,
             issue_quiet_until: 0,
             taint,
-            trace: None,
-            prof: None,
+            probes: Probes::default(),
             commits: Vec::new(),
             #[cfg(test)]
             issue_rob_reads: 0,
@@ -1213,28 +1209,26 @@ impl Core for OooCore {
     fn tick(&mut self, mem: &mut MemBus) {
         let now = self.cycle;
         self.cycle += 1;
-        if let Some(tb) = self.trace.as_mut() {
-            tb.set_phase(Phase::Normal, now);
-            tb.sample_occupancy(now, self.rob.len() as u32, self.sq.len() as u32);
-        }
+        self.probes.set_phase(Phase::Normal, now);
+        self.probes.sample_occupancy(now, self.rob.len() as u32, self.sq.len() as u32);
         if self.halted {
             return;
         }
         debug_assert!(self.counts_consistent());
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         self.frontend.tick(now, mem);
-        HostTimes::stop(&mut self.prof, Stage::Fetch, t0);
+        self.probes.stop(Stage::Fetch, t0);
 
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         self.commit(now, mem);
         if now >= self.issue_quiet_until {
             self.issue(now, mem);
         }
-        HostTimes::stop(&mut self.prof, Stage::Issue, t0);
+        self.probes.stop(Stage::Issue, t0);
 
-        let t0 = HostTimes::start(&self.prof);
+        let t0 = self.probes.start();
         self.rename(now, mem);
-        HostTimes::stop(&mut self.prof, Stage::Decode, t0);
+        self.probes.stop(Stage::Decode, t0);
     }
 
     #[inline]
@@ -1335,35 +1329,8 @@ impl Core for OooCore {
         self.taint.as_deref().map(|t| &t.summary)
     }
 
-    fn set_trace(&mut self, on: bool) {
-        if on {
-            if self.trace.is_none() {
-                self.trace = Some(Box::new(TraceBuf::new()));
-            }
-        } else {
-            self.trace = None;
-        }
-    }
-
-    fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.trace.take().map(|mut tb| {
-            tb.close(self.cycle);
-            *tb
-        })
-    }
-
-    fn set_host_prof(&mut self, on: bool) {
-        if on {
-            if self.prof.is_none() {
-                self.prof = Some(Box::new(HostTimes::new()));
-            }
-        } else {
-            self.prof = None;
-        }
-    }
-
-    fn host_times(&self) -> Option<&HostTimes> {
-        self.prof.as_deref()
+    fn probes(&mut self) -> &mut Probes {
+        &mut self.probes
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

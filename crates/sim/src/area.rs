@@ -103,7 +103,6 @@ pub fn ooo_area(cfg: &OooConfig) -> AreaEstimate {
 pub fn model_area(model: &CoreModel) -> AreaEstimate {
     match model {
         CoreModel::InOrder => inorder_area(&InOrderConfig::default()),
-        CoreModel::CustomInOrder(c) => inorder_area(c),
         CoreModel::Scout => sst_area(&SstConfig::scout()),
         CoreModel::ExecuteAhead => sst_area(&SstConfig::execute_ahead()),
         CoreModel::Sst => sst_area(&SstConfig::sst()),

@@ -509,6 +509,7 @@ mod tests {
         retired: u64,
         pending: Vec<Commit>,
         calls: Arc<Mutex<Calls>>,
+        probes: sst_obs::Probes,
     }
 
     impl Scripted {
@@ -522,6 +523,7 @@ mod tests {
                 retired: 0,
                 pending: Vec::new(),
                 calls: Arc::clone(&calls),
+                probes: Default::default(),
             };
             (Box::new(core), calls)
         }
@@ -574,6 +576,9 @@ mod tests {
         }
         fn model_name(&self) -> &'static str {
             "scripted"
+        }
+        fn probes(&mut self) -> &mut sst_obs::Probes {
+            &mut self.probes
         }
     }
 
@@ -922,6 +927,9 @@ mod tests {
         }
         fn model_name(&self) -> &'static str {
             self.inner.model_name()
+        }
+        fn probes(&mut self) -> &mut sst_obs::Probes {
+            self.inner.probes()
         }
     }
 

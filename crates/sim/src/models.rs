@@ -30,8 +30,6 @@ pub enum CoreModel {
     CustomSst(SstConfig),
     /// Any out-of-order configuration (sweeps).
     CustomOoo(OooConfig),
-    /// Any in-order configuration.
-    CustomInOrder(InOrderConfig),
 }
 
 impl CoreModel {
@@ -47,7 +45,6 @@ impl CoreModel {
             CoreModel::Ooo128 => "ooo-128".into(),
             CoreModel::CustomSst(c) => c.label(),
             CoreModel::CustomOoo(c) => c.label(),
-            CoreModel::CustomInOrder(_) => "in-order*".into(),
         }
     }
 
@@ -65,7 +62,6 @@ impl CoreModel {
             CoreModel::Ooo128 => Box::new(OooCore::new(OooConfig::ooo_128(), id, program)),
             CoreModel::CustomSst(c) => Box::new(SstCore::new(c.clone(), id, program)),
             CoreModel::CustomOoo(c) => Box::new(OooCore::new(c.clone(), id, program)),
-            CoreModel::CustomInOrder(c) => Box::new(InOrderCore::new(c.clone(), id, program)),
         }
     }
 

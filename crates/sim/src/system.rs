@@ -251,8 +251,8 @@ impl System {
     /// `crates/sim/tests/trace_equiv.rs` enforces. Collect the events
     /// with [`System::run_with_trace`].
     pub fn with_tracing(mut self) -> System {
-        self.core.set_trace(true);
-        self.mem.set_trace(0, true);
+        self.core.probes().enable_trace();
+        self.mem.probes(0).enable_trace();
         self
     }
 
@@ -261,8 +261,8 @@ impl System {
     /// Record-only, like tracing. Collect with
     /// [`System::run_with_profile`].
     pub fn with_host_prof(mut self) -> System {
-        self.core.set_host_prof(true);
-        self.mem.set_host_prof(true);
+        self.core.probes().enable_prof();
+        self.mem.probes(0).enable_prof();
         self
     }
 
@@ -306,9 +306,10 @@ impl System {
         max_cycles: Cycle,
     ) -> Result<(RunResult, SystemTrace), CosimError> {
         let result = self.run_inner(max_cycles)?;
+        let now = self.core.cycle();
         let trace = SystemTrace {
-            core: self.core.take_trace(),
-            mem: self.mem.take_trace(0),
+            core: self.core.probes().take_trace(now),
+            mem: self.mem.probes(0).take_trace(now),
         };
         Ok((result, trace))
     }
@@ -326,9 +327,9 @@ impl System {
         max_cycles: Cycle,
     ) -> Result<(RunResult, Option<HostTimes>), CosimError> {
         let result = self.run_inner(max_cycles)?;
-        let mut times = self.core.host_times().copied();
-        if let Some(m) = self.mem.host_times() {
-            times.get_or_insert_with(HostTimes::new).merge(&m);
+        let mut times = self.core.probes().host_times().copied();
+        if let Some(m) = self.mem.probes(0).host_times() {
+            times.get_or_insert_with(HostTimes::new).merge(m);
         }
         Ok((result, times))
     }

@@ -189,7 +189,7 @@ mod tests {
         h.record(777);
         for p in [0, 1, 500, 990, 999, 1000] {
             let got = h.percentile_permille(p).unwrap();
-            assert!(got >= 777 && got <= 777 + 777 / 32, "p{p} -> {got}");
+            assert!((777..=777 + 777 / 32).contains(&got), "p{p} -> {got}");
         }
     }
 

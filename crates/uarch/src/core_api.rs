@@ -215,43 +215,23 @@ pub trait Core: Send {
         t
     }
 
-    /// Enables (or disables) typed event tracing into an internal
-    /// [`sst_obs::TraceBuf`]. The event-sink contract is the taint
-    /// layer's, verbatim: tracing is record-only, so an enabled run's
-    /// `RunResult` is byte-identical to a disabled one (enforced by
-    /// `crates/sim/tests/trace_equiv.rs`). The default is a no-op for
-    /// cores that emit nothing; they still trace their phase track via
-    /// the driver-side [`Core::phases`] table.
-    fn set_trace(&mut self, on: bool) {
-        let _ = on;
-    }
-
-    /// Takes the recorded trace, leaving tracing disabled. `None` when
-    /// tracing was never enabled or the core emits nothing.
-    fn take_trace(&mut self) -> Option<sst_obs::TraceBuf> {
-        None
-    }
-
-    /// Enables (or disables) host-side self-profiling: scoped wall-time
-    /// timers around the core's fetch/decode/issue/replay stages (see
-    /// [`sst_obs::HostTimes`]). Record-only, like tracing: a profiled
-    /// run's `RunResult` is byte-identical to an unprofiled one. The
-    /// default is a no-op.
-    fn set_host_prof(&mut self, on: bool) {
-        let _ = on;
-    }
-
-    /// The accumulated host stage times, when profiling is enabled.
-    fn host_times(&self) -> Option<&sst_obs::HostTimes> {
-        None
-    }
+    /// The core's record-only attachments: its event ring and host stage
+    /// timers (see [`sst_obs::Probes`]), both off until a driver enables
+    /// them. The contract is the taint layer's, verbatim: a probe records
+    /// and is never consulted, so enabling one never changes a
+    /// `RunResult` (`crates/sim/tests/trace_equiv.rs` enforces it, and
+    /// `trace_pin.rs` pins what the rings hold). A core emits its
+    /// checkpoint, deferral and replay events and its phase track into
+    /// the ring, and times its stages into the timers; a core that emits
+    /// nothing still returns its (empty) probes.
+    fn probes(&mut self) -> &mut sst_obs::Probes;
 
     /// Serializes the core's complete mutable state — frontend, register
     /// images, checkpoints, queues, counters — so the run can later be
     /// [`Core::restore_state`]d into a freshly built core of the same
-    /// model/configuration and continue byte-identically. Observability
-    /// attachments (trace, host profile, taint) are excluded: they are
-    /// record-only and restored runs start with them off.
+    /// model/configuration and continue byte-identically. The record-only
+    /// attachments ([`Core::probes`], taint) are excluded: restored runs
+    /// start with them off.
     ///
     /// # Errors
     ///

@@ -371,8 +371,10 @@ mod tests {
     #[test]
     fn zero_summary_reads_as_zero() {
         assert!(LeakageSummary::default().is_zero());
-        let mut s = LeakageSummary::default();
-        s.rollbacks = 1;
+        let s = LeakageSummary {
+            rollbacks: 1,
+            ..LeakageSummary::default()
+        };
         assert!(!s.is_zero());
         assert_eq!(s.counters()[0], ("leak_rollbacks", 1));
     }

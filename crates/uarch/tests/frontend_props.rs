@@ -3,7 +3,7 @@
 //! Driven by the workspace's deterministic PRNG; build with
 //! `--features ext` for more cases.
 
-use sst_isa::{Asm, Reg};
+use sst_isa::Asm;
 use sst_mem::{MemConfig, MemSystem};
 use sst_prng::Prng;
 use sst_uarch::{Frontend, FrontendConfig};

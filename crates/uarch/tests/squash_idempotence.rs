@@ -42,8 +42,11 @@ fn dq_observables(q: &DeferredQueue) -> (Vec<(u64, u64)>, Vec<(u64, u64)>, Optio
     )
 }
 
+/// One STB entry as seen from outside: sequence, address, bytes, value.
+type StbView = (u64, Option<u64>, u64, Option<u64>);
+
 /// Every externally visible projection of an STB.
-fn stb_observables(sb: &StoreBuffer) -> (usize, Vec<(u64, Option<u64>, u64, Option<u64>)>) {
+fn stb_observables(sb: &StoreBuffer) -> (usize, Vec<StbView>) {
     let entries: Vec<_> = sb
         .iter()
         .map(|e| (e.seq, e.addr, e.bytes, e.value))
@@ -200,9 +203,7 @@ fn stb_squash_twice_is_squash_once() {
         // And both accept refills up to the same occupancy.
         let room = once.capacity() - once.len();
         assert_eq!(room, twice.capacity() - twice.len());
-        let mut s2 = seq + 100;
-        for _ in 0..room {
-            s2 += 1;
+        for s2 in (seq + 101..).take(room) {
             let e = StoreEntry {
                 seq: s2,
                 addr: Some(64),
