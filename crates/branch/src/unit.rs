@@ -139,12 +139,6 @@ impl BranchUnit {
         }
     }
 
-    /// Notes that a return target prediction was wrong (callers detect this
-    /// when the popped target mismatches the resolved one).
-    pub fn note_return_mispredict(&mut self) {
-        self.target_mispredictions += 1;
-    }
-
     /// Clears the RAS after a pipeline flush whose squashed path may have
     /// pushed/popped entries. (A conservative repair, as in many real
     /// designs.)

@@ -3,10 +3,10 @@ use sst_uarch::{ExecLatency, FrontendConfig};
 
 /// Configuration of the SST core family.
 ///
-/// The three named constructors ([`SstConfig::scout`],
-/// [`SstConfig::execute_ahead`], [`SstConfig::sst`]) produce the paper's
-/// three design points; every field can also be swept independently for
-/// the sensitivity studies (experiments E6–E8).
+/// The named constructors ([`SstConfig::in_order`], [`SstConfig::scout`],
+/// [`SstConfig::execute_ahead`], [`SstConfig::sst`]) produce the study's
+/// baseline and the paper's three design points; every field can also be
+/// swept independently for the sensitivity studies (experiments E6–E8).
 #[derive(Clone, Debug)]
 pub struct SstConfig {
     /// Issue width shared by the ahead and deferred strands.
@@ -18,7 +18,9 @@ pub struct SstConfig {
     /// Memory operations issued per cycle (shared by both strands).
     pub dcache_ports: usize,
     /// Number of hardware checkpoints: the maximum simultaneously live
-    /// speculative epochs. 1 = execute-ahead / scout; 2 = ROCK's SST.
+    /// speculative epochs. 0 = in-order (then `defer_threshold` must be
+    /// `Cycle::MAX`: nothing defers); 1 = execute-ahead / scout; 2 =
+    /// ROCK's SST.
     pub checkpoints: usize,
     /// Deferred-queue capacity (shared by all live epochs).
     pub dq_entries: usize,
@@ -55,6 +57,21 @@ pub struct SstConfig {
 }
 
 impl SstConfig {
+    /// The in-order, stall-on-use baseline: SST's pipeline with no
+    /// checkpoint, deferred queue or store buffer, and no miss slow
+    /// enough to defer. No miss opens an episode, so a consumer of a miss
+    /// stalls the whole pipeline until its data arrives — the behaviour
+    /// SST's execute-ahead attacks.
+    pub fn in_order() -> SstConfig {
+        SstConfig {
+            checkpoints: 0,
+            dq_entries: 0,
+            stb_entries: 0,
+            defer_threshold: Cycle::MAX,
+            ..SstConfig::sst()
+        }
+    }
+
     /// ROCK's SST design point: two checkpoints, result retention.
     pub fn sst() -> SstConfig {
         SstConfig {
@@ -91,9 +108,12 @@ impl SstConfig {
         }
     }
 
-    /// Short model label for reports ("scout", "ea", "sst", "sst-4", ...).
+    /// Short model label for reports ("in-order", "scout", "ea", "sst",
+    /// "sst-4", ...).
     pub fn label(&self) -> String {
-        if !self.retain_results {
+        if self.checkpoints == 0 {
+            "in-order".to_string()
+        } else if !self.retain_results {
             "scout".to_string()
         } else if self.checkpoints == 1 {
             "ea".to_string()
@@ -111,6 +131,7 @@ mod tests {
 
     #[test]
     fn design_point_labels() {
+        assert_eq!(SstConfig::in_order().label(), "in-order");
         assert_eq!(SstConfig::scout().label(), "scout");
         assert_eq!(SstConfig::execute_ahead().label(), "ea");
         assert_eq!(SstConfig::sst().label(), "sst");

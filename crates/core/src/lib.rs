@@ -7,6 +7,9 @@
 //! One configurable core expresses the whole design space the paper
 //! evaluates:
 //!
+//! * [`SstConfig::in_order`] — the **in-order, stall-on-use baseline**:
+//!   no checkpoint, DQ or store buffer, so a miss never defers and its
+//!   first consumer stalls the pipeline until the data arrives.
 //! * [`SstConfig::scout`] — **hardware scout / runahead**: on a deferrable
 //!   load miss, checkpoint and keep executing purely for prefetching and
 //!   predictor training; all results are discarded and execution restarts

@@ -84,7 +84,7 @@ enum ReplayOutcome {
     PortFull,
 }
 
-/// The scout / execute-ahead / SST core.
+/// The in-order / scout / execute-ahead / SST core.
 ///
 /// See the [crate documentation](crate) for the model summary, and
 /// [`SstConfig`] for the design points.
@@ -148,8 +148,16 @@ struct WorkCounters {
 impl SstCore {
     /// Creates a core with index `id` starting at `program.entry`. The
     /// caller loads the program image into the core's memory port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a configuration without checkpoints could defer a miss
+    /// (its `defer_threshold` is not `Cycle::MAX`).
     pub fn new(cfg: SstConfig, id: usize, program: &Program) -> SstCore {
-        assert!(cfg.checkpoints >= 1, "need at least one checkpoint");
+        assert!(
+            cfg.checkpoints > 0 || cfg.defer_threshold == Cycle::MAX,
+            "a core without checkpoints must never defer"
+        );
         SstCore {
             frontend: Frontend::new(cfg.frontend, program),
             dq: DeferredQueue::new(cfg.dq_entries),
@@ -1362,7 +1370,9 @@ impl Core for SstCore {
     }
 
     fn model_name(&self) -> &'static str {
-        if !self.cfg.retain_results {
+        if self.cfg.checkpoints == 0 {
+            "in-order"
+        } else if !self.cfg.retain_results {
             "scout"
         } else if self.cfg.checkpoints == 1 {
             "execute-ahead"

@@ -5,7 +5,6 @@
 //! anybody meaningfully on cache-resident code.
 
 use sst_core::{SstConfig, SstCore};
-use sst_inorder::{InOrderConfig, InOrderCore};
 use sst_isa::{Asm, Program, Reg};
 use sst_mem::{MemConfig, MemSystem};
 use sst_uarch::Core;
@@ -23,7 +22,7 @@ fn run_core(mut core: impl Core, p: &Program, max: u64) -> (u64, u64) {
 fn cycles_for(p: &Program, which: &str) -> u64 {
     let max = 50_000_000;
     match which {
-        "inorder" => run_core(InOrderCore::new(InOrderConfig::default(), 0, p), p, max).0,
+        "inorder" => run_core(SstCore::new(SstConfig::in_order(), 0, p), p, max).0,
         "scout" => run_core(SstCore::new(SstConfig::scout(), 0, p), p, max).0,
         "ea" => run_core(SstCore::new(SstConfig::execute_ahead(), 0, p), p, max).0,
         "sst" => run_core(SstCore::new(SstConfig::sst(), 0, p), p, max).0,

@@ -2,7 +2,6 @@
 //! mechanism-family speedups, and the headline SST-vs-OoO comparison.
 
 use sst_core::SstConfig;
-use sst_inorder::InOrderConfig;
 use sst_isa::InstClass;
 use sst_mem::MemConfig;
 use sst_ooo::OooConfig;
@@ -34,25 +33,20 @@ pub(super) fn e1() -> Experiment {
             "LQ/SQ",
             "D$ ports",
         ]);
-        let io = InOrderConfig::default();
-        t.row([
-            "in-order".to_string(),
-            io.width.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            io.dcache_ports.to_string(),
-        ]);
-        for cfg in [SstConfig::scout(), SstConfig::execute_ahead(), SstConfig::sst()] {
+        // An absent structure (in-order has none) reads `-`.
+        let size = |n: usize| if n == 0 { "-".to_string() } else { n.to_string() };
+        for cfg in [
+            SstConfig::in_order(),
+            SstConfig::scout(),
+            SstConfig::execute_ahead(),
+            SstConfig::sst(),
+        ] {
             t.row([
                 cfg.label(),
                 cfg.width.to_string(),
-                cfg.checkpoints.to_string(),
-                cfg.dq_entries.to_string(),
-                cfg.stb_entries.to_string(),
+                size(cfg.checkpoints),
+                size(cfg.dq_entries),
+                size(cfg.stb_entries),
                 "-".into(),
                 "-".into(),
                 "-".into(),

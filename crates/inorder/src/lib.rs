@@ -1,22 +1,10 @@
 //! # sst-inorder
 //!
-//! The in-order, stall-on-use baseline core of the SST study.
-//!
-//! This is the simplest machine in the comparison: a `width`-wide in-order
-//! pipeline that issues instructions in program order, records each
-//! destination's readiness cycle, and stalls issue when a consumer's source
-//! is not yet ready ("stall-on-use"). Independent loads can overlap (the
-//! MSHRs in `sst-mem` bound that), but a dependent use of a miss blocks the
-//! whole pipeline — precisely the behaviour SST's execute-ahead mechanism
-//! attacks.
-//!
-//! The core shares its frontend, latency table, and memory hierarchy with
-//! every other model in the workspace, so comparisons isolate the pipeline
-//! organization.
+//! Empty. The in-order, stall-on-use baseline is `sst_core::SstConfig::
+//! in_order()`: SST's pipeline with no checkpoint, deferred queue or store
+//! buffer, which `sst_sim::CoreModel::InOrder` builds. No workspace crate
+//! depends on this package; it is kept only because the measurement
+//! ladder's manifest (`benchmark/Cargo.toml`) still names it as a path
+//! dependency, and goes when that line does.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod core;
-
-pub use crate::core::{InOrderConfig, InOrderCore, InOrderStats};

@@ -181,11 +181,6 @@ impl Asm {
         l
     }
 
-    /// The address a bound label resolves to, or `None` if unbound.
-    pub fn addr_of(&self, label: Label) -> Option<u64> {
-        self.labels[label.0].map(|idx| self.text_base + idx as u64 * INST_BYTES)
-    }
-
     /// Number of instructions emitted so far.
     pub fn len(&self) -> usize {
         self.slots.len()

@@ -511,18 +511,6 @@ impl Inst {
         }
     }
 
-    /// The register whose value feeds the memory *address* computation, if
-    /// this instruction accesses memory.
-    #[inline]
-    pub fn addr_base(self) -> Option<Reg> {
-        match self {
-            Inst::Load { base, .. } | Inst::Store { base, .. } | Inst::Prefetch { base, .. } => {
-                Some(base)
-            }
-            _ => None,
-        }
-    }
-
     /// `true` for loads (architectural memory reads).
     #[inline]
     pub fn is_load(self) -> bool {

@@ -624,11 +624,6 @@ impl MemSystem {
         self.cfg.l1d.line_bytes
     }
 
-    /// Number of cores this system serves.
-    pub fn core_count(&self) -> usize {
-        self.ports.len()
-    }
-
     /// A serial (ungated) bus for `core`: the view a core gets of its
     /// private port plus direct access to the shared residue.
     #[inline]

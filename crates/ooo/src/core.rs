@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use sst_isa::{Inst, Program, Reg, Snap, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
-use sst_obs::{Phase, Probes, Stage};
+use sst_obs::{Phase, PhaseTable, Probes, Stage};
 use sst_uarch::{
     drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst, Frontend,
     FrontendConfig, LeakageSummary, Seq, SquashCounts, TaintState,
@@ -365,6 +365,9 @@ pub struct OooCore {
     lq_popped: u32,
     seq: Seq,
     cycle: Cycle,
+    /// Cycles spent clock-gated ([`Core::gate_to`]); every other cycle is
+    /// a `normal` one.
+    gated: Cycle,
     halted: bool,
     /// Renaming is blocked until the mispredicted branch at this seq
     /// executes and redirects fetch.
@@ -387,8 +390,8 @@ pub struct OooCore {
     /// discriminant test per hook.
     taint: Option<Box<TaintState>>,
     /// Event ring and host stage timers (`Core::probes`), record-only. The
-    /// OoO core has a single phase, so its track is one `normal` span plus
-    /// ROB-occupancy samples.
+    /// OoO core's track is one `normal` span (broken only by `gated`
+    /// windows) plus ROB-occupancy samples.
     probes: Probes,
     commits: Vec<Commit>,
     /// Window entries the issue scan has read (work-counter tests).
@@ -428,6 +431,7 @@ impl OooCore {
             lq_popped: 0,
             seq: 0,
             cycle: 0,
+            gated: 0,
             halted: false,
             fetch_blocked_on: None,
             phantom: None,
@@ -1294,8 +1298,21 @@ impl Core for OooCore {
 
     fn gate_to(&mut self, target: Cycle) {
         // Clock gate (see the trait docs): no stall accounting, in-flight
-        // absolute-cycle state ages across the gated window.
-        self.cycle = self.cycle.max(target);
+        // absolute-cycle state ages across the gated window, which is
+        // credited to its own phase row.
+        if target <= self.cycle {
+            return;
+        }
+        self.gated += target - self.cycle;
+        self.probes.set_phase(Phase::Gated, self.cycle);
+        self.cycle = target;
+    }
+
+    fn phases(&self) -> PhaseTable {
+        let mut t = PhaseTable::new();
+        t.add(Phase::Normal, self.cycle - self.gated);
+        t.add(Phase::Gated, self.gated);
+        t
     }
 
     fn core_id(&self) -> usize {
@@ -1368,6 +1385,7 @@ impl Core for OooCore {
 
 sst_isa::snap_record!(state OooCore "OOOC" {
     cycle,
+    gated,
     seq,
     halted,
     fetch_blocked_on,
@@ -1493,6 +1511,12 @@ impl OooCore {
     /// window so they are consistent by construction (the debug-build
     /// `counts_consistent` assertion would catch drift).
     fn restored(&mut self) -> Result<(), SnapError> {
+        if self.gated > self.cycle {
+            return Err(SnapError::Corrupt(format!(
+                "{} gated cycles exceed the clock {}",
+                self.gated, self.cycle
+            )));
+        }
         let phys_count = self.phys_count();
         SnapError::check_size("physical register count", self.phys_ready.len(), phys_count)?;
         SnapError::check_bound("free list length", self.free.len(), phys_count)?;

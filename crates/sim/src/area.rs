@@ -9,7 +9,6 @@
 //! model; see DESIGN.md substitution S4.
 
 use sst_core::SstConfig;
-use sst_inorder::InOrderConfig;
 use sst_ooo::OooConfig;
 
 use crate::CoreModel;
@@ -44,18 +43,13 @@ const ADDR_BITS: u64 = 48;
 const SEQ_TAG_BITS: u64 = 10;
 const INST_BITS: u64 = 32;
 
-/// Estimates the in-order baseline: one register file plus a scoreboard.
-pub fn inorder_area(_cfg: &InOrderConfig) -> AreaEstimate {
-    AreaEstimate {
-        sram_bits: ARCH_REGS * REG_BITS + ARCH_REGS, // regfile + ready bits
-        cam_bits: 0,
-    }
-}
-
 /// Estimates an SST-family core: register image with NT bits, checkpoint
-/// images, the deferred queue, and the store buffer.
+/// images, the deferred queue, and the store buffer. Without checkpoints
+/// (in-order) the image's bit is a plain ready bit and no writer tags are
+/// kept: a register file plus a scoreboard.
 pub fn sst_area(cfg: &SstConfig) -> AreaEstimate {
-    let live_image = ARCH_REGS * (REG_BITS + 1 + SEQ_TAG_BITS); // value + NT + writer
+    let writer_tag = if cfg.checkpoints == 0 { 0 } else { SEQ_TAG_BITS };
+    let live_image = ARCH_REGS * (REG_BITS + 1 + writer_tag); // value + NT/ready + writer
     let checkpoints = cfg.checkpoints as u64 * (ARCH_REGS * REG_BITS + ADDR_BITS);
     // DQ entry: inst + pc + one captured operand + producer tags + flags.
     // (ROCK-style: an instruction deferred for an NT source captures the
@@ -102,7 +96,7 @@ pub fn ooo_area(cfg: &OooConfig) -> AreaEstimate {
 /// Estimates any lineup model.
 pub fn model_area(model: &CoreModel) -> AreaEstimate {
     match model {
-        CoreModel::InOrder => inorder_area(&InOrderConfig::default()),
+        CoreModel::InOrder => sst_area(&SstConfig::in_order()),
         CoreModel::Scout => sst_area(&SstConfig::scout()),
         CoreModel::ExecuteAhead => sst_area(&SstConfig::execute_ahead()),
         CoreModel::Sst => sst_area(&SstConfig::sst()),

@@ -577,6 +577,11 @@ mod tests {
         fn model_name(&self) -> &'static str {
             "scripted"
         }
+        fn phases(&self) -> sst_obs::PhaseTable {
+            let mut t = sst_obs::PhaseTable::new();
+            t.add(sst_obs::Phase::Normal, self.cycle);
+            t
+        }
         fn probes(&mut self) -> &mut sst_obs::Probes {
             &mut self.probes
         }
@@ -927,6 +932,9 @@ mod tests {
         }
         fn model_name(&self) -> &'static str {
             self.inner.model_name()
+        }
+        fn phases(&self) -> sst_obs::PhaseTable {
+            self.inner.phases()
         }
         fn probes(&mut self) -> &mut sst_obs::Probes {
             self.inner.probes()

@@ -1,7 +1,6 @@
 //! The machine lineup of the study.
 
 use sst_core::{SstConfig, SstCore};
-use sst_inorder::{InOrderConfig, InOrderCore};
 use sst_isa::Program;
 use sst_ooo::{OooConfig, OooCore};
 use sst_uarch::Core;
@@ -11,7 +10,8 @@ use sst_uarch::Core;
 /// configurations use the `Custom*` variants.
 #[derive(Clone, Debug)]
 pub enum CoreModel {
-    /// 2-wide in-order, stall-on-use.
+    /// 2-wide in-order, stall-on-use: SST's pipeline without checkpoints
+    /// ([`SstConfig::in_order`]).
     InOrder,
     /// Hardware scout (runahead, results discarded).
     Scout,
@@ -51,7 +51,7 @@ impl CoreModel {
     /// Builds the core for `program` as core number `id`.
     pub fn build(&self, id: usize, program: &Program) -> Box<dyn Core> {
         match self {
-            CoreModel::InOrder => Box::new(InOrderCore::new(InOrderConfig::default(), id, program)),
+            CoreModel::InOrder => Box::new(SstCore::new(SstConfig::in_order(), id, program)),
             CoreModel::Scout => Box::new(SstCore::new(SstConfig::scout(), id, program)),
             CoreModel::ExecuteAhead => {
                 Box::new(SstCore::new(SstConfig::execute_ahead(), id, program))
@@ -75,16 +75,6 @@ impl CoreModel {
             CoreModel::Ooo32,
             CoreModel::Ooo64,
             CoreModel::Ooo128,
-        ]
-    }
-
-    /// The SST-family subset (E3).
-    pub fn sst_family() -> Vec<CoreModel> {
-        vec![
-            CoreModel::InOrder,
-            CoreModel::Scout,
-            CoreModel::ExecuteAhead,
-            CoreModel::Sst,
         ]
     }
 }
@@ -112,6 +102,20 @@ mod tests {
             let c = m.build(0, &p);
             assert_eq!(c.core_id(), 0);
             assert!(!c.halted());
+        }
+    }
+
+    #[test]
+    fn every_model_credits_a_gated_window_to_gated() {
+        let mut a = Asm::new();
+        a.halt();
+        let p = a.finish().unwrap();
+        for m in CoreModel::lineup() {
+            let mut c = m.build(0, &p);
+            c.gate_to(1000);
+            let phases = c.phases();
+            assert_eq!(phases.get(sst_obs::Phase::Gated), 1000, "{}", m.label());
+            assert_eq!(phases.total(), c.cycle(), "{}", m.label());
         }
     }
 }

@@ -101,11 +101,6 @@ impl SampledResult {
         1.0 / self.cpi
     }
 
-    /// The confidence interval as a fraction of the mean.
-    pub fn rel_ci(&self) -> f64 {
-        self.ci95 / self.cpi.max(f64::MIN_POSITIVE)
-    }
-
     /// Fraction of the program executed under the detailed model.
     pub fn detail_fraction(&self) -> f64 {
         self.detailed_insts as f64 / self.insts.max(1) as f64

@@ -168,7 +168,8 @@ pub trait Core: Send {
     ///
     /// Unlike [`Core::skip_to`], this is *not* transparent: the gated
     /// window is dead time by construction, not provably-inert stall
-    /// cycles, so no stall counters are credited and `target` needs no
+    /// cycles, so no stall counters are credited (the window goes to the
+    /// `gated` row of [`Core::phases`]) and `target` needs no
     /// `next_event_cycle` vouching. In-flight absolute-cycle state (an
     /// outstanding I-miss, a timed register) keeps aging across the gate,
     /// exactly as on hardware whose caches keep running while the pipeline
@@ -207,13 +208,9 @@ pub trait Core: Send {
     /// each pipeline phase (see [`sst_obs::Phase`]). The invariant —
     /// enforced by the trace-equivalence suite — is that the rows sum
     /// exactly to [`Core::cycle`], however the clock advanced (ticks,
-    /// [`Core::skip_to`], or [`Core::gate_to`]). The default covers
-    /// non-speculating cores: every cycle is `normal`.
-    fn phases(&self) -> sst_obs::PhaseTable {
-        let mut t = sst_obs::PhaseTable::new();
-        t.add(sst_obs::Phase::Normal, self.cycle());
-        t
-    }
+    /// [`Core::skip_to`], or [`Core::gate_to`]): a gated window goes to
+    /// `gated`. No default, so that no model can misfile a cycle silently.
+    fn phases(&self) -> sst_obs::PhaseTable;
 
     /// The core's record-only attachments: its event ring and host stage
     /// timers (see [`sst_obs::Probes`]), both off until a driver enables

@@ -201,13 +201,10 @@ pub struct DeferredQueue {
 }
 
 impl DeferredQueue {
-    /// Creates an empty queue holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates an empty queue holding at most `capacity` entries. A
+    /// zero-entry queue is always full (a core without checkpoints never
+    /// defers).
     pub fn new(capacity: usize) -> DeferredQueue {
-        assert!(capacity > 0, "DQ needs at least one entry");
         let words = capacity.div_ceil(64);
         DeferredQueue {
             slots: Vec::with_capacity(capacity),

@@ -17,8 +17,8 @@
 //! * [`Frontend`] — fetch + decode with branch prediction, shared by all
 //!   cores so frontend quality never confounds the core comparisons.
 //!
-//! These pieces are deliberately core-agnostic: `sst-core` (scout / EA /
-//! SST), `sst-inorder`, and `sst-ooo` all build on them.
+//! These pieces are deliberately core-agnostic: `sst-core` (in-order /
+//! scout / EA / SST) and `sst-ooo` both build on them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

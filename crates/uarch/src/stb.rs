@@ -87,13 +87,9 @@ pub struct StoreBuffer {
 }
 
 impl StoreBuffer {
-    /// Creates a buffer of `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates a buffer of `capacity` entries. A zero-entry buffer is
+    /// always full (a core without checkpoints never buffers a store).
     pub fn new(capacity: usize) -> StoreBuffer {
-        assert!(capacity > 0, "store buffer needs at least one entry");
         StoreBuffer {
             entries: VecDeque::with_capacity(capacity),
             unresolved_addrs: VecDeque::new(),
