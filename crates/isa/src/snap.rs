@@ -358,6 +358,17 @@ impl<T: Snap + Ord + Hash + Copy, S: BuildHasher + Default> Snap for HashSet<T, 
     }
 }
 
+/// A `u64` byte length, then the UTF-8 bytes.
+impl Snap for String {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_str(self);
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<String, SnapError> {
+        r.take_str()
+    }
+}
+
 /// The register's index, one byte.
 impl Snap for Reg {
     fn put(&self, w: &mut SnapWriter) {

@@ -63,6 +63,19 @@ pub struct MemStats {
     pub useful_prefetches: u64,
 }
 
+sst_isa::snap_record!(MemStats {
+    l1i,
+    l1d,
+    l2,
+    dram_reads,
+    dram_row_hits,
+    dram_writebacks,
+    mshr_merges,
+    mshr_full_delays,
+    prefetches,
+    useful_prefetches,
+});
+
 impl MemStats {
     /// Creates per-core vectors for `cores` cores.
     pub fn new(cores: usize) -> MemStats {

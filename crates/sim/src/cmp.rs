@@ -44,6 +44,8 @@ pub struct CmpResult {
     pub mem: MemStats,
 }
 
+sst_isa::snap_record!(CmpResult { model, per_core, cycles, mem });
+
 impl CmpResult {
     /// Aggregate throughput: total instructions / makespan cycles.
     pub fn throughput_ipc(&self) -> f64 {

@@ -46,6 +46,19 @@ pub struct RunResult {
     pub phases: Vec<(String, u64)>,
 }
 
+sst_isa::snap_record!(RunResult {
+    model,
+    workload,
+    cycles,
+    insts,
+    warmup_cycles,
+    warmup_insts,
+    mem,
+    counters,
+    inst_mix,
+    phases,
+});
+
 impl RunResult {
     /// Whole-run IPC.
     pub fn ipc(&self) -> f64 {

@@ -7,6 +7,8 @@
 //! percentile is the *upper bound* of its bucket — at most a factor
 //! `1 + 2^-precision` above the true order statistic, and never below it.
 
+use sst_isa::{Snap, SnapError, SnapReader, SnapWriter};
+
 /// Log-bucketed latency histogram with integer bucket math.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
@@ -109,65 +111,51 @@ impl LatencyHistogram {
     pub fn saturated(&self) -> u64 {
         self.saturated
     }
+}
 
-    /// Sub-bucket precision bits.
-    pub fn precision(&self) -> u32 {
-        self.precision
-    }
-
-    /// The largest representable value.
-    pub fn max_value(&self) -> u64 {
-        self.max_value
-    }
-
-    /// Occupied buckets as `(index, count)`, for sparse serialization.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
+/// The shape, then the occupied buckets as `(index, count)` pairs in
+/// ascending index order, then the saturation count. The total is not
+/// stored: it is their sum, taken back with checked adds.
+impl Snap for LatencyHistogram {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put_u32(self.precision);
+        w.put_u64(self.max_value);
+        let occupied: Vec<(usize, u64)> = self
+            .buckets
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
+            .collect();
+        occupied.put(w);
+        w.put_u64(self.saturated);
     }
 
-    /// Rebuilds a histogram from its sparse parts (cache round-trip).
-    /// Panics on an out-of-range bucket index.
-    pub fn from_parts(
-        precision: u32,
-        max_value: u64,
-        buckets: impl IntoIterator<Item = (usize, u64)>,
-        saturated: u64,
-    ) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new(precision, max_value);
-        for (i, c) in buckets {
-            h.buckets[i] += c;
-            h.total += c;
-        }
-        h.saturated = saturated;
-        h.total += saturated;
-        h
-    }
-
-    /// [`LatencyHistogram::from_parts`] that rejects malformed shapes
-    /// instead of panicking — for deserializing untrusted bytes (a
-    /// corrupt cache entry must read as a miss, not abort the run).
-    pub fn try_from_parts(
-        precision: u32,
-        max_value: u64,
-        buckets: impl IntoIterator<Item = (usize, u64)>,
-        saturated: u64,
-    ) -> Option<LatencyHistogram> {
+    fn take(r: &mut SnapReader<'_>) -> Result<LatencyHistogram, SnapError> {
+        let (precision, max_value) = (r.take_u32()?, r.take_u64()?);
         if !(1..=10).contains(&precision) || max_value < (1 << precision) {
-            return None;
+            return Err(SnapError::Corrupt(format!(
+                "histogram shape {precision}/{max_value}"
+            )));
         }
         let mut h = LatencyHistogram::new(precision, max_value);
-        for (i, c) in buckets {
-            *h.buckets.get_mut(i)? += c;
-            h.total += c;
+        let mut next = 0;
+        for (i, c) in Vec::<(usize, u64)>::take(r)? {
+            if i < next || i >= h.buckets.len() {
+                return Err(SnapError::Corrupt(format!("histogram bucket {i}")));
+            }
+            h.buckets[i] = c;
+            h.total = h.total.checked_add(c).ok_or_else(overflow)?;
+            next = i + 1;
         }
-        h.saturated = saturated;
-        h.total += saturated;
-        Some(h)
+        h.saturated = r.take_u64()?;
+        h.total = h.total.checked_add(h.saturated).ok_or_else(overflow)?;
+        Ok(h)
     }
+}
+
+fn overflow() -> SnapError {
+    SnapError::Corrupt("histogram total overflows u64".to_string())
 }
 
 #[cfg(test)]
@@ -250,13 +238,52 @@ mod tests {
         for v in [0, 1, 63, 64, 1000, 123_456, 1 << 24, (1 << 24) + 1] {
             h.record(v);
         }
-        let back = LatencyHistogram::from_parts(
-            h.precision(),
-            h.max_value(),
-            h.nonzero_buckets(),
-            h.saturated(),
+        let mut w = SnapWriter::new();
+        h.put(&mut w);
+        let mut r = SnapReader::new(w.as_bytes());
+        assert_eq!(LatencyHistogram::take(&mut r), Ok(h));
+        r.finish().unwrap();
+    }
+
+    /// Encoded shape, bucket pairs and saturation count, as `put` lays
+    /// them out, then `take` of those bytes.
+    fn take_parts(
+        precision: u32,
+        max_value: u64,
+        buckets: &[(usize, u64)],
+        saturated: u64,
+    ) -> bool {
+        let mut w = SnapWriter::new();
+        (precision, max_value, buckets.to_vec(), saturated).put(&mut w);
+        LatencyHistogram::take(&mut SnapReader::new(w.as_bytes())).is_ok()
+    }
+
+    #[test]
+    fn malformed_parts_are_corrupt_not_a_panic() {
+        assert!(take_parts(5, 1 << 10, &[(0, 1), (40, 2)], 3), "well-formed");
+        assert!(!take_parts(0, 1 << 10, &[], 0), "precision 0");
+        assert!(!take_parts(11, 1 << 20, &[], 0), "precision 11");
+        assert!(!take_parts(5, 31, &[], 0), "range below 2^precision");
+        assert!(
+            !take_parts(5, 1 << 10, &[(1 << 20, 1)], 0),
+            "index past the last bucket"
         );
-        assert_eq!(h, back);
+        assert!(
+            !take_parts(5, 1 << 10, &[(4, 1), (4, 1)], 0),
+            "repeated index"
+        );
+        assert!(
+            !take_parts(5, 1 << 10, &[(4, 1), (3, 1)], 0),
+            "descending indices"
+        );
+        assert!(
+            !take_parts(5, 1 << 10, &[(0, u64::MAX), (1, u64::MAX)], 0),
+            "total overflows"
+        );
+        assert!(
+            !take_parts(5, 1 << 10, &[(0, u64::MAX)], 1),
+            "saturation overflows the total"
+        );
     }
 
     /// Bucket edges at the seams: every power of two and its neighbours

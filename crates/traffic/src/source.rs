@@ -117,6 +117,21 @@ pub struct TrafficResult {
     pub mem: MemStats,
 }
 
+sst_isa::snap_record!(TrafficResult {
+    model,
+    workload,
+    cores,
+    load_permille,
+    mean_interarrival,
+    cycles,
+    offered,
+    completed,
+    shed,
+    hist,
+    per_core,
+    mem,
+});
+
 impl TrafficResult {
     /// Delivered throughput in permille of nominal chip capacity
     /// (completed work over elapsed core-cycles), for knee detection
