@@ -1183,6 +1183,11 @@ impl SstCore {
                     self.log_issued(&f, now, None, Some((addr, bytes, data)));
                 }
                 Inst::Prefetch { .. } => {
+                    if *mem_ops >= self.cfg.dcache_ports {
+                        self.stats.stall_port += 1;
+                        break;
+                    }
+                    *mem_ops += 1;
                     let base = sources[0].map_or(0, |r| self.spec.value(r));
                     let addr = mem_addr(inst, base);
                     let seq = self.issue_head();

@@ -194,3 +194,32 @@ fn scout_holds_slots_and_queues_nothing() {
         }
     }
 }
+
+/// A prefetch takes a D-cache port as a load does: behind a load, on one
+/// port, it issues a cycle later and the cycle between is a port stall.
+#[test]
+fn a_prefetch_behind_a_load_waits_for_the_port() {
+    let p = assemble(|a| {
+        a.ld(Reg::x(5), Reg::ZERO, 0x100);
+        a.prefetch(Reg::ZERO, 0x400);
+        a.halt();
+    });
+    let cfg = SstConfig {
+        dcache_ports: 1,
+        ..SstConfig::in_order()
+    };
+    let (mut core, mut mem, mut interp) = boot(cfg, &p);
+    let mut issued = Vec::new();
+    while !core.halted {
+        assert!(core.cycle < 10_000, "did not halt");
+        core.tick(&mut mem.bus(0));
+        for c in core.commits.drain(..) {
+            let ev = interp.step().expect("reference runs");
+            assert_eq!((c.pc, c.inst), (ev.pc, ev.inst));
+            issued.push(c.at);
+        }
+    }
+    let [load, prefetch, _halt] = issued[..] else { panic!("{issued:?}") };
+    assert_eq!(prefetch, load + 1, "issued at {issued:?}");
+    assert_eq!(core.stats.stall_port, 1);
+}
