@@ -223,3 +223,41 @@ fn a_prefetch_behind_a_load_waits_for_the_port() {
     assert_eq!(prefetch, load + 1, "issued at {issued:?}");
     assert_eq!(core.stats.stall_port, 1);
 }
+
+/// A replayed prefetch takes a D-cache port as a replayed load's first
+/// access does. A load and a prefetch both hang off one missing load; on
+/// one port they replay in the same pass, and the prefetch's access lands
+/// a cycle after the load's.
+#[test]
+fn a_replayed_prefetch_waits_for_the_port() {
+    let p = assemble(|a| {
+        let cell = a.data_u64(&[0]);
+        a.reserve(FAR);
+        a.la(Reg::x(20), cell);
+        a.ld(Reg::x(1), Reg::x(20), 0); // miss: x1 = 0
+        a.add(Reg::x(3), Reg::x(1), Reg::x(20)); // deferred: x3 = cell
+        a.ld(Reg::x(2), Reg::x(3), 0); // deferred; hits the filled line
+        a.prefetch(Reg::x(3), 64); // deferred
+        a.halt();
+    });
+    let cfg = SstConfig {
+        dcache_ports: 1,
+        ..SstConfig::sst()
+    };
+    let (mut core, mut mem, mut interp) = boot(cfg, &p);
+    let mut at = Vec::new();
+    while !core.halted {
+        assert!(core.cycle < 10_000, "did not halt");
+        core.tick(&mut mem.bus(0));
+        for c in core.commits.drain(..) {
+            let ev = interp.step().expect("reference runs");
+            assert_eq!((c.pc, c.inst), (ev.pc, ev.inst));
+            at.push((c.inst, c.at));
+        }
+    }
+    assert!(core.stats.replayed >= 3, "{:?}", core.stats);
+    let replayed = |f: fn(&Inst) -> bool| at.iter().rev().find(|(i, _)| f(i)).map(|&(_, c)| c);
+    let load = replayed(|i| matches!(i, Inst::Load { rd, .. } if *rd == Reg::x(2))).unwrap();
+    let prefetch = replayed(|i| matches!(i, Inst::Prefetch { .. })).unwrap();
+    assert_eq!(prefetch, load + 1, "replayed at {at:?}");
+}
