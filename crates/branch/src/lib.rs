@@ -1,9 +1,8 @@
 //! # sst-branch
 //!
-//! Branch prediction for the `rock-sst` workspace: direction predictors
-//! (static, bimodal, gshare, tournament), a branch target buffer, and a
-//! return-address stack, combined behind the [`BranchUnit`] facade that
-//! every core frontend uses.
+//! Branch prediction for the `rock-sst` workspace: a gshare direction
+//! predictor, a branch target buffer, and a return-address stack, combined
+//! behind the [`BranchUnit`] facade that every core frontend uses.
 //!
 //! All core models in the SST study (in-order, scout/EA/SST, out-of-order)
 //! share the *same* predictor configuration, so direction accuracy is never
@@ -32,6 +31,6 @@ mod ras;
 mod unit;
 
 pub use btb::Btb;
-pub use direction::{Bimodal, DirectionPredictor, Gshare, PredictorKind, StaticTaken, Tournament};
+pub use direction::{Gshare, PredictorKind};
 pub use ras::ReturnAddressStack;
 pub use unit::{BranchKind, BranchUnit, Prediction};

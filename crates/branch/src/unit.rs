@@ -1,9 +1,7 @@
 //! The combined branch unit used by core frontends.
 
-use sst_isa::{SnapError, SnapReader, SnapState, SnapWriter};
-
 use crate::btb::Btb;
-use crate::direction::{make_predictor, DirectionPredictor, PredictorKind};
+use crate::direction::{Gshare, PredictorKind};
 use crate::ras::ReturnAddressStack;
 
 /// Control-flow class as seen by the predictor.
@@ -37,7 +35,7 @@ pub struct Prediction {
 
 /// Direction predictor + BTB + RAS behind one interface.
 pub struct BranchUnit {
-    direction: Box<dyn DirectionPredictor>,
+    direction: Gshare,
     btb: Btb,
     ras: ReturnAddressStack,
     /// Conditional predictions made.
@@ -52,8 +50,9 @@ impl BranchUnit {
     /// Builds a unit with the given direction predictor, BTB entry count
     /// (power of two) and RAS depth.
     pub fn new(kind: PredictorKind, btb_entries: usize, ras_depth: usize) -> BranchUnit {
+        let PredictorKind::Gshare { bits } = kind;
         BranchUnit {
-            direction: make_predictor(kind),
+            direction: Gshare::new(bits),
             btb: Btb::new(btb_entries),
             ras: ReturnAddressStack::new(ras_depth),
             cond_predictions: 0,
@@ -169,25 +168,6 @@ sst_isa::snap_record!(state BranchUnit {
     cond_mispredictions,
     target_mispredictions,
 });
-
-/// The predictor's tables and history as one length-prefixed byte string
-/// ([`DirectionPredictor::state_dump`]).
-impl SnapState for Box<dyn DirectionPredictor> {
-    fn put_state(&self, w: &mut SnapWriter) {
-        let mut dump = Vec::new();
-        self.state_dump(&mut dump);
-        w.put_bytes(&dump);
-    }
-
-    fn take_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if !self.state_load(r.take_bytes()?) {
-            return Err(SnapError::Mismatch(
-                "direction-predictor state does not fit the configured predictor".into(),
-            ));
-        }
-        Ok(())
-    }
-}
 
 impl std::fmt::Debug for BranchUnit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

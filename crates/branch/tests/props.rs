@@ -2,7 +2,7 @@
 //! by the workspace's deterministic PRNG (fixed seeds, reproducible
 //! failures); build with `--features ext` for more cases.
 
-use sst_branch::{Bimodal, Btb, DirectionPredictor, Gshare, ReturnAddressStack, Tournament};
+use sst_branch::{Btb, Gshare, ReturnAddressStack};
 use sst_prng::Prng;
 
 fn cases(base: usize) -> usize {
@@ -10,22 +10,6 @@ fn cases(base: usize) -> usize {
         base * 8
     } else {
         base
-    }
-}
-
-/// A 2-bit counter predictor always converges to a constant direction
-/// within 4 consecutive identical outcomes.
-#[test]
-fn bimodal_converges() {
-    let mut r = Prng::seed_from_u64(0xb7a_0001);
-    for _ in 0..cases(128) {
-        let pc: u64 = r.gen();
-        let dir: bool = r.gen();
-        let mut p = Bimodal::new(10);
-        for _ in 0..4 {
-            p.update(pc, dir);
-        }
-        assert_eq!(p.predict(pc), dir);
     }
 }
 
@@ -61,22 +45,6 @@ fn gshare_learns_periodic_patterns() {
             correct,
             total
         );
-    }
-}
-
-/// The tournament never does much worse than its better component on a
-/// biased stream.
-#[test]
-fn tournament_tracks_bias() {
-    let mut r = Prng::seed_from_u64(0xb7a_0003);
-    for _ in 0..cases(128) {
-        let bias_taken: bool = r.gen();
-        let pc: u64 = r.gen();
-        let mut t = Tournament::new(10);
-        for _ in 0..32 {
-            t.update(pc, bias_taken);
-        }
-        assert_eq!(t.predict(pc), bias_taken);
     }
 }
 
