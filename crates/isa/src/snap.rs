@@ -55,8 +55,6 @@ pub enum SnapError {
         /// Version this build understands.
         supported: u32,
     },
-    /// The component does not support snapshotting.
-    Unsupported(&'static str),
     /// The snapshot is well-formed but describes a different run
     /// (wrong model, workload, or configuration).
     Mismatch(String),
@@ -70,7 +68,6 @@ impl fmt::Display for SnapError {
             SnapError::BadVersion { found, supported } => {
                 write!(f, "snapshot version {found} not supported (this build reads {supported})")
             }
-            SnapError::Unsupported(what) => write!(f, "{what} does not support snapshots"),
             SnapError::Mismatch(what) => write!(f, "snapshot mismatch: {what}"),
         }
     }
@@ -811,7 +808,6 @@ mod tests {
         let v = SnapError::BadVersion { found: 9, supported: 1 };
         assert!(v.to_string().contains('9'));
         assert!(SnapError::Truncated.to_string().contains("truncated"));
-        assert!(SnapError::Unsupported("x").to_string().contains("x"));
         assert!(SnapError::Mismatch("m".into()).to_string().contains("m"));
     }
 }

@@ -1319,10 +1319,6 @@ impl Core for OooCore {
         self.id
     }
 
-    fn model_name(&self) -> &'static str {
-        "out-of-order"
-    }
-
     fn counters(&self) -> Vec<(&'static str, u64)> {
         let bu = self.frontend.branch_unit_ref();
         vec![
@@ -1350,9 +1346,8 @@ impl Core for OooCore {
         &mut self.probes
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+    fn save_state(&self, w: &mut SnapWriter) {
         self.put_state(w);
-        Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {

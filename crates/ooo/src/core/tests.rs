@@ -148,7 +148,7 @@ fn a_scan_reads_only_the_window_entries_it_issues() {
 
 fn save(core: &OooCore, mem: &MemSystem) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    core.save_state(&mut w).unwrap();
+    core.save_state(&mut w);
     mem.save_state(&mut w);
     w.into_bytes()
 }

@@ -467,7 +467,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use sst_isa::Inst;
+    use sst_isa::{Inst, SnapError, SnapReader, SnapWriter, NUM_REGS};
     use sst_mem::MemConfig;
     use sst_workloads::Scale;
 
@@ -574,8 +574,14 @@ mod tests {
         fn core_id(&self) -> usize {
             0
         }
-        fn model_name(&self) -> &'static str {
-            "scripted"
+        fn save_state(&self, _: &mut SnapWriter) {
+            unreachable!("the engine never snapshots a core")
+        }
+        fn restore_state(&mut self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            unreachable!("the engine never restores a core")
+        }
+        fn warm_boot(&mut self, _: &[u64; NUM_REGS], _: u64) {
+            unreachable!("the engine never warm-boots a core")
         }
         fn phases(&self) -> sst_obs::PhaseTable {
             let mut t = sst_obs::PhaseTable::new();
@@ -930,8 +936,14 @@ mod tests {
         fn core_id(&self) -> usize {
             self.inner.core_id()
         }
-        fn model_name(&self) -> &'static str {
-            self.inner.model_name()
+        fn save_state(&self, w: &mut SnapWriter) {
+            self.inner.save_state(w);
+        }
+        fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            self.inner.restore_state(r)
+        }
+        fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64) {
+            self.inner.warm_boot(regs, pc);
         }
         fn phases(&self) -> sst_obs::PhaseTable {
             self.inner.phases()

@@ -439,8 +439,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Unsupported`] if the core model does not implement
-    /// state capture (all stock models do).
+    /// None today: every [`Core`] captures its state. The `Result` is kept
+    /// for existing callers.
     pub fn snapshot(&self) -> Result<Snapshot, SnapError> {
         let mut w = SnapWriter::new();
         w.tag(SNAPSHOT_MAGIC);
@@ -463,7 +463,7 @@ impl System {
             }
             None => w.put_bool(false),
         }
-        self.core.save_state(&mut w)?;
+        self.core.save_state(&mut w);
         self.mem.save_state(&mut w);
         Ok(Snapshot::from_bytes(w.into_bytes()))
     }

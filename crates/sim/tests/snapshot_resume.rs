@@ -179,7 +179,7 @@ fn resume_mid_replay_pass_rebuilds_the_deferred_strand() {
         }
         let pause = core.cycle();
         let mut bytes = SnapWriter::new();
-        core.save_state(&mut bytes).unwrap();
+        core.save_state(&mut bytes);
         let (mut twin, _) = boot();
         twin.restore_state(&mut SnapReader::new(bytes.as_bytes()))
             .unwrap();

@@ -119,7 +119,7 @@ impl Hand {
     /// `System::snapshot` writes them.
     fn image(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        self.core.save_state(&mut w).unwrap();
+        self.core.save_state(&mut w);
         self.mem.save_state(&mut w);
         w.into_bytes()
     }

@@ -181,9 +181,6 @@ pub trait Core: Send {
     /// The core's index in the shared memory system.
     fn core_id(&self) -> usize;
 
-    /// A short human-readable model name ("in-order", "sst", ...).
-    fn model_name(&self) -> &'static str;
-
     /// Model-specific counters as `(name, value)` pairs, in a stable
     /// display order. Names are shared across models where the concept is
     /// the same (`stall_frontend`, `mispredicts`, ...) so downstream
@@ -229,14 +226,7 @@ pub trait Core: Send {
     /// model/configuration and continue byte-identically. The record-only
     /// attachments ([`Core::probes`], taint) are excluded: restored runs
     /// start with them off.
-    ///
-    /// # Errors
-    ///
-    /// The default reports [`SnapError::Unsupported`]; models opt in.
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        let _ = w;
-        Err(SnapError::Unsupported(self.model_name()))
-    }
+    fn save_state(&self, w: &mut SnapWriter);
 
     /// Restores state written by [`Core::save_state`] on a core built
     /// with the same configuration over the same program.
@@ -245,10 +235,7 @@ pub trait Core: Send {
     ///
     /// [`SnapError`] on truncated, corrupt, or mismatched input; the
     /// core must not be ticked after a failed restore.
-    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let _ = r;
-        Err(SnapError::Unsupported(self.model_name()))
-    }
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 
     /// Warm-boots the core at an architectural point: squashes *all*
     /// speculative state (epochs, deferred queues, store buffers, ROB),
@@ -258,13 +245,7 @@ pub trait Core: Send {
     /// program and is shared). The cycle counter keeps running
     /// monotonically; sampled simulation measures per-interval cycles as
     /// deltas around these teleports.
-    ///
-    /// The default panics: sampling drivers only warm-boot models that
-    /// opted in.
-    fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64) {
-        let _ = (regs, pc);
-        panic!("{}: warm_boot is not supported by this model", self.model_name());
-    }
+    fn warm_boot(&mut self, regs: &[u64; NUM_REGS], pc: u64);
 
     /// Trains the branch predictor with one architecturally executed
     /// control transfer during functional warming (no timing, no fetch).
