@@ -12,8 +12,8 @@
 //!    at every `--threads`/`--jobs` setting.
 //! 2. [`TrafficSpec`]/[`run_traffic`] — each request is a bounded slice
 //!    (N transactions) of a commercial server kernel, dispatched through
-//!    a bounded admission queue onto per-core lanes
-//!    ([`Policy::LeastLoaded`] or [`Policy::RoundRobin`]), with explicit
+//!    a bounded admission queue onto the least-loaded per-core lane
+//!    ([`Policy::LeastLoaded`]), with explicit
 //!    shed accounting on overflow; cores serve via the `sst-sim` service
 //!    driver.
 //! 3. [`LatencyHistogram`] — HDR-style log-bucketed latency histogram

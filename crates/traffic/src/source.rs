@@ -1,7 +1,7 @@
 //! The open-loop traffic generator: a [`WorkSource`] that admits a
 //! pre-sampled Poisson arrival trace through a bounded admission queue,
-//! dispatches to per-core lanes under a configurable policy, and records
-//! every request's arrival, placement, and completion.
+//! dispatches to the least-loaded per-core lane, and records every
+//! request's arrival, placement, and completion.
 
 use std::collections::VecDeque;
 
@@ -23,8 +23,6 @@ const HIST_MAX: u64 = 1 << 34;
 pub enum Policy {
     /// Lowest queued+running count wins, ties to the lowest core id.
     LeastLoaded,
-    /// Strict rotation over cores with lane headroom.
-    RoundRobin,
 }
 
 /// Everything that defines one traffic point. `Debug` is the harness
@@ -164,8 +162,6 @@ struct TrafficSource {
     admission_cap: usize,
     lane_cap: usize,
     quantum: Cycle,
-    policy: Policy,
-    rr_cursor: usize,
     records: Vec<ReqRecord>,
 }
 
@@ -188,33 +184,19 @@ impl TrafficSource {
             admission_cap: spec.admission_cap,
             lane_cap: spec.lane_cap,
             quantum: spec.quantum,
-            policy: spec.policy,
-            rr_cursor: 0,
             records,
         }
     }
 
-    /// The lane to dispatch to, or `None` when every lane is full.
-    fn pick_lane(&mut self, lanes: &[Lane]) -> Option<usize> {
-        match self.policy {
-            Policy::LeastLoaded => lanes
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.load() < self.lane_cap)
-                .min_by_key(|(i, l)| (l.load(), *i))
-                .map(|(i, _)| i),
-            Policy::RoundRobin => {
-                let n = lanes.len();
-                for k in 0..n {
-                    let i = (self.rr_cursor + k) % n;
-                    if lanes[i].load() < self.lane_cap {
-                        self.rr_cursor = (i + 1) % n;
-                        return Some(i);
-                    }
-                }
-                None
-            }
-        }
+    /// The least-loaded lane with headroom ([`Policy::LeastLoaded`]), or
+    /// `None` when every lane is full.
+    fn pick_lane(&self, lanes: &[Lane]) -> Option<usize> {
+        lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.load() < self.lane_cap)
+            .min_by_key(|(i, l)| (l.load(), *i))
+            .map(|(i, _)| i)
     }
 }
 

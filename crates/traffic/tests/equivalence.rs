@@ -9,7 +9,7 @@ use sst_sim::CoreModel;
 use sst_traffic::{run_traffic_full, Policy, TrafficSpec};
 use sst_workloads::Scale;
 
-fn spec(model: CoreModel, policy: Policy, load_permille: u32) -> TrafficSpec {
+fn spec(model: CoreModel, load_permille: u32) -> TrafficSpec {
     TrafficSpec {
         model,
         workload: "oltp".into(),
@@ -21,32 +21,30 @@ fn spec(model: CoreModel, policy: Policy, load_permille: u32) -> TrafficSpec {
         admission_cap: 24,
         lane_cap: 4,
         quantum: 256,
-        policy,
+        policy: Policy::LeastLoaded,
     }
 }
 
 #[test]
 fn trace_is_identical_across_thread_counts() {
-    for policy in [Policy::LeastLoaded, Policy::RoundRobin] {
-        let s = spec(CoreModel::Sst, policy, 400);
-        let base = run_traffic_full(&s, Scale::Smoke, 11, 1, 2_000_000_000);
-        assert_eq!(
-            base.result.completed + base.result.shed,
-            base.result.offered,
-            "every request must complete or shed"
-        );
-        for threads in [2, 4] {
-            let other = run_traffic_full(&s, Scale::Smoke, 11, threads, 2_000_000_000);
-            assert_eq!(base.records, other.records, "{policy:?} threads={threads}");
-            assert_eq!(base.result, other.result, "{policy:?} threads={threads}");
-        }
+    let s = spec(CoreModel::Sst, 400);
+    let base = run_traffic_full(&s, Scale::Smoke, 11, 1, 2_000_000_000);
+    assert_eq!(
+        base.result.completed + base.result.shed,
+        base.result.offered,
+        "every request must complete or shed"
+    );
+    for threads in [2, 4] {
+        let other = run_traffic_full(&s, Scale::Smoke, 11, threads, 2_000_000_000);
+        assert_eq!(base.records, other.records, "threads={threads}");
+        assert_eq!(base.result, other.result, "threads={threads}");
     }
 }
 
 #[test]
 fn overload_sheds_and_underload_does_not() {
     let light = run_traffic_full(
-        &spec(CoreModel::InOrder, Policy::LeastLoaded, 50),
+        &spec(CoreModel::InOrder, 50),
         Scale::Smoke,
         5,
         1,
@@ -56,7 +54,7 @@ fn overload_sheds_and_underload_does_not() {
     assert_eq!(light.result.completed, light.result.offered);
 
     // Far beyond saturation with tiny queues: sheds must appear.
-    let mut s = spec(CoreModel::InOrder, Policy::LeastLoaded, 1000);
+    let mut s = spec(CoreModel::InOrder, 1000);
     s.load_permille = 5000; // 5x nominal capacity
     s.admission_cap = 4;
     s.lane_cap = 2;
@@ -68,7 +66,7 @@ fn overload_sheds_and_underload_does_not() {
 #[test]
 fn latency_is_sane_and_histogram_counts_match() {
     let run = run_traffic_full(
-        &spec(CoreModel::Sst, Policy::LeastLoaded, 200),
+        &spec(CoreModel::Sst, 200),
         Scale::Smoke,
         3,
         1,
@@ -105,7 +103,7 @@ fn latency_is_sane_and_histogram_counts_match() {
 #[test]
 fn sst_p99_beats_in_order_below_the_knee() {
     let lo = |model| {
-        let s = spec(model, Policy::LeastLoaded, 150);
+        let s = spec(model, 150);
         run_traffic_full(&s, Scale::Smoke, 9, 1, 2_000_000_000)
             .result
             .hist
