@@ -56,7 +56,11 @@ impl Btb {
 
     /// The snapshot's slots fill the configured table exactly.
     fn restored(&mut self) -> Result<(), SnapError> {
-        SnapError::check_size("BTB entry count", self.entries.len(), self.mask as usize + 1)
+        SnapError::check_size(
+            "BTB entry count",
+            self.entries.len(),
+            self.mask as usize + 1,
+        )
     }
 }
 

@@ -114,7 +114,10 @@ mod tests {
             p.update(0x200, taken);
             taken = !taken;
         }
-        assert!(correct >= 30, "gshare should nail alternation, {correct}/32");
+        assert!(
+            correct >= 30,
+            "gshare should nail alternation, {correct}/32"
+        );
     }
 
     #[test]
@@ -141,7 +144,10 @@ mod tests {
         let mut short = bytes[..bytes.len() - 1].to_vec();
         short[0] = 11;
         for bad in [counter, history, short] {
-            assert!(matches!(restore(&bad), Err(SnapError::Mismatch(_))), "{bad:?}");
+            assert!(
+                matches!(restore(&bad), Err(SnapError::Mismatch(_))),
+                "{bad:?}"
+            );
         }
     }
 }

@@ -228,14 +228,8 @@ mod tests {
         let mut bu = unit();
         bu.predict(0x1000, BranchKind::IndirectCall);
         bu.predict(0x2000, BranchKind::IndirectCall);
-        assert_eq!(
-            bu.predict(0x3000, BranchKind::Return).target,
-            Some(0x2004)
-        );
-        assert_eq!(
-            bu.predict(0x3100, BranchKind::Return).target,
-            Some(0x1004)
-        );
+        assert_eq!(bu.predict(0x3000, BranchKind::Return).target, Some(0x2004));
+        assert_eq!(bu.predict(0x3100, BranchKind::Return).target, Some(0x1004));
     }
 
     #[test]

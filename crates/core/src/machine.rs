@@ -6,8 +6,8 @@ use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapState, SnapWriter, 
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{DeferCause, Event, Phase, PhaseTable, Probes, Stage};
 use sst_uarch::{
-    drain_commits, execute, extend_load, mem_addr, Checkpoint, Commit, Core, DeferredQueue, DqEntry,
-    DrainedStore, FetchedInst, ForwardResult, Frontend, LeakageSummary, RegImage, Seq,
+    drain_commits, execute, extend_load, mem_addr, Checkpoint, Commit, Core, DeferredQueue,
+    DqEntry, DrainedStore, FetchedInst, ForwardResult, Frontend, LeakageSummary, RegImage, Seq,
     SquashCounts, StoreBuffer, StoreEntry, TaintState,
 };
 
@@ -31,7 +31,12 @@ struct Epoch {
     cause_ready: Cycle,
 }
 
-sst_isa::snap_record!(Epoch { ckpt, end_seq, cause_ready, log });
+sst_isa::snap_record!(Epoch {
+    ckpt,
+    end_seq,
+    cause_ready,
+    log
+});
 
 /// Why the ahead strand does not issue its head this cycle: the verdict of
 /// [`SstCore::head_gate`] (or of EA's suspension), which `ahead` acts on
@@ -248,10 +253,7 @@ impl SstCore {
             Phase::Normal
         } else if !self.cfg.retain_results {
             Phase::Scout
-        } else if self.dq.cursor().is_some()
-            || now >= self.replay_check_at
-            || self.ea_suspended()
-        {
+        } else if self.dq.cursor().is_some() || now >= self.replay_check_at || self.ea_suspended() {
             Phase::Replay
         } else {
             Phase::Ea
@@ -335,9 +337,7 @@ impl SstCore {
     fn epoch_of(&self, seq: Seq) -> usize {
         self.epochs
             .iter()
-            .position(|e| {
-                seq >= e.ckpt.start_seq && e.end_seq.map_or(true, |end| seq <= end)
-            })
+            .position(|e| seq >= e.ckpt.start_seq && e.end_seq.map_or(true, |end| seq <= end))
             .expect("every speculative seq belongs to an epoch")
     }
 
@@ -468,7 +468,8 @@ impl SstCore {
             nt: self.spec.nt_owned_since(ck.start_seq) as u64,
             // What the squash below drops: the younger entries and every
             // held slot.
-            dq: (self.dq.len() - self.dq.iter().take_while(|e| e.seq < ck.start_seq).count()) as u64,
+            dq: (self.dq.len() - self.dq.iter().take_while(|e| e.seq < ck.start_seq).count())
+                as u64,
             stb: self.stb.iter().filter(|e| e.seq >= ck.start_seq).count() as u64,
         });
         // Results of still-older epochs may not have merged into this
@@ -520,13 +521,7 @@ impl SstCore {
     /// dependent replay, as real pipelines bypass) and consumes one too;
     /// anything further off is passed over for free, as in ROCK, and the
     /// next pass meets it again. Returns the issue slots consumed.
-    fn replay(
-        &mut self,
-        now: Cycle,
-        mem: &mut MemBus,
-        slots: usize,
-        mem_ops: &mut usize,
-    ) -> usize {
+    fn replay(&mut self, now: Cycle, mem: &mut MemBus, slots: usize, mem_ops: &mut usize) -> usize {
         let stall_window: Cycle = self.cfg.bypass_stall_window;
         // Resume the pass in progress, or start one at the oldest listed
         // entry. Entries of any live epoch may replay as soon as their
@@ -664,7 +659,11 @@ impl SstCore {
                     seq: e.seq,
                     pc: e.pc,
                     inst: e.inst,
-                    reg_write: if rd.is_zero() { None } else { Some((rd, value)) },
+                    reg_write: if rd.is_zero() {
+                        None
+                    } else {
+                        Some((rd, value))
+                    },
                     store: None,
                     at: now,
                 });
@@ -718,13 +717,15 @@ impl SstCore {
                         // An unpredicted indirect that blocked fetch is a
                         // late resolution, not a misprediction: nothing ran
                         // past it.
-                        let blocked_fetch =
-                            self.frontend.waiting_indirect() && self.seq == e.seq;
+                        let blocked_fetch = self.frontend.waiting_indirect() && self.seq == e.seq;
                         if !blocked_fetch {
                             // Typed successor of the old SST_TRACE_FAILS
                             // eprintln: the failing control transfer is an
                             // event, inspectable in the exported trace.
-                            self.probes.emit(Event::ReplayFail { at: now, seq: e.seq });
+                            self.probes.emit(Event::ReplayFail {
+                                at: now,
+                                seq: e.seq,
+                            });
                             return ReplayOutcome::Fail;
                         }
                         self.frontend.redirect(now + 1, out.next_pc);
@@ -846,7 +847,13 @@ impl SstCore {
     /// Scout's policy is "discard" — every episode ends in a rollback,
     /// nobody reads a record — so it only holds the slot: same occupancy,
     /// same `stall_dq_full` cycles. Caller has verified capacity.
-    fn defer(&mut self, f: &FetchedInst, now: Cycle, data_ready_at: Option<Cycle>, cause: DeferCause) {
+    fn defer(
+        &mut self,
+        f: &FetchedInst,
+        now: Cycle,
+        data_ready_at: Option<Cycle>,
+        cause: DeferCause,
+    ) {
         let inst = f.inst;
         let seq = self.seq;
         let sources = inst.sources();
@@ -1271,7 +1278,8 @@ impl Core for SstCore {
         self.probes.stop(Stage::Issue, t0);
         debug_assert!(self.deferred_state_consistent(), "cycle {now}");
 
-        self.probes.sample_occupancy(now, self.dq.len() as u32, self.stb.len() as u32);
+        self.probes
+            .sample_occupancy(now, self.dq.len() as u32, self.stb.len() as u32);
     }
 
     #[inline]
@@ -1487,7 +1495,12 @@ impl SstCore {
         SnapError::check_bound("epoch count", self.epochs.len(), self.cfg.checkpoints)?;
         for ep in &self.epochs {
             let start = ep.ckpt.start_seq;
-            if let Some(c) = ep.log.iter().zip(0..).find(|&(c, i)| c.seq.wrapping_sub(start) != i) {
+            if let Some(c) = ep
+                .log
+                .iter()
+                .zip(0..)
+                .find(|&(c, i)| c.seq.wrapping_sub(start) != i)
+            {
                 return Err(SnapError::Corrupt(format!(
                     "epoch log out of program order at seq {}",
                     c.0.seq

@@ -181,7 +181,10 @@ fn scout_holds_slots_and_queues_nothing() {
                 assert!(core.cycle < 5_000_000, "{name}: did not halt");
                 checked_tick(&mut core, &mut mem, &mut interp);
                 assert_eq!(core.dq.iter().count(), 0, "{name}: scout queued an entry");
-                assert!(core.in_speculation() || core.dq.is_empty(), "{name}: slots outlived the episode");
+                assert!(
+                    core.in_speculation() || core.dq.is_empty(),
+                    "{name}: slots outlived the episode"
+                );
                 full_cycles += core.dq.is_full() as u64;
             }
             assert!(interp.is_halted());
@@ -189,7 +192,10 @@ fn scout_holds_slots_and_queues_nothing() {
             assert!(stats.deferred > 0 && stats.scout_rollbacks > 0, "{name}");
             assert_eq!(core.dq.total_deferred, stats.deferred, "{name}");
             assert_eq!(core.dq_high_water(), dq_entries, "{name}");
-            assert!(full_cycles > 0 && stats.stall_dq_full > 0, "{name}: the queue never filled");
+            assert!(
+                full_cycles > 0 && stats.stall_dq_full > 0,
+                "{name}: the queue never filled"
+            );
             assert_eq!((stats.replayed, stats.epochs_committed), (0, 0), "{name}");
         }
     }
@@ -219,7 +225,9 @@ fn a_prefetch_behind_a_load_waits_for_the_port() {
             issued.push(c.at);
         }
     }
-    let [load, prefetch, _halt] = issued[..] else { panic!("{issued:?}") };
+    let [load, prefetch, _halt] = issued[..] else {
+        panic!("{issued:?}")
+    };
     assert_eq!(prefetch, load + 1, "issued at {issued:?}");
     assert_eq!(core.stats.stall_port, 1);
 }

@@ -153,7 +153,10 @@ fn speculation_actually_engages() {
 fn scout_rolls_back_instead_of_committing() {
     let (core, _m) = cosim(SstConfig::scout(), &chase_with_work, 10_000_000);
     assert!(core.stats.scout_rollbacks > 0, "scout never rolled back");
-    assert_eq!(core.stats.epochs_committed, 0, "scout must not commit epochs");
+    assert_eq!(
+        core.stats.epochs_committed, 0,
+        "scout must not commit epochs"
+    );
     assert!(core.stats.fail_branch == 0);
 }
 
@@ -271,7 +274,10 @@ fn cosim_forwarding_under_speculation() {
         },
         20_000_000,
     );
-    assert!(core.stb_forwards() > 0, "no store-buffer forwarding happened");
+    assert!(
+        core.stb_forwards() > 0,
+        "no store-buffer forwarding happened"
+    );
 }
 
 /// Deferred branches: branch direction depends on missing data and is
@@ -448,7 +454,11 @@ fn no_speculation_when_everything_hits() {
     );
     // The very first touch of the buffer misses (cold), so one episode is
     // allowed; after warm-up there must be essentially no deferral.
-    assert!(core.stats.episodes <= 3, "episodes: {}", core.stats.episodes);
+    assert!(
+        core.stats.episodes <= 3,
+        "episodes: {}",
+        core.stats.episodes
+    );
 }
 
 /// Halt right after a miss: the halt must wait for the epoch to resolve.

@@ -132,7 +132,11 @@ fn stat_accounting_is_coherent() {
     // Every deferred instruction either replayed or was squashed by a
     // rollback; with no failures they all replayed.
     assert_eq!(s.fail_branch, 0);
-    assert_eq!(s.deferred, s.replayed, "deferred {} replayed {}", s.deferred, s.replayed);
+    assert_eq!(
+        s.deferred, s.replayed,
+        "deferred {} replayed {}",
+        s.deferred, s.replayed
+    );
     // Ahead-issued covers every committed instruction at least once.
     assert!(s.ahead_issued >= core.retired() - s.replayed);
 }
@@ -209,8 +213,16 @@ fn counter_identity_survives_rollback_churn() {
     let (core, _m) = run_with(cfg, &w.program, 200_000_000);
     let s = &core.stats;
     let sweep = &core.taint_state().expect("taint on").summary;
-    assert!(s.fail_branch > 10, "gadget must keep failing: {}", s.fail_branch);
-    assert!(s.epochs_committed > 10, "authorized epochs commit: {}", s.epochs_committed);
+    assert!(
+        s.fail_branch > 10,
+        "gadget must keep failing: {}",
+        s.fail_branch
+    );
+    assert!(
+        s.epochs_committed > 10,
+        "authorized epochs commit: {}",
+        s.epochs_committed
+    );
     assert_eq!(
         s.deferred,
         s.replayed + sweep.dq_squashed,

@@ -56,7 +56,7 @@ fn mlp_rich_misses() -> Program {
     a.and(Reg::x(5), Reg::x(5), Reg::x(4));
     a.add(Reg::x(5), Reg::x(5), Reg::x(20));
     a.ld(Reg::x(7), Reg::x(5), 0); // independent miss
-    // dependent work behind the miss
+                                   // dependent work behind the miss
     a.add(Reg::x(10), Reg::x(10), Reg::x(7));
     a.xor(Reg::x(11), Reg::x(10), Reg::x(7));
     a.addi(Reg::x(2), Reg::x(2), -1);

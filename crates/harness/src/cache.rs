@@ -201,7 +201,8 @@ mod tests {
     use sst_workloads::{Scale, Workload};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("sst-harness-cache-{tag}-{}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("sst-harness-cache-{tag}-{}", std::process::id()));
         fs::create_dir_all(&d).unwrap();
         d
     }
@@ -297,12 +298,20 @@ mod tests {
         };
         let dir = tmp_dir("hostile-entries");
         let path = entry_path(&dir, 5);
-        for out in [JobOutput::Run(run), JobOutput::Cmp(cmp), JobOutput::Traffic(some_traffic())] {
+        for out in [
+            JobOutput::Run(run),
+            JobOutput::Cmp(cmp),
+            JobOutput::Traffic(some_traffic()),
+        ] {
             store(&dir, 5, "k", &out).unwrap();
             let bytes = fs::read(&path).unwrap();
             for cut in 0..bytes.len() {
                 fs::write(&path, &bytes[..cut]).unwrap();
-                assert!(load(&dir, 5, "k").is_none(), "cut at {cut} of {}", bytes.len());
+                assert!(
+                    load(&dir, 5, "k").is_none(),
+                    "cut at {cut} of {}",
+                    bytes.len()
+                );
             }
             for at in 0..bytes.len() {
                 let mut bad = bytes.clone();
@@ -322,7 +331,14 @@ mod tests {
         w.tag(ENTRY_TAG);
         w.put_str("k");
         w.put_u8(2);
-        (r.model, r.workload, r.cores, r.load_permille, r.mean_interarrival).put(&mut w);
+        (
+            r.model,
+            r.workload,
+            r.cores,
+            r.load_permille,
+            r.mean_interarrival,
+        )
+            .put(&mut w);
         (r.cycles, r.offered, r.completed, r.shed).put(&mut w);
         (5u32, 1u64 << 34, buckets.to_vec(), 0u64).put(&mut w);
         (r.per_core, r.mem).put(&mut w);
@@ -336,7 +352,11 @@ mod tests {
         fs::write(entry_path(&dir, 6), traffic_entry(&[(0, 1), (1, 1)])).unwrap();
         let hit = load(&dir, 6, "k").expect("the hand-written layout is an entry");
         assert_eq!(hit.traffic().hist.count(), 2);
-        fs::write(entry_path(&dir, 6), traffic_entry(&[(0, u64::MAX), (1, u64::MAX)])).unwrap();
+        fs::write(
+            entry_path(&dir, 6),
+            traffic_entry(&[(0, u64::MAX), (1, u64::MAX)]),
+        )
+        .unwrap();
         assert!(load(&dir, 6, "k").is_none());
         fs::remove_dir_all(&dir).ok();
     }
@@ -399,7 +419,11 @@ mod tests {
         assert!(matches!(reclaimed, Claim::Won(_)));
         // Reaping ignores cache entries and tolerates a missing cache dir.
         store(&dir, 300, "k", &JobOutput::Run(some_run())).unwrap();
-        assert_eq!(reap_stale_claims(&dir, Duration::ZERO), 1, "only the re-claim");
+        assert_eq!(
+            reap_stale_claims(&dir, Duration::ZERO),
+            1,
+            "only the re-claim"
+        );
         drop(reclaimed);
         assert!(load(&dir, 300, "k").is_some(), "cache entry untouched");
         let empty = tmp_dir("reap-empty");

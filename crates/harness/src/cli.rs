@@ -122,15 +122,13 @@ pub fn cli_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
                     return 2;
                 }
             },
-            _ if a.starts_with("--jobs=") => {
-                match a["--jobs=".len()..].parse::<usize>() {
-                    Ok(n) if n >= 1 => cfg.jobs = n,
-                    _ => {
-                        eprintln!("sst-run: --jobs needs a positive integer");
-                        return 2;
-                    }
+            _ if a.starts_with("--jobs=") => match a["--jobs=".len()..].parse::<usize>() {
+                Ok(n) if n >= 1 => cfg.jobs = n,
+                _ => {
+                    eprintln!("sst-run: --jobs needs a positive integer");
+                    return 2;
                 }
-            }
+            },
             "--threads" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => cfg.sim_threads = n,
                 _ => {
@@ -138,15 +136,13 @@ pub fn cli_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
                     return 2;
                 }
             },
-            _ if a.starts_with("--threads=") => {
-                match a["--threads=".len()..].parse::<usize>() {
-                    Ok(n) if n >= 1 => cfg.sim_threads = n,
-                    _ => {
-                        eprintln!("sst-run: --threads needs a positive integer");
-                        return 2;
-                    }
+            _ if a.starts_with("--threads=") => match a["--threads=".len()..].parse::<usize>() {
+                Ok(n) if n >= 1 => cfg.sim_threads = n,
+                _ => {
+                    eprintln!("sst-run: --threads needs a positive integer");
+                    return 2;
                 }
-            }
+            },
             "--shard" => match args.next().as_deref().and_then(parse_shard) {
                 Some(s) => cfg.shard = Some(s),
                 None => {
@@ -154,15 +150,13 @@ pub fn cli_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
                     return 2;
                 }
             },
-            _ if a.starts_with("--shard=") => {
-                match parse_shard(&a["--shard=".len()..]) {
-                    Some(s) => cfg.shard = Some(s),
-                    None => {
-                        eprintln!("sst-run: --shard needs I/N with 0 <= I < N (e.g. 0/4)");
-                        return 2;
-                    }
+            _ if a.starts_with("--shard=") => match parse_shard(&a["--shard=".len()..]) {
+                Some(s) => cfg.shard = Some(s),
+                None => {
+                    eprintln!("sst-run: --shard needs I/N with 0 <= I < N (e.g. 0/4)");
+                    return 2;
                 }
-            }
+            },
             "all" => want_all = true,
             _ if a.starts_with('-') => {
                 eprintln!("sst-run: unknown option {a:?}\n\n{USAGE}");
@@ -234,7 +228,10 @@ fn run_and_report(experiments: &[registry::Experiment], cfg: &RunConfig) -> i32 
             summary.failures.len(),
         );
         for f in &summary.failures {
-            println!("  FAILED {}/{} ({}): {}", f.experiment, f.job, f.kind, f.message);
+            println!(
+                "  FAILED {}/{} ({}): {}",
+                f.experiment, f.job, f.kind, f.message
+            );
         }
     }
     if summary.clean() {

@@ -34,7 +34,13 @@ pub(super) fn e1() -> Experiment {
             "D$ ports",
         ]);
         // An absent structure (in-order has none) reads `-`.
-        let size = |n: usize| if n == 0 { "-".to_string() } else { n.to_string() };
+        let size = |n: usize| {
+            if n == 0 {
+                "-".to_string()
+            } else {
+                n.to_string()
+            }
+        };
         for cfg in [
             SstConfig::in_order(),
             SstConfig::scout(),
@@ -53,7 +59,11 @@ pub(super) fn e1() -> Experiment {
                 cfg.dcache_ports.to_string(),
             ]);
         }
-        for cfg in [OooConfig::ooo_32(), OooConfig::ooo_64(), OooConfig::ooo_128()] {
+        for cfg in [
+            OooConfig::ooo_32(),
+            OooConfig::ooo_64(),
+            OooConfig::ooo_128(),
+        ] {
             t.row([
                 cfg.label(),
                 cfg.issue_width.to_string(),
@@ -74,7 +84,10 @@ pub(super) fn e1() -> Experiment {
         shared.row(["direction predictor", &format!("{:?}", fe.predictor)]);
         shared.row(["BTB entries", &fe.btb_entries.to_string()]);
         shared.row(["RAS depth", &fe.ras_depth.to_string()]);
-        shared.row(["redirect penalty", &format!("{} cycles", fe.redirect_penalty)]);
+        shared.row([
+            "redirect penalty",
+            &format!("{} cycles", fe.redirect_penalty),
+        ]);
         shared.row([
             "L1 I/D",
             &format!(
@@ -93,7 +106,10 @@ pub(super) fn e1() -> Experiment {
             &format!("{} / {} cycles", mem.l1_latency, mem.l2_latency),
         ]);
         shared.row(["L1D MSHRs", &mem.l1d_mshrs.to_string()]);
-        shared.row(["DRAM base latency", &format!("{} cycles", mem.dram.base_cycles)]);
+        shared.row([
+            "DRAM base latency",
+            &format!("{} cycles", mem.dram.base_cycles),
+        ]);
         shared.row(["DRAM banks", &mem.dram.banks.to_string()]);
         f.table("e1_shared", shared);
 
@@ -186,9 +202,9 @@ pub(super) fn e3() -> Experiment {
         Workload::all_names()
             .iter()
             .flat_map(|name| {
-                E3_MODELS
-                    .iter()
-                    .map(move |(tok, model)| JobSpec::single(format!("{tok}/{name}"), model(), name))
+                E3_MODELS.iter().map(move |(tok, model)| {
+                    JobSpec::single(format!("{tok}/{name}"), model(), name)
+                })
             })
             .collect()
     }
@@ -261,9 +277,9 @@ pub(super) fn e4() -> Experiment {
         Workload::all_names()
             .iter()
             .flat_map(|name| {
-                E4_MODELS
-                    .iter()
-                    .map(move |(tok, model)| JobSpec::single(format!("{tok}/{name}"), model(), name))
+                E4_MODELS.iter().map(move |(tok, model)| {
+                    JobSpec::single(format!("{tok}/{name}"), model(), name)
+                })
             })
             .collect()
     }
@@ -280,8 +296,7 @@ pub(super) fn e4() -> Experiment {
         let mut commercial: Vec<f64> = Vec::new();
         let mut all_vs_128: Vec<f64> = Vec::new();
         for name in Workload::all_names() {
-            let ipc =
-                |tok: &str| -> f64 { ctx.run(&format!("{tok}/{name}")).measured_ipc() };
+            let ipc = |tok: &str| -> f64 { ctx.run(&format!("{tok}/{name}")).measured_ipc() };
             let (sst, o32, o64, o128) = (ipc("sst"), ipc("o32"), ipc("o64"), ipc("o128"));
             let ratio = sst / o128;
             if Workload::commercial_names().contains(name) {

@@ -88,7 +88,11 @@ fn xfail() -> Experiment {
 /// from `sst-run all`; addressable as `sst-run xfold`.
 fn xfold() -> Experiment {
     fn jobs(_env: &Env) -> Vec<JobSpec> {
-        vec![JobSpec::single("ok/gzip", sst_sim::CoreModel::InOrder, "gzip")]
+        vec![JobSpec::single(
+            "ok/gzip",
+            sst_sim::CoreModel::InOrder,
+            "gzip",
+        )]
     }
     fn fold(_env: &Env, _ctx: &RunCtx) -> Fold {
         panic!("injected failure (xfold experiment)");

@@ -139,7 +139,11 @@ pub(super) fn e13() -> Experiment {
         f.note(format!(
             "check: deeper speculation leaves a larger surface on g_bcb \
              (scout {scout} < ea {ea}, scout {scout} < sst {sst}) — {}",
-            if ea > scout && sst > scout { "ok" } else { "VIOLATION" }
+            if ea > scout && sst > scout {
+                "ok"
+            } else {
+                "VIOLATION"
+            }
         ));
         let chase_deferral: u64 = ["scout", "ea", "sst"]
             .iter()
@@ -149,7 +153,11 @@ pub(super) fn e13() -> Experiment {
         f.note(format!(
             "check: NT deferral blocks the g_chase transmitter that OoO leaks \
              (deferral designs {chase_deferral}, ooo {chase_ooo}) — {}",
-            if chase_deferral == 0 && chase_ooo > 0 { "ok" } else { "VIOLATION" }
+            if chase_deferral == 0 && chase_ooo > 0 {
+                "ok"
+            } else {
+                "VIOLATION"
+            }
         ));
         f.note("Footprint = distinct lines filled (or still in flight) by".to_string());
         f.note("squashed speculation and never afterwards demanded by the".to_string());

@@ -55,9 +55,7 @@ pub(super) fn e5() -> Experiment {
             for base in E5_LATENCIES {
                 let ipc: Vec<f64> = E5_MODELS
                     .iter()
-                    .map(|(tok, _)| {
-                        ctx.run(&format!("{tok}/{name}/lat{base}")).measured_ipc()
-                    })
+                    .map(|(tok, _)| ctx.run(&format!("{tok}/{name}/lat{base}")).measured_ipc())
                     .collect();
                 t.row([
                     base.to_string(),
@@ -138,7 +136,8 @@ pub(super) fn e6() -> Experiment {
         id: "e6",
         family: "paper",
         title: "IPC vs deferred-queue size (Figure D)",
-        paper_note: "small DQs throttle the ahead thread (dq-full stalls); returns saturate by ~128",
+        paper_note:
+            "small DQs throttle the ahead thread (dq-full stalls); returns saturate by ~128",
         hidden: false,
         jobs,
         fold,

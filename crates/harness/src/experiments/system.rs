@@ -38,9 +38,7 @@ pub(super) fn e9() -> Experiment {
             let est = model_area(&model);
             let ipcs: Vec<f64> = Workload::commercial_names()
                 .iter()
-                .map(|name| {
-                    ctx.run(&format!("{}/{name}", model.label())).measured_ipc()
-                })
+                .map(|name| ctx.run(&format!("{}/{name}", model.label())).measured_ipc())
                 .collect();
             let ipc = geomean(&ipcs);
             let cost = est.weighted_cost();
@@ -62,7 +60,8 @@ pub(super) fn e9() -> Experiment {
         id: "e9",
         family: "paper",
         title: "area/power structure proxy (Table 3)",
-        paper_note: "SST ~= in-order + DQ/STB/checkpoints; large OoO is several times costlier (CAM-heavy)",
+        paper_note:
+            "SST ~= in-order + DQ/STB/checkpoints; large OoO is several times costlier (CAM-heavy)",
         hidden: false,
         jobs,
         fold,

@@ -190,7 +190,11 @@ impl JobSpec {
             env.max_cycles,
         );
         match &self.kind {
-            JobKind::Single { model, workload, mem } => {
+            JobKind::Single {
+                model,
+                workload,
+                mem,
+            } => {
                 key.push_str(&format!(
                     "kind=single;model={model:?};workload={workload};mem={mem:?}"
                 ));
@@ -210,7 +214,11 @@ impl JobSpec {
                 // parameter (load, queue bounds, policy, quantum, ...).
                 key.push_str(&format!("kind=traffic;spec={spec:?}"));
             }
-            JobKind::Leakage { model, workload, mem } => {
+            JobKind::Leakage {
+                model,
+                workload,
+                mem,
+            } => {
                 key.push_str(&format!(
                     "kind=leakage;model={model:?};workload={workload};mem={mem:?}"
                 ));
@@ -240,7 +248,11 @@ impl JobSpec {
     /// this call in `catch_unwind`.
     pub fn execute(&self, env: &Env, threads: usize) -> Result<JobOutput, String> {
         match &self.kind {
-            JobKind::Single { model, workload, mem } => {
+            JobKind::Single {
+                model,
+                workload,
+                mem,
+            } => {
                 let w = Workload::by_name(workload, env.scale, env.seed)
                     .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
                 System::with_mem(model.clone(), &w, mem)
@@ -274,10 +286,15 @@ impl JobSpec {
                 // Like Cmp, a budget overrun panics inside the service
                 // driver and surfaces through the scheduler's
                 // catch_unwind as a failed job.
-                let r = sst_traffic::run_traffic(spec, env.scale, env.seed, threads, env.max_cycles);
+                let r =
+                    sst_traffic::run_traffic(spec, env.scale, env.seed, threads, env.max_cycles);
                 Ok(JobOutput::Traffic(r))
             }
-            JobKind::Leakage { model, workload, mem } => {
+            JobKind::Leakage {
+                model,
+                workload,
+                mem,
+            } => {
                 let w = Workload::by_name(workload, env.scale, env.seed)
                     .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
                 System::with_mem(model.clone(), &w, mem)

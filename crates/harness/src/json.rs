@@ -34,12 +34,7 @@ impl JVal {
 
     /// Builds an object from `(key, value)` pairs, preserving order.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, JVal)>) -> JVal {
-        JVal::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        JVal::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Renders compact JSON.
@@ -142,7 +137,10 @@ mod tests {
     fn scalars_render() {
         assert_eq!(JVal::Null.render(), "null");
         assert_eq!(JVal::Bool(true).render(), "true");
-        assert_eq!(JVal::Int(18446744073709551615).render(), "18446744073709551615");
+        assert_eq!(
+            JVal::Int(18446744073709551615).render(),
+            "18446744073709551615"
+        );
         assert_eq!(JVal::Num(1.5).render(), "1.5");
         assert_eq!(JVal::Num(f64::NAN).render(), "null");
     }

@@ -72,9 +72,7 @@ impl Env {
         let var = |name: &str| match std::env::var(name) {
             Ok(v) => Ok(Some(v)),
             Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(v)) => {
-                Err(format!("{name}={v:?} is not UTF-8"))
-            }
+            Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not UTF-8")),
         };
         let scale = var("SST_SCALE")?;
         let seed = var("SST_SEED")?;
@@ -158,7 +156,10 @@ mod tests {
     fn valid_values_are_read() {
         let e = Env::parse(Some("smoke"), Some("7"), Some("50")).unwrap();
         assert_eq!((e.scale, e.seed, e.max_cycles), (Scale::Smoke, 7, 50));
-        assert_eq!(Env::parse(Some("full"), None, None).unwrap().scale, Scale::Full);
+        assert_eq!(
+            Env::parse(Some("full"), None, None).unwrap().scale,
+            Scale::Full
+        );
     }
 
     #[test]
@@ -172,7 +173,10 @@ mod tests {
             ((None, None, Some("2e10")), "SST_MAX_CYCLES", "2e10"),
         ] {
             let err = Env::parse(args.0, args.1, args.2).unwrap_err();
-            assert!(err.contains(name) && err.contains(&format!("{value:?}")), "{err}");
+            assert!(
+                err.contains(name) && err.contains(&format!("{value:?}")),
+                "{err}"
+            );
         }
     }
 }

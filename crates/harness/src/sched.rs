@@ -184,9 +184,10 @@ impl RunSummary {
     /// in the shared cache.
     pub fn clean(&self) -> bool {
         self.failures.is_empty()
-            && self.records.iter().all(|r| {
-                r.folded || r.jobs.iter().any(|j| j.status == "skipped")
-            })
+            && self
+                .records
+                .iter()
+                .all(|r| r.folded || r.jobs.iter().any(|j| j.status == "skipped"))
     }
 
     /// Jobs this process actually executed (neither cached nor skipped).
@@ -202,10 +203,16 @@ impl RunSummary {
 }
 
 enum Outcome {
-    Ok { output: Box<JobOutput>, cached: bool },
+    Ok {
+        output: Box<JobOutput>,
+        cached: bool,
+    },
     /// Owned by another shard and not (yet) in the shared cache.
     Skipped,
-    Failed { kind: &'static str, message: String },
+    Failed {
+        kind: &'static str,
+        message: String,
+    },
 }
 
 struct Done {
@@ -319,9 +326,7 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                                     // The previous holder may have
                                     // published between our miss and this
                                     // win; re-check before executing.
-                                    if let Some(output) =
-                                        cache::load(&cfg.out_dir, hash, &key)
-                                    {
+                                    if let Some(output) = cache::load(&cfg.out_dir, hash, &key) {
                                         break 'job Outcome::Ok {
                                             output: Box::new(output),
                                             cached: true,
@@ -331,9 +336,7 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                                 }
                                 Ok(cache::Claim::Lost) => {
                                     std::thread::sleep(CLAIM_POLL);
-                                    if let Some(output) =
-                                        cache::load(&cfg.out_dir, hash, &key)
-                                    {
+                                    if let Some(output) = cache::load(&cfg.out_dir, hash, &key) {
                                         break 'job Outcome::Ok {
                                             output: Box::new(output),
                                             cached: true,
@@ -359,9 +362,8 @@ pub fn run(experiments: &[Experiment], cfg: &RunConfig) -> RunSummary {
                         None
                     };
                     let exec_started = Instant::now();
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        spec.execute(&env, cfg.sim_threads)
-                    }));
+                    let caught =
+                        catch_unwind(AssertUnwindSafe(|| spec.execute(&env, cfg.sim_threads)));
                     execute_ns = exec_started.elapsed().as_nanos() as u64;
                     match caught {
                         Ok(Ok(output)) => {
@@ -566,8 +568,7 @@ fn write_experiment_json(
     let jobs: Vec<JVal> = specs
         .iter()
         .map(|spec| {
-            let mut pairs: Vec<(String, JVal)> =
-                vec![("name".to_string(), JVal::str(&spec.name))];
+            let mut pairs: Vec<(String, JVal)> = vec![("name".to_string(), JVal::str(&spec.name))];
             match &by_name[&spec.name] {
                 JobOutput::Run(r) => {
                     let defer_rate = {
@@ -628,10 +629,7 @@ fn write_experiment_json(
                                 ("dram_row_hits", JVal::Int(r.mem.dram_row_hits)),
                                 ("mshr_merges", JVal::Int(r.mem.mshr_merges)),
                                 ("prefetches", JVal::Int(r.mem.prefetches)),
-                                (
-                                    "useful_prefetches",
-                                    JVal::Int(r.mem.useful_prefetches),
-                                ),
+                                ("useful_prefetches", JVal::Int(r.mem.useful_prefetches)),
                             ]),
                         ),
                     ]);
@@ -737,10 +735,7 @@ fn write_manifest(cfg: &RunConfig, summary: &RunSummary) {
                                     ("cached", JVal::Bool(j.status == "cached")),
                                     ("duration_ms", JVal::Int(j.duration_ms)),
                                     ("execute_ns", JVal::Int(j.execute_ns)),
-                                    (
-                                        "cache_key",
-                                        JVal::str(format!("{:016x}", j.cache_hash)),
-                                    ),
+                                    ("cache_key", JVal::str(format!("{:016x}", j.cache_hash))),
                                 ])
                             })
                             .collect(),

@@ -121,8 +121,16 @@ fn run_trace(
             // skipped (their cores multiplex workload slices and would
             // need per-core rings the CmpSystem does not expose yet).
             let (model, workload, mem) = match job.kind {
-                JobKind::Single { model, workload, mem }
-                | JobKind::Leakage { model, workload, mem } => (model, workload, mem),
+                JobKind::Single {
+                    model,
+                    workload,
+                    mem,
+                }
+                | JobKind::Leakage {
+                    model,
+                    workload,
+                    mem,
+                } => (model, workload, mem),
                 _ => continue,
             };
             let (tok, wname) = match job.name.split_once('/') {
@@ -161,9 +169,15 @@ fn run_trace(
                 return 1;
             }
         };
-        let sys = System::with_mem(model, &w, &mem).without_cosim().with_tracing();
+        let sys = System::with_mem(model, &w, &mem)
+            .without_cosim()
+            .with_tracing();
         match sys.run_with_trace(env.max_cycles) {
-            Ok((result, trace)) => traced.push(Traced { name, result, trace }),
+            Ok((result, trace)) => traced.push(Traced {
+                name,
+                result,
+                trace,
+            }),
             Err(e) => {
                 eprintln!("sst-run trace: {name}: {e}");
                 return 1;
@@ -201,16 +215,28 @@ fn run_trace(
 /// Prints the per-phase cycle table of one run; the rows are
 /// `RunResult::phases` and sum exactly to `RunResult::cycles`.
 fn print_phase_table(name: &str, r: &sst_sim::RunResult) {
-    println!("{name}: {} insts, {} cycles, IPC {:.3}", r.insts, r.cycles, r.ipc());
+    println!(
+        "{name}: {} insts, {} cycles, IPC {:.3}",
+        r.insts,
+        r.cycles,
+        r.ipc()
+    );
     let total: u64 = r.phases.iter().map(|&(_, v)| v).sum();
     for (phase, cycles) in &r.phases {
-        let pct = if total == 0 { 0.0 } else { *cycles as f64 * 100.0 / total as f64 };
+        let pct = if total == 0 {
+            0.0
+        } else {
+            *cycles as f64 * 100.0 / total as f64
+        };
         println!("  {phase:<8} {cycles:>14} cycles  {pct:>5.1}%");
     }
     if total != r.cycles {
         // Cannot happen for the in-tree models (the equivalence suite
         // pins it); loud is better than wrong if a new model slips.
-        println!("  WARNING: phase rows sum to {total}, run took {} cycles", r.cycles);
+        println!(
+            "  WARNING: phase rows sum to {total}, run took {} cycles",
+            r.cycles
+        );
     }
 }
 
@@ -264,6 +290,9 @@ mod tests {
             seed: 7,
             max_cycles: 1,
         };
-        assert_eq!(run_trace(&["zzz".to_string()], &[], &[], "/dev/null", &env), 2);
+        assert_eq!(
+            run_trace(&["zzz".to_string()], &[], &[], "/dev/null", &env),
+            2
+        );
     }
 }

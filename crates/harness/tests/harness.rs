@@ -64,12 +64,20 @@ fn scheduler_output_is_identical_across_thread_counts() {
 
     let parallel = tmp_out("parallel");
     let summary = sched::run(&e2(), &cfg(&parallel, 8, false));
-    assert!(summary.clean(), "parallel run failed: {:?}", summary.failures);
+    assert!(
+        summary.clean(),
+        "parallel run failed: {:?}",
+        summary.failures
+    );
 
     let a = output_files(&serial);
     let b = output_files(&parallel);
     assert!(!a.is_empty(), "no outputs written");
-    assert!(a.contains_key("e2_workloads.csv"), "missing csv: {:?}", a.keys());
+    assert!(
+        a.contains_key("e2_workloads.csv"),
+        "missing csv: {:?}",
+        a.keys()
+    );
     assert!(a.contains_key("e2.json"), "missing json: {:?}", a.keys());
     assert_eq!(
         a.keys().collect::<Vec<_>>(),
@@ -109,7 +117,11 @@ fn e14_tables_are_identical_across_jobs_and_sim_threads() {
     c.sim_threads = 4;
     let summary = sched::run(&e14(), &c);
     assert!(summary.clean(), "{:?}", summary.failures);
-    assert_eq!(a, output_files(&threads4), "--threads 4 must not change a byte");
+    assert_eq!(
+        a,
+        output_files(&threads4),
+        "--threads 4 must not change a byte"
+    );
 
     fs::remove_dir_all(&base).ok();
     fs::remove_dir_all(&jobs8).ok();
@@ -205,7 +217,10 @@ fn fold_panic_is_recorded_and_cannot_look_clean() {
     // All of xfold's jobs succeed; its fold panics. The run must complete,
     // record a structured "fold-panic" failure, and report unclean.
     let out = tmp_out("xfold");
-    let exps = vec![registry::find("xfold").unwrap(), registry::find("e1").unwrap()];
+    let exps = vec![
+        registry::find("xfold").unwrap(),
+        registry::find("e1").unwrap(),
+    ];
     let summary = sched::run(&exps, &cfg(&out, 2, false));
 
     assert!(!summary.clean(), "a panicking fold must not look clean");
@@ -227,7 +242,10 @@ fn fold_panic_is_recorded_and_cannot_look_clean() {
 fn disjoint_experiments_fold_independently_of_failures_elsewhere() {
     // xfail fails; e1 (config tables, no simulation) still folds.
     let out = tmp_out("mixed");
-    let exps = vec![registry::find("xfail").unwrap(), registry::find("e1").unwrap()];
+    let exps = vec![
+        registry::find("xfail").unwrap(),
+        registry::find("e1").unwrap(),
+    ];
     let summary = sched::run(&exps, &cfg(&out, 2, false));
 
     assert_eq!(summary.failures.len(), 1);

@@ -129,12 +129,8 @@ fn concurrent_schedulers_never_duplicate_an_execution() {
     // the loser of each claim serves the winner's published result.
     let out = tmp_out("race");
     let (a, b) = std::thread::scope(|scope| {
-        let ja = scope.spawn(|| {
-            sched::run(&[registry::find("e2").unwrap()], &cfg(&out, None))
-        });
-        let jb = scope.spawn(|| {
-            sched::run(&[registry::find("e2").unwrap()], &cfg(&out, None))
-        });
+        let ja = scope.spawn(|| sched::run(&[registry::find("e2").unwrap()], &cfg(&out, None)));
+        let jb = scope.spawn(|| sched::run(&[registry::find("e2").unwrap()], &cfg(&out, None)));
         (ja.join().unwrap(), jb.join().unwrap())
     });
     assert!(a.clean(), "scheduler A failed: {:?}", a.failures);

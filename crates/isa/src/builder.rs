@@ -9,9 +9,9 @@ use std::fmt;
 use crate::program::{DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE};
 use crate::sparse_mem::PAGE_SIZE;
 use crate::{
-    encode, AluOp, BranchCond, EncodeError, FpuOp, Inst, MemWidth, Program, Reg, SparseMem, INST_BYTES,
+    encode, AluOp, BranchCond, EncodeError, FpuOp, Inst, MemWidth, Program, Reg, SparseMem,
+    INST_BYTES,
 };
-
 
 /// A code label created by [`Asm::label`] and bound by [`Asm::bind`].
 ///
@@ -69,7 +69,12 @@ enum Slot {
     /// A fully formed instruction.
     Done(Inst),
     /// A branch whose offset awaits label resolution.
-    Branch { cond: BranchCond, rs1: Reg, rs2: Reg, target: Label },
+    Branch {
+        cond: BranchCond,
+        rs1: Reg,
+        rs2: Reg,
+        target: Label,
+    },
     /// A jal whose offset awaits label resolution.
     Jal { rd: Reg, target: Label },
 }
@@ -88,7 +93,10 @@ impl Region<'_> {
     /// Panics if they run past the region's end or cross a page boundary
     /// (in a region aligned to `len`, a power of two up to 4 KiB, none do).
     pub fn at(&mut self, off: u64, len: usize) -> &mut [u8] {
-        assert!(off + len as u64 <= self.len, "bytes past the end of the region");
+        assert!(
+            off + len as u64 <= self.len,
+            "bytes past the end of the region"
+        );
         let at = self.head + off as usize;
         let (page, o) = (at / PAGE_SIZE, at % PAGE_SIZE);
         assert!(o + len <= PAGE_SIZE, "bytes across a page boundary");
@@ -568,7 +576,14 @@ impl Asm {
     pub fn data_in_place(&mut self, len: u64, fill: impl FnOnce(u64, &mut Region<'_>)) -> u64 {
         let addr = self.data_cursor;
         let pages = self.image.pages_mut(addr, len);
-        fill(addr, &mut Region { head: addr as usize % PAGE_SIZE, len, pages });
+        fill(
+            addr,
+            &mut Region {
+                head: addr as usize % PAGE_SIZE,
+                len,
+                pages,
+            },
+        );
         self.data_cursor += len;
         self.data_len += len;
         addr
@@ -638,7 +653,12 @@ impl Asm {
             text.push(word);
         }
 
-        Ok(Program::assemble(self.text_base, &text, self.image, self.data_len))
+        Ok(Program::assemble(
+            self.text_base,
+            &text,
+            self.image,
+            self.data_len,
+        ))
     }
 }
 
@@ -802,7 +822,12 @@ mod tests {
             let p = a.finish().unwrap();
             let mut snap = crate::SnapWriter::new();
             p.image().save_state(&mut snap);
-            (at, p.image_bytes(), p.image().page_count(), snap.into_bytes())
+            (
+                at,
+                p.image_bytes(),
+                p.image().page_count(),
+                snap.into_bytes(),
+            )
         };
         let appended = build(0);
         assert_eq!(appended.2, 4, "text and three data pages");

@@ -236,7 +236,10 @@ fn sext(v: u32, bits: u32) -> i64 {
 }
 
 fn word(op: u8, a: u8, b: u8, c: u8) -> u32 {
-    ((op as u32) << 24) | ((a as u32 & 0x3f) << 18) | ((b as u32 & 0x3f) << 12) | ((c as u32 & 0x3f) << 6)
+    ((op as u32) << 24)
+        | ((a as u32 & 0x3f) << 18)
+        | ((b as u32 & 0x3f) << 12)
+        | ((c as u32 & 0x3f) << 6)
 }
 
 fn word_imm(op: u8, a: u8, b: u8, imm12: u32) -> u32 {

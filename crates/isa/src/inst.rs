@@ -497,7 +497,9 @@ impl Inst {
             Inst::AluImm { rs1, .. } => [src(rs1), None],
             Inst::Lui { .. } | Inst::Jal { .. } | Inst::Halt => [None, None],
             Inst::Load { base, .. } => [src(base), None],
-            Inst::Store { src: data, base, .. } => [src(base), src(data)],
+            Inst::Store {
+                src: data, base, ..
+            } => [src(base), src(data)],
             Inst::Branch { rs1, rs2, .. } => [src(rs1), src(rs2)],
             Inst::Jalr { base, .. } => [src(base), None],
             Inst::Fpu { op, rs1, rs2, .. } => {
@@ -685,7 +687,11 @@ mod tests {
         assert_eq!(AluOp::Sltu.eval((-1i64) as u64, 0), 0);
         assert_eq!(AluOp::Sra.eval((-8i64) as u64, 1), (-4i64) as u64);
         assert_eq!(AluOp::Srl.eval(8, 1), 4);
-        assert_eq!(AluOp::Sll.eval(1, 65), 2, "shift amount is masked to 6 bits");
+        assert_eq!(
+            AluOp::Sll.eval(1, 65),
+            2,
+            "shift amount is masked to 6 bits"
+        );
     }
 
     #[test]

@@ -1117,7 +1117,12 @@ mod tests {
         let mut data = vec![0; 4096 + 8 + 16];
         image.read_bytes(crate::DEFAULT_DATA_BASE, &mut data);
         text[at] = u32::MAX;
-        let p = Program::from_parts(p.text_base(), &text, &[(crate::DEFAULT_DATA_BASE, &data)], p.entry);
+        let p = Program::from_parts(
+            p.text_base(),
+            &text,
+            &[(crate::DEFAULT_DATA_BASE, &data)],
+            p.entry,
+        );
         let at = p.text_base() + at as u64 * INST_BYTES;
         (p, at)
     }

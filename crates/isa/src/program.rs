@@ -58,7 +58,12 @@ impl Program {
 
     /// The program of `text` at `text_base` over `image`, a data image
     /// holding `data_bytes` initialized bytes; entered at `text_base`.
-    pub(crate) fn assemble(text_base: u64, text: &[u32], mut image: SparseMem, data_bytes: u64) -> Program {
+    pub(crate) fn assemble(
+        text_base: u64,
+        text: &[u32],
+        mut image: SparseMem,
+        data_bytes: u64,
+    ) -> Program {
         let bytes: Vec<u8> = text.iter().flat_map(|w| w.to_le_bytes()).collect();
         image.write_bytes(text_base, &bytes);
         image.share();
@@ -190,7 +195,10 @@ mod tests {
         let p = tiny();
         let mut m = SparseMem::new();
         p.load_into(&mut m);
-        assert_eq!(m.read_u32(p.text_base()), encode(p.decode_all()[0]).unwrap());
+        assert_eq!(
+            m.read_u32(p.text_base()),
+            encode(p.decode_all()[0]).unwrap()
+        );
         assert_eq!(m.read_u32(p.text_base() + 4), encode(Inst::Halt).unwrap());
         assert_eq!(m.read_u32(DEFAULT_DATA_BASE), 0x0403_0201);
         assert_eq!(p.image_bytes(), 12);

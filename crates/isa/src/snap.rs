@@ -66,7 +66,10 @@ impl fmt::Display for SnapError {
             SnapError::Truncated => write!(f, "snapshot truncated"),
             SnapError::Corrupt(what) => write!(f, "snapshot corrupt: {what}"),
             SnapError::BadVersion { found, supported } => {
-                write!(f, "snapshot version {found} not supported (this build reads {supported})")
+                write!(
+                    f,
+                    "snapshot version {found} not supported (this build reads {supported})"
+                )
             }
             SnapError::Mismatch(what) => write!(f, "snapshot mismatch: {what}"),
         }
@@ -97,7 +100,9 @@ impl SnapError {
     /// [`SnapError::Mismatch`] when `n != want`.
     pub fn check_size(what: &str, n: usize, want: usize) -> Result<(), SnapError> {
         if n != want {
-            return Err(SnapError::Mismatch(format!("{what} {n} != configured {want}")));
+            return Err(SnapError::Mismatch(format!(
+                "{what} {n} != configured {want}"
+            )));
         }
         Ok(())
     }
@@ -261,7 +266,11 @@ impl<T: Snap> Snap for Option<T> {
     }
 
     fn take(r: &mut SnapReader<'_>) -> Result<Option<T>, SnapError> {
-        Ok(if r.take_bool()? { Some(T::take(r)?) } else { None })
+        Ok(if r.take_bool()? {
+            Some(T::take(r)?)
+        } else {
+            None
+        })
     }
 }
 
@@ -781,7 +790,10 @@ mod tests {
         let mut w = SnapWriter::new();
         rec.put(&mut w);
         // The list, not the declaration, orders the bytes: `c` follows `a`.
-        assert_eq!(w.as_bytes()[..20], *b"RECD\x07\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0");
+        assert_eq!(
+            w.as_bytes()[..20],
+            *b"RECD\x07\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0"
+        );
         let mut r = SnapReader::new(w.as_bytes());
         assert_eq!(Rec::take(&mut r), Ok(rec));
         r.finish().unwrap();
@@ -798,14 +810,20 @@ mod tests {
 
     #[test]
     fn bad_register_and_instruction_words_are_corrupt() {
-        assert!(matches!(Reg::take(&mut SnapReader::new(&[200])), Err(SnapError::Corrupt(_))));
+        assert!(matches!(
+            Reg::take(&mut SnapReader::new(&[200])),
+            Err(SnapError::Corrupt(_))
+        ));
         let r = Inst::take(&mut SnapReader::new(&[0xff; 4]));
         assert!(matches!(r, Err(SnapError::Corrupt(_))));
     }
 
     #[test]
     fn errors_display() {
-        let v = SnapError::BadVersion { found: 9, supported: 1 };
+        let v = SnapError::BadVersion {
+            found: 9,
+            supported: 1,
+        };
         assert!(v.to_string().contains('9'));
         assert!(SnapError::Truncated.to_string().contains("truncated"));
         assert!(SnapError::Mismatch("m".into()).to_string().contains("m"));

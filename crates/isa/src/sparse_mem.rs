@@ -626,12 +626,20 @@ mod tests {
     fn a_write_on_either_side_promotes_only_that_page() {
         // Window pages and far pages (below the base, beyond the cap)
         // alike.
-        for (pn, other) in [(16, 20), (20, 16), (15, 16 + WINDOW_PAGES), (16 + WINDOW_PAGES, 15)] {
+        for (pn, other) in [
+            (16, 20),
+            (20, 16),
+            (15, 16 + WINDOW_PAGES),
+            (16 + WINDOW_PAGES, 15),
+        ] {
             let mut image = shared_edged();
             let mut c = image.clone();
             c.write_u8(pn * PAGE + 1, 0xee);
             assert_eq!((c.owned_pages(), image.owned_pages()), (1, 0));
-            assert_eq!((c.read_u8(pn * PAGE), c.read_u8(pn * PAGE + 1)), (pn as u8, 0xee));
+            assert_eq!(
+                (c.read_u8(pn * PAGE), c.read_u8(pn * PAGE + 1)),
+                (pn as u8, 0xee)
+            );
             assert_eq!(image.read_u8(pn * PAGE + 1), 0, "page {pn}");
             for q in EDGED.into_iter().filter(|&q| q != pn) {
                 assert!(same_frame(&image, &c, q), "page {q} after writing {pn}");
@@ -669,7 +677,11 @@ mod tests {
         let mut m = SparseMem::new();
         m.write_u8(16 * PAGE + 100, 1);
         m.map(&image);
-        assert_eq!(m.page(16), image.page(16), "the image's bytes, all of the page");
+        assert_eq!(
+            m.page(16),
+            image.page(16),
+            "the image's bytes, all of the page"
+        );
         assert!(same_frame(&m, &image, 17));
         assert_eq!((m.page_count(), m.owned_pages()), (2, 1));
         // A page held as another image's shared frame is copied too.
@@ -695,7 +707,8 @@ mod tests {
         assert_eq!(saved(&c), saved(&image));
         // A restored snapshot owns its pages.
         let mut back = SparseMem::new();
-        back.restore_state(&mut SnapReader::new(&saved(&image))).unwrap();
+        back.restore_state(&mut SnapReader::new(&saved(&image)))
+            .unwrap();
         assert_eq!((back.owned_pages(), saved(&back)), (4, saved(&image)));
     }
 

@@ -5,7 +5,9 @@ use sst_isa::{assemble, AluOp, BranchCond, FpuOp, Inst, Interp, MemWidth, Reg, S
 
 fn one(src: &str) -> Inst {
     let full = format!("{src}\nhalt\n");
-    assemble(&full).unwrap_or_else(|e| panic!("{src}: {e}")).decode_all()[0]
+    assemble(&full)
+        .unwrap_or_else(|e| panic!("{src}: {e}"))
+        .decode_all()[0]
 }
 
 #[test]
@@ -29,7 +31,12 @@ fn every_alu_mnemonic_parses() {
         ("remu", AluOp::Remu),
     ] {
         match one(&format!("{m} x1, x2, x3")) {
-            Inst::Alu { op: o, rd, rs1, rs2 } => {
+            Inst::Alu {
+                op: o,
+                rd,
+                rs1,
+                rs2,
+            } => {
                 assert_eq!(o, op, "{m}");
                 assert_eq!((rd, rs1, rs2), (Reg::x(1), Reg::x(2), Reg::x(3)));
             }
@@ -74,7 +81,12 @@ fn every_load_store_mnemonic_parses() {
     ];
     for (m, w, s) in loads {
         match one(&format!("{m} x1, -8(x2)")) {
-            Inst::Load { width, signed, offset, .. } => {
+            Inst::Load {
+                width,
+                signed,
+                offset,
+                ..
+            } => {
                 assert_eq!((width, signed, offset), (w, s, -8), "{m}");
             }
             other => panic!("{m} parsed to {other:?}"),
@@ -200,13 +212,15 @@ fn word32_and_f64_layout() {
 
 #[test]
 fn bare_data_labels_bind_to_next_datum() {
-    let p = assemble(
-        ".data\n.byte 1\nlbl:\n.word64 42\n.text\nla x1, lbl\nld x2, 0(x1)\nhalt\n",
-    )
-    .unwrap();
+    let p = assemble(".data\n.byte 1\nlbl:\n.word64 42\n.text\nla x1, lbl\nld x2, 0(x1)\nhalt\n")
+        .unwrap();
     let mut i = Interp::new(&p);
     i.run(100).unwrap();
-    assert_eq!(i.state().read(Reg::x(2)), 42, "label respects the .word64 alignment");
+    assert_eq!(
+        i.state().read(Reg::x(2)),
+        42,
+        "label respects the .word64 alignment"
+    );
 }
 
 #[test]

@@ -2,9 +2,7 @@
 //! transfer edge semantics, width/extension matrices, disassembly of
 //! every class, and Program helpers.
 
-use sst_isa::{
-    assemble, disasm, Asm, Inst, Interp, MemEffect, MemWidth, Program, Reg, StopReason,
-};
+use sst_isa::{assemble, disasm, Asm, Inst, Interp, MemEffect, MemWidth, Program, Reg, StopReason};
 
 #[test]
 fn jalr_masks_low_bits() {
@@ -40,10 +38,7 @@ fn jalr_masks_low_bits() {
 
 #[test]
 fn jal_links_return_address() {
-    let p = assemble(
-        "main: jal x5, f\nhalt\nf: halt\n",
-    )
-    .unwrap();
+    let p = assemble("main: jal x5, f\nhalt\nf: halt\n").unwrap();
     let mut i = Interp::new(&p);
     let ev = i.step().unwrap();
     assert_eq!(ev.reg_write, Some((Reg::x(5), p.entry + 4)));

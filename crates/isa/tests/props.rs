@@ -249,7 +249,11 @@ fn sparse_mem_rw_roundtrip() {
         let n = r.gen_range(1..=8u64);
         let mut m = SparseMem::new();
         m.write_le(addr, n, val);
-        let mask = if n == 8 { u64::MAX } else { (1u64 << (8 * n)) - 1 };
+        let mask = if n == 8 {
+            u64::MAX
+        } else {
+            (1u64 << (8 * n)) - 1
+        };
         assert_eq!(m.read_le(addr, n), val & mask);
     }
 }

@@ -16,7 +16,12 @@ struct Way {
     stamp: u64,
 }
 
-sst_isa::snap_record!(Way { valid, dirty, tag, stamp });
+sst_isa::snap_record!(Way {
+    valid,
+    dirty,
+    tag,
+    stamp
+});
 
 /// Result of a fill that displaced a line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,7 +185,11 @@ impl TagArray {
     /// The snapshot's ways fill the configured geometry exactly (geometry
     /// is not written: it derives from the config the array was built with).
     fn restored(&mut self) -> Result<(), SnapError> {
-        SnapError::check_size("tag-array way count", self.ways.len(), self.sets * self.assoc)
+        SnapError::check_size(
+            "tag-array way count",
+            self.ways.len(),
+            self.sets * self.assoc,
+        )
     }
 }
 

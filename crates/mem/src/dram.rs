@@ -186,7 +186,7 @@ mod tests {
         let mut d = Dram::new(cfg());
         let a = d.read(0, 0);
         let b = d.read(0, 1024); // next row -> different bank
-        // Only channel burst (4) separates them.
+                                 // Only channel burst (4) separates them.
         assert_eq!(a.ready_at, 150);
         assert_eq!(b.ready_at, 4 + 150);
     }

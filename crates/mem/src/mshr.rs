@@ -25,7 +25,11 @@ struct Entry {
     deep: bool,
 }
 
-sst_isa::snap_record!(Entry { block, ready_at, deep });
+sst_isa::snap_record!(Entry {
+    block,
+    ready_at,
+    deep
+});
 
 /// A fixed-capacity file of in-flight line misses.
 #[derive(Clone, Debug)]
@@ -144,7 +148,9 @@ impl MshrFile {
     /// reaps completed entries, so a probe leaves the file bit-identical —
     /// the speculation-taint sweep relies on that to stay invisible.
     pub fn probe(&self, now: Cycle, block: u64) -> bool {
-        self.entries.iter().any(|e| e.block == block && e.ready_at > now)
+        self.entries
+            .iter()
+            .any(|e| e.block == block && e.ready_at > now)
     }
 
     /// Drops every in-flight entry, keeping the merge/stall counters. The

@@ -13,7 +13,13 @@ struct Entry {
     confidence: u8,
 }
 
-sst_isa::snap_record!(Entry { valid, pc_tag, last_addr, stride, confidence });
+sst_isa::snap_record!(Entry {
+    valid,
+    pc_tag,
+    last_addr,
+    stride,
+    confidence
+});
 
 /// A classic PC-indexed stride detector.
 ///

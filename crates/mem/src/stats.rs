@@ -11,7 +11,11 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-sst_isa::snap_record!(CacheStats { accesses, hits, writebacks });
+sst_isa::snap_record!(CacheStats {
+    accesses,
+    hits,
+    writebacks
+});
 
 impl CacheStats {
     /// Misses (`accesses - hits`).

@@ -232,7 +232,6 @@ impl MemPort {
         // locks onto) — skip the hash.
         !self.prefetched.is_empty() && self.prefetched.remove(&block)
     }
-
 }
 
 sst_isa::snap_record!(state MemPort "PORT" {
@@ -286,7 +285,13 @@ pub(crate) struct L2Shared {
 
 impl L2Shared {
     /// The shared L2 + DRAM portion of a miss that starts at `start`.
-    fn l2_walk(&mut self, cfg: &MemConfig, start: Cycle, write: bool, block: u64) -> (Cycle, HitLevel) {
+    fn l2_walk(
+        &mut self,
+        cfg: &MemConfig,
+        start: Cycle,
+        write: bool,
+        block: u64,
+    ) -> (Cycle, HitLevel) {
         // Shared L2 port arbitration.
         let at_port = start.max(self.l2_port_free_at);
         self.l2_port_free_at = at_port + cfg.l2_port_cycles;
@@ -334,7 +339,6 @@ impl L2Shared {
             }
         }
     }
-
 }
 
 sst_isa::snap_record!(state L2Shared "L2SH" { l2, l2_mshr, l2_port_free_at, dram, l2_stats });
@@ -354,7 +358,11 @@ pub struct MemBus<'a> {
 }
 
 impl<'a> MemBus<'a> {
-    pub(crate) fn new(cfg: &'a MemConfig, port: &'a mut MemPort, shared: SharedHandle<'a>) -> MemBus<'a> {
+    pub(crate) fn new(
+        cfg: &'a MemConfig,
+        port: &'a mut MemPort,
+        shared: SharedHandle<'a>,
+    ) -> MemBus<'a> {
         MemBus { cfg, port, shared }
     }
 
@@ -442,21 +450,37 @@ impl<'a> MemBus<'a> {
 
         // Stats: L1 lookup.
         {
-            let s = if is_fetch { &mut port.l1i_stats } else { &mut port.l1d_stats };
+            let s = if is_fetch {
+                &mut port.l1i_stats
+            } else {
+                &mut port.l1d_stats
+            };
             s.accesses += 1;
         }
 
         // An in-flight fill for this block wins over the tag state (the tag
         // is installed at issue; data arrives at the MSHR's ready cycle).
         let mshr_hit = {
-            let mshr = if is_fetch { &mut port.l1i_mshr } else { &mut port.l1d_mshr };
+            let mshr = if is_fetch {
+                &mut port.l1i_mshr
+            } else {
+                &mut port.l1d_mshr
+            };
             mshr.lookup(now, block)
         };
         if let Some((ready, deep)) = mshr_hit {
-            let mshr = if is_fetch { &mut port.l1i_mshr } else { &mut port.l1d_mshr };
+            let mshr = if is_fetch {
+                &mut port.l1i_mshr
+            } else {
+                &mut port.l1d_mshr
+            };
             mshr.note_merge();
             // Keep dirty/recency state coherent with the logical access.
-            let l1 = if is_fetch { &mut port.l1i } else { &mut port.l1d };
+            let l1 = if is_fetch {
+                &mut port.l1i
+            } else {
+                &mut port.l1d
+            };
             l1.access(addr, write);
             port.note_useful_prefetch(block);
             return AccessOutcome {
@@ -467,11 +491,19 @@ impl<'a> MemBus<'a> {
 
         // L1 tag lookup.
         let l1_hit = {
-            let l1 = if is_fetch { &mut port.l1i } else { &mut port.l1d };
+            let l1 = if is_fetch {
+                &mut port.l1i
+            } else {
+                &mut port.l1d
+            };
             l1.access(addr, write)
         };
         if l1_hit {
-            let s = if is_fetch { &mut port.l1i_stats } else { &mut port.l1d_stats };
+            let s = if is_fetch {
+                &mut port.l1i_stats
+            } else {
+                &mut port.l1d_stats
+            };
             s.hits += 1;
             port.note_useful_prefetch(block);
             return AccessOutcome {
@@ -483,7 +515,11 @@ impl<'a> MemBus<'a> {
         // L1 miss: wait for an MSHR, then go to L2.
         let after_lookup = now + self.cfg.l1_latency;
         let start = {
-            let mshr = if is_fetch { &mut port.l1i_mshr } else { &mut port.l1d_mshr };
+            let mshr = if is_fetch {
+                &mut port.l1i_mshr
+            } else {
+                &mut port.l1d_mshr
+            };
             mshr.earliest_slot(after_lookup)
         };
 
@@ -496,19 +532,31 @@ impl<'a> MemBus<'a> {
 
         // Install the line in L1 and register the in-flight fill.
         {
-            let l1 = if is_fetch { &mut port.l1i } else { &mut port.l1d };
+            let l1 = if is_fetch {
+                &mut port.l1i
+            } else {
+                &mut port.l1d
+            };
             let evicted = l1.fill(addr, write);
             if let Some(ev) = evicted {
                 if !is_fetch {
                     port.untag_prefetch(ev.addr);
                 }
                 if ev.dirty {
-                    let s = if is_fetch { &mut port.l1i_stats } else { &mut port.l1d_stats };
+                    let s = if is_fetch {
+                        &mut port.l1i_stats
+                    } else {
+                        &mut port.l1d_stats
+                    };
                     s.writebacks += 1;
                     sh.l1_writeback(start, ev.addr);
                 }
             }
-            let mshr = if is_fetch { &mut port.l1i_mshr } else { &mut port.l1d_mshr };
+            let mshr = if is_fetch {
+                &mut port.l1i_mshr
+            } else {
+                &mut port.l1d_mshr
+            };
             // The register is claimed from the miss's start time (which
             // earliest_slot() may have pushed past `now` when the file was
             // full).
@@ -578,7 +626,8 @@ impl<'a> MemBus<'a> {
                 sh.l1_writeback(slot, ev.addr);
             }
         }
-        port.l1d_mshr.insert(now, block, ready_at, level == HitLevel::Mem);
+        port.l1d_mshr
+            .insert(now, block, ready_at, level == HitLevel::Mem);
         port.prefetched.insert(block);
     }
 }
@@ -677,7 +726,13 @@ impl MemSystem {
     /// Performs the timing walk for one access by `core` and returns when
     /// it completes. Convenience form of [`MemBus::access`] for tests and
     /// single-threaded callers.
-    pub fn access(&mut self, now: Cycle, core: usize, kind: AccessKind, addr: u64) -> AccessOutcome {
+    pub fn access(
+        &mut self,
+        now: Cycle,
+        core: usize,
+        kind: AccessKind,
+        addr: u64,
+    ) -> AccessOutcome {
         self.bus(core).access_pc(now, kind, addr, 0)
     }
 
@@ -746,7 +801,11 @@ impl MemSystem {
         let block = port.l1d.block_of(addr);
         let is_fetch = kind == AccessKind::IFetch;
         let write = kind == AccessKind::Store;
-        let l1 = if is_fetch { &mut port.l1i } else { &mut port.l1d };
+        let l1 = if is_fetch {
+            &mut port.l1i
+        } else {
+            &mut port.l1d
+        };
         if l1.access(block, write) {
             return;
         }
@@ -990,7 +1049,12 @@ mod tests {
         assert_eq!(ms.stats().useful_prefetches, 1, "credit is at-most-once");
         // A fresh prefetch of a *different* line re-arms normally.
         let p2 = ms.access(o2.ready_at + 1, 0, AccessKind::Prefetch, 0x2d000);
-        let o3 = ms.access(p2.ready_at.max(o2.ready_at + 2000), 0, AccessKind::Load, 0x2d000);
+        let o3 = ms.access(
+            p2.ready_at.max(o2.ready_at + 2000),
+            0,
+            AccessKind::Load,
+            0x2d000,
+        );
         assert_eq!(o3.level, HitLevel::L1);
         assert_eq!(ms.stats().useful_prefetches, 2);
     }
@@ -1041,7 +1105,10 @@ mod tests {
         assert!(st.prefetches > 0, "prefetcher fired");
         // Most of the stream is covered (fully or partially) by prefetches;
         // only the training prefix pays the full memory latency.
-        assert!(slow <= 8, "prefetch should hide most latency, {slow}/32 slow");
+        assert!(
+            slow <= 8,
+            "prefetch should hide most latency, {slow}/32 slow"
+        );
         assert!(st.useful_prefetches > 0);
     }
 

@@ -141,12 +141,20 @@ fn stats_snapshot_is_consistent() {
     let mut ms = MemSystem::new(&MemConfig::default(), 2);
     for core in 0..2 {
         for i in 0..32u64 {
-            ms.access(i * 400, core, AccessKind::Load, 0x40_0000 + i * 64 + core as u64 * (1 << 30));
+            ms.access(
+                i * 400,
+                core,
+                AccessKind::Load,
+                0x40_0000 + i * 64 + core as u64 * (1 << 30),
+            );
         }
     }
     let st = ms.stats();
     assert_eq!(st.l1d.len(), 2);
     let total_l1_misses: u64 = st.l1d.iter().map(|s| s.misses()).sum();
-    assert!(st.l2.accesses >= total_l1_misses, "every L1 miss reaches L2");
+    assert!(
+        st.l2.accesses >= total_l1_misses,
+        "every L1 miss reaches L2"
+    );
     assert!(st.dram_reads <= st.l2.accesses);
 }

@@ -77,26 +77,38 @@ impl ChromeTrace {
                         "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{start}}}",
                         phase.label()
                     ));
-                    format!(
-                        "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{end}}}"
-                    )
+                    format!("{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{end}}}")
                 }
-                Event::CkptTake { at, live } => instant(pid, tid, at, "ckpt-take", &format!("\"live\":{live}")),
+                Event::CkptTake { at, live } => {
+                    instant(pid, tid, at, "ckpt-take", &format!("\"live\":{live}"))
+                }
                 Event::CkptCommit { at, merged } => {
                     instant(pid, tid, at, "ckpt-commit", &format!("\"merged\":{merged}"))
                 }
-                Event::CkptRollback { at, scout, squashed } => instant(
+                Event::CkptRollback {
+                    at,
+                    scout,
+                    squashed,
+                } => instant(
                     pid,
                     tid,
                     at,
                     "rollback",
                     &format!("\"scout\":{scout},\"squashed\":{squashed}"),
                 ),
-                Event::Defer { at, cause } => {
-                    instant(pid, tid, at, "defer", &format!("\"cause\":\"{}\"", cause.label()))
-                }
+                Event::Defer { at, cause } => instant(
+                    pid,
+                    tid,
+                    at,
+                    "defer",
+                    &format!("\"cause\":\"{}\"", cause.label()),
+                ),
                 Event::Redefer { at } => instant(pid, tid, at, "redefer", ""),
-                Event::ReplayPass { at, executed, redeferred } => instant(
+                Event::ReplayPass {
+                    at,
+                    executed,
+                    redeferred,
+                } => instant(
                     pid,
                     tid,
                     at,
@@ -114,7 +126,12 @@ impl ChromeTrace {
                         "{{\"name\":\"{prefix}:stb\",\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{at},\"args\":{{\"entries\":{stb}}}}}"
                     )
                 }
-                Event::MissSpan { start, end, block, deep } => {
+                Event::MissSpan {
+                    start,
+                    end,
+                    block,
+                    deep,
+                } => {
                     let name = if deep { "miss:mem" } else { "miss:L2" };
                     let dur = end.saturating_sub(start);
                     format!(
@@ -181,12 +198,28 @@ mod tests {
         b.set_phase(Phase::Normal, 0);
         b.set_phase(Phase::Ea, 10);
         b.push(Event::CkptTake { at: 10, live: 1 });
-        b.push(Event::Defer { at: 12, cause: DeferCause::CacheMiss });
-        b.push(Event::Occupancy { at: 13, dq: 3, stb: 1 });
+        b.push(Event::Defer {
+            at: 12,
+            cause: DeferCause::CacheMiss,
+        });
+        b.push(Event::Occupancy {
+            at: 13,
+            dq: 3,
+            stb: 1,
+        });
         b.set_phase(Phase::Replay, 20);
-        b.push(Event::ReplayPass { at: 25, executed: 3, redeferred: 1 });
+        b.push(Event::ReplayPass {
+            at: 25,
+            executed: 3,
+            redeferred: 1,
+        });
         b.push(Event::CkptCommit { at: 25, merged: 3 });
-        b.push(Event::MissSpan { start: 12, end: 80, block: 0x4000, deep: true });
+        b.push(Event::MissSpan {
+            start: 12,
+            end: 80,
+            block: 0x4000,
+            deep: true,
+        });
         b.close(30);
         b
     }

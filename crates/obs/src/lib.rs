@@ -72,7 +72,13 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in table order.
-    pub const ALL: [Phase; 5] = [Phase::Normal, Phase::Ea, Phase::Replay, Phase::Scout, Phase::Gated];
+    pub const ALL: [Phase; 5] = [
+        Phase::Normal,
+        Phase::Ea,
+        Phase::Replay,
+        Phase::Scout,
+        Phase::Gated,
+    ];
 
     /// Dense index for table storage.
     pub fn index(self) -> usize {
@@ -174,7 +180,10 @@ impl PhaseTable {
     /// All rows in stable order (zero rows included, so the schema is
     /// fixed across models).
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        Phase::ALL.iter().map(|p| (p.label(), self.get(*p))).collect()
+        Phase::ALL
+            .iter()
+            .map(|p| (p.label(), self.get(*p)))
+            .collect()
     }
 }
 
@@ -334,7 +343,11 @@ impl TraceBuf {
         match self.open {
             Some((p, _)) if p == phase => {}
             Some((p, start)) => {
-                self.push(Event::PhaseSpan { phase: p, start, end: now });
+                self.push(Event::PhaseSpan {
+                    phase: p,
+                    start,
+                    end: now,
+                });
                 self.open = Some((phase, now));
             }
             None => self.open = Some((phase, now)),
@@ -358,7 +371,11 @@ impl TraceBuf {
     pub fn close(&mut self, now: Cycle) {
         if let Some((p, start)) = self.open.take() {
             if now > start {
-                self.push(Event::PhaseSpan { phase: p, start, end: now });
+                self.push(Event::PhaseSpan {
+                    phase: p,
+                    start,
+                    end: now,
+                });
             }
         }
     }
@@ -420,12 +437,32 @@ mod tests {
         b.close(10);
         assert_eq!(b.len(), 2);
         let evs: Vec<_> = b.events().copied().collect();
-        assert_eq!(evs[0], Event::PhaseSpan { phase: Phase::Normal, start: 0, end: 3 });
-        assert_eq!(evs[1], Event::PhaseSpan { phase: Phase::Ea, start: 3, end: 10 });
+        assert_eq!(
+            evs[0],
+            Event::PhaseSpan {
+                phase: Phase::Normal,
+                start: 0,
+                end: 3
+            }
+        );
+        assert_eq!(
+            evs[1],
+            Event::PhaseSpan {
+                phase: Phase::Ea,
+                start: 3,
+                end: 10
+            }
+        );
         // Spans tile the timeline: each starts where the last ended.
         assert_eq!(
-            match evs[0] { Event::PhaseSpan { end, .. } => end, _ => unreachable!() },
-            match evs[1] { Event::PhaseSpan { start, .. } => start, _ => unreachable!() },
+            match evs[0] {
+                Event::PhaseSpan { end, .. } => end,
+                _ => unreachable!(),
+            },
+            match evs[1] {
+                Event::PhaseSpan { start, .. } => start,
+                _ => unreachable!(),
+            },
         );
     }
 

@@ -98,7 +98,10 @@ impl HostTimes {
 
     /// All rows in stable order (zeros included).
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        Stage::ALL.iter().map(|s| (s.label(), self.get(*s))).collect()
+        Stage::ALL
+            .iter()
+            .map(|s| (s.label(), self.get(*s)))
+            .collect()
     }
 
     /// Folds another accumulator into this one.

@@ -6,8 +6,8 @@ use sst_isa::{Inst, Program, Reg, Snap, SnapError, SnapReader, SnapState, SnapWr
 use sst_mem::{AccessKind, Cycle, MemBus};
 use sst_obs::{Phase, PhaseTable, Probes, Stage};
 use sst_uarch::{
-    drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst, Frontend,
-    FrontendConfig, LeakageSummary, Seq, SquashCounts, TaintState,
+    drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst,
+    Frontend, FrontendConfig, LeakageSummary, Seq, SquashCounts, TaintState,
 };
 
 /// Configuration of the out-of-order baseline.
@@ -303,7 +303,9 @@ impl Snap for EntryState {
         match r.take_u8()? {
             0 => Ok(EntryState::Waiting),
             1 => Ok(EntryState::Issued(r.take_u64()?)),
-            b => Err(SnapError::Corrupt(format!("invalid window-entry state byte {b}"))),
+            b => Err(SnapError::Corrupt(format!(
+                "invalid window-entry state byte {b}"
+            ))),
         }
     }
 }
@@ -475,7 +477,10 @@ impl OooCore {
             .filter(|w| w.ready_at != Cycle::MAX);
         let issued = |e: &RobEntry| e.state != EntryState::Waiting;
         let stores = self.rob.iter().filter(|e| e.inst.is_store());
-        let loads = self.rob.iter().filter(|e| e.inst.is_mem() && !e.inst.is_store());
+        let loads = self
+            .rob
+            .iter()
+            .filter(|e| e.inst.is_mem() && !e.inst.is_store());
         let at = |n: u32, popped: u32| n.wrapping_sub(popped) as usize;
         let sq_matches = self.sq.len() == stores.clone().count()
             && self.sq.iter().zip(stores).enumerate().all(|(i, (s, e))| {
@@ -506,7 +511,13 @@ impl OooCore {
         for e in &self.rob {
             if e.state == EntryState::Waiting {
                 self.n_waiting += 1;
-                enqueue(&mut self.iq, &mut self.wakers, &self.phys_ready, e.seq, e.srcs);
+                enqueue(
+                    &mut self.iq,
+                    &mut self.wakers,
+                    &self.phys_ready,
+                    e.seq,
+                    e.srcs,
+                );
             }
         }
     }
@@ -528,9 +539,7 @@ impl OooCore {
         // Taint attributes every wrong-path touch to the blocking branch's
         // sequence number; the redirect sweeps that epoch.
         let bseq = self.fetch_blocked_on.unwrap_or(self.seq);
-        let (shadow, poison) = self
-            .phantom
-            .get_or_insert((self.future, [false; 64]));
+        let (shadow, poison) = self.phantom.get_or_insert((self.future, [false; 64]));
         for _ in 0..self.cfg.rename_width {
             let Some(f) = phantom_head(self.phantom_count, &self.frontend) else {
                 return;
@@ -541,10 +550,7 @@ impl OooCore {
             let srcs = inst.sources();
             let s1 = srcs[0].map_or(0, |r| shadow[r.index()]);
             let s2 = srcs[1].map_or(0, |r| shadow[r.index()]);
-            let any_poison = srcs
-                .iter()
-                .flatten()
-                .any(|r| poison[r.index()]);
+            let any_poison = srcs.iter().flatten().any(|r| poison[r.index()]);
             match inst {
                 Inst::Load {
                     width, signed, rd, ..
@@ -651,7 +657,9 @@ impl OooCore {
             let seq = self.seq;
 
             // Physical sources.
-            let srcs = inst.sources().map(|s| s.map(|r| self.rat[r.index()] as u32));
+            let srcs = inst
+                .sources()
+                .map(|s| s.map(|r| self.rat[r.index()] as u32));
 
             // Functional execution against the future file (rename order is
             // program order on the correct path, so these values are
@@ -663,9 +671,7 @@ impl OooCore {
             let mut actual_next = f.pc.wrapping_add(4);
             let mut taken = false;
             match inst {
-                Inst::Load {
-                    width, signed, ..
-                } => {
+                Inst::Load { width, signed, .. } => {
                     let addr = mem_addr(inst, s1);
                     // Architectural load value: backing memory (committed
                     // stores) overlaid with the in-flight store queue.
@@ -688,8 +694,7 @@ impl OooCore {
                     let old = self.rat[rd.index()];
                     self.rat[rd.index()] = p;
                     let old_future = self.future[rd.index()];
-                    self.future[rd.index()] =
-                        value.expect("dest implies a value");
+                    self.future[rd.index()] = value.expect("dest implies a value");
                     self.phys_ready[p] = Cycle::MAX; // until executed
                     self.wakers[p].clear(); // what a squash left behind
                     (Some(p as u32), Some(old as u32), old_future)
@@ -748,11 +753,26 @@ impl OooCore {
         let executed = e.state != EntryState::Waiting;
         if e.inst.is_store() {
             let loads_before = next_load;
-            self.sq.push_back(SqEntry { seq, addr, bytes, value, executed, loads_before });
+            self.sq.push_back(SqEntry {
+                seq,
+                addr,
+                bytes,
+                value,
+                executed,
+                loads_before,
+            });
             next_store
         } else {
             let (pc, forwarded_from, stores_before) = (e.pc, fwd, next_store);
-            let l = LqEntry { seq, pc, addr, bytes, executed, forwarded_from, stores_before };
+            let l = LqEntry {
+                seq,
+                pc,
+                addr,
+                bytes,
+                executed,
+                forwarded_from,
+                stores_before,
+            };
             self.lq.push_back(l);
             next_load
         }
@@ -1009,7 +1029,9 @@ impl OooCore {
     /// Logs one memory-order check for the work-counter tests.
     #[cfg(test)]
     fn note_mem_order_check(&self, seq: Seq, read: usize, queue_len: usize) {
-        self.mem_order_reads.borrow_mut().push((seq, read, queue_len));
+        self.mem_order_reads
+            .borrow_mut()
+            .push((seq, read, queue_len));
     }
 
     // ------------------------------------------------------------- squash
@@ -1056,10 +1078,7 @@ impl OooCore {
             t.sweep(from, now, false, mem, SquashCounts::default());
         }
         self.seq = from - 1;
-        if self
-            .fetch_blocked_on
-            .is_some_and(|s| s >= from)
-        {
+        if self.fetch_blocked_on.is_some_and(|s| s >= from) {
             self.fetch_blocked_on = None;
             self.phantom = None;
             self.phantom_count = 0;
@@ -1112,7 +1131,10 @@ impl OooCore {
             let e = self.rob.pop_front().expect("checked front");
             let mut store = None;
             let addr = if e.inst.is_store() {
-                let s = self.sq.pop_front().expect("a store has a store-queue record");
+                let s = self
+                    .sq
+                    .pop_front()
+                    .expect("a store has a store-queue record");
                 self.sq_popped = self.sq_popped.wrapping_add(1);
                 mem.access(now, AccessKind::Store, s.addr);
                 mem.write(s.addr, s.bytes, s.value);
@@ -1214,7 +1236,8 @@ impl Core for OooCore {
         let now = self.cycle;
         self.cycle += 1;
         self.probes.set_phase(Phase::Normal, now);
-        self.probes.sample_occupancy(now, self.rob.len() as u32, self.sq.len() as u32);
+        self.probes
+            .sample_occupancy(now, self.rob.len() as u32, self.sq.len() as u32);
         if self.halted {
             return;
         }
@@ -1457,7 +1480,11 @@ impl OooCore {
         for s in window {
             // The issue queue finds a window entry by its distance from
             // the head's sequence number.
-            if self.rob.back().is_some_and(|prev| prev.seq.checked_add(1) != Some(s.seq)) {
+            if self
+                .rob
+                .back()
+                .is_some_and(|prev| prev.seq.checked_add(1) != Some(s.seq))
+            {
                 return Err(SnapError::Corrupt(format!(
                     "window sequence number {} does not follow its predecessor",
                     s.seq
@@ -1515,7 +1542,12 @@ impl OooCore {
         let phys_count = self.phys_count();
         SnapError::check_size("physical register count", self.phys_ready.len(), phys_count)?;
         SnapError::check_bound("free list length", self.free.len(), phys_count)?;
-        if let Some(p) = self.rat.iter().chain(&self.free).find(|&&p| p >= phys_count) {
+        if let Some(p) = self
+            .rat
+            .iter()
+            .chain(&self.free)
+            .find(|&&p| p >= phys_count)
+        {
             return Err(SnapError::Corrupt(format!(
                 "physical register {p} out of range (count {phys_count})"
             )));

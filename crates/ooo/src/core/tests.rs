@@ -186,7 +186,11 @@ fn restore_twin_and_run_both(core: &mut OooCore, mem: &mut MemSystem, build: fn(
         core.tick(&mut mem.bus(0));
         twin.tick(&mut twin_mem.bus(0));
         let cycle = core.cycle;
-        assert_eq!((&twin.iq, queues(&twin)), (&core.iq, queues(core)), "cycle {cycle}");
+        assert_eq!(
+            (&twin.iq, queues(&twin)),
+            (&core.iq, queues(core)),
+            "cycle {cycle}"
+        );
         assert_eq!(twin.commits, core.commits);
     }
     assert_eq!(save(&twin, &twin_mem), save(core, mem));
@@ -259,7 +263,9 @@ fn a_window_saved_with_memory_in_flight_is_rebuilt_and_continues_identically() {
             && c.lq.iter().any(|l| l.executed)
             && c.lq.iter().any(|l| !l.executed)
             && c.lq.iter().any(|l| l.forwarded_from.is_some())
-            && c.rob.iter().any(|e| matches!(e.inst, Inst::Prefetch { .. }))
+            && c.rob
+                .iter()
+                .any(|e| matches!(e.inst, Inst::Prefetch { .. }))
     };
     while !busy(&core) {
         assert!(core.cycle < 10_000, "the memory queues never filled");
@@ -296,7 +302,10 @@ fn a_memory_order_check_reads_only_in_flight_stores_and_loads() {
 
     let log = core.mem_order_reads.borrow();
     for &(seq, read, queue_len) in log.iter() {
-        assert!(read <= queue_len, "check for {seq} read {read} of {queue_len}");
+        assert!(
+            read <= queue_len,
+            "check for {seq} read {read} of {queue_len}"
+        );
     }
     assert!(log.iter().any(|&(_, read, _)| read > 0));
     assert!(log.iter().any(|&(_, _, queue_len)| queue_len >= 20));

@@ -40,7 +40,11 @@ fn cosim(cfg: OooConfig, build: &dyn Fn(&mut Asm), max_cycles: u64) -> OooCore {
 }
 
 fn cosim_all(build: impl Fn(&mut Asm), max_cycles: u64) {
-    for cfg in [OooConfig::ooo_32(), OooConfig::ooo_64(), OooConfig::ooo_128()] {
+    for cfg in [
+        OooConfig::ooo_32(),
+        OooConfig::ooo_64(),
+        OooConfig::ooo_128(),
+    ] {
         let label = cfg.label();
         let b: &dyn Fn(&mut Asm) = &build;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cosim(cfg, b, max_cycles)))
@@ -213,5 +217,9 @@ fn forwarding_happens() {
         },
         1_000_000,
     );
-    assert!(core.stats.forwards > 50, "forwards: {}", core.stats.forwards);
+    assert!(
+        core.stats.forwards > 50,
+        "forwards: {}",
+        core.stats.forwards
+    );
 }

@@ -53,7 +53,11 @@ fn wrong_path_prefetches_fire() {
     a.halt();
     let p = a.finish().unwrap();
     let (core, _mem) = run(&p);
-    assert!(core.stats.mispredicts > 50, "mispredicts: {}", core.stats.mispredicts);
+    assert!(
+        core.stats.mispredicts > 50,
+        "mispredicts: {}",
+        core.stats.mispredicts
+    );
     assert!(
         core.stats.wrong_path_prefetches > 50,
         "phantom walk fired: {}",
@@ -105,7 +109,11 @@ fn dependent_chains_are_poisoned() {
     // The second-hop loads must not all have been prefetched: DRAM demand
     // reads remain comparable to the chase length.
     let st = mem.stats();
-    assert!(st.dram_reads >= n / 2, "chase still pays: {}", st.dram_reads);
+    assert!(
+        st.dram_reads >= n / 2,
+        "chase still pays: {}",
+        st.dram_reads
+    );
     assert!(core.retired() > 0);
 }
 

@@ -48,7 +48,11 @@ const INST_BITS: u64 = 32;
 /// (in-order) the image's bit is a plain ready bit and no writer tags are
 /// kept: a register file plus a scoreboard.
 pub fn sst_area(cfg: &SstConfig) -> AreaEstimate {
-    let writer_tag = if cfg.checkpoints == 0 { 0 } else { SEQ_TAG_BITS };
+    let writer_tag = if cfg.checkpoints == 0 {
+        0
+    } else {
+        SEQ_TAG_BITS
+    };
     let live_image = ARCH_REGS * (REG_BITS + 1 + writer_tag); // value + NT/ready + writer
     let checkpoints = cfg.checkpoints as u64 * (ARCH_REGS * REG_BITS + ADDR_BITS);
     // DQ entry: inst + pc + one captured operand + producer tags + flags.
@@ -74,9 +78,9 @@ pub fn ooo_area(cfg: &OooConfig) -> AreaEstimate {
     let rat = ARCH_REGS * 8; // 8-bit phys tags
     let free_list = cfg.rob_entries as u64 * 8;
     let future_file = ARCH_REGS * REG_BITS; // rename-time value copies
-    // ROB entry: inst, pc, source/dest tags, the *old* mapping and value
-    // needed for selective squash recovery, and flags — exactly the fields
-    // this workspace's model stores per entry.
+                                            // ROB entry: inst, pc, source/dest tags, the *old* mapping and value
+                                            // needed for selective squash recovery, and flags — exactly the fields
+                                            // this workspace's model stores per entry.
     let rob_entry = INST_BITS + ADDR_BITS + 2 * 8 + 8 + 8 + REG_BITS + 8;
     let rob = cfg.rob_entries as u64 * rob_entry;
     // Issue queue: every entry compares two source tags against every
@@ -86,7 +90,8 @@ pub fn ooo_area(cfg: &OooConfig) -> AreaEstimate {
     let iq_sram = cfg.iq_entries as u64 * (INST_BITS + 16);
     // LSQ: address CAMs searched by every load and store.
     let lsq_cam = (cfg.lq_entries + cfg.sq_entries) as u64 * ADDR_BITS;
-    let lsq_sram = cfg.sq_entries as u64 * REG_BITS + (cfg.lq_entries + cfg.sq_entries) as u64 * SEQ_TAG_BITS;
+    let lsq_sram =
+        cfg.sq_entries as u64 * REG_BITS + (cfg.lq_entries + cfg.sq_entries) as u64 * SEQ_TAG_BITS;
     AreaEstimate {
         sram_bits: phys + rat + free_list + future_file + rob + iq_sram + lsq_sram,
         cam_bits: iq_cam + lsq_cam,

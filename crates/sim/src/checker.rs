@@ -17,7 +17,11 @@ pub struct CosimError {
 
 impl fmt::Display for CosimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "co-simulation divergence at commit {}: {}", self.at, self.what)
+        write!(
+            f,
+            "co-simulation divergence at commit {}: {}",
+            self.at, self.what
+        )
     }
 }
 
@@ -48,7 +52,12 @@ impl RetireChecker {
 
     /// Creates a checker over an already loaded image — the arguments of
     /// [`Interp::over_image`].
-    pub fn over_image(mem: SparseMem, text_base: u64, text: &[Option<Inst>], entry: u64) -> RetireChecker {
+    pub fn over_image(
+        mem: SparseMem,
+        text_base: u64,
+        text: &[Option<Inst>],
+        entry: u64,
+    ) -> RetireChecker {
         RetireChecker {
             interp: Interp::over_image(mem, text_base, text, entry),
             checked: 0,
@@ -94,13 +103,18 @@ impl RetireChecker {
             )));
         }
         match (c.store, ev.mem) {
-            (None, MemEffect::Store { .. }) => {
-                return Err(err("core missed a store".to_string()))
-            }
+            (None, MemEffect::Store { .. }) => return Err(err("core missed a store".to_string())),
             (Some(_), MemEffect::None | MemEffect::Load { .. }) => {
                 return Err(err("core invented a store".to_string()))
             }
-            (Some((addr, bytes, value)), MemEffect::Store { addr: ea, bytes: eb, value: ev_ }) => {
+            (
+                Some((addr, bytes, value)),
+                MemEffect::Store {
+                    addr: ea,
+                    bytes: eb,
+                    value: ev_,
+                },
+            ) => {
                 if (addr, bytes) != (ea, eb) {
                     return Err(err(format!(
                         "store to {addr:#x}/{bytes}, reference {ea:#x}/{eb}"

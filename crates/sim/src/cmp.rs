@@ -44,7 +44,12 @@ pub struct CmpResult {
     pub mem: MemStats,
 }
 
-sst_isa::snap_record!(CmpResult { model, per_core, cycles, mem });
+sst_isa::snap_record!(CmpResult {
+    model,
+    per_core,
+    cycles,
+    mem
+});
 
 impl CmpResult {
     /// Aggregate throughput: total instructions / makespan cycles.
@@ -90,7 +95,13 @@ impl CmpSystem {
     }
 
     /// Builds a CMP from an explicit per-core workload list.
-    pub fn mix(model: CoreModel, mix: &[&str], scale: Scale, seed: u64, mem_cfg: &MemConfig) -> CmpSystem {
+    pub fn mix(
+        model: CoreModel,
+        mix: &[&str],
+        scale: Scale,
+        seed: u64,
+        mem_cfg: &MemConfig,
+    ) -> CmpSystem {
         let mut sys = CmpSystem::empty(&model, mix.len(), mem_cfg);
         for (id, name) in mix.iter().enumerate() {
             let w = Workload::by_name_slot(name, scale, core_seed(seed, id), id)
@@ -171,7 +182,10 @@ impl CmpSystem {
         // The engine asks for a second span only if the first reached the
         // budget with a core still running.
         self.drive(&mut until_halt, |now, _| {
-            assert!(now < max_cycles, "CMP did not finish in {max_cycles} cycles");
+            assert!(
+                now < max_cycles,
+                "CMP did not finish in {max_cycles} cycles"
+            );
             Some(max_cycles)
         })
     }
@@ -198,11 +212,22 @@ impl CmpSystem {
             self.mem = mem;
             cycles
         } else {
-            engine::run_serial(&mut self.cores, &mut self.mem, policies, self.fast_forward, 0, boundary)
+            engine::run_serial(
+                &mut self.cores,
+                &mut self.mem,
+                policies,
+                self.fast_forward,
+                0,
+                boundary,
+            )
         };
         CmpResult {
             model: self.model_label,
-            per_core: self.cores.iter().map(|c| (c.cycle(), c.retired())).collect(),
+            per_core: self
+                .cores
+                .iter()
+                .map(|c| (c.cycle(), c.retired()))
+                .collect(),
             cycles,
             mem: self.mem.stats(),
         }
@@ -325,7 +350,10 @@ mod tests {
             sys
         };
         let reference = build().run(400_000_000);
-        assert!(reference.per_core.iter().all(|&(cycles, insts)| cycles > 0 && insts > 0));
+        assert!(reference
+            .per_core
+            .iter()
+            .all(|&(cycles, insts)| cycles > 0 && insts > 0));
         for fast_forward in [true, false] {
             for threads in [1, 2, 8] {
                 let mut sys = build().with_threads(threads);

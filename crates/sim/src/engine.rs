@@ -170,7 +170,10 @@ impl Fabric for Gated<'_> {
     const SOLO_SPANS: bool = false;
     fn bus(&mut self, i: usize) -> MemBus<'_> {
         // Stop promptly even if this chunk never waits on the failed peer.
-        assert!(!self.pmem.is_poisoned(), "parallel run: a peer worker panicked");
+        assert!(
+            !self.pmem.is_poisoned(),
+            "parallel run: a peer worker panicked"
+        );
         self.pmem.bus(&mut self.ports[i], self.base + i)
     }
     fn progress(&self, i: usize, next_cycle: Cycle) {
@@ -221,7 +224,11 @@ impl Stepper {
         fast_forward: bool,
     ) -> (Cycle, bool) {
         assert_eq!(cores.len(), policies.len());
-        let Stepper { commits, wake, want } = self;
+        let Stepper {
+            commits,
+            wake,
+            want,
+        } = self;
         commits.clear();
         wake.clear();
         want.clear();
@@ -349,18 +356,28 @@ pub(crate) fn run_parallel<P: Policy + Default + Send>(
     let mut now: Cycle = 0;
     std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for (ci, (cores, ports)) in cores.chunks_mut(chunk).zip(ports.chunks_mut(chunk)).enumerate() {
+        for (ci, (cores, ports)) in cores
+            .chunks_mut(chunk)
+            .zip(ports.chunks_mut(chunk))
+            .enumerate()
+        {
             let (pmem, barrier, slot) = (&pmem, &barrier, &slots[ci]);
-            let (stop, span_now, span_end, reached, live) = (&stop, &span_now, &span_end, &reached, &live);
+            let (stop, span_now, span_end, reached, live) =
+                (&stop, &span_now, &span_end, &reached, &live);
             handles.push(s.spawn(move || {
                 let _poison = PoisonOnPanic(pmem);
-                let mut fabric = Gated { pmem, ports, base: ci * chunk };
+                let mut fabric = Gated {
+                    pmem,
+                    ports,
+                    base: ci * chunk,
+                };
                 let mut stepper = Stepper::default();
                 // A: the coordinator published its command.
                 while barrier.wait(pmem) && !stop.load(SeqCst) {
                     let (now, end) = (span_now.load(SeqCst), span_end.load(SeqCst));
                     let mut mine = slot.lock().expect(HELD);
-                    let (at, more) = stepper.run_span(cores, &mut fabric, &mut mine, now, end, fast_forward);
+                    let (at, more) =
+                        stepper.run_span(cores, &mut fabric, &mut mine, now, end, fast_forward);
                     drop(mine);
                     reached.fetch_max(at, SeqCst);
                     live.fetch_or(more, SeqCst);
@@ -378,7 +395,9 @@ pub(crate) fn run_parallel<P: Policy + Default + Send>(
             let _poison = PoisonOnPanic(&pmem);
             while let Some(end) = boundary(now, policies) {
                 for (slot, mine) in slots.iter().zip(policies.chunks_mut(chunk)) {
-                    slot.lock().expect(HELD).extend(mine.iter_mut().map(std::mem::take));
+                    slot.lock()
+                        .expect(HELD)
+                        .extend(mine.iter_mut().map(std::mem::take));
                 }
                 span_now.store(now, SeqCst);
                 span_end.store(end, SeqCst);
@@ -491,10 +510,16 @@ mod tests {
 
     impl Calls {
         fn ticked_at(&self) -> Vec<Cycle> {
-            self.0.iter().filter_map(|c| if let Tick(at) = *c { Some(at) } else { None }).collect()
+            self.0
+                .iter()
+                .filter_map(|c| if let Tick(at) = *c { Some(at) } else { None })
+                .collect()
         }
         fn skips(&self) -> Vec<Cycle> {
-            self.0.iter().filter_map(|c| if let Skip(to) = *c { Some(to) } else { None }).collect()
+            self.0
+                .iter()
+                .filter_map(|c| if let Skip(to) = *c { Some(to) } else { None })
+                .collect()
         }
     }
 
@@ -563,7 +588,10 @@ mod tests {
             self.next_work.max(self.cycle)
         }
         fn skip_to(&mut self, target: Cycle) {
-            assert!(target > self.cycle && target <= self.next_work, "unvouched skip to {target}");
+            assert!(
+                target > self.cycle && target <= self.next_work,
+                "unvouched skip to {target}"
+            );
             self.calls.lock().unwrap().0.push(Skip(target));
             self.cycle = target;
         }
@@ -638,7 +666,8 @@ mod tests {
             let (long, _) = Scripted::boxed(5, 6);
             let mut cores = [short, long];
             let mut policies = [UntilHalt, UntilHalt];
-            let (now, live) = Stepper::default().run_span(&mut cores, &mut mem(2), &mut policies, 0, 1000, ff);
+            let (now, live) =
+                Stepper::default().run_span(&mut cores, &mut mem(2), &mut policies, 0, 1000, ff);
             // Work at cycles 0, 5, .., 25: the chip stops the cycle after.
             assert_eq!((now, live), (26, false), "ff={ff}");
             assert_eq!((cores[1].cycle(), cores[1].retired()), (26, 6));
@@ -655,12 +684,16 @@ mod tests {
         let (core, calls) = Scripted::boxed(4, u64::MAX);
         let mut cores = [core];
         let mut policies = [quota(3)];
-        let (now, live) = Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 100, true);
+        let (now, live) =
+            Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 100, true);
         assert_eq!((now, live), (100, true));
         assert_eq!(cores[0].cycle(), 100);
         // Third commit on the tick at cycle 8, then one gate, no more ticks.
         let calls = calls.lock().unwrap();
-        assert_eq!(calls.0, [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8), Gate(100)]);
+        assert_eq!(
+            calls.0,
+            [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8), Gate(100)]
+        );
         assert_eq!(policies[0].commits, 3);
     }
 
@@ -670,16 +703,20 @@ mod tests {
             let (core, calls) = Scripted::boxed(7, u64::MAX);
             let mut cores = [core];
             let mut policies = [forever()];
-            let stop = Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 50, ff);
+            let stop =
+                Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 50, ff);
             let calls = std::mem::take(&mut *calls.lock().unwrap());
             (stop, cores[0].cycle(), policies[0].commits, calls)
         };
         let (fast_stop, fast_cycle, fast_commits, fast) = run(true);
         let (slow_stop, slow_cycle, slow_commits, slow) = run(false);
         assert_eq!(fast_stop, (50, true));
-        assert_eq!((fast_stop, fast_cycle, fast_commits), (slow_stop, slow_cycle, slow_commits));
+        assert_eq!(
+            (fast_stop, fast_cycle, fast_commits),
+            (slow_stop, slow_cycle, slow_commits)
+        );
         assert_eq!((fast_cycle, fast_commits), (50, 8)); // work at 0, 7, .., 49
-        // Skipping ticked only the work cycles.
+                                                         // Skipping ticked only the work cycles.
         assert_eq!(fast.ticked_at(), multiples(7, 50));
         assert_eq!(fast.skips(), [7, 14, 21, 28, 35, 42, 49]);
         assert_eq!(slow.ticked_at().len(), 50);
@@ -691,7 +728,8 @@ mod tests {
         let (core, calls) = Scripted::boxed(1000, u64::MAX);
         let mut cores = [core];
         let mut policies = [forever()];
-        let (now, live) = Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 10, true);
+        let (now, live) =
+            Stepper::default().run_span(&mut cores, &mut mem(1), &mut policies, 0, 10, true);
         assert_eq!((now, live, cores[0].cycle()), (10, true, 10));
         assert_eq!(calls.lock().unwrap().0, [Tick(0), Skip(10)]);
     }
@@ -704,9 +742,13 @@ mod tests {
     fn one_core_makes_the_call_sequence_it_always_made() {
         let (core, calls) = Scripted::boxed(4, 3);
         let mut cores = [core];
-        let stop = Stepper::default().run_span(&mut cores, &mut mem(1), &mut [UntilHalt], 0, 1000, true);
+        let stop =
+            Stepper::default().run_span(&mut cores, &mut mem(1), &mut [UntilHalt], 0, 1000, true);
         assert_eq!(stop, (9, false));
-        assert_eq!(calls.lock().unwrap().0, [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8)]);
+        assert_eq!(
+            calls.lock().unwrap().0,
+            [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8)]
+        );
 
         struct Until(u64);
         impl Policy for Until {
@@ -722,7 +764,10 @@ mod tests {
         // Resumed from the standing point, as `System::run_insts` does.
         let stop = stepper.run_span(&mut cores, &mut mem(1), &mut [Until(3)], 8, 1000, true);
         assert_eq!((stop, cores[0].cycle()), ((12, false), 12));
-        assert_eq!(calls.lock().unwrap().0, [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8), Skip(12)]);
+        assert_eq!(
+            calls.lock().unwrap().0,
+            [Tick(0), Skip(4), Tick(4), Skip(8), Tick(8), Skip(12)]
+        );
     }
 
     /// Wants to see its core every `every` commits; writes down what it is
@@ -742,7 +787,11 @@ mod tests {
     }
 
     fn every(every: u64) -> Every {
-        Every { every, commits: 0, seen: Vec::new() }
+        Every {
+            every,
+            commits: 0,
+            seen: Vec::new(),
+        }
     }
 
     /// Rule 1, second half: alone on the serial fabric a core is shown to
@@ -755,18 +804,32 @@ mod tests {
     fn a_solo_look_stops_right_after_the_tick_the_policy_asked_for() {
         let (core, solo_calls) = Scripted::boxed(4, u64::MAX);
         let mut policies = [every(3)];
-        let stop = Stepper::default().run_span(&mut [core], &mut mem(1), &mut policies, 0, 30, true);
+        let stop =
+            Stepper::default().run_span(&mut [core], &mut mem(1), &mut policies, 0, 30, true);
         assert_eq!(stop, (30, true));
         // Commits at 0, 4, .., 28: the third on the tick at 8, the sixth on
         // the tick at 20; the last two are handed over at the end.
-        assert_eq!(policies[0].seen, [(0, 0, 0), (9, 3, 8), (21, 3, 20), (30, 2, 28)]);
+        assert_eq!(
+            policies[0].seen,
+            [(0, 0, 0), (9, 3, 8), (21, 3, 20), (30, 2, 28)]
+        );
 
         let (core, chip_calls) = Scripted::boxed(4, u64::MAX);
         let (neighbour, _) = Scripted::boxed(1, u64::MAX);
         let mut policies = [every(3), every(3)];
-        let stop = Stepper::default().run_span(&mut [core, neighbour], &mut mem(2), &mut policies, 0, 30, true);
+        let stop = Stepper::default().run_span(
+            &mut [core, neighbour],
+            &mut mem(2),
+            &mut policies,
+            0,
+            30,
+            true,
+        );
         assert_eq!(stop, (30, true));
-        let ticks: Vec<_> = multiples(4, 30).into_iter().map(|at| (at + 1, 1, at)).collect();
+        let ticks: Vec<_> = multiples(4, 30)
+            .into_iter()
+            .map(|at| (at + 1, 1, at))
+            .collect();
         assert_eq!(policies[0].seen[1..], ticks);
 
         struct Shared(MemSystem);
@@ -778,7 +841,14 @@ mod tests {
         }
         let (core, gated_calls) = Scripted::boxed(4, u64::MAX);
         let mut policies = [every(3)];
-        let stop = Stepper::default().run_span(&mut [core], &mut Shared(mem(1)), &mut policies, 0, 30, true);
+        let stop = Stepper::default().run_span(
+            &mut [core],
+            &mut Shared(mem(1)),
+            &mut policies,
+            0,
+            30,
+            true,
+        );
         assert_eq!(stop, (30, true));
         assert_eq!(policies[0].seen[1..], ticks);
 
@@ -794,7 +864,8 @@ mod tests {
         let (core, _) = Scripted::boxed(1, u64::MAX);
         let mut policies = [every(u64::MAX)];
         let end = 3 * LOOK_CAP + 10;
-        let stop = Stepper::default().run_span(&mut [core], &mut mem(1), &mut policies, 0, end, true);
+        let stop =
+            Stepper::default().run_span(&mut [core], &mut mem(1), &mut policies, 0, end, true);
         assert_eq!(stop, (end, true));
         let cap = LOOK_CAP as usize;
         let handed: Vec<usize> = policies[0].seen.iter().map(|s| s.1).collect();
@@ -829,10 +900,19 @@ mod tests {
         let mut fabric = mem(2);
         let mut stepper = Stepper::default();
         let stop = stepper.run_span(&mut cores, &mut fabric, &mut policies, 0, 15, true);
-        assert_eq!((stop, cores[0].cycle(), cores[1].cycle()), ((15, true), 15, 15));
-        assert_eq!(sleeper_calls.lock().unwrap().0, [Tick(0), Skip(10), Tick(10), Skip(15)]);
+        assert_eq!(
+            (stop, cores[0].cycle(), cores[1].cycle()),
+            ((15, true), 15, 15)
+        );
+        assert_eq!(
+            sleeper_calls.lock().unwrap().0,
+            [Tick(0), Skip(10), Tick(10), Skip(15)]
+        );
         let stop = stepper.run_span(&mut cores, &mut fabric, &mut policies, 15, 40, true);
-        assert_eq!((stop, cores[0].cycle(), cores[1].cycle()), ((40, true), 40, 40));
+        assert_eq!(
+            (stop, cores[0].cycle(), cores[1].cycle()),
+            ((40, true), 40, 40)
+        );
         // Cycle 15 is a stall tick (the wake at 20 was cut short by the
         // boundary), then the core sleeps on its own schedule again.
         assert_eq!(
@@ -851,12 +931,19 @@ mod tests {
         let (b, b_calls) = Scripted::boxed(5, 4);
         let mut cores = [a, b];
         let mut policies = [forever(), forever()];
-        let stop = Stepper::default().run_span(&mut cores, &mut mem(2), &mut policies, 0, 32, false);
+        let stop =
+            Stepper::default().run_span(&mut cores, &mut mem(2), &mut policies, 0, 32, false);
         assert_eq!(stop, (32, true));
         let (a, b) = (a_calls.lock().unwrap(), b_calls.lock().unwrap());
-        assert_eq!(a.0, multiples(1, 32).into_iter().map(Tick).collect::<Vec<_>>());
+        assert_eq!(
+            a.0,
+            multiples(1, 32).into_iter().map(Tick).collect::<Vec<_>>()
+        );
         // `b` halts on its fourth instruction, at cycle 15, and leaves.
-        assert_eq!(b.0, multiples(1, 16).into_iter().map(Tick).collect::<Vec<_>>());
+        assert_eq!(
+            b.0,
+            multiples(1, 16).into_iter().map(Tick).collect::<Vec<_>>()
+        );
         assert_eq!((policies[0].commits, policies[1].commits), (11, 4));
     }
 
@@ -882,20 +969,29 @@ mod tests {
         let (b, _) = Scripted::boxed(2, u64::MAX);
         let mut cores = [a, b];
         let mut policies = [quota(u64::MAX), quota(3)];
-        let mut fabric = Recording { mem: mem(2), log: Mutex::default() };
+        let mut fabric = Recording {
+            mem: mem(2),
+            log: Mutex::default(),
+        };
         let stop = Stepper::default().run_span(&mut cores, &mut fabric, &mut policies, 0, 9, true);
         assert_eq!(stop, (9, true));
         assert_eq!(
             *fabric.log.lock().unwrap(),
             [
                 // Cycle 0: both work; `now + 1` after the tick, then the wake.
-                (0, 1), (0, 3), (1, 1), (1, 2),
+                (0, 1),
+                (0, 3),
+                (1, 1),
+                (1, 2),
                 // Cycle 2: only core 1 is due.
-                (1, 3), (1, 4),
+                (1, 3),
+                (1, 4),
                 // Cycle 3: core 0 halts and is never heard of again.
-                (0, 4), (0, Cycle::MAX),
+                (0, 4),
+                (0, Cycle::MAX),
                 // Cycle 4: core 1's third commit; it is gated to the end.
-                (1, 5), (1, 9),
+                (1, 5),
+                (1, 9),
             ]
         );
     }
@@ -976,10 +1072,22 @@ mod tests {
             let ticks = Arc::new(AtomicU64::new(0));
             sys.cores = std::mem::take(&mut sys.cores)
                 .into_iter()
-                .map(|inner| Box::new(TickCounted { inner, ticks: Arc::clone(&ticks) }) as Box<dyn Core>)
+                .map(|inner| {
+                    Box::new(TickCounted {
+                        inner,
+                        ticks: Arc::clone(&ticks),
+                    }) as Box<dyn Core>
+                })
                 .collect();
             let mut policies: Vec<UntilHalt> = (0..CORES).map(|_| UntilHalt).collect();
-            let stop = Stepper::default().run_span(&mut sys.cores, &mut sys.mem, &mut policies, 0, SPAN, fast_forward);
+            let stop = Stepper::default().run_span(
+                &mut sys.cores,
+                &mut sys.mem,
+                &mut policies,
+                0,
+                SPAN,
+                fast_forward,
+            );
             assert_eq!(stop, (SPAN, true));
             assert!(sys.cores.iter().all(|c| !c.halted() && c.cycle() == SPAN));
             let retired: u64 = sys.cores.iter().map(|c| c.retired()).sum();

@@ -134,7 +134,10 @@ impl CmpSystem {
                 return None;
             }
             let end = now + q;
-            assert!(end <= max_cycles, "service run exceeded {max_cycles} cycles");
+            assert!(
+                end <= max_cycles,
+                "service run exceeded {max_cycles} cycles"
+            );
             Some(end)
         })
     }
@@ -183,15 +186,21 @@ mod tests {
 
     fn kernels(n: usize, seed: u64) -> Vec<ServerKernel> {
         (0..n)
-            .map(|slot| ServerKernel::by_name("oltp", Scale::Smoke, seed + slot as u64, slot).unwrap())
+            .map(|slot| {
+                ServerKernel::by_name("oltp", Scale::Smoke, seed + slot as u64, slot).unwrap()
+            })
             .collect()
     }
 
-    fn run_script(model: CoreModel, threads: usize, fast_forward: bool) -> (CmpResult, Vec<(u64, Cycle)>) {
+    fn run_script(
+        model: CoreModel,
+        threads: usize,
+        fast_forward: bool,
+    ) -> (CmpResult, Vec<(u64, Cycle)>) {
         let ks = kernels(3, 7);
         let programs: Vec<&sst_isa::Program> = ks.iter().map(|k| &k.workload.program).collect();
-        let mut sys = CmpSystem::from_programs(model, &programs, &MemConfig::default())
-            .with_threads(threads);
+        let mut sys =
+            CmpSystem::from_programs(model, &programs, &MemConfig::default()).with_threads(threads);
         if !fast_forward {
             sys = sys.without_fast_forward();
         }

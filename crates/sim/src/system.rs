@@ -83,7 +83,10 @@ impl RunResult {
     /// Looks up a model counter by name (`None` when the model does not
     /// report it).
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
     }
 
     /// Fraction of committed instructions in `class`.
@@ -93,7 +96,10 @@ impl RunResult {
 
     /// Looks up a phase row by label (`None` for unknown labels).
     pub fn phase(&self, label: &str) -> Option<u64> {
-        self.phases.iter().find(|(n, _)| n == label).map(|(_, v)| *v)
+        self.phases
+            .iter()
+            .find(|(n, _)| n == label)
+            .map(|(_, v)| *v)
     }
 }
 
@@ -474,7 +480,11 @@ impl System {
     /// # Errors
     ///
     /// As [`System::resume_with_mem`].
-    pub fn resume(model: CoreModel, workload: &Workload, snap: &Snapshot) -> Result<System, SnapError> {
+    pub fn resume(
+        model: CoreModel,
+        workload: &Workload,
+        snap: &Snapshot,
+    ) -> Result<System, SnapError> {
         System::resume_with_mem(model, workload, &MemConfig::default(), snap)
     }
 
@@ -575,7 +585,11 @@ mod tests {
         assert!(r.measured_ipc() > 0.0);
         assert!(r.warmup_cycles < r.cycles);
         // Counters and instruction mix ride along on every run.
-        assert_eq!(r.counter("ahead_issued"), Some(r.insts - 1), "all but the halt issue once");
+        assert_eq!(
+            r.counter("ahead_issued"),
+            Some(r.insts - 1),
+            "all but the halt issue once"
+        );
         assert!(r.counter("cond_predictions").unwrap() > 0);
         assert_eq!(r.inst_mix.iter().sum::<u64>(), r.insts);
         assert!(r.mix_fraction(sst_isa::InstClass::Load) > 0.0);
@@ -586,7 +600,10 @@ mod tests {
     fn sst_counters_surface_speculation_activity() {
         let w = Workload::by_name("erp", Scale::Smoke, 3).unwrap();
         let r = System::measure(CoreModel::Sst, &w, 100_000_000);
-        assert!(r.counter("episodes").unwrap() > 0, "erp must trigger episodes");
+        assert!(
+            r.counter("episodes").unwrap() > 0,
+            "erp must trigger episodes"
+        );
         assert!(r.counter("deferred").unwrap() > 0);
         assert!(r.counter("epochs_committed").unwrap() > 0);
         // Unknown names come back as None, not a panic.
@@ -626,7 +643,10 @@ mod tests {
             for m in CoreModel::lineup() {
                 let label = m.label();
                 let before = LOOKS.with(|n| n.get());
-                let r = System::new(m, &w).without_cosim().run_checked(100_000_000).unwrap();
+                let r = System::new(m, &w)
+                    .without_cosim()
+                    .run_checked(100_000_000)
+                    .unwrap();
                 let looks = LOOKS.with(|n| n.get()) - before;
                 assert!(
                     looks <= r.insts / LOOK_CAP + 3,

@@ -174,7 +174,9 @@ fn cmp_per_core_sleep_matches() {
 #[test]
 fn timeout_fires_identically() {
     let w = Workload::by_name("oltp", Scale::Smoke, 3).unwrap();
-    let fast = System::new(CoreModel::InOrder, &w).run_checked(100).unwrap_err();
+    let fast = System::new(CoreModel::InOrder, &w)
+        .run_checked(100)
+        .unwrap_err();
     let slow = System::new(CoreModel::InOrder, &w)
         .without_fast_forward()
         .run_checked(100)

@@ -117,8 +117,8 @@ fn sampled_numbers_match_the_committed_table() {
 #[test]
 fn ladder_schedule_cpi_is_within_3_percent_of_detailed() {
     let w = oltp_sized(Scale::Smoke, SEED, 0, 160_000);
-    let sampled = run_sampled(CoreModel::Sst, &w, &schedule(2_000_000, 20_000, None))
-        .expect("sampled run");
+    let sampled =
+        run_sampled(CoreModel::Sst, &w, &schedule(2_000_000, 20_000, None)).expect("sampled run");
     let r = System::new(CoreModel::Sst, &w)
         .without_cosim()
         .run_checked(2_000_000_000)

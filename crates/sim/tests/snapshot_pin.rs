@@ -50,7 +50,10 @@ fn measure() -> String {
             sys.run_insts(PAUSE_INSTS, MAX_CYCLES)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(!sys.halted(), "{label}: the pause must be mid-run");
-            out.push_str(&line(&format!("{label} mid"), sys.snapshot().unwrap().as_bytes()));
+            out.push_str(&line(
+                &format!("{label} mid"),
+                sys.snapshot().unwrap().as_bytes(),
+            ));
             let fresh = System::new(model, &w).snapshot().unwrap();
             out.push_str(&line(&format!("{label} start+cosim"), fresh.as_bytes()));
         }

@@ -40,11 +40,7 @@ fn build(model: &CoreModel, w: &Workload, fast_forward: bool) -> System {
 /// the midpoint via snapshot/resume — and demands identical results and
 /// identical final state bytes.
 fn check_equivalence(model: CoreModel, w: &Workload, fast_forward: bool) -> RunResult {
-    let label = format!(
-        "{} on {} (ff={fast_forward})",
-        model.label(),
-        w.name
-    );
+    let label = format!("{} on {} (ff={fast_forward})", model.label(), w.name);
 
     // Reference: uninterrupted run.
     let mut straight = build(&model, w, fast_forward);
@@ -231,7 +227,14 @@ fn resume_mid_scout_episode_keeps_held_slots() {
         ("chase", SstConfig::scout(), 100_000),
         // The store gadget's episodes are short, and only the first ones
         // defer much: a queue it can fill, from the start.
-        ("g_store", SstConfig { dq_entries: 8, ..SstConfig::scout() }, 0),
+        (
+            "g_store",
+            SstConfig {
+                dq_entries: 8,
+                ..SstConfig::scout()
+            },
+            0,
+        ),
     ] {
         let w = Workload::by_name(name, Scale::Smoke, 3).unwrap();
         let model = CoreModel::CustomSst(cfg.clone());
@@ -251,7 +254,9 @@ fn resume_mid_scout_episode_keeps_held_slots() {
                 let dq = core.deferred_queue();
                 !dq.is_full() && dq.len() + 8 >= dq.capacity() && !dq.is_empty()
             }),
-            ("stalling", |core, stalled| core.deferred_queue().is_full() && stalled),
+            ("stalling", |core, stalled| {
+                core.deferred_queue().is_full() && stalled
+            }),
         ];
         for (what, is_moment) in moments {
             let label = format!("scout on {name}, {what}");
@@ -288,14 +293,19 @@ fn resume_mid_scout_episode_keeps_held_slots() {
             // The count sits behind the DQ's tag, its deferral total and
             // its high-water mark. One past the capacity is refused.
             let mut bytes = snap.as_bytes().to_vec();
-            let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let word =
+                |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
             let at = bytes
                 .windows(4)
                 .position(|tag| tag == b"DQUE")
                 .expect("the core's image holds its DQ")
                 + 4
                 + 16;
-            assert_eq!(word(&bytes, at), held as u64, "{label}: the held-slot count");
+            assert_eq!(
+                word(&bytes, at),
+                held as u64,
+                "{label}: the held-slot count"
+            );
             bytes[at..at + 8].copy_from_slice(&(cfg.dq_entries as u64 + 1).to_le_bytes());
             let e = System::resume(model.clone(), &w, &Snapshot::from_bytes(bytes))
                 .map(|_| ())
@@ -336,14 +346,21 @@ fn a_system_that_never_ran_snapshots_with_its_checker() {
     for m in models() {
         let label = m.label();
         let snap = System::new(m.clone(), &w).snapshot().unwrap();
-        let unchecked = System::new(m.clone(), &w).without_cosim().snapshot().unwrap();
+        let unchecked = System::new(m.clone(), &w)
+            .without_cosim()
+            .snapshot()
+            .unwrap();
         assert!(
             snap.as_bytes().len() > unchecked.as_bytes().len() + w.program.image_bytes() as usize,
             "{label}: the reference's memory image is in the snapshot"
         );
 
         let mut resumed = System::resume(m.clone(), &w, &snap).unwrap();
-        assert_eq!(resumed.snapshot().unwrap().as_bytes(), snap.as_bytes(), "{label}");
+        assert_eq!(
+            resumed.snapshot().unwrap().as_bytes(),
+            snap.as_bytes(),
+            "{label}"
+        );
         resumed.run_insts(u64::MAX, MAX_CYCLES).unwrap();
 
         let mut straight = System::new(m, &w);
@@ -364,7 +381,9 @@ fn resume_rejects_model_and_workload_mismatch() {
     sys.run_insts(500, MAX_CYCLES).unwrap();
     let snap = sys.snapshot().unwrap();
 
-    let e = System::resume(CoreModel::Sst, &w, &snap).map(|_| ()).unwrap_err();
+    let e = System::resume(CoreModel::Sst, &w, &snap)
+        .map(|_| ())
+        .unwrap_err();
     assert!(e.to_string().contains("model"), "{e}");
 
     let other = Workload::by_name("erp", Scale::Smoke, 3).unwrap();
@@ -381,7 +400,15 @@ fn truncated_snapshots_error_not_panic() {
     sys.run_insts(500, MAX_CYCLES).unwrap();
     let bytes = sys.snapshot().unwrap().as_bytes().to_vec();
 
-    let cuts = [0, 1, 3, 7, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1];
+    let cuts = [
+        0,
+        1,
+        3,
+        7,
+        bytes.len() / 3,
+        bytes.len() / 2,
+        bytes.len() - 1,
+    ];
     for &cut in &cuts {
         let truncated = Snapshot::from_bytes(bytes[..cut].to_vec());
         let r = System::resume(CoreModel::Sst, &w, &truncated);
@@ -398,7 +425,12 @@ fn truncated_snapshots_error_not_panic() {
         for cut in (0..mems).step_by((mems / 97).max(1)) {
             let truncated = Snapshot::from_bytes(bytes[..cut].to_vec());
             let r = System::resume(m.clone(), &w, &truncated);
-            assert!(r.is_err(), "{}: truncation at {cut}/{} must fail", m.label(), bytes.len());
+            assert!(
+                r.is_err(),
+                "{}: truncation at {cut}/{} must fail",
+                m.label(),
+                bytes.len()
+            );
         }
     }
 }

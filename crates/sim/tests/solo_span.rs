@@ -107,7 +107,8 @@ impl Hand {
                 want = want.min(self.skip_insts - self.committed());
             }
             let mut bus = self.mem.bus(0);
-            self.core.run_until(&mut bus, budget, want as usize, fast_forward, &mut commits);
+            self.core
+                .run_until(&mut bus, budget, want as usize, fast_forward, &mut commits);
             self.retire(&mut commits);
             if !self.core.halted() {
                 self.core.sleep_until(budget, fast_forward);
@@ -141,7 +142,12 @@ fn assert_same_machine(sys: &System, hand: &Hand, label: &str) {
     let r = sys.result();
     assert_eq!(
         (r.cycles, r.insts, r.warmup_cycles, r.inst_mix),
-        (hand.core.cycle(), hand.committed(), hand.warmup_cycles, hand.inst_mix),
+        (
+            hand.core.cycle(),
+            hand.committed(),
+            hand.warmup_cycles,
+            hand.inst_mix
+        ),
         "{label}"
     );
     assert_eq!(sys.committed(), hand.committed(), "{label}");
@@ -180,13 +186,23 @@ fn run_until_makes_the_run_a_per_tick_loop_makes() {
         for limit in [0, 1, 1024, u64::MAX] {
             let mut spans = Hand::new(model, w);
             spans.in_spans(u64::MAX, MAX_CYCLES, fast_forward, limit);
-            assert!(spans.stream == reference.stream, "{label}, limit {limit}: commit streams differ");
+            assert!(
+                spans.stream == reference.stream,
+                "{label}, limit {limit}: commit streams differ"
+            );
             assert_eq!(
                 (spans.core.cycle(), spans.warmup_cycles, spans.inst_mix),
-                (reference.core.cycle(), reference.warmup_cycles, reference.inst_mix),
+                (
+                    reference.core.cycle(),
+                    reference.warmup_cycles,
+                    reference.inst_mix
+                ),
                 "{label}, limit {limit}"
             );
-            assert!(spans.image() == reference.image(), "{label}, limit {limit}: final images differ");
+            assert!(
+                spans.image() == reference.image(),
+                "{label}, limit {limit}: final images differ"
+            );
         }
     });
 }
@@ -202,7 +218,9 @@ fn a_system_reports_what_the_per_tick_loop_counts() {
         assert_eq!(sys.result().warmup_insts, w.skip_insts, "{label}");
         // With the reference interpreter watching, the same result.
         if fast_forward {
-            let checked = System::new(model.clone(), w).run_checked(MAX_CYCLES).unwrap();
+            let checked = System::new(model.clone(), w)
+                .run_checked(MAX_CYCLES)
+                .unwrap();
             assert_eq!(checked, sys.result(), "{label}");
         }
     });
@@ -232,7 +250,10 @@ fn an_instruction_target_pauses_on_the_same_cycle_with_the_same_image() {
                     sys.run_insts(next, MAX_CYCLES).unwrap();
                     assert_same_machine(&sys, &hand, &format!("{label}, then {next}"));
                 }
-                assert!(hand.stream == total.stream, "{label}: commit streams differ");
+                assert!(
+                    hand.stream == total.stream,
+                    "{label}: commit streams differ"
+                );
             }
         }
     });

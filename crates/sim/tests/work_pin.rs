@@ -33,7 +33,12 @@ fn work(model: &CoreModel, w: &Workload) -> (u64, u64) {
     let mut commits = Vec::new();
     let (mut ticks, mut skipped) = (0, 0);
     while !core.halted() {
-        assert!(core.cycle() < MAX_CYCLES, "{} on {} did not halt", model.label(), w.name);
+        assert!(
+            core.cycle() < MAX_CYCLES,
+            "{} on {} did not halt",
+            model.label(),
+            w.name
+        );
         core.tick(&mut mem.bus(0));
         ticks += 1;
         core.drain_commits_into(&mut commits);
@@ -57,7 +62,10 @@ fn measure() -> String {
         let w = Workload::by_name(name, Scale::Smoke, SEED).unwrap();
         for model in CoreModel::lineup() {
             let (ticks, skipped) = work(&model, &w);
-            out.push_str(&format!("{} {name} ticks={ticks} skipped={skipped}\n", model.label()));
+            out.push_str(&format!(
+                "{} {name} ticks={ticks} skipped={skipped}\n",
+                model.label()
+            ));
         }
     }
     out

@@ -25,7 +25,7 @@ fn neg_log2_q32(bits: u64) -> u64 {
     let v = bits + 1; // numerator of u over 2^64; v >= 1
     let lz = v.leading_zeros() as u64;
     let msb = 63 - lz; // log2(v) integer part
-    // Normalized mantissa m/2^63 in [1, 2).
+                       // Normalized mantissa m/2^63 in [1, 2).
     let mut m = v << lz;
     let mut frac: u64 = 0;
     for _ in 0..32 {

@@ -268,7 +268,10 @@ pub fn run_traffic_full(
     max_cycles: Cycle,
 ) -> TrafficRun {
     assert!(spec.cores > 0 && spec.load_permille > 0, "degenerate spec");
-    assert!(spec.admission_cap > 0 && spec.lane_cap > 0, "degenerate caps");
+    assert!(
+        spec.admission_cap > 0 && spec.lane_cap > 0,
+        "degenerate caps"
+    );
     let kernels: Vec<ServerKernel> = (0..spec.cores)
         .map(|slot| {
             ServerKernel::by_name(&spec.workload, scale, core_seed(seed, slot), slot)

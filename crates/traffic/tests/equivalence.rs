@@ -60,7 +60,10 @@ fn overload_sheds_and_underload_does_not() {
     s.lane_cap = 2;
     let heavy = run_traffic_full(&s, Scale::Smoke, 5, 1, 2_000_000_000);
     assert!(heavy.result.shed > 0, "5x overload with cap 4 must shed");
-    assert_eq!(heavy.result.completed + heavy.result.shed, heavy.result.offered);
+    assert_eq!(
+        heavy.result.completed + heavy.result.shed,
+        heavy.result.offered
+    );
 }
 
 #[test]

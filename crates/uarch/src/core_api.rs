@@ -29,7 +29,14 @@ pub struct Commit {
     pub at: Cycle,
 }
 
-sst_isa::snap_record!(Commit { seq, pc, inst, reg_write, store, at });
+sst_isa::snap_record!(Commit {
+    seq,
+    pc,
+    inst,
+    reg_write,
+    store,
+    at
+});
 
 /// Every model's [`Core::drain_commits_into`]: nothing when nothing is
 /// pending (the buffers keep their capacities); a swap of the two when `out`
@@ -142,7 +149,10 @@ pub trait Core: Send {
             let at = self.cycle();
             self.tick(mem);
             self.drain_commits_into(out);
-            if self.halted() || out.len() >= want || self.sleep_until(horizon, fast_forward) >= horizon {
+            if self.halted()
+                || out.len() >= want
+                || self.sleep_until(horizon, fast_forward) >= horizon
+            {
                 return at;
             }
         }

@@ -611,11 +611,20 @@ impl DeferredQueue {
         let mut entries = Vec::with_capacity(self.len);
         let mut at = self.head;
         while let Some(s) = self.slots.get(at as usize) {
-            let blocked = listed.next_if(|t| t.seq == s.entry.seq).is_some_and(|t| t.blocked);
+            let blocked = listed
+                .next_if(|t| t.seq == s.entry.seq)
+                .is_some_and(|t| t.blocked);
             entries.push((s.entry, s.src_ready, blocked));
             at = s.next;
         }
-        (self.total_deferred, self.high_water, self.held, self.cursor, entries).put(w);
+        (
+            self.total_deferred,
+            self.high_water,
+            self.held,
+            self.cursor,
+            entries,
+        )
+            .put(w);
     }
 
     /// Restores state written by [`DeferredQueue::save_state`] on a queue
@@ -683,7 +692,13 @@ impl DeferredQueue {
 /// The queue as a snapshot holds it: deferral total, high-water mark,
 /// held slots, pass cursor, and each live entry with its delivered
 /// operands' ready cycle and blocked mark.
-type Saved = (u64, usize, usize, Option<usize>, Vec<(DqEntry, Cycle, bool)>);
+type Saved = (
+    u64,
+    usize,
+    usize,
+    Option<usize>,
+    Vec<(DqEntry, Cycle, bool)>,
+);
 
 impl SnapState for DeferredQueue {
     fn put_state(&self, w: &mut SnapWriter) {
@@ -993,7 +1008,8 @@ mod tests {
         let mut w = SnapWriter::new();
         q.save_state(&mut w);
         let mut back = DeferredQueue::new(8);
-        back.restore_state(&mut SnapReader::new(w.as_bytes())).unwrap();
+        back.restore_state(&mut SnapReader::new(w.as_bytes()))
+            .unwrap();
         assert_eq!((back.len(), back.high_water, seqs(&back)), (6, 6, vec![1]));
         let mut again = SnapWriter::new();
         back.save_state(&mut again);

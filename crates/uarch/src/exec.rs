@@ -130,7 +130,10 @@ mod tests {
     fn extension_matches_interp_semantics() {
         assert_eq!(extend_load(MemWidth::B1, true, 0xff), u64::MAX);
         assert_eq!(extend_load(MemWidth::B1, false, 0xff), 0xff);
-        assert_eq!(extend_load(MemWidth::B4, true, 0x8000_0000), 0xffff_ffff_8000_0000);
+        assert_eq!(
+            extend_load(MemWidth::B4, true, 0x8000_0000),
+            0xffff_ffff_8000_0000
+        );
         assert_eq!(extend_load(MemWidth::B4, false, 0x8000_0000), 0x8000_0000);
         assert_eq!(extend_load(MemWidth::B8, true, u64::MAX), u64::MAX);
     }

@@ -60,7 +60,13 @@ pub struct FetchedInst {
     pub pred_confident: bool,
 }
 
-sst_isa::snap_record!(FetchedInst { pc, inst, pred_taken, pred_next_pc, pred_confident });
+sst_isa::snap_record!(FetchedInst {
+    pc,
+    inst,
+    pred_taken,
+    pred_next_pc,
+    pred_confident
+});
 
 /// Classifies a control instruction for the branch unit.
 #[inline]
@@ -265,9 +271,7 @@ impl Frontend {
                                 (false, pc.wrapping_add(INST_BYTES), p.confident)
                             }
                         }
-                        Inst::Jal { .. } => {
-                            (true, inst.direct_target(pc).expect("direct"), true)
-                        }
+                        Inst::Jal { .. } => (true, inst.direct_target(pc).expect("direct"), true),
                         Inst::Jalr { .. } => match p.target {
                             Some(t) => (true, t, true),
                             None => {
@@ -380,7 +384,11 @@ impl Frontend {
     /// The snapshot's queue fits the configured depth and its RAS has the
     /// configured depth (the BTB and predictor tables check their own).
     fn restored(&mut self) -> Result<(), SnapError> {
-        SnapError::check_bound("frontend queue length", self.queue.len(), self.cfg.queue_depth)?;
+        SnapError::check_bound(
+            "frontend queue length",
+            self.queue.len(),
+            self.cfg.queue_depth,
+        )?;
         SnapError::check_size("RAS depth", self.unit.ras().depth(), self.cfg.ras_depth)
     }
 }
@@ -517,7 +525,11 @@ mod tests {
             assert_eq!(a.pc, b.pc);
             assert_eq!(a.inst, b.inst);
             let word = ms.mem().read_u32(a.pc);
-            assert_eq!(Ok(a.inst), decode(word), "the shared text is the memory's decode");
+            assert_eq!(
+                Ok(a.inst),
+                decode(word),
+                "the shared text is the memory's decode"
+            );
         }
     }
 

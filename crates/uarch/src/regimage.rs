@@ -6,8 +6,7 @@ use sst_mem::Cycle;
 use crate::Seq;
 
 /// One architectural register as the SST hardware sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[derive(Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct RegSlot {
     /// Current (possibly speculative) value. Meaningless while `nt` is set.
     pub value: u64,
@@ -22,8 +21,12 @@ pub struct RegSlot {
     pub ready_at: Cycle,
 }
 
-sst_isa::snap_record!(RegSlot { value, nt, writer, ready_at });
-
+sst_isa::snap_record!(RegSlot {
+    value,
+    nt,
+    writer,
+    ready_at
+});
 
 /// A full 64-register image with NT bits.
 ///
@@ -123,7 +126,10 @@ impl RegImage {
     /// slots a rollback restoring to `from` is about to discard (the
     /// taint sweep counts them before the image is replaced).
     pub fn nt_owned_since(&self, from: Seq) -> usize {
-        self.slots.iter().filter(|s| s.nt && s.writer >= from).count()
+        self.slots
+            .iter()
+            .filter(|s| s.nt && s.writer >= from)
+            .count()
     }
 
     /// Latest `ready_at` among the given source registers (`x0` is always

@@ -34,7 +34,12 @@ pub struct StoreEntry {
     pub value: Option<u64>,
 }
 
-sst_isa::snap_record!(StoreEntry { seq, addr, bytes, value });
+sst_isa::snap_record!(StoreEntry {
+    seq,
+    addr,
+    bytes,
+    value
+});
 
 /// Result of a forwarding lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -301,7 +306,14 @@ impl StoreBuffer {
                 }
             }
         }
-        Some(u64::from_le_bytes(buf) & if bytes == 8 { u64::MAX } else { (1 << (bytes * 8)) - 1 })
+        Some(
+            u64::from_le_bytes(buf)
+                & if bytes == 8 {
+                    u64::MAX
+                } else {
+                    (1 << (bytes * 8)) - 1
+                },
+        )
     }
 
     /// Iterates entries oldest-first.

@@ -308,7 +308,11 @@ mod tests {
             probe_at + 1,
             false,
             &mut ms.bus(0),
-            SquashCounts { nt: 3, dq: 2, stb: 1 },
+            SquashCounts {
+                nt: 3,
+                dq: 2,
+                stb: 1,
+            },
         );
         assert_eq!(rec.lines_swept, 2);
         assert_eq!(rec.lines_resident, 2, "both fills installed tags");

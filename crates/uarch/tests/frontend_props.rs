@@ -63,7 +63,11 @@ fn fetch_respects_width() {
         let before = fe.queued();
         fe.tick(t, &mut ms.bus(0));
         let after = fe.queued();
-        assert!(after - before <= width, "fetched {} > width {width}", after - before);
+        assert!(
+            after - before <= width,
+            "fetched {} > width {width}",
+            after - before
+        );
     }
 }
 

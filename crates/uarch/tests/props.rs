@@ -39,7 +39,12 @@ fn oracle_read(
             }
         }
     }
-    u64::from_le_bytes(buf) & if bytes == 8 { u64::MAX } else { (1 << (bytes * 8)) - 1 }
+    u64::from_le_bytes(buf)
+        & if bytes == 8 {
+            u64::MAX
+        } else {
+            (1 << (bytes * 8)) - 1
+        }
 }
 
 fn arb_width(r: &mut Prng) -> u64 {
@@ -129,13 +134,7 @@ fn merge_rule_invariants() {
     let mut r = Prng::seed_from_u64(0x0a7c_0003);
     for _ in 0..cases(128) {
         let writes: Vec<(u8, u64, u64)> = (0..r.gen_range(1..20usize))
-            .map(|_| {
-                (
-                    r.gen_range(1..64u8),
-                    r.gen(),
-                    r.gen_range(1..100u64),
-                )
-            })
+            .map(|_| (r.gen_range(1..64u8), r.gen(), r.gen_range(1..100u64)))
             .collect();
         let merge_reg = r.gen_range(1..64u8);
         let merge_writer = r.gen_range(1..100u64);

@@ -59,7 +59,10 @@ fn arb_dq_entry(r: &mut Prng, seq: u64) -> DqEntry {
         seq,
         pc: 0x1000 + 4 * seq,
         inst: sst_isa::Inst::NOP,
-        captured: [Some(r.gen()), if r.gen::<bool>() { Some(r.gen()) } else { None }],
+        captured: [
+            Some(r.gen()),
+            if r.gen::<bool>() { Some(r.gen()) } else { None },
+        ],
         producers: [None, None],
         predicted_taken: if r.gen::<bool>() { Some(r.gen()) } else { None },
         pred_next_pc: None,
@@ -188,7 +191,11 @@ fn stb_squash_twice_is_squash_once() {
         once.squash_from(from);
         twice.squash_from(from);
         twice.squash_from(from);
-        assert_eq!(stb_observables(&once), stb_observables(&twice), "from={from}");
+        assert_eq!(
+            stb_observables(&once),
+            stb_observables(&twice),
+            "from={from}"
+        );
 
         // The unresolved-addr side index must have been truncated in
         // lockstep: a load probing past the squash point sees the same

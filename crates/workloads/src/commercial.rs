@@ -52,8 +52,8 @@ pub fn oltp_server(scale: Scale, seed: u64, slot: usize) -> Workload {
 
 fn oltp_build(scale: Scale, seed: u64, slot: usize, txns: i64, skip_insts: u64) -> Workload {
     let (nodes, dir_entries) = match scale {
-        Scale::Smoke => (32 * 1024, 4 * 1024),    // 2 MiB chain
-        Scale::Full => (512 * 1024, 64 * 1024),   // 32 MiB chain
+        Scale::Smoke => (32 * 1024, 4 * 1024),  // 2 MiB chain
+        Scale::Full => (512 * 1024, 64 * 1024), // 32 MiB chain
     };
     let mut r = rng("oltp", seed);
     let mut a = slot_asm(slot);
@@ -81,10 +81,10 @@ fn oltp_build(scale: Scale, seed: u64, slot: usize, txns: i64, skip_insts: u64) 
     a.and(Reg::x(5), Reg::x(5), Reg::x(4));
     a.add(Reg::x(5), Reg::x(5), Reg::x(20));
     a.ld(Reg::x(6), Reg::x(5), 0); // directory entry (often misses)
-    // Two dependent chain hops (index navigation).
+                                   // Two dependent chain hops (index navigation).
     a.ld(Reg::x(7), Reg::x(6), 0); // hop 1
     a.ld(Reg::x(8), Reg::x(7), 0); // hop 2
-    // Row fields (same lines as the pointers: cheap once fetched).
+                                   // Row fields (same lines as the pointers: cheap once fetched).
     a.ld(Reg::x(9), Reg::x(7), 8);
     a.ld(Reg::x(10), Reg::x(8), 16);
 
@@ -144,7 +144,13 @@ pub fn erp(scale: Scale, seed: u64, slot: usize) -> Workload {
         Scale::Smoke => 400,
         Scale::Full => 5_000,
     };
-    erp_build(scale, seed, slot, iters, (iters as u64 / 10) * ERP_TXN_INSTS)
+    erp_build(
+        scale,
+        seed,
+        slot,
+        iters,
+        (iters as u64 / 10) * ERP_TXN_INSTS,
+    )
 }
 
 /// The endless-loop ERP variant for the service driver.
@@ -154,8 +160,8 @@ pub fn erp_server(scale: Scale, seed: u64, slot: usize) -> Workload {
 
 fn erp_build(scale: Scale, seed: u64, slot: usize, iters: i64, skip_insts: u64) -> Workload {
     let (objects, hot_objects) = match scale {
-        Scale::Smoke => (16 * 1024, 1024),        // 1 MiB of objects
-        Scale::Full => (128 * 1024, 8 * 1024),    // 8 MiB of objects
+        Scale::Smoke => (16 * 1024, 1024),     // 1 MiB of objects
+        Scale::Full => (128 * 1024, 8 * 1024), // 8 MiB of objects
     };
     let mut r = rng("erp", seed);
     let mut a = slot_asm(slot);
@@ -229,7 +235,13 @@ pub fn web(scale: Scale, seed: u64, slot: usize) -> Workload {
         Scale::Smoke => 250,
         Scale::Full => 3_000,
     };
-    web_build(scale, seed, slot, requests, (requests as u64 / 10) * WEB_TXN_INSTS)
+    web_build(
+        scale,
+        seed,
+        slot,
+        requests,
+        (requests as u64 / 10) * WEB_TXN_INSTS,
+    )
 }
 
 /// The endless-loop web variant for the service driver.
@@ -316,9 +328,9 @@ fn web_build(scale: Scale, seed: u64, slot: usize, requests: i64, skip_insts: u6
     a.ld(Reg::x(15), Reg::x(14), 0); // session handle (misses)
     a.ld(Reg::x(16), Reg::x(15), 8); // session state (dependent)
     a.ld(Reg::x(17), Reg::x(15), 16); // payload (dependent)
-    // Bump the per-session counter in the flat stats array (its address
-    // comes straight from the session index — servers keep such counters
-    // in directly indexed tables, not behind the object pointer).
+                                      // Bump the per-session counter in the flat stats array (its address
+                                      // comes straight from the session index — servers keep such counters
+                                      // in directly indexed tables, not behind the object pointer).
     a.la(Reg::x(18), stats);
     a.srli(Reg::x(19), Reg::x(14), 0);
     a.and(Reg::x(19), Reg::x(14), Reg::x(13));

@@ -9,7 +9,10 @@ use sst_prng::Prng;
 /// 64 GiB so multiprogrammed CMP workloads never alias.
 pub fn slot_asm(slot: usize) -> Asm {
     let off = (slot as u64) << 36;
-    Asm::with_bases(sst_isa::DEFAULT_TEXT_BASE + off, sst_isa::DEFAULT_DATA_BASE + off)
+    Asm::with_bases(
+        sst_isa::DEFAULT_TEXT_BASE + off,
+        sst_isa::DEFAULT_DATA_BASE + off,
+    )
 }
 
 /// A seeded RNG for data-image generation (deterministic per workload+seed).

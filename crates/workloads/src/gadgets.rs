@@ -244,12 +244,12 @@ pub fn g_bcb(scale: Scale, seed: u64, slot: usize) -> Workload {
         a.andi(T1, K, 63);
         a.add(T1, SEC, T1);
         a.lbu(S, T1, 0); // secret byte: L1 hit
-        // A dependent mixing chain on the secret (the transmitter's
-        // "computation on stolen data"). Deliberately serial: it pins the
-        // body to ~1 probe per ~30 cycles, below the MSHR-sustainable fill
-        // rate, so the leak is bounded by *speculation-window length* —
-        // the quantity that separates the pipeline designs — instead of
-        // by miss-handling throughput, which is the same for all of them.
+                         // A dependent mixing chain on the secret (the transmitter's
+                         // "computation on stolen data"). Deliberately serial: it pins the
+                         // body to ~1 probe per ~30 cycles, below the MSHR-sustainable fill
+                         // rate, so the leak is bounded by *speculation-window length* —
+                         // the quantity that separates the pipeline designs — instead of
+                         // by miss-handling throughput, which is the same for all of them.
         for _ in 0..4 {
             xorshift(&mut a, S, T2);
         }
@@ -330,8 +330,8 @@ pub fn g_store(scale: Scale, seed: u64, slot: usize) -> Workload {
         a.andi(T1, K, 63);
         a.add(T1, SEC, T1);
         a.lbu(S, T1, 0); // secret byte: L1 hit
-        // Same serial mixing chain as g_bcb (see there): keeps the store
-        // rate window-bound rather than miss-throughput-bound.
+                         // Same serial mixing chain as g_bcb (see there): keeps the store
+                         // rate window-bound rather than miss-throughput-bound.
         for _ in 0..4 {
             xorshift(&mut a, S, T2);
         }
@@ -405,6 +405,10 @@ mod tests {
             "architectural path ran the speculative body: {} steps",
             out.steps
         );
-        assert!(out.steps > m * 2400, "drain window missing: {} steps", out.steps);
+        assert!(
+            out.steps > m * 2400,
+            "drain window missing: {} steps",
+            out.steps
+        );
     }
 }

@@ -170,12 +170,24 @@ impl ServerKernel {
     /// has server variants; other names return `None`.
     pub fn by_name(name: &str, scale: Scale, seed: u64, slot: usize) -> Option<ServerKernel> {
         let (workload, txn_insts) = match name {
-            "oltp" => (commercial::oltp_server(scale, seed, slot), commercial::OLTP_TXN_INSTS),
-            "erp" => (commercial::erp_server(scale, seed, slot), commercial::ERP_TXN_INSTS),
-            "web" => (commercial::web_server(scale, seed, slot), commercial::WEB_TXN_INSTS),
+            "oltp" => (
+                commercial::oltp_server(scale, seed, slot),
+                commercial::OLTP_TXN_INSTS,
+            ),
+            "erp" => (
+                commercial::erp_server(scale, seed, slot),
+                commercial::ERP_TXN_INSTS,
+            ),
+            "web" => (
+                commercial::web_server(scale, seed, slot),
+                commercial::WEB_TXN_INSTS,
+            ),
             _ => return None,
         };
-        Some(ServerKernel { workload, txn_insts })
+        Some(ServerKernel {
+            workload,
+            txn_insts,
+        })
     }
 
     /// Nominal per-transaction instruction count by name, without building
@@ -200,7 +212,9 @@ mod tests {
         for name in Workload::all_names() {
             let w = Workload::by_name(name, Scale::Smoke, 7).unwrap();
             let mut i = Interp::new(&w.program);
-            let out = i.run(20_000_000).unwrap_or_else(|t| panic!("{name}: trap {t}"));
+            let out = i
+                .run(20_000_000)
+                .unwrap_or_else(|t| panic!("{name}: trap {t}"));
             assert_eq!(out.stop, StopReason::Halt, "{name} did not halt");
             assert!(
                 out.steps > w.skip_insts,
@@ -224,7 +238,9 @@ mod tests {
             assert!(k.txn_insts > 0);
             assert_eq!(ServerKernel::txn_insts_of(name), Some(k.txn_insts));
             let mut i = Interp::new(&k.workload.program);
-            let out = i.run(200_000).unwrap_or_else(|t| panic!("{name}: trap {t}"));
+            let out = i
+                .run(200_000)
+                .unwrap_or_else(|t| panic!("{name}: trap {t}"));
             assert_eq!(out.stop, StopReason::StepLimit, "{name} halted early");
         }
         assert!(ServerKernel::by_name("mcf", Scale::Smoke, 3, 0).is_none());

@@ -2,7 +2,7 @@
 
 use sst_isa::Reg;
 
-use crate::common::{slot_asm, pointer_chain, rng};
+use crate::common::{pointer_chain, rng, slot_asm};
 use crate::{Class, Scale, Workload};
 
 /// Pure pointer chase: MLP 1, every hop a dependent miss. The worst case

@@ -9,8 +9,8 @@ use crate::{Class, Scale, Workload};
 /// compute — the latency-bound, MLP-1 extreme.
 pub fn mcf_like(scale: Scale, seed: u64, slot: usize) -> Workload {
     let (nodes, hops) = match scale {
-        Scale::Smoke => (32 * 1024, 2_000),      // 2 MiB
-        Scale::Full => (256 * 1024, 30_000),     // 16 MiB
+        Scale::Smoke => (32 * 1024, 2_000),  // 2 MiB
+        Scale::Full => (256 * 1024, 30_000), // 16 MiB
     };
     let mut r = rng("mcf", seed);
     let mut a = slot_asm(slot);
@@ -156,7 +156,7 @@ pub fn gzip_like(scale: Scale, seed: u64, slot: usize) -> Workload {
 /// iteration is independent — the MLP-rich extreme.
 pub fn gups(scale: Scale, seed: u64, slot: usize) -> Workload {
     let (table_words, updates) = match scale {
-        Scale::Smoke => (256 * 1024, 1_500),     // 2 MiB
+        Scale::Smoke => (256 * 1024, 1_500),      // 2 MiB
         Scale::Full => (4 * 1024 * 1024, 20_000), // 32 MiB
     };
     let mut r = rng("gups", seed);
@@ -199,8 +199,8 @@ pub fn gups(scale: Scale, seed: u64, slot: usize) -> Workload {
 /// Unit-stride, bandwidth-bound, prefetch-friendly.
 pub fn stream_like(scale: Scale, seed: u64, slot: usize) -> Workload {
     let (elems, passes) = match scale {
-        Scale::Smoke => (32 * 1024, 1),      // 3 x 256 KiB
-        Scale::Full => (256 * 1024, 2),      // 3 x 2 MiB
+        Scale::Smoke => (32 * 1024, 1), // 3 x 256 KiB
+        Scale::Full => (256 * 1024, 2), // 3 x 2 MiB
     };
     let mut r = rng("stream", seed);
     let mut a = slot_asm(slot);

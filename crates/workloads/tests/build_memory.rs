@@ -67,26 +67,40 @@ const SEED: u64 = 12345;
 #[test]
 fn no_build_holds_its_image_twice() {
     let names = Workload::all_names().iter().chain(gadget_names());
-    let builds = names
-        .map(|&name| (name, false))
-        .chain(Workload::commercial_names().iter().map(|&name| (name, true)));
+    let builds = names.map(|&name| (name, false)).chain(
+        Workload::commercial_names()
+            .iter()
+            .map(|&name| (name, true)),
+    );
     let mut over = Vec::new();
     for (name, server) in builds {
         PEAK.store(LIVE.load(Relaxed), Relaxed);
         let w = if server {
-            ServerKernel::by_name(name, Scale::Full, SEED, 0).expect("server kernel").workload
+            ServerKernel::by_name(name, Scale::Full, SEED, 0)
+                .expect("server kernel")
+                .workload
         } else {
             Workload::by_name(name, Scale::Full, SEED).expect("known name")
         };
         let transient = PEAK.load(Relaxed) - LIVE.load(Relaxed);
         let image = w.program.image_bytes() as usize;
         let budget = image / 8 + 64 * 1024;
-        let label = if server { format!("{name} (server)") } else { name.to_string() };
+        let label = if server {
+            format!("{name} (server)")
+        } else {
+            name.to_string()
+        };
         eprintln!("{label:<14} image {image:>9} B  build transient {transient:>9} B  budget {budget:>8} B");
         if transient > budget {
-            over.push(format!("{label}: transient {transient} B > budget {budget} B"));
+            over.push(format!(
+                "{label}: transient {transient} B > budget {budget} B"
+            ));
         }
         drop(w);
     }
-    assert!(over.is_empty(), "a build held its image twice:\n{}", over.join("\n"));
+    assert!(
+        over.is_empty(),
+        "a build held its image twice:\n{}",
+        over.join("\n")
+    );
 }

@@ -58,7 +58,10 @@ fn measure() -> String {
     for name in Workload::commercial_names() {
         for slot in 0..2 {
             let k = ServerKernel::by_name(name, Scale::Smoke, SEED, slot).expect("server kernel");
-            row(format!("{name}_server/smoke/slot{slot}"), &k.workload.program);
+            row(
+                format!("{name}_server/smoke/slot{slot}"),
+                &k.workload.program,
+            );
         }
     }
     let sized = oltp_sized(Scale::Smoke, SEED, 0, 640_000);

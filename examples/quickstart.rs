@@ -98,5 +98,8 @@ fn main() {
     );
     println!();
     println!("every committed instruction was verified against the");
-    println!("functional reference interpreter ({} checked).", checker.checked());
+    println!(
+        "functional reference interpreter ({} checked).",
+        checker.checked()
+    );
 }

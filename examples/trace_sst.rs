@@ -23,7 +23,9 @@ use sst_workloads::{Scale, Workload};
 
 fn main() {
     let w = Workload::by_name("oltp", Scale::Smoke, 12345).expect("oltp exists");
-    let sys = System::new(CoreModel::Sst, &w).without_cosim().with_tracing();
+    let sys = System::new(CoreModel::Sst, &w)
+        .without_cosim()
+        .with_tracing();
     let (result, trace) = sys.run_with_trace(2_000_000_000).expect("run completes");
 
     println!("== trace_sst: SST core on oltp (smoke scale) ==");
@@ -47,12 +49,20 @@ fn main() {
         chrome.name_thread(1, 0, "core");
         chrome.add_track(1, 0, "core", core);
         println!();
-        println!("core ring: {} events ({} dropped)", core.len(), core.dropped());
+        println!(
+            "core ring: {} events ({} dropped)",
+            core.len(),
+            core.dropped()
+        );
     }
     if let Some(mem) = &trace.mem {
         chrome.name_thread(1, 1, "mem");
         chrome.add_track(1, 1, "mem", mem);
-        println!("mem ring:  {} events ({} dropped)", mem.len(), mem.dropped());
+        println!(
+            "mem ring:  {} events ({} dropped)",
+            mem.len(),
+            mem.dropped()
+        );
     }
 
     let out = "trace_sst.json";

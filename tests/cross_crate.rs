@@ -101,7 +101,10 @@ fn mlp_microbenchmarks_bracket_the_mechanism() {
         mlp8_gain > chase_gain * 1.5,
         "SST must exploit MLP: chase {chase_gain:.2}, mlp8 {mlp8_gain:.2}"
     );
-    assert!(chase_gain > 0.85, "no big loss on pure chase: {chase_gain:.2}");
+    assert!(
+        chase_gain > 0.85,
+        "no big loss on pure chase: {chase_gain:.2}"
+    );
 }
 
 /// FNV-1a, 64-bit.

@@ -88,7 +88,10 @@ fn e6_shape_dq_size() {
     let big = with_dq(256);
     // Floating-point display rounding can make equal-looking values differ
     // in the last ulp; compare with a tolerance.
-    assert!(small >= tiny * 0.98, "dq 32 ({small:.3}) >= dq 8 ({tiny:.3})");
+    assert!(
+        small >= tiny * 0.98,
+        "dq 32 ({small:.3}) >= dq 8 ({tiny:.3})"
+    );
     assert!(big >= small * 0.98, "dq 256 must not collapse");
     assert!(big > tiny * 0.99, "bigger DQ never hurts materially");
 }
@@ -134,7 +137,10 @@ fn e8_shape_stb_size() {
 fn e9_shape_area_efficiency() {
     let sst_cost = area::model_area(&CoreModel::Sst).weighted_cost();
     let ooo_cost = area::model_area(&CoreModel::Ooo128).weighted_cost();
-    assert!(ooo_cost > sst_cost * 1.5, "ooo {ooo_cost} vs sst {sst_cost}");
+    assert!(
+        ooo_cost > sst_cost * 1.5,
+        "ooo {ooo_cost} vs sst {sst_cost}"
+    );
     let sst_perf = ipc(CoreModel::Sst, "oltp", 56);
     let ooo_perf = ipc(CoreModel::Ooo128, "oltp", 56);
     let sst_eff = sst_perf / sst_cost;
