@@ -43,17 +43,6 @@ pub struct SstConfig {
     /// speculating past it, trading run-ahead coverage for fewer
     /// deferred-branch rollbacks. Ablation A3 measures the trade.
     pub confidence_gate: bool,
-    /// Speculation-taint tracking (off by default): tag every line touch,
-    /// predictor update, and prefetcher training performed between
-    /// checkpoint creation and rollback, and sweep the squashed range
-    /// into a leakage record at each rollback (experiment E13, "does SST
-    /// leak?"). Purely observational: recording and the rollback sweep
-    /// never touch timing state, so runs with the flag on and off are
-    /// byte-identical — same cycles, commits, counters, and memory
-    /// statistics (the taint equivalence test pins this). The collected
-    /// summary is reported through `Core::leakage`, never through
-    /// `Core::counters`.
-    pub taint: bool,
 }
 
 impl SstConfig {
@@ -86,7 +75,6 @@ impl SstConfig {
             retain_results: true,
             bypass_stall_window: 6,
             confidence_gate: false,
-            taint: false,
         }
     }
 

@@ -4,11 +4,11 @@ use std::collections::VecDeque;
 
 use sst_isa::{Inst, Program, Reg, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
-use sst_obs::{DeferCause, Event, Phase, PhaseTable, Probes, Stage};
+use sst_obs::{DeferCause, Event, Phase, PhaseTable, Probes, SquashCounts, Stage};
 use sst_uarch::{
     drain_commits, execute, extend_load, mem_addr, Checkpoint, Commit, Core, DeferredQueue,
-    DqEntry, DrainedStore, FetchedInst, ForwardResult, Frontend, LeakageSummary, RegImage, Seq,
-    SquashCounts, StoreBuffer, StoreEntry, TaintState,
+    DqEntry, DrainedStore, FetchedInst, ForwardResult, Frontend, RegImage, Seq, StoreBuffer,
+    StoreEntry,
 };
 
 use crate::{SstConfig, SstStats};
@@ -123,12 +123,9 @@ pub struct SstCore {
     /// Per-phase cycle table (always on: one array add per tick). Rows
     /// sum exactly to `cycle`, however the clock advanced.
     phase_cycles: PhaseTable,
-    /// Event ring and host stage timers (`Core::probes`), record-only.
+    /// Event ring, host stage timers and speculation taint
+    /// (`Core::probes`), record-only.
     probes: Probes,
-    /// Speculation-taint tracker ([`SstConfig::taint`]); `None` when the
-    /// layer is disabled. Purely observational — see the config flag's
-    /// byte-identity contract.
-    taint: Option<Box<TaintState>>,
     /// Statistics.
     pub stats: SstStats,
     /// Host-side work of the deferred strand (unit tests only).
@@ -167,7 +164,6 @@ impl SstCore {
             frontend: Frontend::new(cfg.frontend, program),
             dq: DeferredQueue::new(cfg.dq_entries),
             stb: StoreBuffer::new(cfg.stb_entries),
-            taint: cfg.taint.then(|| Box::new(TaintState::new())),
             cfg,
             id,
             spec: RegImage::new(),
@@ -271,14 +267,13 @@ impl SstCore {
     // ------------------------------------------------------------ taint hooks
     //
     // All four hooks compile to a single `Option` discriminant test when
-    // the layer is off, and none of them touches timing state when it is
-    // on — the taint equivalence test holds runs byte-identical either
-    // way.
+    // taint is off, and none of them touches timing state when it is on —
+    // the probes equivalence test holds runs byte-identical either way.
 
     /// A speculative demand (load/store) access by `seq` touched `addr`'s
     /// line and fed the prefetcher's training path.
     fn taint_demand(&mut self, seq: Seq, addr: u64, mem: &MemBus) {
-        if let Some(t) = self.taint.as_mut() {
+        if let Some(t) = self.probes.taint() {
             t.note_line(seq, mem.block_of(addr));
             t.note_training(seq);
         }
@@ -287,14 +282,14 @@ impl SstCore {
     /// A speculative prefetch-kind access (store warm, prefetch inst) by
     /// `seq` touched `addr`'s line.
     fn taint_line(&mut self, seq: Seq, addr: u64, mem: &MemBus) {
-        if let Some(t) = self.taint.as_mut() {
+        if let Some(t) = self.probes.taint() {
             t.note_line(seq, mem.block_of(addr));
         }
     }
 
     /// A speculative instruction `seq` updated the branch predictor.
     fn taint_predictor(&mut self, seq: Seq) {
-        if let Some(t) = self.taint.as_mut() {
+        if let Some(t) = self.probes.taint() {
             t.note_predictor(seq);
         }
     }
@@ -303,14 +298,9 @@ impl SstCore {
     /// if a squashed speculation had leaked it, the line is legitimate
     /// after all.
     fn taint_arch(&mut self, addr: u64, mem: &MemBus) {
-        if let Some(t) = self.taint.as_mut() {
+        if let Some(t) = self.probes.taint() {
             t.note_architectural(mem.block_of(addr));
         }
-    }
-
-    /// The taint tracker, when enabled (tests and the leakage harness).
-    pub fn taint_state(&self) -> Option<&TaintState> {
-        self.taint.as_deref()
     }
 
     /// Records a finished instruction into the right commit stream.
@@ -414,7 +404,7 @@ impl SstCore {
             self.stats.epochs_committed += 1;
             self.last_progress = now;
             self.replay_check_at = self.replay_check_at.min(now + 1);
-            if let Some(t) = self.taint.as_mut() {
+            if let Some(t) = self.probes.taint() {
                 // The epoch's writes are architectural now; its lines
                 // also legitimize any earlier leak of the same blocks.
                 t.commit_through(bound);
@@ -422,7 +412,7 @@ impl SstCore {
             if self.epochs.is_empty() {
                 debug_assert_eq!(self.spec.nt_count(), 0, "commit to normal leaves no NT");
                 debug_assert!(
-                    self.taint.as_ref().map_or(true, |t| t.pending_lines() == 0),
+                    self.probes.taint().map_or(true, |t| t.pending_lines() == 0),
                     "commit to normal leaves no pending speculative taint"
                 );
                 self.replay_check_at = Cycle::MAX;
@@ -453,8 +443,8 @@ impl SstCore {
 
     /// Rolls back to the checkpoint of `epochs[idx]`, squashing that epoch
     /// and everything younger. `idx == 0` is a full rollback. `mem` is
-    /// only read (non-mutating residency probes) and only when the taint
-    /// layer is enabled.
+    /// only read (non-mutating residency probes) and only when taint is
+    /// enabled on the probes.
     fn rollback_to(&mut self, idx: usize, now: Cycle, scout: bool, mem: &mut MemBus) {
         let ck = self.epochs[idx].ckpt.clone();
         self.probes.emit(Event::CkptRollback {
@@ -464,7 +454,7 @@ impl SstCore {
         });
         // Structure-squash counts for the taint sweep, taken before the
         // squash destroys the evidence.
-        let squash_counts = self.taint.is_some().then(|| SquashCounts {
+        let squash_counts = self.probes.taint().is_some().then(|| SquashCounts {
             nt: self.spec.nt_owned_since(ck.start_seq) as u64,
             // What the squash below drops: the younger entries and every
             // held slot.
@@ -497,8 +487,10 @@ impl SstCore {
         };
         self.note_commit_event();
         self.frontend.redirect(now + 1, ck.pc);
-        if let (Some(t), Some(counts)) = (self.taint.as_mut(), squash_counts) {
-            t.sweep(ck.start_seq, now, scout, mem, counts);
+        if let (Some(t), Some(counts)) = (self.probes.taint(), squash_counts) {
+            t.sweep(ck.start_seq, counts, |block| {
+                mem.probe_residency(now, block)
+            });
         }
         if scout {
             self.stats.scout_rollbacks += 1;
@@ -1419,10 +1411,6 @@ impl Core for SstCore {
             ("cond_predictions", bu.cond_predictions),
             ("cond_mispredictions", bu.cond_mispredictions),
         ]
-    }
-
-    fn leakage(&self) -> Option<&LeakageSummary> {
-        self.taint.as_deref().map(|t| &t.summary)
     }
 
     fn phases(&self) -> PhaseTable {

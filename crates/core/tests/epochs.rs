@@ -8,9 +8,19 @@ use sst_mem::{MemConfig, MemSystem};
 use sst_uarch::Core;
 
 fn run_with(cfg: SstConfig, p: &Program, max: u64) -> (SstCore, MemSystem) {
+    run_core(SstCore::new(cfg, 0, p), p, max)
+}
+
+/// [`run_with`] with speculation taint recorded on the core's probes.
+fn run_tainted(cfg: SstConfig, p: &Program, max: u64) -> (SstCore, MemSystem) {
+    let mut core = SstCore::new(cfg, 0, p);
+    core.probes().enable_taint();
+    run_core(core, p, max)
+}
+
+fn run_core(mut core: SstCore, p: &Program, max: u64) -> (SstCore, MemSystem) {
     let mut mem = MemSystem::new(&MemConfig::default(), 1);
     p.load_into(mem.mem_mut());
-    let mut core = SstCore::new(cfg, 0, p);
     let mut commits = Vec::new();
     while !core.halted() && core.cycle() < max {
         core.tick(&mut mem.bus(0));
@@ -175,15 +185,11 @@ fn forced_rollback_counter_audit() {
     a.j(spin);
     let p = a.finish().unwrap();
 
-    let cfg = SstConfig {
-        taint: true,
-        ..SstConfig::sst()
-    };
-    let (core, _m) = run_with(cfg, &p, 100_000_000);
-    let s = &core.stats;
+    let (mut core, _m) = run_tainted(SstConfig::sst(), &p, 100_000_000);
+    let s = core.stats;
     assert_eq!(s.fail_branch, 1, "exactly one deferred-branch failure");
     assert_eq!(s.scout_rollbacks, 0);
-    let sweep = &core.taint_state().expect("taint on").summary;
+    let sweep = core.probes().leakage().expect("taint on");
     assert_eq!(sweep.rollbacks, 1);
     assert!(
         sweep.dq_squashed >= 3,
@@ -206,13 +212,9 @@ fn forced_rollback_counter_audit() {
 #[test]
 fn counter_identity_survives_rollback_churn() {
     let w = sst_workloads::Workload::by_name("g_bcb", sst_workloads::Scale::Smoke, 3).unwrap();
-    let cfg = SstConfig {
-        taint: true,
-        ..SstConfig::execute_ahead()
-    };
-    let (core, _m) = run_with(cfg, &w.program, 200_000_000);
-    let s = &core.stats;
-    let sweep = &core.taint_state().expect("taint on").summary;
+    let (mut core, _m) = run_tainted(SstConfig::execute_ahead(), &w.program, 200_000_000);
+    let s = core.stats;
+    let sweep = core.probes().leakage().expect("taint on");
     assert!(
         s.fail_branch > 10,
         "gadget must keep failing: {}",

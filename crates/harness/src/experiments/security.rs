@@ -19,8 +19,6 @@
 //! whose address depends on a not-there value never issues at all, while
 //! an OoO core's wrong-path walk still leaks it.
 
-use sst_core::SstConfig;
-use sst_ooo::OooConfig;
 use sst_sim::report::Table;
 use sst_sim::CoreModel;
 use sst_workloads::gadget_names;
@@ -29,49 +27,27 @@ use crate::job::JobSpec;
 use crate::registry::{Experiment, Fold, RunCtx};
 use crate::Env;
 
-/// The model lineup: every speculating design with taint tracking on,
-/// plus the in-order baseline (which has no speculative state to track —
-/// its absence of `leak_` counters *is* the zero measurement).
-fn models() -> Vec<(&'static str, CoreModel)> {
-    vec![
-        ("in-order", CoreModel::InOrder),
-        (
-            "scout",
-            CoreModel::CustomSst(SstConfig {
-                taint: true,
-                ..SstConfig::scout()
-            }),
-        ),
-        (
-            "ea",
-            CoreModel::CustomSst(SstConfig {
-                taint: true,
-                ..SstConfig::execute_ahead()
-            }),
-        ),
-        (
-            "sst",
-            CoreModel::CustomSst(SstConfig {
-                taint: true,
-                ..SstConfig::sst()
-            }),
-        ),
-        (
-            "ooo-32",
-            CoreModel::CustomOoo(OooConfig {
-                taint: true,
-                ..OooConfig::ooo_32()
-            }),
-        ),
-    ]
-}
+/// The model lineup: the in-order baseline and every speculating design,
+/// each run with taint enabled. In-order never opens a checkpoint, so its
+/// all-zero row is measured, not assumed.
+const MODELS: [CoreModel; 5] = [
+    CoreModel::InOrder,
+    CoreModel::Scout,
+    CoreModel::ExecuteAhead,
+    CoreModel::Sst,
+    CoreModel::Ooo32,
+];
 
 pub(super) fn e13() -> Experiment {
     fn jobs(_env: &Env) -> Vec<JobSpec> {
         let mut v = Vec::new();
         for gadget in gadget_names() {
-            for (label, model) in models() {
-                v.push(JobSpec::leakage(format!("{label}/{gadget}"), model, gadget));
+            for model in MODELS {
+                v.push(JobSpec::leakage(
+                    format!("{}/{gadget}", model.label()),
+                    model,
+                    gadget,
+                ));
             }
         }
         v
@@ -94,11 +70,12 @@ pub(super) fn e13() -> Experiment {
         ]);
         let leak = |name: &str, key: &str| ctx.run(name).counter(key).unwrap_or(0);
         for gadget in gadget_names() {
-            for (label, _) in models() {
+            for model in MODELS {
+                let label = model.label();
                 let name = format!("{label}/{gadget}");
                 t.row([
                     gadget.to_string(),
-                    label.to_string(),
+                    label,
                     leak(&name, "leak_rollbacks").to_string(),
                     leak(&name, "leak_lines_swept").to_string(),
                     leak(&name, "leak_lines_resident").to_string(),

@@ -37,13 +37,12 @@ pub enum JobKind {
     /// request slices over the CMP, with queueing and tail-latency
     /// accounting (experiment family E14).
     Traffic(TrafficSpec),
-    /// One `(model, workload)` run with speculation-taint tracking: the
+    /// One `(model, workload)` run with speculation taint enabled: the
     /// result is a [`RunResult`] whose counters additionally carry the
-    /// `leak_`-prefixed [`sst_uarch::LeakageSummary`] totals (experiment
-    /// E13). Models built without taint report no `leak_` counters — an
-    /// in-order core has nothing to track.
+    /// eleven `leak_`-prefixed [`sst_obs::LeakageSummary`] totals
+    /// (experiment E13). An in-order core reports them all zero.
     Leakage {
-        /// Core model (taint-enabled configs carry the flag themselves).
+        /// Core model.
         model: CoreModel,
         /// Workload name (`Workload::by_name`, usually a gadget).
         workload: String,
@@ -219,8 +218,11 @@ impl JobSpec {
                 workload,
                 mem,
             } => {
+                // `kind=taint`, not the earlier `kind=leakage`: entries
+                // stored before taint moved onto the core's probes lack
+                // the in-order model's (all-zero) `leak_` counters.
                 key.push_str(&format!(
-                    "kind=leakage;model={model:?};workload={workload};mem={mem:?}"
+                    "kind=taint;model={model:?};workload={workload};mem={mem:?}"
                 ));
             }
             JobKind::Panic { message } => {
@@ -301,10 +303,8 @@ impl JobSpec {
                     .without_cosim()
                     .run_with_leakage(env.max_cycles)
                     .map(|(mut r, leak)| {
-                        if let Some(l) = leak {
-                            r.counters
-                                .extend(l.counters().into_iter().map(|(n, v)| (n.to_string(), v)));
-                        }
+                        r.counters
+                            .extend(leak.counters().into_iter().map(|(n, v)| (n.to_string(), v)));
                         JobOutput::Run(r)
                     })
                     .map_err(|e| e.to_string())

@@ -16,7 +16,7 @@
 //! the viewer.
 //!
 //! Tracing is observation-only: the traced `RunResult` is byte-identical
-//! to an untraced run (enforced by `crates/sim/tests/trace_equiv.rs`),
+//! to an untraced run (enforced by `crates/sim/tests/probes_equiv.rs`),
 //! so the numbers printed here agree exactly with `sst-run <exp>`.
 
 use sst_obs::ChromeTrace;

@@ -70,7 +70,7 @@ pub use mshr::MshrFile;
 pub use parallel::ParallelMem;
 pub use prefetch::StridePrefetcher;
 pub use stats::{CacheStats, MemStats};
-pub use system::{AccessKind, AccessOutcome, HitLevel, LineProbe, MemBus, MemPort, MemSystem};
+pub use system::{AccessKind, AccessOutcome, HitLevel, MemBus, MemPort, MemSystem};
 
 /// Simulation time, in core clock cycles.
 pub type Cycle = u64;

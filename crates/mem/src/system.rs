@@ -26,7 +26,7 @@ use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use sst_isa::{SnapError, SnapReader, SnapState, SnapWriter, SparseMem};
-use sst_obs::{Event, Probes, Stage};
+use sst_obs::{Event, Probes, Residue, Stage};
 
 use crate::cache::TagArray;
 use crate::dram::Dram;
@@ -104,28 +104,6 @@ impl HitLevel {
             HitLevel::L2 => "L2",
             HitLevel::Mem => "mem",
         }
-    }
-}
-
-/// Residency answer from [`MemBus::probe_residency`]: where (if
-/// anywhere) a line still lives, observed without perturbing any cache,
-/// MSHR, or counter state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LineProbe {
-    /// Line present in the probing core's L1D tags.
-    pub l1d: bool,
-    /// Line present in the shared L2 tags.
-    pub l2: bool,
-    /// A fill of the line is still outstanding in the core's L1D MSHRs
-    /// or the shared L2 MSHRs.
-    pub in_flight: bool,
-}
-
-impl LineProbe {
-    /// `true` when the line is observable anywhere — resident or with a
-    /// fill on the way.
-    pub fn any(&self) -> bool {
-        self.l1d || self.l2 || self.in_flight
     }
 }
 
@@ -585,14 +563,13 @@ impl<'a> MemBus<'a> {
     /// disabled" only holds because an *enabled* sweep is also invisible
     /// to timing. In parallel CMP runs the L2-side probe waits for the
     /// core's deterministic turn like any other shared-residue access.
-    pub fn probe_residency(&mut self, now: Cycle, addr: u64) -> LineProbe {
+    pub fn probe_residency(&mut self, now: Cycle, addr: u64) -> Residue {
         let block = self.port.l1d.block_of(addr);
         let l1d = self.port.l1d.probe(block);
         let l1_in_flight = self.port.l1d_mshr.probe(now, block);
         let sh = self.shared.acquire(now);
-        LineProbe {
-            l1d,
-            l2: sh.l2.probe(block),
+        Residue {
+            resident: l1d || sh.l2.probe(block),
             in_flight: l1_in_flight || sh.l2_mshr.probe(now, block),
         }
     }

@@ -1,8 +1,9 @@
 //! Hierarchy-level scenarios: inclusion-ish behaviour, writeback
-//! correctness signals, DRAM row locality, and the MLP limiter working
-//! through the full stack.
+//! correctness signals, DRAM row locality, the MLP limiter working
+//! through the full stack, and the read-only residency probe.
 
 use sst_mem::{AccessKind, CacheConfig, DramConfig, HitLevel, MemConfig, MemSystem};
+use sst_obs::Residue;
 
 fn tiny_l1() -> MemConfig {
     MemConfig {
@@ -157,4 +158,42 @@ fn stats_snapshot_is_consistent() {
         "every L1 miss reaches L2"
     );
     assert!(st.dram_reads <= st.l2.accesses);
+}
+
+/// The taint sweep's residency probe reads tags and MSHRs and changes
+/// nothing: no recency, no MSHR reaping, no counters.
+#[test]
+fn probe_residency_reads_tags_and_mshrs_without_perturbing() {
+    let mut ms = MemSystem::new(&MemConfig::default(), 1);
+    // One fill long complete, one still outstanding when probed.
+    let done = ms.access(0, 0, AccessKind::Load, 0x4000);
+    let now = done.ready_at + 10;
+    let pending = ms.access(now, 0, AccessKind::Load, 0x9000);
+    assert!(pending.ready_at > now + 1, "second fill still in flight");
+    let before = ms.stats();
+
+    let mut bus = ms.bus(0);
+    let mut probe = |addr| bus.probe_residency(now + 1, addr);
+    assert_eq!(
+        probe(0x4008),
+        Residue {
+            resident: true,
+            in_flight: false
+        },
+        "a completed fill is resident"
+    );
+    assert_eq!(
+        probe(0x9000),
+        Residue {
+            resident: true,
+            in_flight: true
+        },
+        "an outstanding fill has its tags installed and is in flight"
+    );
+    assert_eq!(
+        probe(0x20_0000),
+        Residue::default(),
+        "a cold line is neither"
+    );
+    assert_eq!(ms.stats(), before, "probing moved no counter");
 }

@@ -1,8 +1,8 @@
 //! # sst-obs
 //!
 //! The typed observability layer: pipeline events, per-phase cycle
-//! accounting, a Chrome-trace/Perfetto exporter, and host-side
-//! self-profiling. It sits at the very bottom of the workspace (no
+//! accounting, a Chrome-trace/Perfetto exporter, host-side
+//! self-profiling and speculation-taint tracking. It sits at the very bottom of the workspace (no
 //! dependencies, like `sst-prng`) so every model crate and the memory
 //! system can emit into it.
 //!
@@ -11,15 +11,15 @@
 //! Observability is **zero-cost when off and invisible when on**:
 //!
 //! * Every core and memory port holds one [`Probes`]: an event ring
-//!   ([`TraceBuf`]) and host stage timers ([`HostTimes`]), each a `None`
-//!   until enabled, so every emission or timer site is a single
-//!   discriminant test while off.
+//!   ([`TraceBuf`]), host stage timers ([`HostTimes`]) and, on a core,
+//!   speculation taint ([`TaintState`]), each a `None` until enabled, so
+//!   every emission, timer or taint site is a single discriminant test
+//!   while off.
 //! * When a probe is enabled, it *records* and is never *consulted*: no
 //!   model ever branches on probe state, so enabling a probe never
-//!   changes a `RunResult`. The same contract the taint layer
-//!   established (`SstConfig::taint`) applies verbatim and is enforced
-//!   by `crates/sim/tests/trace_equiv.rs`; `trace_pin.rs` holds what the
-//!   rings record to a committed table.
+//!   changes a `RunResult`. `crates/sim/tests/probes_equiv.rs` enforces
+//!   this for all three probes; `trace_pin.rs` holds what the rings
+//!   record to a committed table.
 //! * Per-phase cycle accounting ([`PhaseTable`]) is *always on* — one
 //!   array add per tick — so the phase table in every `RunResult` sums
 //!   exactly to the run's total cycles whether or not a trace was
@@ -39,10 +39,12 @@ use std::collections::VecDeque;
 mod chrome;
 mod probes;
 mod prof;
+mod taint;
 
 pub use chrome::ChromeTrace;
 pub use probes::Probes;
 pub use prof::{HostTimes, Stage};
+pub use taint::{LeakageSummary, Residue, SquashCounts, TaintState};
 
 /// Absolute simulation cycle (mirrors `sst_mem::Cycle` without the
 /// dependency).
@@ -149,7 +151,7 @@ impl DeferCause {
 }
 
 /// Per-phase cycle accounting. Rows sum exactly to the cycles fed in,
-/// which `crates/sim/tests/trace_equiv.rs` enforces against every
+/// which `crates/sim/tests/probes_equiv.rs` enforces against every
 /// model's total cycle count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTable {

@@ -2,21 +2,24 @@
 //!
 //! Every owner of a pipeline or a memory port — each core model and each
 //! `MemPort` — holds one [`Probes`] and nothing else for observability.
-//! Both probes start off: a disabled probe is a `None`, so every emission
-//! or timer site costs one discriminant test and reads no clock. Nothing
-//! an owner does ever depends on a probe, so enabling one never changes a
-//! run's result.
+//! All three probes (event trace, host stage timers, speculation taint)
+//! start off: a disabled probe is a `None`, so every emission, timer or
+//! taint site costs one discriminant test and reads no clock. Nothing an
+//! owner does ever depends on a probe, so enabling one never changes a
+//! run's result. A memory port only ever enables the first two; taint
+//! is a core's.
 
 use std::time::Instant;
 
-use crate::{Cycle, Event, HostTimes, Phase, Stage, TraceBuf};
+use crate::{Cycle, Event, HostTimes, LeakageSummary, Phase, Stage, TaintState, TraceBuf};
 
-/// An owner's event trace and host stage timers, each present only while
-/// enabled.
+/// An owner's event trace, host stage timers and speculation taint, each
+/// present only while enabled.
 #[derive(Debug, Default)]
 pub struct Probes {
     trace: Option<Box<TraceBuf>>,
     prof: Option<Box<HostTimes>>,
+    taint: Option<Box<TaintState>>,
 }
 
 impl Probes {
@@ -29,6 +32,12 @@ impl Probes {
     /// Starts accumulating host stage times (a no-op when already on).
     pub fn enable_prof(&mut self) {
         self.prof.get_or_insert_with(Box::default);
+    }
+
+    /// Starts recording speculation taint into a fresh [`TaintState`] (a
+    /// no-op when already recording).
+    pub fn enable_taint(&mut self) {
+        self.taint.get_or_insert_with(Box::default);
     }
 
     /// Records `e` when tracing.
@@ -82,6 +91,17 @@ impl Probes {
     /// The accumulated host stage times, when profiling is enabled.
     pub fn host_times(&self) -> Option<&HostTimes> {
         self.prof.as_deref()
+    }
+
+    /// The taint recorder, when taint is enabled.
+    #[inline]
+    pub fn taint(&mut self) -> Option<&mut TaintState> {
+        self.taint.as_deref_mut()
+    }
+
+    /// The leakage summary recorded so far, when taint is enabled.
+    pub fn leakage(&self) -> Option<&LeakageSummary> {
+        self.taint.as_deref().map(|t| &t.summary)
     }
 }
 

@@ -9,60 +9,40 @@
 //!
 //! A [`TaintState`] records the speculative writes as they happen (keyed
 //! by sequence number, so a partial rollback sweeps only its own epoch's
-//! taint) and, on each rollback, sweeps the squashed range into a
-//! [`LeakageRecord`]: how much state was discarded architecturally, and
-//! how much microarchitectural residue *survives* the rollback. The
-//! running [`LeakageSummary`] also maintains the **leaked footprint**:
-//! the set of distinct cache lines left resident (or in flight) by
-//! squashed speculation that architectural execution never demanded —
-//! the classic transient-execution side channel surface (Colvin &
-//! Winter's "speculative state that persists past abortion").
+//! taint) and, on each rollback, sweeps the squashed range into its
+//! running [`LeakageSummary`]: how much state was discarded
+//! architecturally, and how much microarchitectural residue *survives*
+//! the rollback. The summary also maintains the **leaked footprint**: the
+//! set of distinct cache lines left resident (or in flight) by squashed
+//! speculation that architectural execution never demanded — the classic
+//! transient-execution side channel surface (Colvin & Winter's
+//! "speculative state that persists past abortion").
 //!
-//! The layer is strictly observational. Recording never touches timing
-//! state, and the rollback sweep probes residency through the
-//! non-mutating probe API ([`sst_mem::MemBus::probe_residency`]), so a
-//! run with taint tracking enabled is byte-identical — cycles, commits,
-//! counters, memory statistics — to one without it. The equivalence test
-//! in `sst-sim` pins this.
+//! Taint is a record-only probe like the others ([`crate::Probes`]):
+//! recording never touches timing state, and the rollback sweep asks
+//! about residency through a caller-supplied closure that must not
+//! perturb anything (`sst_mem::MemBus::probe_residency`), so a run with
+//! taint enabled is byte-identical — cycles, commits, counters, memory
+//! statistics — to one without it. `crates/sim/tests/probes_equiv.rs`
+//! pins this.
 
 use std::collections::{HashMap, HashSet};
 
-use sst_mem::{Cycle, MemBus};
-
-use crate::Seq;
-
-/// What one rollback swept, and what survived it.
+/// Where a swept line still lives, as the rollback sweep's residency
+/// probe reports it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LeakageRecord {
-    /// Cycle of the rollback.
-    pub at: Cycle,
-    /// `true` for a scout (miss-return) rollback, `false` for a
-    /// mispredicted deferred branch.
-    pub scout: bool,
-    /// Distinct cache lines touched by the squashed instructions.
-    pub lines_swept: u64,
-    /// Of those, lines still resident in the L1D or the shared L2 after
-    /// the rollback — state the rollback cannot undo.
-    pub lines_resident: u64,
-    /// Of those, lines whose fill is still outstanding in an L1D or L2
-    /// MSHR (the prefetches/fills "still in flight").
-    pub lines_in_flight: u64,
-    /// Branch-predictor updates performed by squashed instructions.
-    pub predictor_updates: u64,
-    /// Stride-prefetcher trainings performed by squashed demand accesses.
-    pub prefetch_trainings: u64,
-    /// NT register slots still owned by squashed producers at rollback.
-    pub nt_squashed: u64,
-    /// Deferred-queue entries squashed.
-    pub dq_squashed: u64,
-    /// Speculative store-buffer entries squashed.
-    pub stb_squashed: u64,
+pub struct Residue {
+    /// Present in the probing core's L1D tags or the shared L2 tags.
+    pub resident: bool,
+    /// A fill is still outstanding in the core's L1D MSHRs or the shared
+    /// L2 MSHRs.
+    pub in_flight: bool,
 }
 
 /// Running totals over every rollback of a run, plus the distinct-line
-/// leaked footprint. Exposed through [`crate::Core::leakage`] — *not*
-/// through [`crate::Core::counters`], so enabling the taint layer can
-/// never perturb a `RunResult`.
+/// leaked footprint. Read through [`crate::Probes::leakage`] — never
+/// through a core's counters, so enabling taint can never perturb a
+/// `RunResult`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LeakageSummary {
     /// Rollbacks swept (scout restarts + deferred-branch failures).
@@ -86,7 +66,7 @@ pub struct LeakageSummary {
     /// Distinct lines left behind by squashed speculation and never
     /// (since) demanded architecturally: the surviving leak surface.
     pub leaked_footprint: u64,
-    /// Largest `lines_resident` of any single rollback.
+    /// Largest number of lines resident after any single rollback.
     pub max_resident: u64,
 }
 
@@ -109,12 +89,6 @@ impl LeakageSummary {
             ("leak_max_resident", self.max_resident),
         ]
     }
-
-    /// `true` when no speculative residue of any kind was recorded — the
-    /// expected answer from an in-order core.
-    pub fn is_zero(&self) -> bool {
-        *self == LeakageSummary::default()
-    }
 }
 
 /// Structure-squash counts the core computes at rollback time (it owns
@@ -129,53 +103,43 @@ pub struct SquashCounts {
     pub stb: u64,
 }
 
-/// Cap on retained per-rollback records (summaries keep accumulating
-/// past it; the cap only bounds memory on pathological runs).
-const MAX_RECORDS: usize = 4096;
-
-/// The recording side of the taint layer. A core owns one (boxed,
-/// behind an `Option` gated by its config flag) and calls the `note_*`
-/// hooks as it executes speculatively, [`TaintState::commit_through`]
-/// when an epoch commits, and [`TaintState::sweep`] when it rolls back.
+/// The recording side of the taint layer. A core's [`crate::Probes`]
+/// holds one while taint is enabled; the core calls the `note_*` hooks as
+/// it executes speculatively, [`TaintState::commit_through`] when an
+/// epoch commits, and [`TaintState::sweep`] when it rolls back.
+/// Sequence numbers are the core's program-order instruction numbers.
 #[derive(Debug, Default)]
 pub struct TaintState {
     /// Speculatively-touched lines: block -> seq of the oldest toucher.
     /// The oldest seq decides whether a partial rollback sweeps the
     /// block or an older surviving epoch still owns it legitimately.
-    lines: HashMap<u64, Seq>,
+    lines: HashMap<u64, u64>,
     /// Seqs of speculative branch-predictor updates.
-    predictor: Vec<Seq>,
+    predictor: Vec<u64>,
     /// Seqs of speculative demand accesses that trained the prefetcher.
-    trainings: Vec<Seq>,
+    trainings: Vec<u64>,
     /// Lines left behind by squashed speculation, minus every line
     /// architectural execution has since demanded itself.
     footprint: HashSet<u64>,
-    /// Per-rollback records (capped at [`MAX_RECORDS`]).
-    pub records: Vec<LeakageRecord>,
     /// Running totals.
     pub summary: LeakageSummary,
 }
 
 impl TaintState {
-    /// A fresh, empty taint state.
-    pub fn new() -> TaintState {
-        TaintState::default()
-    }
-
     /// Notes a speculative touch of `block` by instruction `seq`.
-    pub fn note_line(&mut self, seq: Seq, block: u64) {
+    pub fn note_line(&mut self, seq: u64, block: u64) {
         let e = self.lines.entry(block).or_insert(seq);
         *e = (*e).min(seq);
     }
 
     /// Notes a speculative branch-predictor update by `seq`.
-    pub fn note_predictor(&mut self, seq: Seq) {
+    pub fn note_predictor(&mut self, seq: u64) {
         self.predictor.push(seq);
     }
 
     /// Notes a speculative demand access by `seq` that fed the stride
     /// prefetcher's training path.
-    pub fn note_training(&mut self, seq: Seq) {
+    pub fn note_training(&mut self, seq: u64) {
         self.trainings.push(seq);
     }
 
@@ -192,7 +156,7 @@ impl TaintState {
     /// An epoch committed through sequence `bound`: its writes are
     /// architectural now. Their lines also legitimize any earlier leak
     /// of the same block.
-    pub fn commit_through(&mut self, bound: Seq) {
+    pub fn commit_through(&mut self, bound: u64) {
         if !self.lines.is_empty() {
             let footprint = &mut self.footprint;
             self.lines.retain(|block, &mut seq| {
@@ -210,74 +174,56 @@ impl TaintState {
     }
 
     /// Sweeps all taint at or past `from` (the restored checkpoint's
-    /// `start_seq`) into a [`LeakageRecord`], probing the memory system
-    /// non-destructively for what survives. Call at rollback, after the
-    /// core's own structures are restored; `counts` carries the
-    /// structure-squash counts only the core can compute.
+    /// first sequence number) into the summary, asking `probe` where each
+    /// swept block still lives. Call at rollback, after the core's own
+    /// structures are restored; `counts` carries the structure-squash
+    /// counts only the core can compute. `probe` must not perturb the
+    /// memory system.
     pub fn sweep(
         &mut self,
-        from: Seq,
-        now: Cycle,
-        scout: bool,
-        mem: &mut MemBus,
+        from: u64,
         counts: SquashCounts,
-    ) -> LeakageRecord {
-        let mut rec = LeakageRecord {
-            at: now,
-            scout,
-            nt_squashed: counts.nt,
-            dq_squashed: counts.dq,
-            stb_squashed: counts.stb,
-            ..LeakageRecord::default()
-        };
-
+        mut probe: impl FnMut(u64) -> Residue,
+    ) {
         let swept: Vec<u64> = self
             .lines
             .iter()
             .filter(|&(_, &seq)| seq >= from)
             .map(|(&block, _)| block)
             .collect();
+        let lines_swept = swept.len() as u64;
+        let mut resident = 0;
+        let mut in_flight = 0;
         for block in swept {
             self.lines.remove(&block);
-            rec.lines_swept += 1;
-            let probe = mem.probe_residency(now, block);
-            if probe.l1d || probe.l2 {
-                rec.lines_resident += 1;
-            }
-            if probe.in_flight {
-                rec.lines_in_flight += 1;
-            }
-            if probe.l1d || probe.l2 || probe.in_flight {
+            let r = probe(block);
+            resident += u64::from(r.resident);
+            in_flight += u64::from(r.in_flight);
+            if r.resident || r.in_flight {
                 self.footprint.insert(block);
             }
         }
 
-        let before = self.predictor.len();
-        self.predictor.retain(|&s| s < from);
-        rec.predictor_updates = (before - self.predictor.len()) as u64;
-        let before = self.trainings.len();
-        self.trainings.retain(|&s| s < from);
-        rec.prefetch_trainings = (before - self.trainings.len()) as u64;
-
         let s = &mut self.summary;
+        let before = self.predictor.len();
+        self.predictor.retain(|&seq| seq < from);
+        s.predictor_updates += (before - self.predictor.len()) as u64;
+        let before = self.trainings.len();
+        self.trainings.retain(|&seq| seq < from);
+        s.prefetch_trainings += (before - self.trainings.len()) as u64;
+
         s.rollbacks += 1;
-        s.lines_swept += rec.lines_swept;
-        s.lines_resident += rec.lines_resident;
-        s.lines_in_flight += rec.lines_in_flight;
-        s.predictor_updates += rec.predictor_updates;
-        s.prefetch_trainings += rec.prefetch_trainings;
-        s.nt_squashed += rec.nt_squashed;
-        s.dq_squashed += rec.dq_squashed;
-        s.stb_squashed += rec.stb_squashed;
+        s.lines_swept += lines_swept;
+        s.lines_resident += resident;
+        s.lines_in_flight += in_flight;
+        s.nt_squashed += counts.nt;
+        s.dq_squashed += counts.dq;
+        s.stb_squashed += counts.stb;
         s.leaked_footprint = self.footprint.len() as u64;
-        s.max_resident = s.max_resident.max(rec.lines_resident);
-        if self.records.len() < MAX_RECORDS {
-            self.records.push(rec);
-        }
-        rec
+        s.max_resident = s.max_resident.max(resident);
     }
 
-    /// Number of lines currently tracked as speculative (tests).
+    /// Number of lines currently tracked as speculative.
     pub fn pending_lines(&self) -> usize {
         self.lines.len()
     }
@@ -286,65 +232,73 @@ impl TaintState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sst_mem::{AccessKind, MemConfig, MemSystem};
+
+    /// A residency probe over a fixed answer per block; every other block
+    /// is cold.
+    fn fake(lines: &[(u64, Residue)]) -> impl FnMut(u64) -> Residue + '_ {
+        |block| {
+            lines
+                .iter()
+                .find(|&&(b, _)| b == block)
+                .map_or(Residue::default(), |&(_, r)| r)
+        }
+    }
+
+    const FILLED: Residue = Residue {
+        resident: true,
+        in_flight: false,
+    };
+    const FILLING: Residue = Residue {
+        resident: true,
+        in_flight: true,
+    };
 
     #[test]
     fn sweep_reports_resident_and_in_flight_lines() {
-        let mut ms = MemSystem::new(&MemConfig::default(), 1);
-        let mut t = TaintState::new();
+        let mut t = TaintState::default();
         // Two speculative fills: one long complete, one still in flight.
-        let a = ms.access(0, 0, AccessKind::Load, 0x4000);
-        let block_a = 0x4000u64;
-        t.note_line(10, block_a);
-        let probe_at = a.ready_at + 10;
-        let b = ms.access(probe_at, 0, AccessKind::Load, 0x9000);
-        assert!(b.ready_at > probe_at);
+        t.note_line(10, 0x4000);
         t.note_line(11, 0x9000);
         t.note_predictor(12);
         t.note_training(10);
 
-        let rec = t.sweep(
-            10,
-            probe_at + 1,
-            false,
-            &mut ms.bus(0),
-            SquashCounts {
-                nt: 3,
-                dq: 2,
-                stb: 1,
-            },
-        );
-        assert_eq!(rec.lines_swept, 2);
-        assert_eq!(rec.lines_resident, 2, "both fills installed tags");
-        assert_eq!(rec.lines_in_flight, 1, "second fill still outstanding");
-        assert_eq!(rec.predictor_updates, 1);
-        assert_eq!(rec.prefetch_trainings, 1);
-        assert_eq!(rec.nt_squashed, 3);
-        assert_eq!(t.summary.leaked_footprint, 2);
+        let counts = SquashCounts {
+            nt: 3,
+            dq: 2,
+            stb: 1,
+        };
+        t.sweep(10, counts, fake(&[(0x4000, FILLED), (0x9000, FILLING)]));
+        let s = &t.summary;
+        assert_eq!(s.lines_swept, 2);
+        assert_eq!(s.lines_resident, 2, "both fills installed tags");
+        assert_eq!(s.lines_in_flight, 1, "second fill still outstanding");
+        assert_eq!(s.max_resident, 2);
+        assert_eq!(s.predictor_updates, 1);
+        assert_eq!(s.prefetch_trainings, 1);
+        assert_eq!((s.nt_squashed, s.dq_squashed, s.stb_squashed), (3, 2, 1));
+        assert_eq!(s.leaked_footprint, 2);
         assert_eq!(t.pending_lines(), 0);
     }
 
     #[test]
     fn partial_sweep_spares_older_epochs() {
-        let mut ms = MemSystem::new(&MemConfig::default(), 1);
-        let mut t = TaintState::new();
+        let mut t = TaintState::default();
         t.note_line(5, 1);
         t.note_line(20, 2);
         t.note_predictor(5);
         t.note_predictor(20);
-        let rec = t.sweep(10, 100, false, &mut ms.bus(0), SquashCounts::default());
-        assert_eq!(rec.lines_swept, 1, "only seq>=10 swept");
-        assert_eq!(rec.predictor_updates, 1);
+        t.sweep(10, SquashCounts::default(), fake(&[]));
+        assert_eq!(t.summary.lines_swept, 1, "only seq>=10 swept");
+        assert_eq!(t.summary.predictor_updates, 1);
+        assert_eq!(t.summary.leaked_footprint, 0, "a cold line is no leak");
         assert_eq!(t.pending_lines(), 1, "older epoch's line still tracked");
     }
 
     #[test]
     fn architectural_demand_cleans_the_footprint() {
-        let mut ms = MemSystem::new(&MemConfig::default(), 1);
-        let mut t = TaintState::new();
-        ms.access(0, 0, AccessKind::Load, 0x4000);
+        let mut t = TaintState::default();
         t.note_line(10, 0x4000);
-        t.sweep(1, 2000, true, &mut ms.bus(0), SquashCounts::default());
+        t.sweep(1, SquashCounts::default(), fake(&[(0x4000, FILLED)]));
         assert_eq!(t.summary.leaked_footprint, 1);
         // Architectural execution demands the line itself: not a leak.
         t.note_architectural(0x4000);
@@ -353,12 +307,10 @@ mod tests {
 
     #[test]
     fn commit_clears_taint_and_legitimizes_lines() {
-        let mut ms = MemSystem::new(&MemConfig::default(), 1);
-        let mut t = TaintState::new();
-        ms.access(0, 0, AccessKind::Load, 0x4000);
+        let mut t = TaintState::default();
         let block = 0x4000;
         t.note_line(4, block);
-        t.sweep(1, 2000, true, &mut ms.bus(0), SquashCounts::default());
+        t.sweep(1, SquashCounts::default(), fake(&[(block, FILLED)]));
         assert_eq!(t.summary.leaked_footprint, 1);
         // Post-rollback, a new epoch touches the block again and commits.
         t.note_line(6, block);
@@ -374,12 +326,13 @@ mod tests {
 
     #[test]
     fn zero_summary_reads_as_zero() {
-        assert!(LeakageSummary::default().is_zero());
+        let zero = LeakageSummary::default().counters();
+        assert_eq!(zero.len(), 11);
+        assert!(zero.iter().all(|&(n, v)| n.starts_with("leak_") && v == 0));
         let s = LeakageSummary {
             rollbacks: 1,
             ..LeakageSummary::default()
         };
-        assert!(!s.is_zero());
         assert_eq!(s.counters()[0], ("leak_rollbacks", 1));
     }
 }

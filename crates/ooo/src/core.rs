@@ -4,10 +4,10 @@ use std::collections::VecDeque;
 
 use sst_isa::{Inst, Program, Reg, Snap, SnapError, SnapReader, SnapState, SnapWriter, NUM_REGS};
 use sst_mem::{AccessKind, Cycle, MemBus};
-use sst_obs::{Phase, PhaseTable, Probes, Stage};
+use sst_obs::{Phase, PhaseTable, Probes, SquashCounts, Stage};
 use sst_uarch::{
     drain_commits, execute, extend_load, mem_addr, Commit, Core, ExecLatency, FetchedInst,
-    Frontend, FrontendConfig, LeakageSummary, Seq, SquashCounts, TaintState,
+    Frontend, FrontendConfig, Seq,
 };
 
 /// Configuration of the out-of-order baseline.
@@ -36,15 +36,6 @@ pub struct OooConfig {
     pub sq_entries: usize,
     /// Memory operations issued per cycle.
     pub dcache_ports: usize,
-    /// Speculation-taint tracking (off by default): tag the cache lines
-    /// touched by wrong-path work — the phantom walk's prefetches and
-    /// loads squashed by a memory-order violation — plus the predictor
-    /// and prefetcher state they mutate, and sweep the residue into a
-    /// leakage record at each redirect/squash (experiment E13). Purely
-    /// observational: runs with the flag on and off are byte-identical;
-    /// the summary is reported through `Core::leakage`, never through
-    /// `Core::counters`.
-    pub taint: bool,
 }
 
 impl OooConfig {
@@ -65,7 +56,6 @@ impl OooConfig {
             lq_entries: 16,
             sq_entries: 12,
             dcache_ports: 1,
-            taint: false,
         }
     }
 
@@ -387,13 +377,13 @@ pub struct OooCore {
     /// resets this to 0. Lets `tick` skip the scan altogether while the
     /// window drains a long miss.
     issue_quiet_until: Cycle,
-    /// Speculation-taint tracker (experiment E13); `None` unless
-    /// [`OooConfig::taint`] is set, so the disabled path costs one
-    /// discriminant test per hook.
-    taint: Option<Box<TaintState>>,
-    /// Event ring and host stage timers (`Core::probes`), record-only. The
-    /// OoO core's track is one `normal` span (broken only by `gated`
-    /// windows) plus ROB-occupancy samples.
+    /// Event ring, host stage timers and speculation taint
+    /// (`Core::probes`), record-only. The OoO core's track is one `normal`
+    /// span (broken only by `gated` windows) plus ROB-occupancy samples.
+    /// Its taint is the lines touched by wrong-path work — the phantom
+    /// walk's prefetches and loads squashed by a memory-order violation —
+    /// plus the predictor and prefetcher state they mutate, swept at each
+    /// redirect and squash.
     probes: Probes,
     commits: Vec<Commit>,
     /// Window entries the issue scan has read (work-counter tests).
@@ -414,7 +404,6 @@ impl OooCore {
         let phys_count = 64 + cfg.rob_entries;
         let mut free: Vec<usize> = (64..phys_count).rev().collect();
         free.shrink_to_fit();
-        let taint = cfg.taint.then(|| Box::new(TaintState::new()));
         OooCore {
             frontend: Frontend::new(cfg.frontend, program),
             cfg,
@@ -439,7 +428,6 @@ impl OooCore {
             phantom: None,
             phantom_count: 0,
             issue_quiet_until: 0,
-            taint,
             probes: Probes::default(),
             commits: Vec::new(),
             #[cfg(test)]
@@ -566,7 +554,7 @@ impl OooCore {
                     let addr = mem_addr(inst, s1);
                     let out = mem.access_pc(now, AccessKind::Prefetch, addr, f.pc);
                     self.stats.wrong_path_prefetches += 1;
-                    if let Some(t) = self.taint.as_mut() {
+                    if let Some(t) = self.probes.taint() {
                         t.note_line(bseq, mem.block_of(addr));
                         t.note_training(bseq);
                     }
@@ -587,7 +575,7 @@ impl OooCore {
                     let addr = mem_addr(inst, s1);
                     mem.access_pc(now, AccessKind::Prefetch, addr, f.pc);
                     self.stats.wrong_path_prefetches += 1;
-                    if let Some(t) = self.taint.as_mut() {
+                    if let Some(t) = self.probes.taint() {
                         t.note_line(bseq, mem.block_of(addr));
                         t.note_training(bseq);
                     }
@@ -924,10 +912,12 @@ impl OooCore {
 
         if let Some((done_at, target)) = redirect {
             // The wrong-path episode ends here: sweep whatever the phantom
-            // walk left behind (lines, trainings) into a leakage record
+            // walk left behind (lines, trainings) into the leakage summary
             // before the walk state is torn down.
-            if let (Some(t), Some(bseq)) = (self.taint.as_mut(), self.fetch_blocked_on) {
-                t.sweep(bseq, now, false, mem, SquashCounts::default());
+            if let (Some(t), Some(bseq)) = (self.probes.taint(), self.fetch_blocked_on) {
+                t.sweep(bseq, SquashCounts::default(), |block| {
+                    mem.probe_residency(now, block)
+                });
             }
             self.frontend.redirect(done_at, target);
             self.fetch_blocked_on = None;
@@ -1055,7 +1045,7 @@ impl OooCore {
             } else {
                 None
             };
-            if let Some(t) = self.taint.as_mut() {
+            if let Some(t) = self.probes.taint() {
                 // Squashed loads that went to memory (not forwarded) left
                 // fills behind; squashed control already trained the
                 // predictor at rename. Record both for the sweep below.
@@ -1074,8 +1064,10 @@ impl OooCore {
                 self.free.push(dest as usize);
             }
         }
-        if let Some(t) = self.taint.as_mut() {
-            t.sweep(from, now, false, mem, SquashCounts::default());
+        if let Some(t) = self.probes.taint() {
+            t.sweep(from, SquashCounts::default(), |block| {
+                mem.probe_residency(now, block)
+            });
         }
         self.seq = from - 1;
         if self.fetch_blocked_on.is_some_and(|s| s >= from) {
@@ -1146,7 +1138,7 @@ impl OooCore {
             } else {
                 None
             };
-            if let (Some(t), Some(addr)) = (self.taint.as_mut(), addr) {
+            if let (Some(t), Some(addr)) = (self.probes.taint(), addr) {
                 // A committed access is architectural demand for its line:
                 // it no longer counts toward the leaked footprint.
                 t.note_architectural(mem.block_of(addr));
@@ -1359,10 +1351,6 @@ impl Core for OooCore {
             ("cond_predictions", bu.cond_predictions),
             ("cond_mispredictions", bu.cond_mispredictions),
         ]
-    }
-
-    fn leakage(&self) -> Option<&LeakageSummary> {
-        self.taint.as_deref().map(|t| &t.summary)
     }
 
     fn probes(&mut self) -> &mut Probes {

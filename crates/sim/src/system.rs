@@ -8,7 +8,7 @@ use sst_isa::{
     SNAPSHOT_VERSION,
 };
 use sst_mem::{Cycle, MemConfig, MemStats, MemSystem};
-use sst_obs::{HostTimes, TraceBuf};
+use sst_obs::{HostTimes, LeakageSummary, TraceBuf};
 use sst_uarch::{Commit, Core};
 use sst_workloads::Workload;
 
@@ -262,7 +262,7 @@ impl System {
     /// Enables typed event tracing on the core and its memory port.
     /// Record-only (the `sst-obs` event-sink contract): a traced run's
     /// [`RunResult`] is byte-identical to an untraced one, which
-    /// `crates/sim/tests/trace_equiv.rs` enforces. Collect the events
+    /// `crates/sim/tests/probes_equiv.rs` enforces. Collect the events
     /// with [`System::run_with_trace`].
     pub fn with_tracing(mut self) -> System {
         self.core.probes().enable_trace();
@@ -290,11 +290,12 @@ impl System {
         self.run_inner(max_cycles)
     }
 
-    /// Runs to `halt` like [`System::run_checked`], additionally returning
-    /// the core's speculation-leakage summary (experiment E13). `None`
-    /// unless the model was built with taint tracking enabled — leakage is
-    /// deliberately reported out of band of [`RunResult`] so that enabling
-    /// taint leaves the performance result byte-identical.
+    /// Runs to `halt` like [`System::run_checked`] with speculation taint
+    /// enabled on the core's probes, additionally returning the core's
+    /// leakage summary (experiment E13). Leakage is deliberately reported
+    /// out of band of [`RunResult`], so that enabling taint leaves the
+    /// performance result byte-identical. A core that never speculates
+    /// (in-order) reports an all-zero summary.
     ///
     /// # Errors
     ///
@@ -302,10 +303,11 @@ impl System {
     pub fn run_with_leakage(
         mut self,
         max_cycles: Cycle,
-    ) -> Result<(RunResult, Option<sst_uarch::LeakageSummary>), CosimError> {
+    ) -> Result<(RunResult, LeakageSummary), CosimError> {
+        self.core.probes().enable_taint();
         let result = self.run_inner(max_cycles)?;
-        let leakage = self.core.leakage().cloned();
-        Ok((result, leakage))
+        let leakage = self.core.probes().leakage().cloned();
+        Ok((result, leakage.expect("taint was enabled")))
     }
 
     /// Runs to `halt` like [`System::run_checked`], additionally

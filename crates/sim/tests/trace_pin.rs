@@ -1,12 +1,12 @@
 //! Trace pin: the event rings a traced run captures, held to a committed
 //! table.
 //!
-//! `trace_equiv` checks that tracing leaves a run's `RunResult` unchanged
+//! `probes_equiv` checks that tracing leaves a run's `RunResult` unchanged
 //! and that the core ring is not empty; an event lost, reordered or
 //! recorded at another cycle, or a ring closed at a different cycle, would
 //! still pass there. This table pins the rings themselves: for in-order,
 //! scout, EA, SST and OoO-32 × {oltp, g_bcb} (smoke, seed 3, as in
-//! `trace_equiv`), the `len()` and `dropped()` of the core ring and of the
+//! `probes_equiv`), the `len()` and `dropped()` of the core ring and of the
 //! memory port's ring, and the FNV-1a of each ring's events' `Debug` text,
 //! one event per line.
 //!

@@ -200,17 +200,6 @@ pub trait Core: Send {
         Vec::new()
     }
 
-    /// The speculative-leakage summary collected by the model's taint
-    /// layer, when one is enabled (see [`crate::TaintState`]). Reported
-    /// out of band of [`Core::counters`] deliberately: enabling the
-    /// taint layer must never perturb a run's `RunResult`, and the
-    /// equivalence suite compares those byte-for-byte. The default
-    /// (`None`) covers models with no speculation — an in-order core has
-    /// nothing to leak — and models running with the layer disabled.
-    fn leakage(&self) -> Option<&crate::LeakageSummary> {
-        None
-    }
-
     /// The per-phase cycle table: how many cycles the core has spent in
     /// each pipeline phase (see [`sst_obs::Phase`]). The invariant —
     /// enforced by the trace-equivalence suite — is that the rows sum
@@ -219,23 +208,26 @@ pub trait Core: Send {
     /// `gated`. No default, so that no model can misfile a cycle silently.
     fn phases(&self) -> sst_obs::PhaseTable;
 
-    /// The core's record-only attachments: its event ring and host stage
-    /// timers (see [`sst_obs::Probes`]), both off until a driver enables
-    /// them. The contract is the taint layer's, verbatim: a probe records
-    /// and is never consulted, so enabling one never changes a
-    /// `RunResult` (`crates/sim/tests/trace_equiv.rs` enforces it, and
+    /// The core's record-only attachments: its event ring, host stage
+    /// timers and speculation taint (see [`sst_obs::Probes`]), all off
+    /// until a driver enables them. A probe records and is never
+    /// consulted, so enabling one never changes a `RunResult`
+    /// (`crates/sim/tests/probes_equiv.rs` enforces it, and
     /// `trace_pin.rs` pins what the rings hold). A core emits its
     /// checkpoint, deferral and replay events and its phase track into
-    /// the ring, and times its stages into the timers; a core that emits
-    /// nothing still returns its (empty) probes.
+    /// the ring, times its stages into the timers, and notes its
+    /// speculative line touches, predictor updates and prefetcher
+    /// trainings into the taint recorder, which it sweeps at each
+    /// rollback; the leakage summary is read back through
+    /// [`sst_obs::Probes::leakage`], never through [`Core::counters`].
     fn probes(&mut self) -> &mut sst_obs::Probes;
 
     /// Serializes the core's complete mutable state — frontend, register
     /// images, checkpoints, queues, counters — so the run can later be
     /// [`Core::restore_state`]d into a freshly built core of the same
     /// model/configuration and continue byte-identically. The record-only
-    /// attachments ([`Core::probes`], taint) are excluded: restored runs
-    /// start with them off.
+    /// attachments ([`Core::probes`]: trace, timers and taint) are
+    /// excluded: restored runs start with them off.
     fn save_state(&self, w: &mut SnapWriter);
 
     /// Restores state written by [`Core::save_state`] on a core built

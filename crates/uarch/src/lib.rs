@@ -30,7 +30,6 @@ mod frontend;
 mod latency;
 mod regimage;
 mod stb;
-mod taint;
 
 pub use core_api::{drain_commits, Commit, Core};
 pub use dq::{DeferredQueue, DqEntry};
@@ -39,7 +38,6 @@ pub use frontend::{FetchedInst, Frontend, FrontendConfig};
 pub use latency::ExecLatency;
 pub use regimage::{Checkpoint, RegImage, RegSlot};
 pub use stb::{DrainedStore, ForwardResult, StoreBuffer, StoreEntry};
-pub use taint::{LeakageRecord, LeakageSummary, SquashCounts, TaintState};
 
 /// Monotone per-instruction sequence number (program order).
 pub type Seq = u64;

@@ -14,7 +14,7 @@
 //!
 //! Tracing is observation-only — the `RunResult` printed here is
 //! byte-identical to an untraced run of the same system (the
-//! `trace_equiv` suite enforces this), so numbers from a traced run can
+//! `probes_equiv` suite enforces this), so numbers from a traced run can
 //! be quoted without caveats.
 
 use sst_obs::ChromeTrace;
