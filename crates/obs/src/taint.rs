@@ -185,24 +185,21 @@ impl TaintState {
         counts: SquashCounts,
         mut probe: impl FnMut(u64) -> Residue,
     ) {
-        let swept: Vec<u64> = self
-            .lines
-            .iter()
-            .filter(|&(_, &seq)| seq >= from)
-            .map(|(&block, _)| block)
-            .collect();
-        let lines_swept = swept.len() as u64;
-        let mut resident = 0;
-        let mut in_flight = 0;
-        for block in swept {
-            self.lines.remove(&block);
+        let (mut swept, mut resident, mut in_flight) = (0, 0, 0);
+        let footprint = &mut self.footprint;
+        self.lines.retain(|&block, &mut seq| {
+            if seq < from {
+                return true;
+            }
             let r = probe(block);
+            swept += 1;
             resident += u64::from(r.resident);
             in_flight += u64::from(r.in_flight);
             if r.resident || r.in_flight {
-                self.footprint.insert(block);
+                footprint.insert(block);
             }
-        }
+            false
+        });
 
         let s = &mut self.summary;
         let before = self.predictor.len();
@@ -213,7 +210,7 @@ impl TaintState {
         s.prefetch_trainings += (before - self.trainings.len()) as u64;
 
         s.rollbacks += 1;
-        s.lines_swept += lines_swept;
+        s.lines_swept += swept;
         s.lines_resident += resident;
         s.lines_in_flight += in_flight;
         s.nt_squashed += counts.nt;
